@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-Python fallback.
+"""Benchmark the compiled recurrence against the pure-Python fallback.
 
-Runs the two hot loops (state recurrence, histogram accumulation) through
-both backends over a few sizes, checks the outputs agree bitwise, and prints
-a timing table. Usage: python benchmarks/bench_kernels.py [--steps N]
+Runs the state recurrence behind the synthetic generators through both
+backends at two sizes, checks the outputs agree bitwise, and prints a timing
+table. Usage: python benchmarks/bench_kernels.py [--steps N]
 """
 
 import argparse
@@ -45,20 +45,6 @@ def bench_recurrence(steps, n, seed=0):
     return row
 
 
-def bench_counts(size, cells, seed=1):
-    rng = np.random.default_rng(seed)
-    codes = rng.integers(0, cells, size=size).astype(np.int64)
-    t_py, out_py = _time(_pykernels.joint_counts, codes, cells)
-    row = [f"joint_counts size={size} cells={cells}", f"{t_py * 1e3:10.2f}"]
-    if _ckernels is not None:
-        t_c, out_c = _time(_ckernels.joint_counts, codes, cells)
-        assert np.array_equal(out_py, out_c), "backend outputs diverged"
-        row += [f"{t_c * 1e3:10.2f}", f"{t_py / t_c:8.1f}x"]
-    else:
-        row += ["       n/a", "     n/a"]
-    return row
-
-
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--steps", type=int, default=1000000)
@@ -69,8 +55,6 @@ def main():
     rows = [
         bench_recurrence(args.steps, 2),
         bench_recurrence(args.steps // 10, 4),
-        bench_counts(args.steps, 512),
-        bench_counts(args.steps, 8),
     ]
     widths = [max(len(str(r[i])) for r in [header] + rows) for i in range(len(header))]
     for r in [header] + rows:

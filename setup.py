@@ -2,8 +2,9 @@ import os
 
 from setuptools import Extension, setup
 
-# The compiled kernels are optional: the package falls back to pure-Python
-# implementations when the extension is absent (see infodrift.kernels).
+# The compiled recurrence is optional: the package falls back to the
+# pure-Python implementation when the extension is absent (see
+# infodrift.kernels). INFODRIFT_SKIP_EXT=1 skips it on hosts with no C compiler.
 # -ffp-contract=off keeps the C arithmetic bitwise-identical to the fallback.
 ext_modules = []
 if os.environ.get("INFODRIFT_SKIP_EXT") != "1":

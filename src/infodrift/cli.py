@@ -23,7 +23,8 @@ import numpy as np
 
 from . import ingest, kmdrift, netout, synth
 from .errors import DataValidationError, EstimatorError, InfodriftError, RemoteError
-from .measures import canonical_measure, compute_matrix
+from .infoflow import te_floor_matrix
+from .measures import bin_panel, canonical_measure, compute_matrix
 from .stats import compute_returns, describe
 from .windows import WindowSpec, evolve
 
@@ -257,24 +258,21 @@ def analyze(cfg: RunConfig, inputs, measures):
         failures = []
         for name in names:
             try:
-                matrix = compute_matrix(
-                    returns, name, bins=cfg.bins, strategy=cfg.strategy, dt=cfg.dt,
-                )
+                if name == "km_drift":
+                    est = kmdrift.drift_estimate(returns, dt=cfg.dt)
+                    matrix = kmdrift.drift_matrix(est, returns.asset_ids)
+                else:
+                    matrix = compute_matrix(
+                        returns, name, bins=cfg.bins, strategy=cfg.strategy, dt=cfg.dt,
+                    )
                 _emit_all(matrix, name, cfg, threshold=cfg.threshold)
                 if name == "km_drift" and "json" in cfg.formats:
-                    est = kmdrift.drift_estimate(returns, dt=cfg.dt)
                     netout.emit(
                         est, "json", os.path.join(cfg.out_dir, "km_drift_estimate.json"),
                         config=cfg.to_dict(),
                     )
                 if name == "transfer_entropy" and cfg.surrogates > 0:
-                    from .discretize import bin_series
-                    from .infoflow import te_floor_matrix
-
-                    seqs = [
-                        bin_series(returns.values[:, k], cfg.bins, cfg.strategy)
-                        for k in range(returns.n_assets)
-                    ]
+                    seqs = bin_panel(returns, cfg.bins, cfg.strategy)
                     floor = te_floor_matrix(
                         seqs, dt=cfg.dt, shuffles=cfg.surrogates,
                         seed=cfg.seed, asset_ids=returns.asset_ids,

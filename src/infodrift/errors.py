@@ -30,9 +30,9 @@ class MalformedRow(DataValidationError):
 
 
 class NonPositivePrice(DataValidationError):
-    def __init__(self, line: int, value: float):
+    def __init__(self, line: int, value: float, where: str | None = None):
         self.line = line
-        super().__init__(f"line {line}: non-positive price {value!r}")
+        super().__init__(f"{where or f'line {line}'}: non-positive price {value!r}")
 
 
 class DuplicateDate(DataValidationError):

@@ -56,8 +56,10 @@ class PriceSeries:
             if a >= b:
                 raise DuplicateDate(f"{self.asset_id}: dates not strictly increasing at {b}")
         prices = np.asarray(self.prices, dtype=np.float64)
-        if not np.all(np.isfinite(prices)) or np.any(prices <= 0):
-            raise NonPositivePrice(-1, float(prices[~(prices > 0)][0]))
+        bad = np.flatnonzero(~(np.isfinite(prices) & (prices > 0)))
+        if len(bad):
+            k = int(bad[0])
+            raise NonPositivePrice(-1, float(prices[k]), where=f"{self.asset_id} on {self.dates[k]}")
         prices.flags.writeable = False
         object.__setattr__(self, "prices", prices)
 
@@ -284,7 +286,8 @@ def fetch_remote(
 
     ``endpoint`` may contain ``{asset}``, ``{start}``, ``{end}`` placeholders.
     The raw response bytes are cached (when ``cache_dir`` is given) under
-    ``{asset}_{start}_{end}.csv`` and reused on later calls; cache writes are
+    ``{asset}_{start}_{end}.csv`` and reused on later calls, but only once
+    they have parsed, so a bad payload is never replayed; cache writes are
     atomic so concurrent readers never see partial files. Validation is the
     same as load_csv.
     """
@@ -292,34 +295,32 @@ def fetch_remote(
     start, end = date_range
     cached = cache_path(cache_dir, asset_id, start, end) if cache_dir is not None else None
 
-    payload = None
     if cached and os.path.exists(cached):
         with open(cached, "rb") as fh:
-            payload = fh.read()
-    if payload is None:
-        url = endpoint.format(asset=asset_id, start=start.isoformat(), end=end.isoformat())
+            return _payload_to_series(fh.read(), asset_id, schema)
+    url = endpoint.format(asset=asset_id, start=start.isoformat(), end=end.isoformat())
+    try:
+        with urllib.request.urlopen(url, timeout=timeout) as resp:
+            status = getattr(resp, "status", 200)
+            if status != 200:
+                raise HttpStatusError(status, url)
+            payload = resp.read()
+    except urllib.error.HTTPError as e:
+        raise HttpStatusError(e.code, url) from None
+    except urllib.error.URLError as e:
+        raise NetworkError(f"{url}: {e.reason}") from None
+    except OSError as e:
+        raise NetworkError(f"{url}: {e}") from None
+    series = _payload_to_series(payload, asset_id, schema)
+    if cached:
+        os.makedirs(os.path.dirname(cached) or ".", exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(cached) or ".", suffix=".part")
         try:
-            with urllib.request.urlopen(url, timeout=timeout) as resp:
-                status = getattr(resp, "status", 200)
-                if status != 200:
-                    raise HttpStatusError(status, url)
-                payload = resp.read()
-        except urllib.error.HTTPError as e:
-            raise HttpStatusError(e.code, url) from None
-        except urllib.error.URLError as e:
-            raise NetworkError(f"{url}: {e.reason}") from None
-        except OSError as e:
-            raise NetworkError(f"{url}: {e}") from None
-        if cached:
-            os.makedirs(os.path.dirname(cached) or ".", exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(cached) or ".", suffix=".part")
-            try:
-                with io.open(fd, "wb") as fh:
-                    fh.write(payload)
-                os.replace(tmp, cached)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
-
-    return _payload_to_series(payload, asset_id, schema)
+            with io.open(fd, "wb") as fh:
+                fh.write(payload)
+            os.replace(tmp, cached)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    return series

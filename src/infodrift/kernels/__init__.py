@@ -1,28 +1,19 @@
 """Kernel backend selection.
 
-The compiled extension is used when it imported successfully; otherwise the
-pure-Python fallback takes over. Set ``INFODRIFT_PURE_PYTHON=1`` to force the
-fallback (used by the benchmark and the backend-parity tests). Both backends
-produce bitwise-identical results.
+``linear_recurrence`` is the compiled loop when the extension imports and the
+pure-Python fallback otherwise; both produce bitwise-identical results.
+``joint_counts`` is ``np.bincount`` on either backend.
 """
 
-import os
+from ._pykernels import joint_counts
 
-from . import _pykernels
+try:
+    from ._ckernels import linear_recurrence
 
-if os.environ.get("INFODRIFT_PURE_PYTHON") == "1":
-    _impl = _pykernels
+    BACKEND = "c"
+except ImportError:
+    from ._pykernels import linear_recurrence
+
     BACKEND = "python"
-else:
-    try:
-        from . import _ckernels as _impl
-
-        BACKEND = "c"
-    except ImportError:
-        _impl = _pykernels
-        BACKEND = "python"
-
-linear_recurrence = _impl.linear_recurrence
-joint_counts = _impl.joint_counts
 
 __all__ = ["BACKEND", "linear_recurrence", "joint_counts"]

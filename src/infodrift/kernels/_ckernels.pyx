@@ -1,7 +1,6 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
-"""Compiled hot loops: the sequential state recurrence behind the synthetic
-process generators and the dense histogram accumulator behind every
-entropy-based estimate.
+"""Compiled hot loop: the sequential state recurrence behind the synthetic
+process generators.
 
 The arithmetic must stay bitwise-identical to _pykernels: plain sequential
 accumulation, no FMA contraction (enforced by -ffp-contract=off), no
@@ -29,12 +28,3 @@ def linear_recurrence(double[:, ::1] coeffs, double[:, ::1] noise, double[::1] x
             out[t + 1, i] = acc + noise[t, i]
     return out_arr
 
-
-def joint_counts(long long[::1] codes, Py_ssize_t size):
-    """Dense occurrence counts of flat cell codes in [0, size)."""
-    out_arr = np.zeros(size, dtype=np.int64)
-    cdef long long[::1] out = out_arr
-    cdef Py_ssize_t t
-    for t in range(codes.shape[0]):
-        out[codes[t]] += 1
-    return out_arr

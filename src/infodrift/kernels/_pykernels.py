@@ -1,12 +1,13 @@
-"""Pure-Python twins of the compiled kernels.
+"""Pure-Python kernels: the fallback for the compiled recurrence and the
+histogram counter.
 
 ``linear_recurrence`` runs the recurrence in scalar Python floats with the
 same operation order as the C loop, so both backends produce bitwise-equal
 output (IEEE doubles either way). It is much slower; the compiled kernel is
 preferred when available.
 
-``joint_counts`` delegates to ``np.bincount``, which is integer-exact and
-therefore also bitwise-equal to the compiled loop.
+``joint_counts`` delegates to ``np.bincount``, which is integer-exact; it has
+no compiled twin.
 """
 
 import numpy as np

@@ -3,10 +3,10 @@
 The model is dx/dt = A x. With y_i(t) = x_i(t + lag) - x_i(t), the linear
 ansatz gives <y_i x_j> = sum_k psi_{i,k} <x_k x_j> with psi = duration * A,
 so each row of psi solves the second-moment linear system and A follows by
-dividing out the lag duration. Moments are raw (uncentered); the matrix-level
-entry point centers the columns first because series with a nonzero mean
-would otherwise bias the intercept-free fit, and the centering is recorded in
-the output metadata.
+dividing out the lag duration. Moments are raw (uncentered); ``drift_estimate``,
+the one entry point that builds and solves the system from a panel, centers
+the columns first because series with a nonzero mean would otherwise bias
+the intercept-free fit, and the centering is recorded in the output metadata.
 """
 
 from __future__ import annotations
@@ -113,43 +113,6 @@ def solve_drift(cross: np.ndarray, second: np.ndarray, dt: float = 1.0, ridge: f
     )
 
 
-def km_drift_matrix(
-    returns: ReturnsMatrix,
-    dt: int = 1,
-    step_duration: float = 1.0,
-    center: bool = True,
-    ridge: float = 0.0,
-) -> InteractionMatrix:
-    """Drift interaction matrix A from the lag-``dt`` moment system.
-
-    ``dt`` is the lag in sampling steps, ``step_duration`` the length of one
-    step in series time units (1.0 for daily data in per-day units); A is
-    psi divided by dt * step_duration. values[i][j] is the effect of asset j
-    on the growth rate of asset i; negative diagonals indicate mean
-    reversion.
-    """
-    x = returns.values
-    if center:
-        x = x - x.mean(axis=0)
-    cross, second = increment_moments(x, dt=dt)
-    est = solve_drift(cross, second, dt=dt * step_duration, ridge=ridge)
-    return InteractionMatrix(
-        asset_ids=returns.asset_ids,
-        values=est.A,
-        measure="km_drift",
-        directed=True,
-        units="per-step",
-        params={
-            "orientation": ORIENTATION,
-            "lag_steps": dt,
-            "step_duration": step_duration,
-            "centered": center,
-            "ridge": ridge,
-            "cond": est.cond,
-        },
-    )
-
-
 def drift_estimate(
     returns: ReturnsMatrix,
     dt: int = 1,
@@ -157,7 +120,12 @@ def drift_estimate(
     center: bool = True,
     ridge: float = 0.0,
 ) -> DriftEstimate:
-    """Full DriftEstimate (psi, A, moment matrix, cond) for serialization."""
+    """Full DriftEstimate (psi, A, moment matrix, cond) from the lag-``dt`` moment system.
+
+    ``dt`` is the lag in sampling steps, ``step_duration`` the length of one
+    step in series time units (1.0 for daily data in per-day units); A is
+    psi divided by dt * step_duration.
+    """
     x = returns.values
     if center:
         x = x - x.mean(axis=0)
@@ -165,3 +133,38 @@ def drift_estimate(
     est = solve_drift(cross, second, dt=dt * step_duration, ridge=ridge)
     est.params.update({"lag_steps": dt, "step_duration": step_duration, "centered": center})
     return est
+
+
+def drift_matrix(est: DriftEstimate, asset_ids) -> InteractionMatrix:
+    """The drift interaction matrix A of an estimate made by ``drift_estimate``.
+
+    values[i][j] is the effect of asset j on the growth rate of asset i;
+    negative diagonals indicate mean reversion.
+    """
+    p = est.params
+    return InteractionMatrix(
+        asset_ids=asset_ids,
+        values=est.A,
+        measure="km_drift",
+        directed=True,
+        units="per-step",
+        params={
+            "orientation": ORIENTATION,
+            "lag_steps": p["lag_steps"],
+            "step_duration": p["step_duration"],
+            "centered": p["centered"],
+            "ridge": p["ridge"],
+            "cond": est.cond,
+        },
+    )
+
+
+def km_drift_matrix(
+    returns: ReturnsMatrix,
+    dt: int = 1,
+    step_duration: float = 1.0,
+    center: bool = True,
+    ridge: float = 0.0,
+) -> InteractionMatrix:
+    """Drift interaction matrix A; see ``drift_estimate`` and ``drift_matrix``."""
+    return drift_matrix(drift_estimate(returns, dt, step_duration, center, ridge), returns.asset_ids)

@@ -34,6 +34,11 @@ def canonical_measure(name: str) -> str:
         raise ValueError(f"unknown measure {name!r}; choose from {sorted(set(ALIASES.values()))}") from None
 
 
+def bin_panel(returns: ReturnsMatrix, bins: int, strategy: str) -> list:
+    """One BinnedSeries per asset column, in asset order."""
+    return [bin_series(returns.values[:, k], bins, strategy) for k in range(returns.n_assets)]
+
+
 def compute_matrix(
     returns: ReturnsMatrix,
     measure: str,
@@ -50,7 +55,7 @@ def compute_matrix(
     if measure == "km_drift":
         return km_drift_matrix(returns, dt=dt, step_duration=step_duration, ridge=ridge)
 
-    seqs = [bin_series(returns.values[:, k], bins, strategy) for k in range(returns.n_assets)]
+    seqs = bin_panel(returns, bins, strategy)
     if measure == "mutual_information":
         m = mi_matrix(seqs, asset_ids=returns.asset_ids)
     else:

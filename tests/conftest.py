@@ -1,9 +1,20 @@
 import datetime as dt
+import os
 
 import numpy as np
 import pytest
 
 from infodrift.ingest import AlignedPanel, PriceSeries
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def child_pythonpath() -> str:
+    """PYTHONPATH for a child ``python -m infodrift``: this checkout's src/ first.
+
+    The path is absolute because the children run in other directories.
+    """
+    return os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 def make_series(asset_id, start, prices):

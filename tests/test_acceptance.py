@@ -35,6 +35,7 @@ from infodrift.stats import ReturnsMatrix, compute_returns, correlation_matrix, 
 from infodrift.synth import binary_entropy
 from infodrift.windows import WindowSpec, make_windows
 
+from conftest import child_pythonpath
 from test_infoflow import brute_mi, brute_te, seq_of
 
 
@@ -217,6 +218,7 @@ def _run_cli(args, cwd, threads: str):
     env = dict(
         os.environ,
         SOURCE_DATE_EPOCH="946684800",
+        PYTHONPATH=child_pythonpath(),
         OMP_NUM_THREADS=threads,
         OPENBLAS_NUM_THREADS=threads,
         MKL_NUM_THREADS=threads,

@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from infodrift import kmdrift
 from infodrift.cli import main
 from infodrift.netout import load_matrix_json
+
+from conftest import child_pythonpath
 
 
 @pytest.fixture
@@ -82,6 +85,28 @@ def test_analyze_te_km_metadata(runner, tmp_path):
     km_doc = json.loads((out / "km_drift.json").read_text())
     assert km_doc["params"]["centered"] is True
     assert (out / "km_drift_estimate.json").exists()
+
+
+def test_analyze_km_solves_drift_once(runner, tmp_path, monkeypatch):
+    # km_drift.json and km_drift_estimate.json come from one moment solve
+    calls = []
+    solve = kmdrift.solve_drift
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(kmdrift, "solve_drift", counted)
+    paths = write_panel(tmp_path, n_rows=120)
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, ["--out", str(out), "--format", "json", "analyze", "--measures", "km", *paths]
+    )
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+    matrix = json.loads((out / "km_drift.json").read_text())
+    estimate = json.loads((out / "km_drift_estimate.json").read_text())
+    assert matrix["values"] == estimate["A"]
 
 
 def test_analyze_unknown_measure_exit_2(runner, tmp_path):
@@ -254,7 +279,7 @@ def test_fetch_writes_series(runner, tmp_path):
 
 
 def _run_cli(args, cwd, env_extra=None):
-    env = dict(os.environ, SOURCE_DATE_EPOCH="946684800")
+    env = dict(os.environ, SOURCE_DATE_EPOCH="946684800", PYTHONPATH=child_pythonpath())
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

@@ -47,6 +47,12 @@ def test_load_csv_negative_price_line_number(csv_dir):
     assert err.value.line == 2
 
 
+def test_price_series_rejects_inf_price_and_names_asset():
+    with pytest.raises(NonPositivePrice) as err:
+        make_series("GLD", "2020-01-01", [100.0, float("inf"), 101.0])
+    assert "GLD on 2020-01-02" in str(err.value)
+
+
 def test_load_csv_out_of_order_resorted(csv_dir):
     path = csv_dir("a.csv", "date,close\n2020-01-03,102\n2020-01-01,100\n2020-01-02,101\n")
     series = load_csv(path, schema=SIMPLE)
@@ -270,6 +276,20 @@ def test_fetch_remote_cache_round_trip(http_server, tmp_path):
     del _Handler.responses["/q/C/2020-01-01/2020-01-31"]
     second = fetch_remote(*args, schema=SIMPLE, cache_dir=tmp_path)
     assert np.array_equal(first.prices, second.prices)
+
+
+def test_fetch_remote_caches_only_parsed_payloads(http_server, tmp_path):
+    key = "/q/P/2020-01-01/2020-01-31"
+    args = (http_server + "/q/{asset}/{start}/{end}", "P", (dt.date(2020, 1, 1), dt.date(2020, 1, 31)))
+    cache_file = tmp_path / "P_2020-01-01_2020-01-31.csv"
+    _Handler.responses[key] = (200, b"<html>rate limited</html>")
+    with pytest.raises(PayloadParseError):
+        fetch_remote(*args, schema=SIMPLE, cache_dir=tmp_path)
+    assert not cache_file.exists()
+    _Handler.responses[key] = (200, CSV_BODY)
+    series = fetch_remote(*args, schema=SIMPLE, cache_dir=tmp_path)
+    assert cache_file.read_bytes() == CSV_BODY
+    assert list(series.prices) == [100.0, 101.0, 102.0]
 
 
 def test_fetch_remote_network_error():
