@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from . import ingest, kmdrift, netout, synth
-from .errors import DataValidationError, EstimatorError, InfodriftError, RemoteError
+from .errors import DataValidationError, EstimatorError, InfodriftError
 from .infoflow import te_floor_matrix
 from .measures import bin_panel, canonical_measure, compute_matrix
 from .stats import compute_returns, describe
@@ -31,8 +31,6 @@ from .windows import WindowSpec, evolve
 log = logging.getLogger("infodrift")
 
 CONFIG_VERSION = 1
-DEFAULT_FORMATS = ("json", "csv", "dot", "svg_heatmap")
-FORMAT_ALIASES = {"svg": "svg_heatmap"}
 
 
 @dataclass
@@ -47,7 +45,7 @@ class RunConfig:
     threshold: float = 0.0
     out_dir: str = "out"
     seed: int = 0
-    formats: list[str] = dataclasses.field(default_factory=lambda: list(DEFAULT_FORMATS))
+    formats: list[str] = dataclasses.field(default_factory=lambda: list(netout.FORMATS))
     surrogates: int = 0
     date_column: str = "Date"
     price_column: str = "Adj Close"
@@ -79,17 +77,6 @@ def _load_config(path: str | None) -> RunConfig:
     return RunConfig.from_dict(doc)
 
 
-def _parse_formats(text: str) -> list[str]:
-    out = []
-    for token in text.split(","):
-        token = token.strip().lower()
-        token = FORMAT_ALIASES.get(token, token)
-        if token not in netout.FORMATS:
-            raise DataValidationError(f"format: unknown format {token!r}")
-        out.append(token)
-    return out
-
-
 @click.group()
 @click.option("--config", "config_path", type=click.Path(), default=None, help="JSON config file.")
 @click.option("--out", default=None, help="Output directory.")
@@ -114,27 +101,16 @@ def main(ctx, config_path, out, formats, seed, bins, strategy, return_kind, dt,
     )
     try:
         cfg = _load_config(config_path)
-        if out is not None:
-            cfg.out_dir = out
         if formats is not None:
-            cfg.formats = _parse_formats(formats)
-        if seed is not None:
-            cfg.seed = seed
-        if bins is not None:
-            cfg.bins = bins
-        if strategy is not None:
-            cfg.strategy = strategy
-        if return_kind is not None:
-            cfg.return_kind = return_kind
-        if dt is not None:
-            cfg.dt = dt
+            formats = netout.parse_formats(formats)
         if windows is not None:
             WindowSpec.parse(windows)
-            cfg.windows = windows
-        if threshold is not None:
-            cfg.threshold = threshold
-        if surrogates is not None:
-            cfg.surrogates = surrogates
+        flags = dict(out_dir=out, formats=formats, seed=seed, bins=bins, strategy=strategy,
+                     return_kind=return_kind, dt=dt, windows=windows, threshold=threshold,
+                     surrogates=surrogates)
+        for name, value in flags.items():
+            if value is not None:
+                setattr(cfg, name, value)
     except (DataValidationError, ValueError) as e:
         _fail(2, str(e))
     ctx.obj = cfg
@@ -171,13 +147,16 @@ def _measure_names(cfg: RunConfig) -> list[str]:
         raise DataValidationError(f"measures: {e}") from None
 
 
-def _run(body, cfg: RunConfig):
+def _run(body, cfg: RunConfig, inputs=(), measures: str | None = None):
+    """Apply the command's inputs and measures to ``cfg``, run ``body``, map errors to exit codes."""
+    if inputs:
+        cfg.inputs = list(inputs)
+    if measures is not None:
+        cfg.measures = [m.strip() for m in measures.split(",") if m.strip()]
     try:
         body()
-    except (DataValidationError, ValueError) as e:
+    except (DataValidationError, ValueError, OSError) as e:
         _fail(2, str(e))
-    except (EstimatorError, RemoteError) as e:
-        _fail(3, str(e))
     except InfodriftError as e:
         _fail(3, str(e))
 
@@ -187,57 +166,14 @@ def _run(body, cfg: RunConfig):
 @click.pass_obj
 def stats(cfg: RunConfig, inputs):
     """Per-asset descriptive statistics of returns (CSV + JSON)."""
-    if inputs:
-        cfg.inputs = list(inputs)
 
     def body():
-        returns = _load_panel(cfg)
-        summary = describe(returns)
+        summary = describe(_load_panel(cfg))
         out = _prepare_out(cfg)
-        config = cfg.to_dict()
-        lines = ["# infodrift-stats v1", f"# config: {json.dumps(config, sort_keys=True)}"]
-        lines.append("asset,mean,std,skewness,excess_kurtosis")
-        rows = []
-        for asset, mean, std, skew, kurt in summary.rows():
-            mean, std, skew, kurt = float(mean), float(std), float(skew), float(kurt)
-            lines.append(f"{asset},{mean!r},{std!r},{skew!r},{kurt!r}")
-            rows.append(
-                {"asset": asset, "mean": mean, "std": std,
-                 "skewness": skew, "excess_kurtosis": kurt}
-            )
-        with open(os.path.join(out, "stats.csv"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        doc = {
-            "schema_version": netout.SCHEMA_VERSION,
-            "kind": "stats_summary",
-            "params": summary.params,
-            "rows": rows,
-            "config": config,
-        }
-        with open(os.path.join(out, "stats.json"), "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        log.info("wrote stats for %d assets to %s", len(rows), out)
+        netout.emit_all(summary, out, "stats", netout.TABLE_FORMATS, cfg.to_dict())
+        log.info("wrote stats for %d assets to %s", len(summary.asset_ids), out)
 
-    _run(body, cfg)
-
-
-_EXTENSIONS = {"json": "json", "csv": "csv", "dot": "dot", "svg_heatmap": "svg"}
-
-
-def _emit_all(obj, stem: str, cfg: RunConfig, formats=None, threshold: float = 0.0):
-    written = []
-    try:
-        for fmt in formats if formats is not None else cfg.formats:
-            path = os.path.join(cfg.out_dir, f"{stem}.{_EXTENSIONS[fmt]}")
-            netout.emit(obj, fmt, path, config=cfg.to_dict(), threshold=threshold)
-            written.append(path)
-    except Exception:
-        for path in written:
-            if os.path.exists(path):
-                os.unlink(path)
-        raise
-    return written
+    _run(body, cfg, inputs)
 
 
 @main.command()
@@ -246,15 +182,12 @@ def _emit_all(obj, stem: str, cfg: RunConfig, formats=None, threshold: float = 0
 @click.pass_obj
 def analyze(cfg: RunConfig, inputs, measures):
     """Full-sample interaction matrices for the requested measures."""
-    if inputs:
-        cfg.inputs = list(inputs)
-    if measures is not None:
-        cfg.measures = [m.strip() for m in measures.split(",") if m.strip()]
 
     def body():
         names = _measure_names(cfg)
         returns = _load_panel(cfg)
-        _prepare_out(cfg)
+        out = _prepare_out(cfg)
+        config = cfg.to_dict()
         failures = []
         for name in names:
             try:
@@ -265,19 +198,16 @@ def analyze(cfg: RunConfig, inputs, measures):
                     matrix = compute_matrix(
                         returns, name, bins=cfg.bins, strategy=cfg.strategy, dt=cfg.dt,
                     )
-                _emit_all(matrix, name, cfg, threshold=cfg.threshold)
-                if name == "km_drift" and "json" in cfg.formats:
-                    netout.emit(
-                        est, "json", os.path.join(cfg.out_dir, "km_drift_estimate.json"),
-                        config=cfg.to_dict(),
-                    )
+                netout.emit_all(matrix, out, name, cfg.formats, config, cfg.threshold)
+                if name == "km_drift":
+                    netout.emit_all(est, out, "km_drift_estimate", cfg.formats, config)
                 if name == "transfer_entropy" and cfg.surrogates > 0:
                     seqs = bin_panel(returns, cfg.bins, cfg.strategy)
                     floor = te_floor_matrix(
                         seqs, dt=cfg.dt, shuffles=cfg.surrogates,
                         seed=cfg.seed, asset_ids=returns.asset_ids,
                     )
-                    _emit_all(floor, "transfer_entropy_floor", cfg, formats=["json", "csv"])
+                    netout.emit_all(floor, out, "transfer_entropy_floor", netout.TABLE_FORMATS, config)
                 log.info("measure %s done", name)
             except EstimatorError as e:
                 failures.append((name, e))
@@ -287,7 +217,7 @@ def analyze(cfg: RunConfig, inputs, measures):
                 "; ".join(f"{name}: {err}" for name, err in failures)
             )
 
-    _run(body, cfg)
+    _run(body, cfg, inputs, measures)
 
 
 @main.command("evolve")
@@ -296,25 +226,21 @@ def analyze(cfg: RunConfig, inputs, measures):
 @click.pass_obj
 def evolve_cmd(cfg: RunConfig, inputs, measures):
     """Windowed (time-resolved) matrices per measure."""
-    if inputs:
-        cfg.inputs = list(inputs)
-    if measures is not None:
-        cfg.measures = [m.strip() for m in measures.split(",") if m.strip()]
 
     def body():
         names = _measure_names(cfg)
         spec = WindowSpec.parse(cfg.windows)
         returns = _load_panel(cfg)
-        _prepare_out(cfg)
+        out = _prepare_out(cfg)
+        config = cfg.to_dict()
         for name in names:
             result = evolve(
                 returns, spec, name, bins=cfg.bins, strategy=cfg.strategy, dt=cfg.dt,
             )
-            formats = [f for f in cfg.formats if f not in ("dot",)]
-            _emit_all(result, f"evolve_{name}", cfg, formats=formats)
+            netout.emit_all(result, out, f"evolve_{name}", cfg.formats, config)
             log.info("evolve %s over %d windows done", name, len(result.entries))
 
-    _run(body, cfg)
+    _run(body, cfg, inputs, measures)
 
 
 @main.command()
@@ -360,14 +286,15 @@ def simulate(cfg: RunConfig, kind, steps, eps, matrix_json, sigma, dt_sim, asset
                                      seed=cfg.seed, asset_ids=names)
             values, ids = panel.values, panel.asset_ids
 
-        out = _prepare_out(cfg)
         prices = start_price * np.exp(np.cumsum(values, axis=0))
         base = dt.date(2000, 1, 3).toordinal()
         dates = tuple(dt.date.fromordinal(base + t) for t in range(prices.shape[0]))
+        # every series is validated before the first file is written
+        series = [ingest.PriceSeries(asset_id=a, dates=dates, prices=prices[:, k]) for k, a in enumerate(ids)]
+        out = _prepare_out(cfg)
         comment = f"config: {json.dumps(cfg.to_dict(), sort_keys=True)}"
-        for k, asset in enumerate(ids):
-            series = ingest.PriceSeries(asset_id=asset, dates=dates, prices=prices[:, k])
-            ingest.write_csv(series, os.path.join(out, f"{asset}.csv"), header_comment=comment)
+        for s in series:
+            ingest.write_csv(s, os.path.join(out, f"{s.asset_id}.csv"), header_comment=comment)
         log.info("wrote %d synthetic series of length %d to %s", len(ids), prices.shape[0], out)
 
     _run(body, cfg)

@@ -37,6 +37,15 @@ from .errors import (
 DEFAULT_SCHEMA = {"date": "Date", "price": "Adj Close"}
 
 
+def _check_prices(asset_ids, dates, prices: np.ndarray) -> None:
+    """Raise NonPositivePrice naming the asset and date of the first (T, N)
+    price that is not finite and positive."""
+    bad = np.argwhere(~(np.isfinite(prices) & (prices > 0)))
+    if len(bad):
+        t, k = bad[0]
+        raise NonPositivePrice(-1, float(prices[t, k]), where=f"{asset_ids[k]} on {dates[t]}")
+
+
 @dataclass(frozen=True, eq=False)
 class PriceSeries:
     """Dated price observations for one asset, sorted by calendar day."""
@@ -56,10 +65,7 @@ class PriceSeries:
             if a >= b:
                 raise DuplicateDate(f"{self.asset_id}: dates not strictly increasing at {b}")
         prices = np.asarray(self.prices, dtype=np.float64)
-        bad = np.flatnonzero(~(np.isfinite(prices) & (prices > 0)))
-        if len(bad):
-            k = int(bad[0])
-            raise NonPositivePrice(-1, float(prices[k]), where=f"{self.asset_id} on {self.dates[k]}")
+        _check_prices((self.asset_id,), self.dates, prices[:, np.newaxis])
         prices.flags.writeable = False
         object.__setattr__(self, "prices", prices)
 
@@ -82,8 +88,7 @@ class AlignedPanel:
             raise ValueError("column count does not match asset_ids")
         if t != len(self.dates) or t < 3:
             raise InsufficientOverlap(f"panel needs at least 3 common dates, got {t}")
-        if not np.all(prices > 0):
-            raise NonPositivePrice(-1, float(prices[~(prices > 0)][0]))
+        _check_prices(self.asset_ids, self.dates, prices)
         prices.flags.writeable = False
         object.__setattr__(self, "prices", prices)
 

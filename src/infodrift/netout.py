@@ -1,4 +1,5 @@
-"""Serialization of matrices, graphs, and windowed results.
+"""Serialization of every result: matrices, graphs, windowed results, drift
+estimates and statistics summaries. ``_WRITERS`` is the one list of formats.
 
 JSON and CSV writers print floats with repr, so parse(emit(x)) reproduces the
 numbers exactly. SVG heatmaps are assembled from strings with fixed
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -22,10 +22,16 @@ import numpy as np
 from .errors import UnsupportedFormatForShape
 from .kmdrift import DriftEstimate
 from .matrices import InteractionMatrix
+from .stats import StatsSummary
 from .windows import WindowedResult
 
 SCHEMA_VERSION = 1
-FORMATS = ("json", "csv", "dot", "svg_heatmap")
+_EXTENSIONS = {"json": "json", "csv": "csv", "dot": "dot", "svg_heatmap": "svg"}
+FORMATS = tuple(_EXTENSIONS)
+# Tables that sit next to a run's networks (the TE surrogate floor, per-asset
+# statistics) are written in these formats whatever formats the run asks for.
+TABLE_FORMATS = ("json", "csv")
+_SIGNED_MEASURES = ("correlation", "km_drift")
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,6 +51,24 @@ class InteractionGraph:
                 raise ValueError(f"edge ({src!r}, {dst!r}) weight {weight} below threshold")
 
 
+def parse_formats(text: str) -> list[str]:
+    """Formats in a comma list, each named as in FORMATS or by its extension."""
+    names = {ext: fmt for fmt, ext in _EXTENSIONS.items()} | {fmt: fmt for fmt in FORMATS}
+    try:
+        return [names[token.strip().lower()] for token in text.split(",")]
+    except KeyError as e:
+        raise UnsupportedFormatForShape(f"format: unknown format {e.args[0]!r}") from None
+
+
+def _pairs(n: int, directed: bool, keep_self: bool = False):
+    """(from, to, row, col) of each pair in the order of every writer; the
+    pair's value is values[row][col]. See ``matrix_to_graph``."""
+    for a in range(n):
+        for b in range(n) if directed else range(a if keep_self else a + 1, n):
+            if a != b or keep_self:
+                yield (a, b, b, a) if directed else (a, b, a, b)
+
+
 def matrix_to_graph(m: InteractionMatrix, threshold: float = 0.0, keep_self: bool = False) -> InteractionGraph:
     """Edges for every entry at or above ``threshold`` in absolute value.
 
@@ -54,23 +78,12 @@ def matrix_to_graph(m: InteractionMatrix, threshold: float = 0.0, keep_self: boo
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    ids, values, n = m.asset_ids, m.values, m.n
+    ids, values = m.asset_ids, m.values
     edges = []
-    if m.directed:
-        for src in range(n):
-            for dst in range(n):
-                if src == dst and not keep_self:
-                    continue
-                w = float(values[dst, src])
-                if abs(w) >= threshold:
-                    edges.append((ids[src], ids[dst], w))
-    else:
-        for i in range(n):
-            start = i if keep_self else i + 1
-            for j in range(start, n):
-                w = float(values[i, j])
-                if abs(w) >= threshold:
-                    edges.append((ids[i], ids[j], w))
+    for a, b, i, j in _pairs(m.n, m.directed, keep_self):
+        w = float(values[i, j])
+        if abs(w) >= threshold:
+            edges.append((ids[a], ids[b], w))
     return InteractionGraph(
         nodes=ids, edges=tuple(edges), directed=m.directed,
         threshold=threshold, measure=m.measure,
@@ -86,35 +99,36 @@ def _timestamp() -> str:
     return when.replace(microsecond=0).isoformat()
 
 
-def _write(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
 # ---------------------------------------------------------------- JSON
 
+def _document(kind: str, body: dict, config: dict | None, stamped: bool = True) -> dict:
+    """The envelope of every JSON file; statistics files carry no time stamp."""
+    doc = {"schema_version": SCHEMA_VERSION, "kind": kind, **body}
+    if stamped:
+        doc["generated_at"] = _timestamp()
+    if config is not None:
+        doc["config"] = config
+    return doc
+
+
+def _dumps(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def matrix_to_dict(m: InteractionMatrix, config: dict | None = None) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "interaction_matrix",
+    return _document("interaction_matrix", {
         "measure": m.measure,
         "directed": m.directed,
         "units": m.units,
         "asset_ids": list(m.asset_ids),
         "values": m.values.tolist(),
         "params": m.params,
-        "generated_at": _timestamp(),
-    }
-    if config is not None:
-        doc["config"] = config
-    return doc
+    }, config)
 
 
 def windowed_to_dict(w: WindowedResult, config: dict | None = None) -> dict:
     first = w.entries[0][4]
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "windowed_result",
+    return _document("windowed_result", {
         "measure": w.measure,
         "directed": first.directed,
         "units": first.units,
@@ -136,27 +150,25 @@ def windowed_to_dict(w: WindowedResult, config: dict | None = None) -> dict:
             }
             for lo, hi, si, ei, matrix in w.entries
         ],
-        "generated_at": _timestamp(),
-    }
-    if config is not None:
-        doc["config"] = config
-    return doc
+    }, config)
 
 
 def graph_to_dict(g: InteractionGraph, config: dict | None = None) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "interaction_graph",
+    return _document("interaction_graph", {
         "measure": g.measure,
         "directed": g.directed,
         "threshold": g.threshold,
         "nodes": list(g.nodes),
         "edges": [{"from": a, "to": b, "weight": w} for a, b, w in g.edges],
-        "generated_at": _timestamp(),
-    }
-    if config is not None:
-        doc["config"] = config
-    return doc
+    }, config)
+
+
+_STATS_COLUMNS = ("mean", "std", "skewness", "excess_kurtosis")
+
+
+def _stats_to_dict(s: StatsSummary, config: dict | None) -> dict:
+    rows = [{"asset": asset, **dict(zip(_STATS_COLUMNS, map(float, moments)))} for asset, *moments in s.rows()]
+    return _document("stats_summary", {"params": s.params, "rows": rows}, config, stamped=False)
 
 
 def load_matrix_json(path) -> InteractionMatrix:
@@ -176,19 +188,21 @@ def load_matrix_json(path) -> InteractionMatrix:
 
 # ---------------------------------------------------------------- CSV
 
-def _matrix_csv(m: InteractionMatrix, config: dict | None) -> str:
-    buf = io.StringIO()
-    buf.write("# infodrift-matrix v1\n")
-    buf.write(f"# measure: {m.measure}\n")
-    buf.write(f"# directed: {str(m.directed).lower()}\n")
-    buf.write(f"# units: {m.units}\n")
+def _csv(fh, tag: str, config: dict | None, **meta):
+    """Write the ``#`` header of every CSV file and return a writer for its rows."""
+    fh.write(f"# infodrift-{tag} v1\n")
+    for key, value in meta.items():
+        fh.write(f"# {key}: {value}\n")
     if config is not None:
-        buf.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
-    writer = csv.writer(buf)
+        fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
+    return csv.writer(fh)
+
+
+def _matrix_csv(m: InteractionMatrix, fh, config: dict | None, threshold: float) -> None:
+    writer = _csv(fh, "matrix", config, measure=m.measure, directed=str(m.directed).lower(), units=m.units)
     writer.writerow(["asset", *m.asset_ids])
     for i, asset in enumerate(m.asset_ids):
         writer.writerow([asset, *(repr(float(v)) for v in m.values[i])])
-    return buf.getvalue()
 
 
 def load_matrix_csv(path) -> InteractionMatrix:
@@ -218,33 +232,29 @@ def load_matrix_csv(path) -> InteractionMatrix:
     )
 
 
-def _windowed_csv(w: WindowedResult, config: dict | None) -> str:
-    first = w.entries[0][4]
-    ids = first.asset_ids
-    buf = io.StringIO()
-    buf.write("# infodrift-windowed v1\n")
-    buf.write(f"# measure: {w.measure}\n")
-    if config is not None:
-        buf.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
-    writer = csv.writer(buf)
+def _windowed_csv(w: WindowedResult, fh, config: dict | None, threshold: float) -> None:
+    """Long format: every ordered pair of every window, self pairs included."""
+    ids = w.entries[0][4].asset_ids
+    pairs = list(_pairs(len(ids), directed=True, keep_self=True))
+    writer = _csv(fh, "windowed", config, measure=w.measure)
     writer.writerow(["window_start", "window_end", "from_asset", "to_asset", "value"])
     for lo, hi, _, _, matrix in w.entries:
-        for src in range(len(ids)):
-            for dst in range(len(ids)):
-                writer.writerow([lo, hi, ids[src], ids[dst], repr(float(matrix.values[dst, src]))])
-    return buf.getvalue()
+        values = matrix.values
+        writer.writerows([lo, hi, ids[a], ids[b], repr(float(values[i, j]))] for a, b, i, j in pairs)
 
 
-def _graph_csv(g: InteractionGraph, config: dict | None) -> str:
-    buf = io.StringIO()
-    buf.write("# infodrift-graph v1\n")
-    if config is not None:
-        buf.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
-    writer = csv.writer(buf)
+def _graph_csv(g: InteractionGraph, fh, config: dict | None, threshold: float) -> None:
+    writer = _csv(fh, "graph", config)
     writer.writerow(["from", "to", "weight"])
     for a, b, w in g.edges:
         writer.writerow([a, b, repr(float(w))])
-    return buf.getvalue()
+
+
+def _stats_csv(s: StatsSummary, fh, config: dict | None, threshold: float) -> None:
+    _csv(fh, "stats", config)
+    fh.write(",".join(["asset", *_STATS_COLUMNS]) + "\n")
+    for asset, *moments in s.rows():
+        fh.write(",".join([asset, *(repr(float(v)) for v in moments)]) + "\n")
 
 
 # ---------------------------------------------------------------- DOT
@@ -275,6 +285,15 @@ def _lerp(c0, c1, t: float) -> tuple[int, int, int]:
 
 def _hex(c) -> str:
     return "#{:02x}{:02x}{:02x}".format(*c)
+
+
+def _scale(measure: str, values: np.ndarray) -> tuple[float, float, bool]:
+    """(vmin, vmax, diverging): centred on zero for a signed measure, else from min(lowest, 0)."""
+    vmin, vmax = float(values.min()), float(values.max())
+    if measure in _SIGNED_MEASURES:
+        limit = max(abs(vmin), abs(vmax))
+        return -limit, limit, True
+    return min(vmin, 0.0), vmax, False
 
 
 def _color(value: float, vmin: float, vmax: float, diverging: bool) -> str:
@@ -323,13 +342,7 @@ def matrix_to_svg(m: InteractionMatrix, config: dict | None = None) -> str:
     cell, left, top = 64, 96, 56
     width = left + n * cell + 24
     height = top + n * cell + 56
-    diverging = m.measure in ("correlation", "km_drift")
-    vmin, vmax = float(m.values.min()), float(m.values.max())
-    if diverging:
-        limit = max(abs(vmin), abs(vmax))
-        vmin, vmax = -limit, limit
-    else:
-        vmin = min(vmin, 0.0)
+    vmin, vmax, diverging = _scale(m.measure, m.values)
 
     lines = _svg_open(width, height, f"{m.measure} ({m.units})", config)
     lines.append(f'<text x="{left}" y="20" font-size="13">{escape(m.measure)} [{escape(m.units)}]</text>')
@@ -359,38 +372,18 @@ def matrix_to_svg(m: InteractionMatrix, config: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _pair_rows(m: InteractionMatrix) -> list[tuple[str, int, int]]:
-    ids, n = m.asset_ids, m.n
-    rows = []
-    if m.directed:
-        for src in range(n):
-            for dst in range(n):
-                if src != dst:
-                    rows.append((f"{ids[src]}->{ids[dst]}", dst, src))
-    else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows.append((f"{ids[i]}--{ids[j]}", i, j))
-    return rows
-
-
 def windowed_to_svg(w: WindowedResult, config: dict | None = None) -> str:
     """Pairs-by-windows heatmap: one row per ordered (or unordered) pair."""
     first = w.entries[0][4]
-    pairs = _pair_rows(first)
+    ids, arrow = first.asset_ids, "->" if first.directed else "--"
+    pairs = [(f"{ids[a]}{arrow}{ids[b]}", i, j) for a, b, i, j in _pairs(first.n, first.directed)]
     k = len(w.entries)
     cell, left, top = 40, 150, 46
     width = left + k * cell + 24
     height = top + len(pairs) * cell + 56
     stack = w.values_stack()
-    diverging = w.measure in ("correlation", "km_drift")
-    pair_vals = np.array([[stack[t][i, j] for t in range(k)] for _, i, j in pairs])
-    vmin, vmax = float(pair_vals.min()), float(pair_vals.max())
-    if diverging:
-        limit = max(abs(vmin), abs(vmax))
-        vmin, vmax = -limit, limit
-    else:
-        vmin = min(vmin, 0.0)
+    pair_vals = np.array([stack[:, i, j] for _, i, j in pairs])
+    vmin, vmax, diverging = _scale(w.measure, pair_vals)
 
     lines = _svg_open(width, height, f"{w.measure} evolution", config)
     lines.append(f'<text x="{left}" y="20" font-size="13">{escape(w.measure)} evolution</text>')
@@ -425,58 +418,67 @@ def windowed_to_svg(w: WindowedResult, config: dict | None = None) -> str:
 
 # ---------------------------------------------------------------- emit
 
-def _dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def _text(render):
+    """Writer of a renderer that returns the whole file as one string."""
+    return lambda obj, fh, config, threshold: fh.write(render(obj, config))
+
+
+def _json(to_dict):
+    return _text(lambda obj, config: _dumps(to_dict(obj, config)))
+
+
+# (shape, format) -> writer(obj, fh, config, threshold). A matrix asked for as
+# dot is written as its graph at the threshold; no other writer uses it.
+_WRITERS = {
+    (InteractionMatrix, "json"): _json(matrix_to_dict),
+    (InteractionMatrix, "csv"): _matrix_csv,
+    (InteractionMatrix, "dot"): lambda m, fh, config, threshold: fh.write(
+        graph_to_dot(matrix_to_graph(m, threshold), config)
+    ),
+    (InteractionMatrix, "svg_heatmap"): _text(matrix_to_svg),
+    (InteractionGraph, "json"): _json(graph_to_dict),
+    (InteractionGraph, "csv"): _graph_csv,
+    (InteractionGraph, "dot"): _text(graph_to_dot),
+    (WindowedResult, "json"): _json(windowed_to_dict),
+    (WindowedResult, "csv"): _windowed_csv,
+    (WindowedResult, "svg_heatmap"): _text(windowed_to_svg),
+    (DriftEstimate, "json"): _json(lambda est, config: _document("drift_estimate", est.to_dict(), config)),
+    (StatsSummary, "json"): _json(_stats_to_dict),
+    (StatsSummary, "csv"): _stats_csv,
+}
 
 
 def emit(obj, fmt: str, path, config: dict | None = None, threshold: float = 0.0) -> None:
-    """Write ``obj`` (matrix, graph, windowed result, or drift estimate) to
-    ``path`` in ``fmt``. A matrix asked for as dot is thresholded first.
-    """
-    if fmt not in FORMATS:
-        raise UnsupportedFormatForShape(f"unknown format {fmt!r}; choose from {FORMATS}")
+    """Write ``obj`` (matrix, graph, windowed result, drift estimate or stats
+    summary) to ``path`` in ``fmt``. A write that fails removes the file."""
+    write = _WRITERS.get((type(obj), fmt))
+    if write is None:
+        raise UnsupportedFormatForShape(f"cannot write {type(obj).__name__} as {fmt!r}")
+    fh = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            write(obj, fh, config, threshold)
+    except BaseException:
+        os.unlink(path)
+        raise
 
-    if isinstance(obj, InteractionMatrix):
-        if fmt == "json":
-            _write(path, _dumps(matrix_to_dict(obj, config)))
-        elif fmt == "csv":
-            _write(path, _matrix_csv(obj, config))
-        elif fmt == "dot":
-            _write(path, graph_to_dot(matrix_to_graph(obj, threshold=threshold), config))
-        else:
-            _write(path, matrix_to_svg(obj, config))
-        return
-    if isinstance(obj, InteractionGraph):
-        if fmt == "json":
-            _write(path, _dumps(graph_to_dict(obj, config)))
-        elif fmt == "csv":
-            _write(path, _graph_csv(obj, config))
-        elif fmt == "dot":
-            _write(path, graph_to_dot(obj, config))
-        else:
-            raise UnsupportedFormatForShape("graphs cannot be rendered as svg_heatmap")
-        return
-    if isinstance(obj, WindowedResult):
-        if fmt == "json":
-            _write(path, _dumps(windowed_to_dict(obj, config)))
-        elif fmt == "csv":
-            _write(path, _windowed_csv(obj, config))
-        elif fmt == "svg_heatmap":
-            _write(path, windowed_to_svg(obj, config))
-        else:
-            raise UnsupportedFormatForShape("windowed results cannot be rendered as dot")
-        return
-    if isinstance(obj, DriftEstimate):
-        if fmt != "json":
-            raise UnsupportedFormatForShape("drift estimates serialize as json only")
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "drift_estimate",
-            **obj.to_dict(),
-            "generated_at": _timestamp(),
-        }
-        if config is not None:
-            doc["config"] = config
-        _write(path, _dumps(doc))
-        return
-    raise UnsupportedFormatForShape(f"cannot emit object of type {type(obj).__name__}")
+
+def emit_all(obj, out_dir, stem: str, formats, config: dict | None = None, threshold: float = 0.0) -> list[str]:
+    """Write ``obj`` to ``out_dir/<stem>.<extension>`` in each of ``formats``
+    its shape has, skip the others, and return the paths. An unknown format
+    is an error. A failed write removes the files this call wrote."""
+    written = []
+    try:
+        for fmt in formats:
+            if fmt not in FORMATS:
+                raise UnsupportedFormatForShape(f"unknown format {fmt!r}; choose from {FORMATS}")
+            if (type(obj), fmt) in _WRITERS:
+                path = os.path.join(out_dir, f"{stem}.{_EXTENSIONS[fmt]}")
+                emit(obj, fmt, path, config, threshold)
+                written.append(path)
+    except BaseException:
+        for path in written:
+            if os.path.exists(path):
+                os.unlink(path)
+        raise
+    return written

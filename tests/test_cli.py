@@ -217,6 +217,38 @@ def test_simulate_unstable_exit_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_simulate_overflow_writes_no_series(runner, tmp_path):
+    # S4's price overflows to inf; S1-S3 are fine but nothing may be written
+    chain = "[[-1,0,0,0],[0.6,-1,0,0],[0,0.6,-1,0],[0,0,0.6,-1]]"
+    out = tmp_path / "sim"
+    result = runner.invoke(
+        main,
+        ["--out", str(out), "--seed", "1", "simulate", "--kind", "ou_euler",
+         "--steps", "100000", "--sigma", "0.1", "--matrix", chain],
+    )
+    assert result.exit_code == 2, result.output
+    assert "S4" in result.output
+    assert not out.exists()
+
+
+def test_missing_input_exit_2_names_path(runner, tmp_path):
+    missing = tmp_path / "NOPE.csv"
+    result = runner.invoke(main, ["--out", str(tmp_path / "o"), "stats", str(missing)])
+    assert result.exit_code == 2, result.output
+    assert str(missing) in result.output
+
+
+def test_out_is_a_file_exit_2_names_path(runner, tmp_path):
+    paths = write_panel(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    result = runner.invoke(
+        main, ["--out", str(taken), "analyze", "--measures", "correlation", *paths]
+    )
+    assert result.exit_code == 2, result.output
+    assert str(taken) in result.output
+
+
 def test_config_file_with_flag_override(runner, tmp_path):
     paths = write_panel(tmp_path)
     cfg = {

@@ -21,7 +21,7 @@ from infodrift.errors import (
     PayloadParseError,
 )
 
-from conftest import make_series
+from conftest import make_panel, make_series
 
 SIMPLE = {"date": "date", "price": "close"}
 
@@ -51,6 +51,13 @@ def test_price_series_rejects_inf_price_and_names_asset():
     with pytest.raises(NonPositivePrice) as err:
         make_series("GLD", "2020-01-01", [100.0, float("inf"), 101.0])
     assert "GLD on 2020-01-02" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), 0.0])
+def test_aligned_panel_rejects_bad_price_and_names_asset(bad):
+    with pytest.raises(NonPositivePrice) as err:
+        make_panel([[100.0, 50.0], [101.0, bad], [102.0, 52.0]], asset_ids=("GLD", "UUP"))
+    assert "UUP on 2020-01-02" in str(err.value)
 
 
 def test_load_csv_out_of_order_resorted(csv_dir):

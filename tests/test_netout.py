@@ -9,8 +9,11 @@ from infodrift import evolve, gen_var1, matrix_to_graph
 from infodrift.errors import UnsupportedFormatForShape
 from infodrift.kmdrift import drift_estimate
 from infodrift.matrices import InteractionMatrix
+from infodrift import netout
 from infodrift.netout import (
+    FORMATS,
     emit,
+    emit_all,
     graph_to_dot,
     load_matrix_csv,
     load_matrix_json,
@@ -225,3 +228,30 @@ def test_generated_at_honours_source_date_epoch(tmp_path, monkeypatch):
     emit(corr2x2(), "json", path)
     doc = json.loads(path.read_text())
     assert doc["generated_at"] == "2000-01-01T00:00:00+00:00"
+
+
+def test_emit_all_writes_the_formats_the_shape_has(tmp_path):
+    panel = gen_var1(np.array([[0.4, 0.1], [0.0, 0.3]]), sigma=1.0, steps=100, seed=7)
+    result = evolve(panel, WindowSpec(mode="segmented", segments=2), "correlation")
+    written = emit_all(result, tmp_path, "w", list(FORMATS))
+    assert [os.path.basename(p) for p in written] == ["w.json", "w.csv", "w.svg"]
+    assert sorted(os.listdir(tmp_path)) == ["w.csv", "w.json", "w.svg"]
+    est = drift_estimate(panel, dt=1)
+    assert emit_all(est, tmp_path, "d", ["csv", "json"]) == [str(tmp_path / "d.json")]
+
+
+def test_emit_all_rejects_unknown_format(tmp_path):
+    with pytest.raises(UnsupportedFormatForShape):
+        emit_all(corr2x2(), tmp_path, "m", ["json", "parquet"])
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_write_leaves_no_files(tmp_path, monkeypatch):
+    def half_written(obj, fh, config, threshold):
+        fh.write("<svg")
+        raise OSError("disk full")
+
+    monkeypatch.setitem(netout._WRITERS, (InteractionMatrix, "svg_heatmap"), half_written)
+    with pytest.raises(OSError, match="disk full"):
+        emit_all(corr2x2(), tmp_path, "m", ["json", "csv", "dot", "svg_heatmap"])
+    assert os.listdir(tmp_path) == []
