@@ -22,7 +22,7 @@ from .matrices import InteractionMatrix
 from .measures import compute_matrix
 from .netout import InteractionGraph, emit, matrix_to_graph
 from .stats import ReturnsMatrix, StatsSummary, compute_returns, correlation_matrix, describe
-from .synth import ProcessSpec, gen_coupled_binary, gen_ou, gen_var1
+from .synth import gen_coupled_binary, gen_ou, gen_var1
 from .windows import WindowedResult, WindowSpec, evolve, make_windows
 
 __version__ = "0.1.0"
@@ -34,7 +34,6 @@ __all__ = [
     "InteractionMatrix",
     "JointHistogram",
     "PriceSeries",
-    "ProcessSpec",
     "ReturnsMatrix",
     "StatsSummary",
     "SymbolSequence",

@@ -63,6 +63,9 @@ class RunConfig:
         unknown = set(doc) - known
         if unknown:
             raise DataValidationError(f"unknown config fields: {sorted(unknown)}")
+        formats = doc.get("formats", [])
+        if not isinstance(formats, list) or any(fmt not in netout.FORMATS for fmt in formats):
+            raise DataValidationError(f"formats: expected a list drawn from {netout.FORMATS}, got {formats!r}")
         return cls(**doc)
 
 
@@ -315,17 +318,19 @@ def fetch(cfg: RunConfig, endpoint, assets, start, end, cache_dir):
             d0, d1 = dt.date.fromisoformat(start), dt.date.fromisoformat(end)
         except ValueError as e:
             raise DataValidationError(f"date: {e}") from None
-        out = _prepare_out(cfg)
         schema = {"date": cfg.date_column, "price": cfg.price_column}
+        # every series is fetched before the first file is written
+        fetched = [
+            ingest.fetch_remote(endpoint, a.strip(), (d0, d1), schema=schema, cache_dir=cache_dir)
+            for a in assets.split(",")
+        ]
+        out = _prepare_out(cfg)
         comment = f"config: {json.dumps(cfg.to_dict(), sort_keys=True)}"
-        for asset in (a.strip() for a in assets.split(",")):
-            series = ingest.fetch_remote(
-                endpoint, asset, (d0, d1), schema=schema, cache_dir=cache_dir,
-            )
+        for series in fetched:
             ingest.write_csv(
-                series, os.path.join(out, f"{asset}.csv"), schema=schema, header_comment=comment,
+                series, os.path.join(out, f"{series.asset_id}.csv"), schema=schema, header_comment=comment,
             )
-            log.info("fetched %s (%d observations)", asset, len(series))
+            log.info("fetched %s (%d observations)", series.asset_id, len(series))
 
     _run(body, cfg)
 

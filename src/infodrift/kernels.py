@@ -1,16 +1,17 @@
-"""Pure-Python kernels: the fallback for the compiled recurrence and the
-histogram counter.
+"""Kernels: the sequential recurrence behind the synthetic process generators
+and the histogram counter.
 
-``linear_recurrence`` runs the recurrence in scalar Python floats with the
-same operation order as the C loop, so both backends produce bitwise-equal
-output (IEEE doubles either way). It is much slower; the compiled kernel is
-preferred when available.
+``linear_recurrence`` runs the recurrence in scalar Python floats, summing
+each row left to right from 0.0. The seeded synthetic panels depend on that
+order, so keep it.
 
-``joint_counts`` delegates to ``np.bincount``, which is integer-exact; it has
-no compiled twin.
+``joint_counts`` delegates to ``np.bincount``, which is integer-exact.
 """
 
 import numpy as np
+
+# named in the pipeline benchmark's environment line and digest fingerprint
+BACKEND = "python"
 
 
 def linear_recurrence(coeffs, noise, x0):

@@ -14,8 +14,6 @@ raw uniform stream in any language.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .discretize import SymbolSequence
@@ -24,22 +22,6 @@ from .kernels import linear_recurrence
 from .stats import ReturnsMatrix
 
 BINARY_EDGES = np.array([-0.5, 0.5, 1.5])
-
-
-@dataclass(frozen=True)
-class ProcessSpec:
-    """Declarative description of one generator run (CLI-facing)."""
-
-    kind: str  # coupled_binary | var1 | ou_euler
-    steps: int
-    seed: int
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in ("coupled_binary", "var1", "ou_euler"):
-            raise ValueError(f"unknown process kind {self.kind!r}")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
 
 
 def _rng(seed) -> np.random.Generator:
@@ -142,27 +124,4 @@ def gen_ou(a_true, sigma: float, dt_sim: float, steps: int, seed: int = 0, asset
         seed=seed,
         asset_ids=asset_ids,
         x0=x0,
-    )
-
-
-def generate(spec: ProcessSpec):
-    """Run a ProcessSpec; returns sequences for coupled_binary, else a panel."""
-    p = dict(spec.params)
-    if spec.kind == "coupled_binary":
-        return gen_coupled_binary(p.get("eps", 0.1), spec.steps, seed=spec.seed)
-    if spec.kind == "var1":
-        return gen_var1(
-            np.asarray(p["a_step"], dtype=np.float64),
-            sigma=p.get("sigma", 1.0),
-            steps=spec.steps,
-            seed=spec.seed,
-            asset_ids=p.get("asset_ids"),
-        )
-    return gen_ou(
-        np.asarray(p["a_true"], dtype=np.float64),
-        sigma=p.get("sigma", 0.1),
-        dt_sim=p.get("dt_sim", 0.01),
-        steps=spec.steps,
-        seed=spec.seed,
-        asset_ids=p.get("asset_ids"),
     )

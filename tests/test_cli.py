@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 from infodrift import kmdrift
 from infodrift.cli import main
+from infodrift.measures import canonical_measure
 from infodrift.netout import load_matrix_json
 
 from conftest import child_pythonpath
@@ -133,17 +134,19 @@ def test_analyze_degenerate_panel_exit_3(runner, tmp_path):
     assert "FLAT" in result.output
 
 
-def test_evolve_k1_equals_analyze(runner, tmp_path):
+@pytest.mark.parametrize("measure", ["corr", "mi", "te", "km"])
+def test_evolve_k1_equals_analyze(runner, tmp_path, measure):
     paths = write_panel(tmp_path, n_rows=80)
     out_a, out_e = tmp_path / "a", tmp_path / "e"
-    r1 = runner.invoke(main, ["--out", str(out_a), "analyze", "--measures", "te", *paths])
+    r1 = runner.invoke(main, ["--out", str(out_a), "analyze", "--measures", measure, *paths])
     r2 = runner.invoke(
         main,
-        ["--out", str(out_e), "--windows", "segmented:1", "evolve", "--measures", "te", *paths],
+        ["--out", str(out_e), "--windows", "segmented:1", "evolve", "--measures", measure, *paths],
     )
     assert r1.exit_code == 0 and r2.exit_code == 0, r1.output + r2.output
-    full = load_matrix_json(out_a / "transfer_entropy.json")
-    windowed = json.loads((out_e / "evolve_transfer_entropy.json").read_text())
+    name = canonical_measure(measure)
+    full = load_matrix_json(out_a / f"{name}.json")
+    windowed = json.loads((out_e / f"evolve_{name}.json").read_text())
     assert len(windowed["windows"]) == 1
     assert np.array_equal(np.array(windowed["windows"][0]["values"]), full.values)
 
@@ -275,6 +278,19 @@ def test_config_unknown_field_exit_2(runner, tmp_path):
     result = runner.invoke(main, ["--config", str(cfg_path), "stats"])
     assert result.exit_code == 2
     assert "bogus_field" in result.output
+
+
+def test_config_unknown_format_exit_2_before_out(runner, tmp_path):
+    paths = write_panel(tmp_path)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"formats": ["json", "parquet"]}))
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, ["--config", str(cfg_path), "--out", str(out), "analyze", "--measures", "te", *paths],
+    )
+    assert result.exit_code == 2
+    assert "parquet" in result.output
+    assert not out.exists()
 
 
 class _Handler(BaseHTTPRequestHandler):

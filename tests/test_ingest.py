@@ -5,10 +5,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infodrift import align, fetch_remote, load_csv, write_csv
+from infodrift.cli import main
 from infodrift.errors import (
     DuplicateAssetId,
     DuplicateDate,
@@ -297,6 +299,18 @@ def test_fetch_remote_caches_only_parsed_payloads(http_server, tmp_path):
     series = fetch_remote(*args, schema=SIMPLE, cache_dir=tmp_path)
     assert cache_file.read_bytes() == CSV_BODY
     assert list(series.prices) == [100.0, 101.0, 102.0]
+
+
+def test_fetch_cli_failed_asset_writes_nothing(http_server, tmp_path):
+    _Handler.responses["/q/GLD/2020-01-01/2020-01-31"] = (200, b"Date,Adj Close\n2020-01-01,100\n2020-01-02,101\n")
+    _Handler.responses["/q/BAD/2020-01-01/2020-01-31"] = (500, b"boom")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [
+        "--out", str(out), "fetch", "--endpoint", http_server + "/q/{asset}/{start}/{end}",
+        "--assets", "GLD,BAD", "--start", "2020-01-01", "--end", "2020-01-31",
+    ])
+    assert result.exit_code == 3
+    assert not out.exists()
 
 
 def test_fetch_remote_network_error():

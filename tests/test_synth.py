@@ -5,7 +5,7 @@ from infodrift import gen_coupled_binary, gen_ou, gen_var1, km_drift_matrix, te_
 from infodrift.discretize import bin_series
 from infodrift.errors import UnstableSpec
 from infodrift.infoflow import surrogate_floor, transfer_entropy
-from infodrift.synth import ProcessSpec, binary_entropy, generate, standard_normals
+from infodrift.synth import binary_entropy, standard_normals
 
 
 def test_coupled_binary_eps_zero_is_exact_shift():
@@ -35,6 +35,7 @@ def test_binary_entropy_values():
 def test_fixed_seed_bitwise_reproducible():
     a1 = gen_var1(np.array([[0.5]]), sigma=1.0, steps=1000, seed=42)
     a2 = gen_var1(np.array([[0.5]]), sigma=1.0, steps=1000, seed=42)
+    assert a1.values.shape == (1000, 1)
     assert np.array_equal(a1.values, a2.values)
     b1, c1 = gen_coupled_binary(0.2, 1000, seed=9)
     b2, c2 = gen_coupled_binary(0.2, 1000, seed=9)
@@ -67,6 +68,8 @@ def test_gen_ou_rejects_unstable_drift():
 def test_gen_var1_rejects_explosive_step_map():
     with pytest.raises(UnstableSpec):
         gen_var1(np.array([[1.01]]), sigma=0.1, steps=100)
+    with pytest.raises(ValueError):
+        gen_var1(np.array([[0.5]]), sigma=0.1, steps=0)
 
 
 def _lyapunov_cov(a, sigma):
@@ -109,23 +112,3 @@ def test_var_single_directed_edge_detected():
     floor = surrogate_floor(seqs[0], seqs[1], shuffles=10, seed=8)
     assert forward > 10 * max(floor, 1e-4)
     assert backward < 5 * max(floor, 1e-3)
-
-
-def test_generate_dispatch():
-    pair = generate(ProcessSpec(kind="coupled_binary", steps=100, seed=1, params={"eps": 0.2}))
-    assert len(pair) == 2
-    panel = generate(
-        ProcessSpec(kind="var1", steps=50, seed=1, params={"a_step": [[0.5]], "sigma": 1.0})
-    )
-    assert panel.values.shape == (50, 1)
-    panel = generate(
-        ProcessSpec(
-            kind="ou_euler", steps=50, seed=1,
-            params={"a_true": [[-0.5]], "sigma": 0.1, "dt_sim": 0.01},
-        )
-    )
-    assert panel.values.shape == (50, 1)
-    with pytest.raises(ValueError):
-        ProcessSpec(kind="nope", steps=10, seed=0)
-    with pytest.raises(ValueError):
-        ProcessSpec(kind="var1", steps=0, seed=0)
