@@ -59,13 +59,21 @@ class RunConfig:
     def from_dict(cls, doc: dict) -> "RunConfig":
         doc = dict(doc)
         doc.pop("config_version", None)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
+        defaults = dataclasses.asdict(cls())
+        unknown = set(doc) - set(defaults)
         if unknown:
             raise DataValidationError(f"unknown config fields: {sorted(unknown)}")
-        formats = doc.get("formats", [])
-        if not isinstance(formats, list) or any(fmt not in netout.FORMATS for fmt in formats):
-            raise DataValidationError(f"formats: expected a list drawn from {netout.FORMATS}, got {formats!r}")
+        for name, value in doc.items():
+            kind = type(defaults[name])  # a bool is no int, an int is a float, a list holds str
+            if kind is list:
+                ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+            else:
+                ok = type(value) in ((int, float) if kind is float else (kind,))
+            if not ok:
+                expected = "list of str" if kind is list else kind.__name__
+                raise DataValidationError(f"{name}: expected {expected}, got {value!r}")
+        if not set(doc.get("formats", ())) <= set(netout.FORMATS):
+            raise DataValidationError(f"formats: expected a list drawn from {netout.FORMATS}, got {doc['formats']!r}")
         return cls(**doc)
 
 
@@ -124,14 +132,6 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _prepare_out(cfg: RunConfig) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2)
-        fh.write("\n")
-    return cfg.out_dir
-
-
 def _load_panel(cfg: RunConfig):
     if not cfg.inputs:
         raise DataValidationError("inputs: no input series")
@@ -150,14 +150,18 @@ def _measure_names(cfg: RunConfig) -> list[str]:
         raise DataValidationError(f"measures: {e}") from None
 
 
-def _run(body, cfg: RunConfig, inputs=(), measures: str | None = None):
-    """Apply the command's inputs and measures to ``cfg``, run ``body``, map errors to exit codes."""
+def _run(compute, cfg: RunConfig, inputs=(), measures: str | None = None):
+    """Apply the command's inputs and measures to ``cfg``, compute the run's results, then
+    create ``--out`` and write config.json and every result, or nothing; map errors to exit codes."""
     if inputs:
         cfg.inputs = list(inputs)
     if measures is not None:
         cfg.measures = [m.strip() for m in measures.split(",") if m.strip()]
     try:
-        body()
+        results = compute()
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        written = netout.emit_all(cfg.out_dir, results, cfg.to_dict(), cfg.threshold)
+        log.info("wrote %d files to %s", len(written), cfg.out_dir)
     except (DataValidationError, ValueError, OSError) as e:
         _fail(2, str(e))
     except InfodriftError as e:
@@ -170,13 +174,10 @@ def _run(body, cfg: RunConfig, inputs=(), measures: str | None = None):
 def stats(cfg: RunConfig, inputs):
     """Per-asset descriptive statistics of returns (CSV + JSON)."""
 
-    def body():
-        summary = describe(_load_panel(cfg))
-        out = _prepare_out(cfg)
-        netout.emit_all(summary, out, "stats", netout.TABLE_FORMATS, cfg.to_dict())
-        log.info("wrote stats for %d assets to %s", len(summary.asset_ids), out)
+    def compute():
+        return [("stats", describe(_load_panel(cfg)), netout.TABLE_FORMATS)]
 
-    _run(body, cfg, inputs)
+    _run(compute, cfg, inputs)
 
 
 @main.command()
@@ -186,41 +187,36 @@ def stats(cfg: RunConfig, inputs):
 def analyze(cfg: RunConfig, inputs, measures):
     """Full-sample interaction matrices for the requested measures."""
 
-    def body():
+    def compute():
         names = _measure_names(cfg)
+        if cfg.surrogates < 0:
+            raise DataValidationError("surrogates must be >= 0")
         returns = _load_panel(cfg)
-        out = _prepare_out(cfg)
-        config = cfg.to_dict()
-        failures = []
+        results = []
         for name in names:
             try:
                 if name == "km_drift":
                     est = kmdrift.drift_estimate(returns, dt=cfg.dt)
-                    matrix = kmdrift.drift_matrix(est, returns.asset_ids)
+                    results.append((name, kmdrift.drift_matrix(est, returns.asset_ids), cfg.formats))
+                    results.append(("km_drift_estimate", est, cfg.formats))
                 else:
                     matrix = compute_matrix(
                         returns, name, bins=cfg.bins, strategy=cfg.strategy, dt=cfg.dt,
                     )
-                netout.emit_all(matrix, out, name, cfg.formats, config, cfg.threshold)
-                if name == "km_drift":
-                    netout.emit_all(est, out, "km_drift_estimate", cfg.formats, config)
+                    results.append((name, matrix, cfg.formats))
                 if name == "transfer_entropy" and cfg.surrogates > 0:
                     seqs = bin_panel(returns, cfg.bins, cfg.strategy)
                     floor = te_floor_matrix(
                         seqs, dt=cfg.dt, shuffles=cfg.surrogates,
                         seed=cfg.seed, asset_ids=returns.asset_ids,
                     )
-                    netout.emit_all(floor, out, "transfer_entropy_floor", netout.TABLE_FORMATS, config)
-                log.info("measure %s done", name)
+                    results.append(("transfer_entropy_floor", floor, netout.TABLE_FORMATS))
             except EstimatorError as e:
-                failures.append((name, e))
-                log.error("measure %s failed: %s", name, e)
-        if failures:
-            raise EstimatorError(
-                "; ".join(f"{name}: {err}" for name, err in failures)
-            )
+                raise type(e)(f"{name}: {e}") from e
+            log.info("measure %s done", name)
+        return results
 
-    _run(body, cfg, inputs, measures)
+    _run(compute, cfg, inputs, measures)
 
 
 @main.command("evolve")
@@ -230,20 +226,20 @@ def analyze(cfg: RunConfig, inputs, measures):
 def evolve_cmd(cfg: RunConfig, inputs, measures):
     """Windowed (time-resolved) matrices per measure."""
 
-    def body():
+    def compute():
         names = _measure_names(cfg)
         spec = WindowSpec.parse(cfg.windows)
         returns = _load_panel(cfg)
-        out = _prepare_out(cfg)
-        config = cfg.to_dict()
+        results = []
         for name in names:
             result = evolve(
                 returns, spec, name, bins=cfg.bins, strategy=cfg.strategy, dt=cfg.dt,
             )
-            netout.emit_all(result, out, f"evolve_{name}", cfg.formats, config)
+            results.append((f"evolve_{name}", result, cfg.formats))
             log.info("evolve %s over %d windows done", name, len(result.entries))
+        return results
 
-    _run(body, cfg, inputs, measures)
+    _run(compute, cfg, inputs, measures)
 
 
 @main.command()
@@ -266,7 +262,7 @@ def simulate(cfg: RunConfig, kind, steps, eps, matrix_json, sigma, dt_sim, asset
     mapped to +/-1% returns before integration.
     """
 
-    def body():
+    def compute():
         names = [a.strip() for a in assets.split(",")] if assets else None
         if kind == "coupled_binary":
             x, y = synth.gen_coupled_binary(eps, steps, seed=cfg.seed)
@@ -292,15 +288,10 @@ def simulate(cfg: RunConfig, kind, steps, eps, matrix_json, sigma, dt_sim, asset
         prices = start_price * np.exp(np.cumsum(values, axis=0))
         base = dt.date(2000, 1, 3).toordinal()
         dates = tuple(dt.date.fromordinal(base + t) for t in range(prices.shape[0]))
-        # every series is validated before the first file is written
         series = [ingest.PriceSeries(asset_id=a, dates=dates, prices=prices[:, k]) for k, a in enumerate(ids)]
-        out = _prepare_out(cfg)
-        comment = f"config: {json.dumps(cfg.to_dict(), sort_keys=True)}"
-        for s in series:
-            ingest.write_csv(s, os.path.join(out, f"{s.asset_id}.csv"), header_comment=comment)
-        log.info("wrote %d synthetic series of length %d to %s", len(ids), prices.shape[0], out)
+        return [(s.asset_id, s, ("csv",)) for s in series]
 
-    _run(body, cfg)
+    _run(compute, cfg)
 
 
 @main.command()
@@ -313,26 +304,20 @@ def simulate(cfg: RunConfig, kind, steps, eps, matrix_json, sigma, dt_sim, asset
 def fetch(cfg: RunConfig, endpoint, assets, start, end, cache_dir):
     """Fetch remote series and store them as local CSVs."""
 
-    def body():
+    def compute():
         try:
             d0, d1 = dt.date.fromisoformat(start), dt.date.fromisoformat(end)
         except ValueError as e:
             raise DataValidationError(f"date: {e}") from None
         schema = {"date": cfg.date_column, "price": cfg.price_column}
-        # every series is fetched before the first file is written
-        fetched = [
-            ingest.fetch_remote(endpoint, a.strip(), (d0, d1), schema=schema, cache_dir=cache_dir)
-            for a in assets.split(",")
-        ]
-        out = _prepare_out(cfg)
-        comment = f"config: {json.dumps(cfg.to_dict(), sort_keys=True)}"
-        for series in fetched:
-            ingest.write_csv(
-                series, os.path.join(out, f"{series.asset_id}.csv"), schema=schema, header_comment=comment,
-            )
+        results = []
+        for a in assets.split(","):
+            series = ingest.fetch_remote(endpoint, a.strip(), (d0, d1), schema=schema, cache_dir=cache_dir)
             log.info("fetched %s (%d observations)", series.asset_id, len(series))
+            results.append((series.asset_id, series, ("csv",)))
+        return results
 
-    _run(body, cfg)
+    _run(compute, cfg)
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DataValidationError,
     DuplicateAssetId,
     DuplicateDate,
     EmptyFile,
@@ -179,20 +180,22 @@ def load_csv(path, schema: dict | None = None, asset_id: str | None = None) -> P
 
 
 def write_csv(series: PriceSeries, path, schema: dict | None = None, header_comment: str | None = None) -> None:
-    """Write a PriceSeries in the CSV schema that load_csv reads.
+    """Write a PriceSeries to ``path`` or an open file in the schema load_csv reads.
 
     Prices are written with repr so load_csv(write_csv(s)) reproduces the
     series exactly.
     """
+    if not hasattr(path, "write"):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            return write_csv(series, fh, schema, header_comment)
     schema = schema or DEFAULT_SCHEMA
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header_comment:
-            for line in header_comment.splitlines():
-                fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow([schema["date"], schema["price"]])
-        for day, price in zip(series.dates, series.prices):
-            writer.writerow([day.isoformat(), repr(float(price))])
+    if header_comment:
+        for line in header_comment.splitlines():
+            path.write(f"# {line}\n")
+    writer = csv.writer(path)
+    writer.writerow([schema["date"], schema["price"]])
+    for day, price in zip(series.dates, series.prices):
+        writer.writerow([day.isoformat(), repr(float(price))])
 
 
 def align(series_list: list[PriceSeries]) -> AlignedPanel:
@@ -262,16 +265,14 @@ def _parse_json_payload(payload: bytes, asset_id: str) -> list[tuple[int, dt.dat
 
 
 def _payload_to_series(payload: bytes, asset_id: str, schema: dict) -> PriceSeries:
-    head = payload.lstrip()[:1]
-    if head == b"{":
-        return _build_series(asset_id, _parse_json_payload(payload, asset_id))
     try:
+        if payload.lstrip()[:1] == b"{":
+            return _build_series(asset_id, _parse_json_payload(payload, asset_id))
         text = payload.decode("utf-8")
+        return _build_series(asset_id, _parse_rows(text, schema, origin=asset_id))
     except UnicodeDecodeError as e:
         raise PayloadParseError(f"{asset_id}: undecodable payload: {e}") from None
-    try:
-        return _build_series(asset_id, _parse_rows(text, schema, origin=asset_id))
-    except (MalformedRow, EmptyFile, NonPositivePrice) as e:
+    except DataValidationError as e:
         raise PayloadParseError(f"{asset_id}: {e}") from None
 
 
@@ -293,8 +294,8 @@ def fetch_remote(
     The raw response bytes are cached (when ``cache_dir`` is given) under
     ``{asset}_{start}_{end}.csv`` and reused on later calls, but only once
     they have parsed, so a bad payload is never replayed; cache writes are
-    atomic so concurrent readers never see partial files. Validation is the
-    same as load_csv.
+    atomic so concurrent readers never see partial files. Validation is that
+    of load_csv, and a payload that fails it raises PayloadParseError.
     """
     schema = schema or DEFAULT_SCHEMA
     start, end = date_range

@@ -1,5 +1,5 @@
-"""Serialization of every result: matrices, graphs, windowed results, drift
-estimates and statistics summaries. ``_WRITERS`` is the one list of formats.
+"""Serialization of every result and of the run config. ``_WRITERS`` is the
+one list of shapes and formats.
 
 JSON and CSV writers print floats with repr, so parse(emit(x)) reproduces the
 numbers exactly. SVG heatmaps are assembled from strings with fixed
@@ -20,6 +20,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .errors import UnsupportedFormatForShape
+from .ingest import DEFAULT_SCHEMA, PriceSeries, write_csv
 from .kmdrift import DriftEstimate
 from .matrices import InteractionMatrix
 from .stats import StatsSummary
@@ -257,6 +258,12 @@ def _stats_csv(s: StatsSummary, fh, config: dict | None, threshold: float) -> No
         fh.write(",".join([asset, *(repr(float(v)) for v in moments)]) + "\n")
 
 
+def _series_csv(s: PriceSeries, fh, config: dict | None, threshold: float) -> None:
+    """The file ``ingest.load_csv`` reads, in the run's date and price columns."""
+    schema = {key: (config or {}).get(f"{key}_column", name) for key, name in DEFAULT_SCHEMA.items()}
+    write_csv(s, fh, schema, None if config is None else f"config: {json.dumps(config, sort_keys=True)}")
+
+
 # ---------------------------------------------------------------- DOT
 
 def graph_to_dot(g: InteractionGraph, config: dict | None = None) -> str:
@@ -445,12 +452,14 @@ _WRITERS = {
     (DriftEstimate, "json"): _json(lambda est, config: _document("drift_estimate", est.to_dict(), config)),
     (StatsSummary, "json"): _json(_stats_to_dict),
     (StatsSummary, "csv"): _stats_csv,
+    (PriceSeries, "csv"): _series_csv,
+    (dict, "json"): lambda doc, fh, config, threshold: fh.write(_dumps(doc)),
 }
 
 
 def emit(obj, fmt: str, path, config: dict | None = None, threshold: float = 0.0) -> None:
-    """Write ``obj`` (matrix, graph, windowed result, drift estimate or stats
-    summary) to ``path`` in ``fmt``. A write that fails removes the file."""
+    """Write ``obj``, of a shape in ``_WRITERS``, to ``path`` in ``fmt``. A
+    write that fails removes the file."""
     write = _WRITERS.get((type(obj), fmt))
     if write is None:
         raise UnsupportedFormatForShape(f"cannot write {type(obj).__name__} as {fmt!r}")
@@ -463,19 +472,24 @@ def emit(obj, fmt: str, path, config: dict | None = None, threshold: float = 0.0
         raise
 
 
-def emit_all(obj, out_dir, stem: str, formats, config: dict | None = None, threshold: float = 0.0) -> list[str]:
-    """Write ``obj`` to ``out_dir/<stem>.<extension>`` in each of ``formats``
-    its shape has, skip the others, and return the paths. An unknown format
-    is an error. A failed write removes the files this call wrote."""
+def emit_all(out_dir, results, config: dict | None = None, threshold: float = 0.0) -> list[str]:
+    """Write a run: ``out_dir/config.json`` when ``config`` is given, then
+    each ``(stem, obj, formats)`` of ``results`` in order as
+    ``<stem>.<extension>`` in each of ``formats`` its shape has, skipping the
+    others. Return the paths. An unknown format is an error. A failed write
+    removes every file this call wrote, so a run leaves all its files or none."""
     written = []
+    if config is not None:
+        results = [("config", config, ("json",)), *results]
     try:
-        for fmt in formats:
-            if fmt not in FORMATS:
-                raise UnsupportedFormatForShape(f"unknown format {fmt!r}; choose from {FORMATS}")
-            if (type(obj), fmt) in _WRITERS:
-                path = os.path.join(out_dir, f"{stem}.{_EXTENSIONS[fmt]}")
-                emit(obj, fmt, path, config, threshold)
-                written.append(path)
+        for stem, obj, formats in results:
+            for fmt in formats:
+                if fmt not in FORMATS:
+                    raise UnsupportedFormatForShape(f"unknown format {fmt!r}; choose from {FORMATS}")
+                if (type(obj), fmt) in _WRITERS:
+                    path = os.path.join(out_dir, f"{stem}.{_EXTENSIONS[fmt]}")
+                    emit(obj, fmt, path, config, threshold)
+                    written.append(path)
     except BaseException:
         for path in written:
             if os.path.exists(path):

@@ -114,7 +114,7 @@ def evolve(
 ) -> WindowedResult:
     """Apply one estimator per window; estimator parameters stay fixed.
 
-    Estimator failures are re-raised with the offending window attached.
+    Estimator failures are re-raised naming the measure and the offending window.
     """
     measure = canonical_measure(measure)
     windows = make_windows(returns.n_samples, spec)
@@ -127,7 +127,7 @@ def evolve(
                 step_duration=step_duration, ridge=ridge,
             )
         except EstimatorError as e:
-            raise type(e)(f"window {idx} [{start}:{end}): {e}") from e
+            raise type(e)(f"{measure}: window {idx} [{start}:{end}): {e}") from e
         lo, hi = _labels(returns, start, end)
         entries.append((lo, hi, start, end, matrix))
     return WindowedResult(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from infodrift import kmdrift
+from infodrift import kmdrift, netout
 from infodrift.cli import main
 from infodrift.measures import canonical_measure
 from infodrift.netout import load_matrix_json
@@ -382,3 +382,121 @@ def test_repeated_runs_bit_identical(tmp_path):
     assert blobs[0].keys() == blobs[1].keys()
     for name in blobs[0]:
         assert blobs[0][name] == blobs[1][name], f"{name} differs between runs"
+
+
+def _files(out):
+    return sorted(p.name for p in out.rglob("*")) if out.exists() else []
+
+
+def _collinear_panel(tmp_path):
+    # two columns with the same returns: the drift moment matrix is singular
+    (path,) = write_panel(tmp_path, ids=("AAA",))
+    twin = tmp_path / "TWIN.csv"
+    twin.write_text((tmp_path / "AAA.csv").read_text())
+    return [path, str(twin)]
+
+
+CORR_TE = ["analyze", "--measures", "corr,te"]
+
+
+@pytest.mark.parametrize("args, code, message, out_made", [
+    (["--bins", "1", *CORR_TE], 2, "bins", False),
+    (["--dt", "0", *CORR_TE], 2, "dt", False),
+    (["--config", "{config}", *CORR_TE], 2, "strategy", False),
+    (["--threshold", "-1", *CORR_TE], 2, "threshold", True),
+    (["analyze", "--measures", "corr,km"], 3, "km_drift", False),
+    (["--windows", "segmented:2", "evolve", "--measures", "corr,km"], 3, "km_drift: window 0", False),
+], ids=["bins", "dt", "strategy", "threshold", "analyze-km", "evolve-km"])
+def test_failed_run_writes_nothing(runner, tmp_path, args, code, message, out_made):
+    paths = _collinear_panel(tmp_path) if code == 3 else write_panel(tmp_path)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"strategy": "bogus"}))
+    out = tmp_path / "out"
+    args = [a.format(config=cfg_path) for a in args]
+    result = runner.invoke(main, ["--out", str(out), *args, *paths])
+    assert result.exit_code == code, result.output
+    assert message in result.output
+    assert out.exists() == out_made
+    assert _files(out) == []
+
+
+@pytest.mark.parametrize("args", [["--surrogates", "-3"], ["--config", "{config}"]], ids=["flag", "config"])
+def test_negative_surrogates_exit_2_before_out(runner, tmp_path, args):
+    paths = write_panel(tmp_path)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"surrogates": -3}))
+    out = tmp_path / "out"
+    args = [a.format(config=cfg_path) for a in args]
+    result = runner.invoke(main, [*args, "--out", str(out), "analyze", "--measures", "te", *paths])
+    assert result.exit_code == 2, result.output
+    assert "surrogates must be >= 0" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bins", "8"), ("seed", True), ("threshold", "0.5"), ("measures", "corr"), ("inputs", ["a.csv", 3]),
+])
+def test_config_field_of_wrong_type_exit_2_before_out(runner, tmp_path, field, value):
+    paths = write_panel(tmp_path)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({field: value}))
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, ["--config", str(cfg_path), "--out", str(out), "analyze", "--measures", "corr,te", *paths],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"{field}: expected" in result.output
+    assert not out.exists()
+
+
+def test_simulate_writes_the_run_price_column(runner, tmp_path):
+    cfg_path = tmp_path / "run.json"
+    # threshold 0 is an int in a float field, which a config may hold
+    cfg_path.write_text(json.dumps({"price_column": "Close", "threshold": 0}))
+    sim, out = tmp_path / "sim", tmp_path / "out"
+    result = runner.invoke(
+        main, ["--config", str(cfg_path), "--out", str(sim), "simulate", "--kind", "coupled_binary",
+               "--steps", "80"],
+    )
+    assert result.exit_code == 0, result.output
+    assert [l for l in (sim / "X.csv").read_text().splitlines() if not l.startswith("#")][0] == "Date,Close"
+    result = runner.invoke(
+        main, ["--config", str(cfg_path), "--out", str(out), "analyze", str(sim / "X.csv"), str(sim / "Y.csv")],
+    )
+    assert result.exit_code == 0, result.output
+    assert (out / "correlation.json").exists()
+
+
+@pytest.fixture
+def served():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield f"http://127.0.0.1:{server.server_address[1]}/{{asset}}/{{start}}/{{end}}"
+    server.shutdown()
+
+
+@pytest.mark.parametrize("command, reads_panel", [
+    (["stats"], True),
+    (["--surrogates", "2", "analyze", "--measures", "corr,te,km"], True),
+    (["--windows", "segmented:2", "evolve", "--measures", "corr,km"], True),
+    (["simulate", "--kind", "coupled_binary", "--steps", "40"], False),
+    (["fetch", "--assets", "GLD,UUP", "--start", "2020-01-01", "--end", "2020-01-31"], False),
+], ids=["stats", "analyze", "evolve", "simulate", "fetch"])
+def test_each_command_writes_through_one_emit_all(runner, tmp_path, monkeypatch, served, command, reads_panel):
+    calls = []
+    emit_all = netout.emit_all
+
+    def counted(*args, **kwargs):
+        calls.append(emit_all(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(netout, "emit_all", counted)
+    out = tmp_path / "out"
+    inputs = write_panel(tmp_path, n_rows=80) if reads_panel else []
+    if command[0] == "fetch":
+        command = [*command, "--endpoint", served]
+    result = runner.invoke(main, ["--out", str(out), *command, *inputs])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+    assert sorted(os.path.basename(p) for p in calls[0]) == _files(out)
+    assert "config.json" in _files(out)

@@ -321,3 +321,21 @@ def test_fetch_remote_network_error():
             (dt.date(2020, 1, 1), dt.date(2020, 1, 2)),
             timeout=0.5,
         )
+
+
+@pytest.mark.parametrize("body", [
+    b"Date,Adj Close\n2020-01-01,100\n2020-01-02,101\n2020-01-01,102\n",
+    json.dumps({"timestamps": ["2020-01-01"], "closes": [10.0]}).encode(),
+    json.dumps({"timestamps": ["2020-01-01", "2020-01-01"], "closes": [10.0, 11.0]}).encode(),
+], ids=["csv-duplicate-date", "json-one-row", "json-duplicate-date"])
+def test_fetch_cli_payload_fault_exit_3_names_asset(http_server, tmp_path, body):
+    _Handler.responses["/q/ODD/2020-01-01/2020-01-31"] = (200, body)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [
+        "--out", str(out), "fetch", "--endpoint", http_server + "/q/{asset}/{start}/{end}",
+        "--assets", "ODD", "--start", "2020-01-01", "--end", "2020-01-31", "--cache-dir", str(tmp_path / "c"),
+    ])
+    assert result.exit_code == 3, result.output
+    assert "ODD" in result.output
+    assert not out.exists()
+    assert not (tmp_path / "c" / "ODD_2020-01-01_2020-01-31.csv").exists()

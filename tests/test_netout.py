@@ -233,16 +233,16 @@ def test_generated_at_honours_source_date_epoch(tmp_path, monkeypatch):
 def test_emit_all_writes_the_formats_the_shape_has(tmp_path):
     panel = gen_var1(np.array([[0.4, 0.1], [0.0, 0.3]]), sigma=1.0, steps=100, seed=7)
     result = evolve(panel, WindowSpec(mode="segmented", segments=2), "correlation")
-    written = emit_all(result, tmp_path, "w", list(FORMATS))
+    written = emit_all(tmp_path, [("w", result, list(FORMATS))])
     assert [os.path.basename(p) for p in written] == ["w.json", "w.csv", "w.svg"]
     assert sorted(os.listdir(tmp_path)) == ["w.csv", "w.json", "w.svg"]
     est = drift_estimate(panel, dt=1)
-    assert emit_all(est, tmp_path, "d", ["csv", "json"]) == [str(tmp_path / "d.json")]
+    assert emit_all(tmp_path, [("d", est, ["csv", "json"])]) == [str(tmp_path / "d.json")]
 
 
 def test_emit_all_rejects_unknown_format(tmp_path):
     with pytest.raises(UnsupportedFormatForShape):
-        emit_all(corr2x2(), tmp_path, "m", ["json", "parquet"])
+        emit_all(tmp_path, [("m", corr2x2(), ["json", "parquet"])])
     assert os.listdir(tmp_path) == []
 
 
@@ -253,5 +253,23 @@ def test_failed_write_leaves_no_files(tmp_path, monkeypatch):
 
     monkeypatch.setitem(netout._WRITERS, (InteractionMatrix, "svg_heatmap"), half_written)
     with pytest.raises(OSError, match="disk full"):
-        emit_all(corr2x2(), tmp_path, "m", ["json", "csv", "dot", "svg_heatmap"])
+        emit_all(tmp_path, [("m", corr2x2(), ["json", "csv", "dot", "svg_heatmap"])])
     assert os.listdir(tmp_path) == []
+
+
+def test_failed_result_removes_the_whole_run(tmp_path, monkeypatch):
+    def half_written(obj, fh, config, threshold):
+        fh.write("<svg")
+        raise OSError("disk full")
+
+    monkeypatch.setitem(netout._WRITERS, (InteractionMatrix, "svg_heatmap"), half_written)
+    results = [("first", corr2x2(0.1), ["json", "csv"]), ("second", corr2x2(0.2), ["json", "svg_heatmap"])]
+    with pytest.raises(OSError, match="disk full"):
+        emit_all(tmp_path, results, config={"seed": 7})
+    assert os.listdir(tmp_path) == []
+
+
+def test_emit_all_writes_config_first(tmp_path):
+    written = emit_all(tmp_path, [("m", corr2x2(), ["json"])], config={"seed": 7})
+    assert [os.path.basename(p) for p in written] == ["config.json", "m.json"]
+    assert (tmp_path / "config.json").read_text() == json.dumps({"seed": 7}, indent=2) + "\n"
