@@ -22,10 +22,11 @@ import click
 import numpy as np
 
 from . import ingest, kmdrift, netout, synth
+from .discretize import STRATEGIES
 from .errors import DataValidationError, EstimatorError, InfodriftError
 from .infoflow import te_floor_matrix
 from .measures import bin_panel, canonical_measure, compute_matrix
-from .stats import compute_returns, describe
+from .stats import RETURN_KINDS, compute_returns, describe
 from .windows import WindowSpec, evolve
 
 log = logging.getLogger("infodrift")
@@ -74,6 +75,14 @@ class RunConfig:
                 raise DataValidationError(f"{name}: expected {expected}, got {value!r}")
         if not set(doc.get("formats", ())) <= set(netout.FORMATS):
             raise DataValidationError(f"formats: expected a list drawn from {netout.FORMATS}, got {doc['formats']!r}")
+        for name, allowed in (("strategy", STRATEGIES), ("return_kind", RETURN_KINDS)):
+            if name in doc and doc[name] not in allowed:
+                raise DataValidationError(f"{name}: expected one of {allowed}, got {doc[name]!r}")
+        if "windows" in doc:
+            try:
+                WindowSpec.parse(doc["windows"])
+            except ValueError as e:
+                raise DataValidationError(f"windows: {e}") from None
         return cls(**doc)
 
 
@@ -94,8 +103,8 @@ def _load_config(path: str | None) -> RunConfig:
 @click.option("--format", "formats", default=None, help="Comma list of json,csv,dot,svg.")
 @click.option("--seed", type=int, default=None, help="Seed for surrogates and simulation.")
 @click.option("--bins", type=int, default=None, help="Histogram bin count B.")
-@click.option("--strategy", type=click.Choice(["quantile", "equal_width"]), default=None)
-@click.option("--return-kind", type=click.Choice(["log", "simple"]), default=None)
+@click.option("--strategy", type=click.Choice(STRATEGIES), default=None)
+@click.option("--return-kind", type=click.Choice(RETURN_KINDS), default=None)
 @click.option("--dt", type=int, default=None, help="Estimator lag in steps.")
 @click.option("--windows", default=None, help="segmented:K or sliding:LENGTH:STRIDE.")
 @click.option("--threshold", type=float, default=None, help="Graph edge threshold.")

@@ -141,19 +141,23 @@ def _parse_rows(text: str, schema: dict, origin: str) -> list[tuple[int, dt.date
         except ValueError:
             raise MalformedRow(lineno, f"{origin}: bad price {fields[price_idx]!r}") from None
         if not math.isfinite(price) or price <= 0:
-            raise NonPositivePrice(lineno, price)
+            raise NonPositivePrice(lineno, price, where=f"line {lineno}: {origin}")
         out.append((lineno, day, price))
     if not out:
         raise EmptyFile(f"{origin}: header only, no data rows")
     return out
 
 
-def _build_series(asset_id: str, rows: list[tuple[int, dt.date, float]]) -> PriceSeries:
+def _build_series(
+    asset_id: str, rows: list[tuple[int, dt.date, float]], positions: str = "lines"
+) -> PriceSeries:
+    """A PriceSeries from (position, date, price) rows; ``positions`` names
+    what the positions count in messages ("lines" of a CSV, JSON "indices")."""
     seen: dict[dt.date, int] = {}
-    for lineno, day, _ in rows:
+    for pos, day, _ in rows:
         if day in seen:
-            raise DuplicateDate(f"{asset_id}: date {day} on lines {seen[day]} and {lineno}")
-        seen[day] = lineno
+            raise DuplicateDate(f"{asset_id}: date {day} on {positions} {seen[day]} and {pos}")
+        seen[day] = pos
     rows = sorted(rows, key=lambda r: r[1])
     return PriceSeries(
         asset_id=asset_id,
@@ -267,13 +271,14 @@ def _parse_json_payload(payload: bytes, asset_id: str) -> list[tuple[int, dt.dat
 def _payload_to_series(payload: bytes, asset_id: str, schema: dict) -> PriceSeries:
     try:
         if payload.lstrip()[:1] == b"{":
-            return _build_series(asset_id, _parse_json_payload(payload, asset_id))
+            return _build_series(asset_id, _parse_json_payload(payload, asset_id), positions="indices")
         text = payload.decode("utf-8")
         return _build_series(asset_id, _parse_rows(text, schema, origin=asset_id))
     except UnicodeDecodeError as e:
         raise PayloadParseError(f"{asset_id}: undecodable payload: {e}") from None
     except DataValidationError as e:
-        raise PayloadParseError(f"{asset_id}: {e}") from None
+        # every message of the row parser and of PriceSeries names the asset already
+        raise PayloadParseError(str(e)) from None
 
 
 def cache_path(cache_dir, asset_id: str, start: dt.date, end: dt.date) -> str:

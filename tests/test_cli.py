@@ -449,6 +449,22 @@ def test_config_field_of_wrong_type_exit_2_before_out(runner, tmp_path, field, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["windows", "strategy", "return_kind"])
+def test_config_field_of_bad_value_exit_2_before_out(runner, tmp_path, field):
+    # each value is checked when the config is loaded, as its flag is, even
+    # where the command never uses it
+    paths = write_panel(tmp_path)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({field: "bogus"}))
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, ["--config", str(cfg_path), "--out", str(out), "analyze", "--measures", "corr", *paths],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"error: {field}: " in result.output
+    assert not out.exists()
+
+
 def test_simulate_writes_the_run_price_column(runner, tmp_path):
     cfg_path = tmp_path / "run.json"
     # threshold 0 is an int in a float field, which a config may hold

@@ -8,15 +8,17 @@ from hypothesis import strategies as st
 
 from infodrift import (
     entropy,
+    infoflow,
     joint_histogram,
     mi_matrix,
     mutual_information,
     surrogate_floor,
+    te_floor_matrix,
     te_matrix,
     transfer_entropy,
 )
 from infodrift.discretize import JointHistogram, SymbolSequence
-from infodrift.errors import LengthMismatch
+from infodrift.errors import EmptyOverlap, LengthMismatch
 from infodrift.infoflow import self_conditional_entropy
 from infodrift.synth import binary_entropy, gen_coupled_binary
 
@@ -215,3 +217,137 @@ def test_mi_matrix_diagonal_is_entropy():
         assert m.values[i, i] == pytest.approx(entropy(joint_histogram([s], lags=[0])), abs=1e-12)
     assert np.array_equal(m.values, m.values.T)
     assert np.all(m.off_diagonal() >= 0)
+
+
+# ---------------------------------------------------------------- batched matrices
+# The matrix builders count all sources of a target at once; the per-pair
+# functions are their oracles, and the values must agree bit for bit
+# (view(int64) also tells -0.0 from 0.0).
+
+def pairwise_te(seqs, dt):
+    n = len(seqs)
+    values = np.zeros((n, n))
+    for i in range(n):
+        values[i, i] = self_conditional_entropy(seqs[i], dt=dt)
+        for j in range(n):
+            if i != j:
+                values[i, j] = transfer_entropy(seqs[j], seqs[i], dt=dt)
+    return values
+
+
+def pairwise_mi(seqs):
+    n = len(seqs)
+    values = np.zeros((n, n))
+    for i in range(n):
+        values[i, i] = entropy(joint_histogram([seqs[i]], lags=[0]))
+        for j in range(i + 1, n):
+            values[i, j] = values[j, i] = mutual_information(seqs[i], seqs[j])
+    return values
+
+
+def pairwise_floor(seqs, dt, shuffles, seed):
+    n = len(seqs)
+    values = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                ss = np.random.SeedSequence(entropy=seed, spawn_key=(i, j))
+                values[i, j] = surrogate_floor(seqs[j], seqs[i], dt=dt, shuffles=shuffles, seed=ss)
+    return values
+
+
+def assert_bits_equal(a, b):
+    assert np.array_equal(a.view(np.int64), b.view(np.int64)), (a, b)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_batched_matrices_equal_per_pair_oracles_bit_for_bit(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    dt = data.draw(st.integers(1, 3), label="dt")
+    length = data.draw(st.integers(dt + 2, 300), label="length")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    seqs = []
+    for _ in range(n):
+        bins = data.draw(st.integers(2, 5))
+        used = data.draw(st.integers(1, bins))  # fewer symbols than bins: ties and empty cells
+        seqs.append(seq_of(rng.integers(0, used, size=length), bins))
+    assert_bits_equal(te_matrix(seqs, dt=dt).values, pairwise_te(seqs, dt))
+    assert_bits_equal(mi_matrix(seqs).values, pairwise_mi(seqs))
+    shuffles = data.draw(st.integers(1, 4), label="shuffles")
+    floor = te_floor_matrix(seqs, dt=dt, shuffles=shuffles, seed=7).values
+    assert_bits_equal(floor, pairwise_floor(seqs, dt, shuffles, seed=7))
+
+
+def _seqs(*lengths):
+    rng = np.random.default_rng(16)
+    return [seq_of(rng.integers(0, 3, size=t), 3) for t in lengths]
+
+
+@pytest.mark.parametrize("build, oracle, error", [
+    (lambda: te_matrix(_seqs(10, 10), dt=0),
+     lambda: transfer_entropy(*_seqs(10, 10), dt=0), ValueError),
+    (lambda: te_matrix(_seqs(10, 10, 12)),
+     lambda: transfer_entropy(*_seqs(12, 10)), LengthMismatch),
+    (lambda: te_matrix(_seqs(4, 4), dt=3),
+     lambda: transfer_entropy(*_seqs(4, 4), dt=3), LengthMismatch),
+    (lambda: te_matrix(_seqs(4, 4), dt=4),
+     lambda: self_conditional_entropy(_seqs(4)[0], dt=4), EmptyOverlap),
+    (lambda: te_floor_matrix(_seqs(10, 10), dt=0),
+     lambda: surrogate_floor(*_seqs(10, 10), dt=0), ValueError),
+    (lambda: te_floor_matrix(_seqs(10, 11)),
+     lambda: transfer_entropy(*_seqs(11, 10)), LengthMismatch),
+    (lambda: te_floor_matrix(_seqs(10, 10), shuffles=0),
+     lambda: surrogate_floor(*_seqs(10, 10), shuffles=0), ValueError),
+    (lambda: mi_matrix(_seqs(10, 10, 9)),
+     lambda: mutual_information(*_seqs(10, 9)), LengthMismatch),
+    (lambda: mi_matrix(_seqs(1, 1)),
+     lambda: mutual_information(*_seqs(1, 1)), LengthMismatch),
+], ids=["te-dt0", "te-lengths", "te-short", "te-no-overlap", "floor-dt0", "floor-lengths",
+        "floor-no-shuffles", "mi-lengths", "mi-short"])
+def test_matrix_input_errors_are_the_per_pair_errors(build, oracle, error):
+    with pytest.raises(error):
+        oracle()
+    with pytest.raises(error):
+        build()
+
+
+def test_single_sequence_matrices_have_no_pairs():
+    s = _seqs(50)
+    assert te_matrix(s, dt=2).values[0, 0] == self_conditional_entropy(s[0], dt=2)
+    assert mi_matrix(s).values[0, 0] == entropy(joint_histogram(s, lags=[0]))
+    assert te_floor_matrix(s, shuffles=0).values.tolist() == [[0.0]]
+
+
+@pytest.fixture
+def code_counts(monkeypatch):
+    """The number of codes of every infoflow joint_counts call, in call order."""
+    sizes = []
+    real = infoflow.joint_counts
+
+    def recording(codes, size):
+        sizes.append(len(codes))
+        return real(codes, size)
+
+    monkeypatch.setattr(infoflow, "joint_counts", recording)
+    return sizes
+
+
+def test_batched_counts_stay_under_the_code_cap(code_counts):
+    # the cap keeps peak memory near the per-pair code's; a 10^5-sample row
+    # is counted in time chunks, which must not change a bit
+    rng = np.random.default_rng(17)
+    seqs = [seq_of(rng.integers(0, 8, size=100_000), 8) for _ in range(3)]
+    assert_bits_equal(te_matrix(seqs).values, pairwise_te(seqs, 1))
+    assert_bits_equal(mi_matrix(seqs).values, pairwise_mi(seqs))
+    short = [seq_of(rng.integers(0, 8, size=250), 8) for _ in range(3)]
+    te_floor_matrix(short, shuffles=100)
+    assert code_counts and max(code_counts) <= infoflow._MAX_CODES
+
+
+def test_window_te_matrix_counts_once_per_target(code_counts):
+    # an N=20 window of 250 samples at B=8: every source of a target in one count
+    rng = np.random.default_rng(18)
+    seqs = [seq_of(rng.integers(0, 8, size=250), 8) for _ in range(20)]
+    te_matrix(seqs)
+    assert code_counts == [19 * 249] * 20

@@ -323,12 +323,16 @@ def test_fetch_remote_network_error():
         )
 
 
-@pytest.mark.parametrize("body", [
-    b"Date,Adj Close\n2020-01-01,100\n2020-01-02,101\n2020-01-01,102\n",
-    json.dumps({"timestamps": ["2020-01-01"], "closes": [10.0]}).encode(),
-    json.dumps({"timestamps": ["2020-01-01", "2020-01-01"], "closes": [10.0, 11.0]}).encode(),
-], ids=["csv-duplicate-date", "json-one-row", "json-duplicate-date"])
-def test_fetch_cli_payload_fault_exit_3_names_asset(http_server, tmp_path, body):
+@pytest.mark.parametrize("body, message", [
+    (b"Date,Adj Close\n2020-01-01,100\n2020-01-02,101\n2020-01-01,102\n",
+     "ODD: date 2020-01-01 on lines 2 and 4"),
+    (b"Date,Adj Close\n2020-01-01,100\n2020-01-02,0\n", "line 3: ODD: non-positive price 0.0"),
+    (json.dumps({"timestamps": ["2020-01-01"], "closes": [10.0]}).encode(),
+     "ODD: need at least 2 observations, got 1"),
+    (json.dumps({"timestamps": ["2020-01-01", "2020-01-01"], "closes": [10.0, 11.0]}).encode(),
+     "ODD: date 2020-01-01 on indices 0 and 1"),
+], ids=["csv-duplicate-date", "csv-zero-price", "json-one-row", "json-duplicate-date"])
+def test_fetch_cli_payload_fault_exit_3_names_asset(http_server, tmp_path, body, message):
     _Handler.responses["/q/ODD/2020-01-01/2020-01-31"] = (200, body)
     out = tmp_path / "out"
     result = CliRunner().invoke(main, [
@@ -336,6 +340,6 @@ def test_fetch_cli_payload_fault_exit_3_names_asset(http_server, tmp_path, body)
         "--assets", "ODD", "--start", "2020-01-01", "--end", "2020-01-31", "--cache-dir", str(tmp_path / "c"),
     ])
     assert result.exit_code == 3, result.output
-    assert "ODD" in result.output
+    assert f"error: {message}" in result.output.splitlines()  # the asset named once
     assert not out.exists()
     assert not (tmp_path / "c" / "ODD_2020-01-01_2020-01-31.csv").exists()

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
-from infodrift import discretize, kernels, synth
+from infodrift import discretize, infoflow, kernels, synth
 
 SPANS = Path(__file__).resolve().parents[1] / "pipebench" / "spans.py"
 
@@ -44,4 +44,5 @@ def test_benchmark_trace_targets_exist():
             assert callable(getattr(module, name, None)), f"infodrift.{layer}.{name}"
     assert kernels.BACKEND == "python"
     assert discretize.joint_counts is kernels.joint_counts
+    assert infoflow.joint_counts is kernels.joint_counts
     assert synth.linear_recurrence is kernels.linear_recurrence
