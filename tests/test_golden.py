@@ -1,11 +1,15 @@
-"""Byte-for-byte pins of the result files that the pipeline benchmark does not write.
+"""Byte-for-byte pins of result files against ``tests/data/golden/``.
 
 The benchmark's digests cover directed windowed results and full-sample
-matrices as the CLI writes them. These tests pin the rest against files in
-``tests/data/golden/``: an undirected windowed result, graphs, a thresholded
-matrix as DOT, a drift estimate and the ``stats`` outputs. Every input is
-built from fixed, exactly representable numbers and ``generated_at`` is
-pinned, so the expected bytes depend on the writers alone.
+matrices as the CLI writes them from estimated data. These tests pin what
+estimated data does not reach: an undirected windowed result; a directed
+windowed TE result whose values hold NaN, +-Infinity, -0.0 and a colour that
+lands exactly on .5 before rounding, with asset ids that need CSV quoting
+(``A,1``) and XML escaping (``B&C``); a windowed drift result on the
+diverging scale; graphs; a thresholded matrix as DOT; a drift estimate and
+the ``stats`` outputs. Every input is built from fixed, exactly representable
+numbers and ``generated_at`` is pinned, so the expected bytes depend on the
+writers alone.
 """
 
 import os
@@ -66,6 +70,78 @@ def write_windowed(out: Path) -> list[str]:
     return ["windowed_correlation.json", "windowed_correlation.csv", "windowed_correlation.svg"]
 
 
+IDS = ("A,1", "B&C", "D")
+NAN, INF = float("nan"), float("inf")
+
+
+def _directed(measure, units, values, params):
+    return InteractionMatrix(
+        asset_ids=IDS, values=np.array(values), measure=measure, directed=True,
+        units=units, params={"orientation": ORIENTATION, **params},
+    )
+
+
+def _write_all(result, out: Path, stem: str) -> list[str]:
+    names = [f"{stem}.json", f"{stem}.csv", f"{stem}.svg"]
+    for name, fmt in zip(names, ("json", "csv", "svg_heatmap")):
+        emit(result, fmt, out / name, config=CONFIG)
+    return names
+
+
+def write_windowed_te(out: Path) -> list[str]:
+    """Sequential scale over the off-diagonal cells 0 .. 2, where 1.0 gives
+    t = 0.5 and red 131.5, green 151.5; the non-finite values sit on the
+    diagonal, which the CSV and JSON write and the heatmap leaves out."""
+    def te(values, edges):
+        return _directed("transfer_entropy", "bits", values, {
+            "bins": 2, "strategy": "quantile",
+            "bin_edges": {asset: edge for asset, edge in zip(IDS, edges)},
+        })
+
+    entries = (
+        ("2020-01-01", "2020-01-10", 0, 10, te(
+            [[NAN, 0.25, 2.0], [1.0, INF, -0.0], [0.5, 0.125, -INF]],
+            [[-0.5, 0.0, 0.5], [-1.0, 0.25, 1.0], [-0.0, 0.125, 4.0]],
+        )),
+        ("2020-01-06", "2020-01-15", 5, 15, te(
+            [[-0.0, 0.0625, 0.75], [1.5, 0.375, 0.0], [1.25, 0.875, 1.0]],
+            [[-0.25, 0.0, 0.75], [-2.0, -0.5, 1.5], [-1.0, 0.0, 1.0]],
+        )),
+    )
+    result = WindowedResult(
+        measure="transfer_entropy",
+        entries=entries,
+        spec=WindowSpec(mode="sliding", length=10, stride=5),
+        params={"bins": 2, "strategy": "quantile", "dt": 1, "step_duration": 1.0,
+                "bins_refit_per_window": True},
+    )
+    return _write_all(result, out, "windowed_transfer_entropy")
+
+
+def write_windowed_km(out: Path) -> list[str]:
+    """Diverging scale with limit 2: 1.0 and -1.0 give |t| = 0.5, whose
+    channels 212.5, 135.5, 174.5 and 209.5 round half to even both ways."""
+    def km(values):
+        return _directed("km_drift", "per-step", values, {"dt": 1, "cond": 3.5})
+
+    entries = (
+        ("2020-01-01", "2020-01-05", 0, 5,
+         km([[-0.5, 1.0, -1.0], [2.0, -0.25, 0.0], [-0.125, -2.0, -0.75]])),
+        ("2020-01-06", "2020-01-10", 5, 10,
+         km([[-0.375, -0.0, 0.5], [-1.5, -0.625, 0.25], [1.25, -0.0625, -1.0]])),
+        ("2020-01-11", "2020-01-15", 10, 15,
+         km([[-1.0, 0.75, -0.25], [0.125, -0.5, -1.75], [0.0, 0.375, -0.875]])),
+    )
+    result = WindowedResult(
+        measure="km_drift",
+        entries=entries,
+        spec=WindowSpec(mode="segmented", segments=3),
+        params={"bins": 8, "strategy": "quantile", "dt": 1, "step_duration": 1.0,
+                "bins_refit_per_window": True},
+    )
+    return _write_all(result, out, "windowed_km_drift")
+
+
 def write_graphs(out: Path) -> list[str]:
     directed = matrix_to_graph(_te(), threshold=0.05)
     undirected = InteractionGraph(
@@ -118,7 +194,9 @@ def write_stats(out: Path) -> list[str]:
     return ["stats.csv", "stats.json"]
 
 
-@pytest.mark.parametrize("write", [write_windowed, write_graphs, write_dot, write_drift, write_stats])
+@pytest.mark.parametrize("write", [
+    write_windowed, write_windowed_te, write_windowed_km, write_graphs, write_dot, write_drift, write_stats,
+])
 def test_output_bytes_match_golden(write, tmp_path, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", EPOCH)
     for name in write(tmp_path):
