@@ -14,6 +14,7 @@ import dataclasses
 import datetime as dt
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -83,7 +84,14 @@ class RunConfig:
                 WindowSpec.parse(doc["windows"])
             except ValueError as e:
                 raise DataValidationError(f"windows: {e}") from None
+        if "threshold" in doc:
+            _check_threshold(doc["threshold"])
         return cls(**doc)
+
+
+def _check_threshold(value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise DataValidationError(f"threshold: expected a finite number >= 0, got {value!r}")
 
 
 def _load_config(path: str | None) -> RunConfig:
@@ -125,6 +133,8 @@ def main(ctx, config_path, out, formats, seed, bins, strategy, return_kind, dt,
             formats = netout.parse_formats(formats)
         if windows is not None:
             WindowSpec.parse(windows)
+        if threshold is not None:
+            _check_threshold(threshold)
         flags = dict(out_dir=out, formats=formats, seed=seed, bins=bins, strategy=strategy,
                      return_kind=return_kind, dt=dt, windows=windows, threshold=threshold,
                      surrogates=surrogates)
@@ -159,17 +169,37 @@ def _measure_names(cfg: RunConfig) -> list[str]:
         raise DataValidationError(f"measures: {e}") from None
 
 
+def _missing_dirs(path: str) -> list[str]:
+    """``path`` and those of its parents that do not exist, deepest first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
 def _run(compute, cfg: RunConfig, inputs=(), measures: str | None = None):
     """Apply the command's inputs and measures to ``cfg``, compute the run's results, then
-    create ``--out`` and write config.json and every result, or nothing; map errors to exit codes."""
+    create ``--out`` and write config.json and every result, or nothing; map errors to exit codes.
+    A failed write removes the directories this run created for ``--out``."""
     if inputs:
         cfg.inputs = list(inputs)
     if measures is not None:
         cfg.measures = [m.strip() for m in measures.split(",") if m.strip()]
     try:
         results = compute()
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        written = netout.emit_all(cfg.out_dir, results, cfg.to_dict(), cfg.threshold)
+        created = _missing_dirs(cfg.out_dir)
+        try:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+            written = netout.emit_all(cfg.out_dir, results, cfg.to_dict(), cfg.threshold)
+        except BaseException:
+            for path in created:
+                try:
+                    os.rmdir(path)
+                except OSError:  # not made, or holds a file emit_all could not remove
+                    pass
+            raise
         log.info("wrote %d files to %s", len(written), cfg.out_dir)
     except (DataValidationError, ValueError, OSError) as e:
         _fail(2, str(e))
@@ -294,7 +324,8 @@ def simulate(cfg: RunConfig, kind, steps, eps, matrix_json, sigma, dt_sim, asset
                                      seed=cfg.seed, asset_ids=names)
             values, ids = panel.values, panel.asset_ids
 
-        prices = start_price * np.exp(np.cumsum(values, axis=0))
+        with np.errstate(over="ignore"):  # an overflow to inf fails the price check below
+            prices = start_price * np.exp(np.cumsum(values, axis=0))
         base = dt.date(2000, 1, 3).toordinal()
         dates = tuple(dt.date.fromordinal(base + t) for t in range(prices.shape[0]))
         series = [ingest.PriceSeries(asset_id=a, dates=dates, prices=prices[:, k]) for k, a in enumerate(ids)]

@@ -5,6 +5,8 @@ maps to exit code 2 (bad inputs or configuration), ``EstimatorError`` and
 ``RemoteError`` map to exit code 3 (runtime failures).
 """
 
+import math
+
 
 class InfodriftError(Exception):
     """Base class for all errors raised by this package."""
@@ -30,9 +32,12 @@ class MalformedRow(DataValidationError):
 
 
 class NonPositivePrice(DataValidationError):
+    """A price that is not positive, or not finite."""
+
     def __init__(self, line: int, value: float, where: str | None = None):
         self.line = line
-        super().__init__(f"{where or f'line {line}'}: non-positive price {value!r}")
+        kind = "non-positive" if math.isfinite(value) else "non-finite"
+        super().__init__(f"{where or f'line {line}'}: {kind} price {value!r}")
 
 
 class DuplicateDate(DataValidationError):

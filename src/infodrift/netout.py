@@ -2,16 +2,24 @@
 one list of shapes and formats.
 
 JSON and CSV writers print floats with repr, so parse(emit(x)) reproduces the
-numbers exactly. SVG heatmaps are assembled from strings with fixed
-formatting and carry no wall-clock state, making the bytes a pure function of
-the input. The ``generated_at`` stamp honours SOURCE_DATE_EPOCH so archived
-runs can be reproduced byte for byte.
+numbers exactly. Every JSON file is ``json.dumps(doc, indent=2)`` byte for
+byte, so non-finite values are written as ``NaN``, ``Infinity`` and
+``-Infinity``. SVG heatmaps are assembled from strings with fixed formatting
+and carry no wall-clock state, making the bytes a pure function of the input.
+The ``generated_at`` stamp honours SOURCE_DATE_EPOCH so archived runs can be
+reproduced byte for byte.
+
+Writers write to the open file as they go, never building the whole file:
+the windowed CSV one window at a time, the windowed SVG one pair row at a
+time, and JSON one key or flat list at a time.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
+import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -112,8 +120,53 @@ def _document(kind: str, body: dict, config: dict | None, stamped: bool = True) 
     return doc
 
 
-def _dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _write_json(doc, fh) -> None:
+    """Write ``json.dumps(doc, indent=2)`` and a newline to ``fh``."""
+    _encode(doc, "\n", fh.write)
+    fh.write("\n")
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_encoder(inner: str):
+    """``json.dumps(lst, separators=("," + inner, ": "))`` as one reused encoder:
+    the C encoder, which ``json.dumps`` only uses without indent. Building a
+    new one per call would cost about as much as encoding a row of floats."""
+    return json.JSONEncoder(separators=("," + inner, ": ")).encode
+
+
+def _encode(obj, newline: str, write) -> None:
+    """Write ``json.dumps(obj, indent=2)`` for ``obj`` at the indent that
+    ``newline`` ends with, a piece at a time; a flat list of scalars is one
+    piece."""
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        sep = "{" + inner
+        for key, value in obj.items():
+            # a key that is no str is converted as json.dumps converts it
+            write(sep + (json.dumps(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]) + ": ")
+            _encode(value, inner, write)
+            sep = "," + inner
+        write(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+        elif _SCALARS.issuperset(map(type, obj)):
+            write("[" + inner + _flat_encoder(inner)(obj)[1:-1] + newline + "]")
+        else:
+            sep = "[" + inner
+            for value in obj:
+                write(sep)
+                _encode(value, inner, write)
+                sep = "," + inner
+            write(newline + "]")
+    else:
+        write(json.dumps(obj))
 
 
 def matrix_to_dict(m: InteractionMatrix, config: dict | None = None) -> dict:
@@ -233,15 +286,29 @@ def load_matrix_csv(path) -> InteractionMatrix:
     )
 
 
+_EOL = csv.excel.lineterminator
+
+
+def _csv_prefix(*fields: str) -> str:
+    """``fields`` as ``csv.writer`` writes them in a row, and a comma."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()[: -len(_EOL)] + ","
+
+
 def _windowed_csv(w: WindowedResult, fh, config: dict | None, threshold: float) -> None:
-    """Long format: every ordered pair of every window, self pairs included."""
+    """Long format: every ordered pair of every window, self pairs included,
+    written a window at a time."""
     ids = w.entries[0][4].asset_ids
     pairs = list(_pairs(len(ids), directed=True, keep_self=True))
+    rows, cols = [i for _, _, i, _ in pairs], [j for _, _, _, j in pairs]
+    pair_prefixes = [_csv_prefix(ids[a], ids[b]) for a, b, _, _ in pairs]
     writer = _csv(fh, "windowed", config, measure=w.measure)
     writer.writerow(["window_start", "window_end", "from_asset", "to_asset", "value"])
     for lo, hi, _, _, matrix in w.entries:
-        values = matrix.values
-        writer.writerows([lo, hi, ids[a], ids[b], repr(float(values[i, j]))] for a, b, i, j in pairs)
+        window = _csv_prefix(lo, hi)
+        values = matrix.values[rows, cols].tolist()
+        fh.write("".join([f"{window}{pair}{v!r}{_EOL}" for pair, v in zip(pair_prefixes, values)]))
 
 
 def _graph_csv(g: InteractionGraph, fh, config: dict | None, threshold: float) -> None:
@@ -286,14 +353,6 @@ _DIVERGING = ((33, 102, 172), (247, 247, 247), (178, 24, 43))
 _SEQUENTIAL = ((255, 255, 255), (8, 48, 107))
 
 
-def _lerp(c0, c1, t: float) -> tuple[int, int, int]:
-    return tuple(int(round(a + (b - a) * t)) for a, b in zip(c0, c1))
-
-
-def _hex(c) -> str:
-    return "#{:02x}{:02x}{:02x}".format(*c)
-
-
 def _scale(measure: str, values: np.ndarray) -> tuple[float, float, bool]:
     """(vmin, vmax, diverging): centred on zero for a signed measure, else from min(lowest, 0)."""
     vmin, vmax = float(values.min()), float(values.max())
@@ -303,135 +362,158 @@ def _scale(measure: str, values: np.ndarray) -> tuple[float, float, bool]:
     return min(vmin, 0.0), vmax, False
 
 
-def _color(value: float, vmin: float, vmax: float, diverging: bool) -> str:
-    if diverging:
-        limit = max(abs(vmin), abs(vmax), 1e-300)
-        t = max(-1.0, min(1.0, value / limit))
-        if t < 0:
-            return _hex(_lerp(_DIVERGING[1], _DIVERGING[0], -t))
-        return _hex(_lerp(_DIVERGING[1], _DIVERGING[2], t))
-    span = vmax - vmin
-    t = 0.0 if span <= 0 else max(0.0, min(1.0, (value - vmin) / span))
-    return _hex(_lerp(_SEQUENTIAL[0], _SEQUENTIAL[1], t))
+def _colors(values, vmin: float, vmax: float, diverging: bool) -> np.ndarray:
+    """The fill of each value as an int ``0xRRGGBB``, in the shape of ``values``.
+
+    A value's position t on the scale is clamped to [0, 1], or to [-1, 1] when
+    diverging, the way Python's ``max(lo, min(1.0, t))`` clamps it, which
+    sends a NaN to 1.0 where ``np.clip`` would keep it. Each channel is
+    ``a + (b - a) * |t|`` between the scale's colours, rounded half to even
+    as ``round`` rounds it.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(all="ignore"):  # inf and NaN behave as in Python float arithmetic
+        if diverging:
+            t = values / max(abs(vmin), abs(vmax), 1e-300)
+            lo = -1.0
+        else:
+            span = vmax - vmin
+            t = np.zeros_like(values) if span <= 0 else (values - vmin) / span
+            lo = 0.0
+        t = np.where(t < 1.0, t, 1.0)
+        t = np.where(t > lo, t, lo)
+        if diverging:
+            negative = t < 0
+            start = np.array(_DIVERGING[1])
+            end = np.where(negative[..., None], _DIVERGING[0], _DIVERGING[2])
+            t = np.where(negative, -t, t)
+        else:
+            start, end = np.array(_SEQUENTIAL)
+        rgb = np.rint(start + (end - start) * t[..., None]).astype(np.int64)
+    return (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
 
 
-def _svg_open(width: int, height: int, title: str, config: dict | None) -> list[str]:
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+def _svg_open(fh, width: int, height: int, title: str, config: dict | None) -> None:
+    fh.write(
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="monospace">',
-        f"<title>{escape(title)}</title>",
-    ]
+        f'viewBox="0 0 {width} {height}" font-family="monospace">\n'
+        f"<title>{escape(title)}</title>\n"
+    )
     if config is not None:
-        lines.append(f"<metadata>{escape(json.dumps(config, sort_keys=True))}</metadata>")
-    lines.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>')
-    return lines
+        fh.write(f"<metadata>{escape(json.dumps(config, sort_keys=True))}</metadata>\n")
+    fh.write(f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n')
 
 
-def _legend(lines: list[str], x: int, y: int, width: int, vmin: float, vmax: float, diverging: bool) -> None:
+def _legend(fh, x: int, y: int, width: int, vmin: float, vmax: float, diverging: bool) -> None:
     steps = 32
     sw = max(1, width // steps)
-    for k in range(steps):
-        v = vmin + (vmax - vmin) * (k + 0.5) / steps
-        lines.append(
-            f'<rect x="{x + k * sw}" y="{y}" width="{sw}" height="10" '
-            f'fill="{_color(v, vmin, vmax, diverging)}"/>'
-        )
-    lines.append(f'<text x="{x}" y="{y + 24}" font-size="11">{vmin:.4g}</text>')
-    lines.append(
-        f'<text x="{x + steps * sw}" y="{y + 24}" font-size="11" text-anchor="end">{vmax:.4g}</text>'
-    )
+    fills = _colors([vmin + (vmax - vmin) * (k + 0.5) / steps for k in range(steps)], vmin, vmax, diverging)
+    for k, fill in enumerate(fills.tolist()):
+        fh.write(f'<rect x="{x + k * sw}" y="{y}" width="{sw}" height="10" fill="#{fill:06x}"/>\n')
+    fh.write(f'<text x="{x}" y="{y + 24}" font-size="11">{vmin:.4g}</text>\n')
+    fh.write(f'<text x="{x + steps * sw}" y="{y + 24}" font-size="11" text-anchor="end">{vmax:.4g}</text>\n')
 
 
-def matrix_to_svg(m: InteractionMatrix, config: dict | None = None) -> str:
-    """Self-contained N x N heatmap with value labels and a legend."""
+def _matrix_svg(m: InteractionMatrix, fh, config: dict | None, threshold: float) -> None:
     n = m.n
     cell, left, top = 64, 96, 56
     width = left + n * cell + 24
     height = top + n * cell + 56
     vmin, vmax, diverging = _scale(m.measure, m.values)
+    fills = _colors(m.values, vmin, vmax, diverging)
 
-    lines = _svg_open(width, height, f"{m.measure} ({m.units})", config)
-    lines.append(f'<text x="{left}" y="20" font-size="13">{escape(m.measure)} [{escape(m.units)}]</text>')
+    _svg_open(fh, width, height, f"{m.measure} ({m.units})", config)
+    fh.write(f'<text x="{left}" y="20" font-size="13">{escape(m.measure)} [{escape(m.units)}]</text>\n')
     for j, asset in enumerate(m.asset_ids):
-        lines.append(
+        fh.write(
             f'<text x="{left + j * cell + cell // 2}" y="{top - 8}" font-size="11" '
-            f'text-anchor="middle">{escape(asset[:9])}</text>'
+            f'text-anchor="middle">{escape(asset[:9])}</text>\n'
         )
     for i, asset in enumerate(m.asset_ids):
-        lines.append(
+        fh.write(
             f'<text x="{left - 6}" y="{top + i * cell + cell // 2 + 4}" font-size="11" '
-            f'text-anchor="end">{escape(asset[:11])}</text>'
+            f'text-anchor="end">{escape(asset[:11])}</text>\n'
         )
-        for j in range(n):
-            v = float(m.values[i, j])
+        for j, (v, fill) in enumerate(zip(m.values[i].tolist(), fills[i].tolist())):
             x, y = left + j * cell, top + i * cell
-            lines.append(
+            fh.write(
                 f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
-                f'fill="{_color(v, vmin, vmax, diverging)}" stroke="#808080" stroke-width="1"/>'
-            )
-            lines.append(
+                f'fill="#{fill:06x}" stroke="#808080" stroke-width="1"/>\n'
                 f'<text x="{x + cell // 2}" y="{y + cell // 2 + 4}" font-size="11" '
-                f'text-anchor="middle">{v:.3g}</text>'
+                f'text-anchor="middle">{v:.3g}</text>\n'
             )
-    _legend(lines, left, top + n * cell + 14, n * cell, vmin, vmax, diverging)
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    _legend(fh, left, top + n * cell + 14, n * cell, vmin, vmax, diverging)
+    fh.write("</svg>\n")
 
 
-def windowed_to_svg(w: WindowedResult, config: dict | None = None) -> str:
-    """Pairs-by-windows heatmap: one row per ordered (or unordered) pair."""
+def _windowed_svg(w: WindowedResult, fh, config: dict | None, threshold: float) -> None:
+    """Pairs-by-windows heatmap: one row per ordered (or unordered) pair,
+    written a row at a time."""
     first = w.entries[0][4]
     ids, arrow = first.asset_ids, "->" if first.directed else "--"
-    pairs = [(f"{ids[a]}{arrow}{ids[b]}", i, j) for a, b, i, j in _pairs(first.n, first.directed)]
+    pairs = list(_pairs(first.n, first.directed))
     k = len(w.entries)
     cell, left, top = 40, 150, 46
     width = left + k * cell + 24
     height = top + len(pairs) * cell + 56
-    stack = w.values_stack()
-    pair_vals = np.array([stack[:, i, j] for _, i, j in pairs])
+    rows, cols = [i for _, _, i, _ in pairs], [j for _, _, _, j in pairs]
+    pair_vals = w.values_stack()[:, rows, cols].T
     vmin, vmax, diverging = _scale(w.measure, pair_vals)
 
-    lines = _svg_open(width, height, f"{w.measure} evolution", config)
-    lines.append(f'<text x="{left}" y="20" font-size="13">{escape(w.measure)} evolution</text>')
-    for t, (lo, _hi, _si, _ei, _m) in enumerate(w.entries):
-        lines.append(
-            f'<text x="{left + t * cell + cell // 2}" y="{top - 8}" font-size="10" '
-            f'text-anchor="middle">w{t}</text>'
-        )
-    for r, (label, i, j) in enumerate(pairs):
+    _svg_open(fh, width, height, f"{w.measure} evolution", config)
+    fh.write(f'<text x="{left}" y="20" font-size="13">{escape(w.measure)} evolution</text>\n')
+    xs = [left + t * cell for t in range(k)]
+    fh.write("".join(
+        f'<text x="{x + cell // 2}" y="{top - 8}" font-size="10" text-anchor="middle">w{t}</text>\n'
+        for t, x in enumerate(xs)
+    ))
+    # the cells of one row, to be %-formatted with (y, fill) per cell
+    row = "".join(
+        f'<rect x="{x}" y="%d" width="{cell}" height="{cell}" '
+        f'fill="#%06x" stroke="#808080" stroke-width="1"/>\n'
+        for x in xs
+    )
+    for r, (a, b, _, _) in enumerate(pairs):
         y = top + r * cell
-        lines.append(
+        label = f"{ids[a]}{arrow}{ids[b]}"
+        fh.write(
             f'<text x="{left - 6}" y="{y + cell // 2 + 4}" font-size="10" '
-            f'text-anchor="end">{escape(label[:20])}</text>'
+            f'text-anchor="end">{escape(label[:20])}</text>\n'
         )
-        for t in range(k):
-            v = float(pair_vals[r, t])
-            x = left + t * cell
-            lines.append(
-                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
-                f'fill="{_color(v, vmin, vmax, diverging)}" stroke="#808080" stroke-width="1"/>'
-            )
+        args = [y] * (2 * k)
+        args[1::2] = _colors(pair_vals[r], vmin, vmax, diverging).tolist()
+        fh.write(row % tuple(args))
     first_lo = w.entries[0][0]
     last_hi = w.entries[-1][1]
-    lines.append(
+    fh.write(
         f'<text x="{left}" y="{top + len(pairs) * cell + 16}" font-size="10">'
-        f"windows {escape(first_lo)} .. {escape(last_hi)}</text>"
+        f"windows {escape(first_lo)} .. {escape(last_hi)}</text>\n"
     )
-    _legend(lines, left, top + len(pairs) * cell + 24, k * cell, vmin, vmax, diverging)
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    _legend(fh, left, top + len(pairs) * cell + 24, k * cell, vmin, vmax, diverging)
+    fh.write("</svg>\n")
+
+
+def _render(write, obj, config: dict | None) -> str:
+    fh = io.StringIO()
+    write(obj, fh, config, 0.0)
+    return fh.getvalue()
+
+
+def matrix_to_svg(m: InteractionMatrix, config: dict | None = None) -> str:
+    """Self-contained N x N heatmap with value labels and a legend."""
+    return _render(_matrix_svg, m, config)
+
+
+def windowed_to_svg(w: WindowedResult, config: dict | None = None) -> str:
+    """Pairs-by-windows heatmap: one row per ordered (or unordered) pair."""
+    return _render(_windowed_svg, w, config)
 
 
 # ---------------------------------------------------------------- emit
 
-def _text(render):
-    """Writer of a renderer that returns the whole file as one string."""
-    return lambda obj, fh, config, threshold: fh.write(render(obj, config))
-
-
 def _json(to_dict):
-    return _text(lambda obj, config: _dumps(to_dict(obj, config)))
+    return lambda obj, fh, config, threshold: _write_json(to_dict(obj, config), fh)
 
 
 # (shape, format) -> writer(obj, fh, config, threshold). A matrix asked for as
@@ -442,18 +524,18 @@ _WRITERS = {
     (InteractionMatrix, "dot"): lambda m, fh, config, threshold: fh.write(
         graph_to_dot(matrix_to_graph(m, threshold), config)
     ),
-    (InteractionMatrix, "svg_heatmap"): _text(matrix_to_svg),
+    (InteractionMatrix, "svg_heatmap"): _matrix_svg,
     (InteractionGraph, "json"): _json(graph_to_dict),
     (InteractionGraph, "csv"): _graph_csv,
-    (InteractionGraph, "dot"): _text(graph_to_dot),
+    (InteractionGraph, "dot"): lambda g, fh, config, threshold: fh.write(graph_to_dot(g, config)),
     (WindowedResult, "json"): _json(windowed_to_dict),
     (WindowedResult, "csv"): _windowed_csv,
-    (WindowedResult, "svg_heatmap"): _text(windowed_to_svg),
+    (WindowedResult, "svg_heatmap"): _windowed_svg,
     (DriftEstimate, "json"): _json(lambda est, config: _document("drift_estimate", est.to_dict(), config)),
     (StatsSummary, "json"): _json(_stats_to_dict),
     (StatsSummary, "csv"): _stats_csv,
     (PriceSeries, "csv"): _series_csv,
-    (dict, "json"): lambda doc, fh, config, threshold: fh.write(_dumps(doc)),
+    (dict, "json"): lambda doc, fh, config, threshold: _write_json(doc, fh),
 }
 
 

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 from infodrift import kmdrift, netout
 from infodrift.cli import main
+from infodrift.matrices import InteractionMatrix
 from infodrift.measures import canonical_measure
 from infodrift.netout import load_matrix_json
 
@@ -220,8 +221,10 @@ def test_simulate_unstable_exit_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_overflow_writes_no_series(runner, tmp_path):
-    # S4's price overflows to inf; S1-S3 are fine but nothing may be written
+    # S4's price overflows to inf; S1-S3 are fine but nothing may be written,
+    # and the overflow raises no numpy warning on the way to the price check
     chain = "[[-1,0,0,0],[0.6,-1,0,0],[0,0.6,-1,0],[0,0,0.6,-1]]"
     out = tmp_path / "sim"
     result = runner.invoke(
@@ -230,7 +233,7 @@ def test_simulate_overflow_writes_no_series(runner, tmp_path):
          "--steps", "100000", "--sigma", "0.1", "--matrix", chain],
     )
     assert result.exit_code == 2, result.output
-    assert "S4" in result.output
+    assert "error: S4 on 2169-09-27: non-finite price inf" in result.output
     assert not out.exists()
 
 
@@ -399,15 +402,15 @@ def _collinear_panel(tmp_path):
 CORR_TE = ["analyze", "--measures", "corr,te"]
 
 
-@pytest.mark.parametrize("args, code, message, out_made", [
-    (["--bins", "1", *CORR_TE], 2, "bins", False),
-    (["--dt", "0", *CORR_TE], 2, "dt", False),
-    (["--config", "{config}", *CORR_TE], 2, "strategy", False),
-    (["--threshold", "-1", *CORR_TE], 2, "threshold", True),
-    (["analyze", "--measures", "corr,km"], 3, "km_drift", False),
-    (["--windows", "segmented:2", "evolve", "--measures", "corr,km"], 3, "km_drift: window 0", False),
+@pytest.mark.parametrize("args, code, message", [
+    (["--bins", "1", *CORR_TE], 2, "bins"),
+    (["--dt", "0", *CORR_TE], 2, "dt"),
+    (["--config", "{config}", *CORR_TE], 2, "strategy"),
+    (["--threshold", "-1", *CORR_TE], 2, "threshold"),
+    (["analyze", "--measures", "corr,km"], 3, "km_drift"),
+    (["--windows", "segmented:2", "evolve", "--measures", "corr,km"], 3, "km_drift: window 0"),
 ], ids=["bins", "dt", "strategy", "threshold", "analyze-km", "evolve-km"])
-def test_failed_run_writes_nothing(runner, tmp_path, args, code, message, out_made):
+def test_failed_run_writes_nothing(runner, tmp_path, args, code, message):
     paths = _collinear_panel(tmp_path) if code == 3 else write_panel(tmp_path)
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"strategy": "bogus"}))
@@ -416,8 +419,53 @@ def test_failed_run_writes_nothing(runner, tmp_path, args, code, message, out_ma
     result = runner.invoke(main, ["--out", str(out), *args, *paths])
     assert result.exit_code == code, result.output
     assert message in result.output
-    assert out.exists() == out_made
-    assert _files(out) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, config", [
+    (["--threshold", "-1"], None),
+    (["--threshold", "nan"], None),
+    (["--threshold", "inf"], None),
+    (["--config", "{config}"], '{"threshold": -0.5}'),
+    (["--config", "{config}"], '{"threshold": NaN}'),
+    (["--config", "{config}", "--threshold", "0.1"], '{"threshold": -Infinity}'),
+], ids=["flag-negative", "flag-nan", "flag-inf", "config-negative", "config-nan", "config-under-flag"])
+def test_threshold_not_finite_or_negative_exit_2_before_estimators(runner, tmp_path, monkeypatch, args, config):
+    # a threshold is checked where it is read, before any estimator runs or --out exists
+    paths = write_panel(tmp_path)
+    cfg_path = tmp_path / "run.json"
+    if config is not None:
+        cfg_path.write_text(config)
+    calls = []
+    monkeypatch.setattr("infodrift.cli.compute_matrix", lambda *a, **k: calls.append(a))
+    out = tmp_path / "out"
+    args = [a.format(config=cfg_path) for a in args]
+    result = runner.invoke(main, [*args, "--out", str(out), "analyze", "--measures", "corr,te", *paths])
+    assert result.exit_code == 2, result.output
+    assert "error: threshold: expected a finite number >= 0" in result.output
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out_parts, existed", [
+    (("out",), False), (("new", "nested", "out"), False), (("out",), True),
+], ids=["new", "new-parents", "existing"])
+def test_failed_write_removes_the_out_this_run_made(runner, tmp_path, monkeypatch, out_parts, existed):
+    def disk_full(obj, fh, config, threshold):
+        fh.write("<svg")
+        raise OSError("disk full")
+
+    monkeypatch.setitem(netout._WRITERS, (InteractionMatrix, "svg_heatmap"), disk_full)
+    paths = write_panel(tmp_path)
+    out = tmp_path.joinpath(*out_parts)
+    if existed:
+        out.mkdir()
+        (out / "keep.txt").write_text("mine")
+    result = runner.invoke(main, ["--out", str(out), "analyze", "--measures", "corr,te", *paths])
+    assert result.exit_code == 2, result.output
+    assert "disk full" in result.output
+    assert _files(out) == (["keep.txt"] if existed else [])
+    assert (tmp_path / out_parts[0]).exists() == existed
 
 
 @pytest.mark.parametrize("args", [["--surrogates", "-3"], ["--config", "{config}"]], ids=["flag", "config"])

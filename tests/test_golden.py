@@ -9,7 +9,9 @@ lands exactly on .5 before rounding, with asset ids that need CSV quoting
 diverging scale; graphs; a thresholded matrix as DOT; a drift estimate and
 the ``stats`` outputs. Every input is built from fixed, exactly representable
 numbers and ``generated_at`` is pinned, so the expected bytes depend on the
-writers alone.
+writers alone. The directed windowed files were written by the writers that
+built each file as one string and coloured each cell on its own; the
+streaming writers must reproduce them byte for byte.
 """
 
 import os

@@ -1,9 +1,12 @@
+import io
 import json
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from infodrift import evolve, gen_var1, matrix_to_graph
 from infodrift.errors import UnsupportedFormatForShape
@@ -21,7 +24,7 @@ from infodrift.netout import (
     windowed_to_svg,
 )
 from infodrift.stats import ReturnsMatrix
-from infodrift.windows import WindowSpec
+from infodrift.windows import WindowedResult, WindowSpec
 
 DATA = Path(__file__).parent / "data"
 
@@ -273,3 +276,105 @@ def test_emit_all_writes_config_first(tmp_path):
     written = emit_all(tmp_path, [("m", corr2x2(), ["json"])], config={"seed": 7})
     assert [os.path.basename(p) for p in written] == ["config.json", "m.json"]
     assert (tmp_path / "config.json").read_text() == json.dumps({"seed": 7}, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------- writer properties
+
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64, max_value=2**200)
+    | st.floats() | NON_FINITE | st.floats().map(np.float64) | st.text()
+)
+JSON_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=5) | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(JSON_KEYS, children, max_size=5),
+    max_leaves=40,
+)
+
+
+@given(JSON_DOCS)
+@example({"a": [], "b": {}, "c": [[], {}, [1.5, [2]], {"d": [float("nan"), -0.0]}], "é\u2028": "\U0001f600"})
+@example([[1.5, float("nan")], ["a],\n    [", "]"], [True, None, -0.0, 2**70], [[0.5]], [["x"], [1]]])
+@example({"values": [[float("inf"), 0.25], [-0.0, float("-inf")]], "rows": [[], [1]]})
+@settings(max_examples=300, deadline=None)
+def test_json_is_json_dumps_indent_2(doc):
+    fh = io.StringIO()
+    netout._write_json(doc, fh)
+    assert fh.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+_DIVERGING = ((33, 102, 172), (247, 247, 247), (178, 24, 43))
+_SEQUENTIAL = ((255, 255, 255), (8, 48, 107))
+
+
+def _lerp(c0, c1, t: float) -> tuple[int, int, int]:
+    return tuple(int(round(a + (b - a) * t)) for a, b in zip(c0, c1))
+
+
+def _color(value: float, vmin: float, vmax: float, diverging: bool) -> str:
+    """The per-cell colour the heatmaps were first written with: the oracle."""
+    if diverging:
+        limit = max(abs(vmin), abs(vmax), 1e-300)
+        t = max(-1.0, min(1.0, value / limit))
+        if t < 0:
+            return "#{:02x}{:02x}{:02x}".format(*_lerp(_DIVERGING[1], _DIVERGING[0], -t))
+        return "#{:02x}{:02x}{:02x}".format(*_lerp(_DIVERGING[1], _DIVERGING[2], t))
+    span = vmax - vmin
+    t = 0.0 if span <= 0 else max(0.0, min(1.0, (value - vmin) / span))
+    return "#{:02x}{:02x}{:02x}".format(*_lerp(_SEQUENTIAL[0], _SEQUENTIAL[1], t))
+
+
+FLOATS = st.floats() | NON_FINITE | st.floats(-4, 4).map(lambda v: round(v * 8) / 8)
+
+
+@given(st.lists(FLOATS, max_size=30), FLOATS, FLOATS, st.booleans())
+@example([1.0, -1.0, 0.5, 2.0, -2.0], 0.0, 2.0, False)  # 1.0: channels 131.5 and 151.5
+@example([1.0, -1.0, 0.5, 2.0, -2.0], -2.0, 2.0, True)  # +-1.0: 212.5, 135.5, 174.5, 209.5
+@example([0.5, float("nan")], 1.0, 1.0, False)  # zero span
+@example([0.5, float("nan"), float("inf")], float("nan"), 1.0, True)
+@example([0.5, float("-inf")], 0.0, float("nan"), False)
+@settings(max_examples=300, deadline=None)
+def test_colors_equal_the_scalar_color(values, vmin, vmax, diverging):
+    fills = netout._colors(np.array(values, dtype=np.float64), vmin, vmax, diverging)
+    assert [f"#{c:06x}" for c in fills.tolist()] == [_color(v, vmin, vmax, diverging) for v in values]
+
+
+def _reference_windowed_csv(w, fh):
+    """The windowed CSV as one csv.writer row per pair and window."""
+    ids = w.entries[0][4].asset_ids
+    writer = netout._csv(fh, "windowed", None, measure=w.measure)
+    writer.writerow(["window_start", "window_end", "from_asset", "to_asset", "value"])
+    for lo, hi, _, _, matrix in w.entries:
+        for a in range(len(ids)):
+            for b in range(len(ids)):
+                writer.writerow([lo, hi, ids[a], ids[b], repr(float(matrix.values[b, a]))])
+
+
+CSV_TEXT = st.text(st.sampled_from([",", '"', "\n", "\r", " ", "%", "a", "\u00e9"]), max_size=4)
+
+
+@given(
+    st.lists(CSV_TEXT, min_size=1, max_size=4, unique=True),
+    st.lists(st.tuples(CSV_TEXT, CSV_TEXT), min_size=1, max_size=3),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_windowed_csv_equals_csv_writer_rows(ids, labels, data):
+    n = len(ids)
+    entries = tuple(
+        (lo, hi, k, k + 1, InteractionMatrix(
+            asset_ids=tuple(ids),
+            values=np.array(data.draw(st.lists(FLOATS, min_size=n * n, max_size=n * n))).reshape(n, n),
+            measure="transfer_entropy", directed=True, units="bits",
+        ))
+        for k, (lo, hi) in enumerate(labels)
+    )
+    w = WindowedResult(
+        measure="transfer_entropy", entries=entries, spec=WindowSpec(mode="segmented", segments=1),
+    )
+    got, want = io.StringIO(), io.StringIO()
+    netout._windowed_csv(w, got, None, 0.0)
+    _reference_windowed_csv(w, want)
+    assert got.getvalue() == want.getvalue()
