@@ -17,7 +17,7 @@ from .infoflow import (
     transfer_entropy,
 )
 from .ingest import AlignedPanel, PriceSeries, align, fetch_remote, load_csv, write_csv
-from .kmdrift import DriftEstimate, increment_moments, km_drift_matrix, solve_drift
+from .kmdrift import DriftEstimate, increment_moments, solve_drift
 from .matrices import InteractionMatrix
 from .measures import compute_matrix
 from .netout import InteractionGraph, emit, matrix_to_graph
@@ -54,7 +54,6 @@ __all__ = [
     "gen_var1",
     "increment_moments",
     "joint_histogram",
-    "km_drift_matrix",
     "load_csv",
     "make_windows",
     "matrix_to_graph",

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 import click
 import numpy as np
 
-from . import ingest, kmdrift, netout, synth
+from . import ingest, netout, synth
 from .discretize import STRATEGIES
-from .errors import DataValidationError, EstimatorError, InfodriftError
+from .errors import DataValidationError, EstimatorError, InfodriftError, TooFewSamples
 from .infoflow import te_floor_matrix
-from .measures import bin_panel, canonical_measure, compute_matrix
+from .measures import canonical_measure, evaluate
 from .stats import RETURN_KINDS, compute_returns, describe
 from .windows import WindowSpec, evolve
 
@@ -84,14 +84,12 @@ class RunConfig:
                 WindowSpec.parse(doc["windows"])
             except ValueError as e:
                 raise DataValidationError(f"windows: {e}") from None
-        if "threshold" in doc:
-            _check_threshold(doc["threshold"])
+        threshold = doc.get("threshold", 0.0)
+        if not (math.isfinite(threshold) and threshold >= 0):
+            raise DataValidationError(f"threshold: expected a finite number >= 0, got {threshold!r}")
+        if doc.get("surrogates", 0) < 0:
+            raise DataValidationError("surrogates must be >= 0")
         return cls(**doc)
-
-
-def _check_threshold(value: float) -> None:
-    if not (math.isfinite(value) and value >= 0):
-        raise DataValidationError(f"threshold: expected a finite number >= 0, got {value!r}")
 
 
 def _load_config(path: str | None) -> RunConfig:
@@ -128,22 +126,16 @@ def main(ctx, config_path, out, formats, seed, bins, strategy, return_kind, dt,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        cfg = _load_config(config_path)
+        loaded = _load_config(config_path)  # checked alone first: a flag does not hide its faults
         if formats is not None:
             formats = netout.parse_formats(formats)
-        if windows is not None:
-            WindowSpec.parse(windows)
-        if threshold is not None:
-            _check_threshold(threshold)
         flags = dict(out_dir=out, formats=formats, seed=seed, bins=bins, strategy=strategy,
                      return_kind=return_kind, dt=dt, windows=windows, threshold=threshold,
                      surrogates=surrogates)
-        for name, value in flags.items():
-            if value is not None:
-                setattr(cfg, name, value)
+        given = {name: value for name, value in flags.items() if value is not None}
+        ctx.obj = RunConfig.from_dict({**loaded.to_dict(), **given})
     except (DataValidationError, ValueError) as e:
         _fail(2, str(e))
-    ctx.obj = cfg
 
 
 def _fail(code: int, message: str):
@@ -163,8 +155,8 @@ def _load_panel(cfg: RunConfig):
 def _measure_names(cfg: RunConfig) -> list[str]:
     if not cfg.measures:
         raise DataValidationError("measures: at least one measure required")
-    try:
-        return [canonical_measure(name) for name in cfg.measures]
+    try:  # a repeated measure, under any of its names, runs once
+        return list(dict.fromkeys(canonical_measure(name) for name in cfg.measures))
     except ValueError as e:
         raise DataValidationError(f"measures: {e}") from None
 
@@ -228,30 +220,23 @@ def analyze(cfg: RunConfig, inputs, measures):
 
     def compute():
         names = _measure_names(cfg)
-        if cfg.surrogates < 0:
-            raise DataValidationError("surrogates must be >= 0")
         returns = _load_panel(cfg)
         results = []
         for name in names:
             try:
+                matrix, basis = evaluate(returns, name, cfg.bins, cfg.strategy, cfg.dt)
+                results.append((name, matrix, cfg.formats))
                 if name == "km_drift":
-                    est = kmdrift.drift_estimate(returns, dt=cfg.dt)
-                    results.append((name, kmdrift.drift_matrix(est, returns.asset_ids), cfg.formats))
-                    results.append(("km_drift_estimate", est, cfg.formats))
-                else:
-                    matrix = compute_matrix(
-                        returns, name, bins=cfg.bins, strategy=cfg.strategy, dt=cfg.dt,
-                    )
-                    results.append((name, matrix, cfg.formats))
+                    results.append(("km_drift_estimate", basis, cfg.formats))
                 if name == "transfer_entropy" and cfg.surrogates > 0:
-                    seqs = bin_panel(returns, cfg.bins, cfg.strategy)
                     floor = te_floor_matrix(
-                        seqs, dt=cfg.dt, shuffles=cfg.surrogates,
+                        basis, dt=cfg.dt, shuffles=cfg.surrogates,
                         seed=cfg.seed, asset_ids=returns.asset_ids,
                     )
                     results.append(("transfer_entropy_floor", floor, netout.TABLE_FORMATS))
-            except EstimatorError as e:
+            except (EstimatorError, TooFewSamples) as e:
                 raise type(e)(f"{name}: {e}") from e
+            del basis  # frees this measure's binned columns before the next measure runs
             log.info("measure %s done", name)
         return results
 

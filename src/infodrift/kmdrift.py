@@ -158,13 +158,3 @@ def drift_matrix(est: DriftEstimate, asset_ids) -> InteractionMatrix:
         },
     )
 
-
-def km_drift_matrix(
-    returns: ReturnsMatrix,
-    dt: int = 1,
-    step_duration: float = 1.0,
-    center: bool = True,
-    ridge: float = 0.0,
-) -> InteractionMatrix:
-    """Drift interaction matrix A; see ``drift_estimate`` and ``drift_matrix``."""
-    return drift_matrix(drift_estimate(returns, dt, step_duration, center, ridge), returns.asset_ids)

@@ -1,17 +1,19 @@
-"""Uniform entry point: one returns panel in, one interaction matrix out.
+"""Uniform entry point: one returns panel in, one measure's result out.
 
-Used by the windowing engine and the CLI so both evaluate a measure through
-the exact same code path (a single-window evolve is bit-identical to the
-full-sample call). Bin edges for the entropy measures are fitted on whatever
-sample the function receives, so windowed callers automatically re-fit per
-window.
+``evaluate`` is the one driver from a sample to a measure's matrix and the
+basis it was estimated from, which ``analyze`` reuses: the TE surrogate floor
+shuffles the binned columns, and the drift estimate is written beside its
+matrix. ``compute_matrix`` is its one-result form, called by the windowing
+engine once per window, so a single-window evolve is bit-identical to the
+full-sample call. Bin edges for the entropy measures are fitted on whatever
+sample the driver receives, so windowed callers re-fit them per window.
 """
 
 from __future__ import annotations
 
 from .discretize import bin_series
 from .infoflow import mi_matrix, te_matrix
-from .kmdrift import km_drift_matrix
+from .kmdrift import drift_estimate, drift_matrix
 from .matrices import InteractionMatrix
 from .stats import ReturnsMatrix, correlation_matrix
 
@@ -34,28 +36,28 @@ def canonical_measure(name: str) -> str:
         raise ValueError(f"unknown measure {name!r}; choose from {sorted(set(ALIASES.values()))}") from None
 
 
-def bin_panel(returns: ReturnsMatrix, bins: int, strategy: str) -> list:
-    """One BinnedSeries per asset column, in asset order."""
-    return [bin_series(returns.values[:, k], bins, strategy) for k in range(returns.n_assets)]
-
-
-def compute_matrix(
+def evaluate(
     returns: ReturnsMatrix,
     measure: str,
-    bins: int = 8,
-    strategy: str = "quantile",
-    dt: int = 1,
+    bins: int,
+    strategy: str,
+    dt: int,
     step_duration: float = 1.0,
     ridge: float = 0.0,
-) -> InteractionMatrix:
-    """Estimate one measure's full interaction matrix on the given sample."""
-    measure = canonical_measure(measure)
-    if measure == "correlation":
-        return correlation_matrix(returns)
-    if measure == "km_drift":
-        return km_drift_matrix(returns, dt=dt, step_duration=step_duration, ridge=ridge)
+) -> tuple[InteractionMatrix, object]:
+    """(matrix, basis) of one canonical measure on the given sample.
 
-    seqs = bin_panel(returns, bins, strategy)
+    ``basis`` is what the matrix was estimated from: one SymbolSequence per
+    asset column, in asset order, for MI and TE; the DriftEstimate for
+    km_drift; None for correlation.
+    """
+    if measure == "correlation":
+        return correlation_matrix(returns), None
+    if measure == "km_drift":
+        est = drift_estimate(returns, dt=dt, step_duration=step_duration, ridge=ridge)
+        return drift_matrix(est, returns.asset_ids), est
+
+    seqs = [bin_series(returns.values[:, k], bins, strategy) for k in range(returns.n_assets)]
     if measure == "mutual_information":
         m = mi_matrix(seqs, asset_ids=returns.asset_ids)
     else:
@@ -70,4 +72,17 @@ def compute_matrix(
             },
         }
     )
-    return m
+    return m, seqs
+
+
+def compute_matrix(
+    returns: ReturnsMatrix,
+    measure: str,
+    bins: int = 8,
+    strategy: str = "quantile",
+    dt: int = 1,
+    step_duration: float = 1.0,
+    ridge: float = 0.0,
+) -> InteractionMatrix:
+    """Estimate one measure's full interaction matrix on the given sample."""
+    return evaluate(returns, canonical_measure(measure), bins, strategy, dt, step_duration, ridge)[0]

@@ -354,7 +354,10 @@ _SEQUENTIAL = ((255, 255, 255), (8, 48, 107))
 
 
 def _scale(measure: str, values: np.ndarray) -> tuple[float, float, bool]:
-    """(vmin, vmax, diverging): centred on zero for a signed measure, else from min(lowest, 0)."""
+    """(vmin, vmax, diverging): centred on zero for a signed measure, else from min(lowest, 0).
+    No values (a single asset's pairs) give a zero-span scale."""
+    if not values.size:
+        return 0.0, 0.0, measure in _SIGNED_MEASURES
     vmin, vmax = float(values.min()), float(values.max())
     if measure in _SIGNED_MEASURES:
         limit = max(abs(vmin), abs(vmax))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EstimatorError, WindowTooLarge
+from .errors import EstimatorError, TooFewSamples, WindowTooLarge
 from .matrices import InteractionMatrix
 from .measures import canonical_measure, compute_matrix
 from .stats import ReturnsMatrix
@@ -114,7 +114,8 @@ def evolve(
 ) -> WindowedResult:
     """Apply one estimator per window; estimator parameters stay fixed.
 
-    Estimator failures are re-raised naming the measure and the offending window.
+    Estimator failures and too-short windows are re-raised naming the measure
+    and the offending window.
     """
     measure = canonical_measure(measure)
     windows = make_windows(returns.n_samples, spec)
@@ -126,7 +127,7 @@ def evolve(
                 sub, measure, bins=bins, strategy=strategy, dt=dt,
                 step_duration=step_duration, ridge=ridge,
             )
-        except EstimatorError as e:
+        except (EstimatorError, TooFewSamples) as e:
             raise type(e)(f"{measure}: window {idx} [{start}:{end}): {e}") from e
         lo, hi = _labels(returns, start, end)
         entries.append((lo, hi, start, end, matrix))

@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 
 from infodrift import (
+    compute_matrix,
     evolve,
     gen_coupled_binary,
     gen_ou,
     gen_var1,
     joint_histogram,
-    km_drift_matrix,
     mutual_information,
     surrogate_floor,
     transfer_entropy,
@@ -86,7 +86,7 @@ def test_criterion_3_km_drift_recovery():
     a_true = np.array([[-0.5, 0.2], [0.0, -0.3]])
     start = time.perf_counter()
     panel = gen_ou(a_true, sigma=0.1, dt_sim=0.01, steps=1000000, seed=301)
-    recovered = km_drift_matrix(panel, dt=1, step_duration=0.01).values
+    recovered = compute_matrix(panel, "km_drift", dt=1, step_duration=0.01).values
     elapsed = time.perf_counter() - start
     err = float(np.max(np.abs(recovered - a_true)))
     ok = err <= 0.02 and elapsed < 30.0
@@ -97,7 +97,7 @@ def test_criterion_3_km_drift_recovery():
 
 def test_criterion_4_km_white_noise_identity():
     panel = gen_var1(np.zeros((4, 4)), sigma=1.0, steps=100000, seed=401)
-    a = km_drift_matrix(panel, dt=1).values
+    a = compute_matrix(panel, "km_drift", dt=1).values
     diag_err = float(np.max(np.abs(np.diag(a) + 1.0)))
     off = a[~np.eye(4, dtype=bool)]
     off_err = float(np.max(np.abs(off)))
@@ -206,7 +206,7 @@ def test_criterion_7_vendor_panel_tables():
     strongest = np.unravel_index(np.argmax(off), off.shape)
     if set(strongest) != {2, 3}:
         issues.append(f"strongest TE pair {strongest} is not gold/us_dollar")
-    km = km_drift_matrix(returns, dt=1).values
+    km = compute_matrix(returns, "km_drift", dt=1).values
     if not np.all(np.diag(km) < 0):
         issues.append(f"drift diagonals not all negative: {np.diag(km)}")
     _report(7, "vendor-panel tables", not issues, "; ".join(issues) or "all table checks in range")
@@ -297,10 +297,10 @@ def test_criterion_9_invariant_suite(tmp_path):
 
     # KM scale equivariance
     x = gen_var1(np.array([[0.3, 0.1], [-0.1, 0.2]]), sigma=1.0, steps=3000, seed=902).values
-    base = km_drift_matrix(ReturnsMatrix(asset_ids=("a", "b"), values=x, kind="log")).values
+    base = compute_matrix(ReturnsMatrix(asset_ids=("a", "b"), values=x, kind="log"), "km_drift").values
     scaled_x = x.copy()
     scaled_x[:, 0] *= 4.0
-    scaled = km_drift_matrix(ReturnsMatrix(asset_ids=("a", "b"), values=scaled_x, kind="log")).values
+    scaled = compute_matrix(ReturnsMatrix(asset_ids=("a", "b"), values=scaled_x, kind="log"), "km_drift").values
     expected = base.copy()
     expected[0, :] *= 4.0
     expected[:, 0] /= 4.0

@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 import threading
+import xml.etree.ElementTree as ET
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from infodrift import kmdrift, netout
+from infodrift import cli, kmdrift, measures, netout
 from infodrift.cli import main
 from infodrift.matrices import InteractionMatrix
 from infodrift.measures import canonical_measure
@@ -111,6 +112,55 @@ def test_analyze_km_solves_drift_once(runner, tmp_path, monkeypatch):
     assert matrix["values"] == estimate["A"]
 
 
+def test_analyze_surrogates_bin_each_column_once(runner, tmp_path, monkeypatch):
+    # the TE surrogate floor shuffles the binned columns that TE was estimated from
+    calls = []
+    bin_series = measures.bin_series
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return bin_series(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "bin_series", counted)
+    paths = write_panel(tmp_path, n_rows=120, ids=("AAA", "BBB", "CCC"))
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, ["--out", str(out), "--surrogates", "3", "--format", "json",
+               "analyze", "--measures", "te", *paths],
+    )
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 3
+    assert (out / "transfer_entropy_floor.json").exists()
+
+
+@pytest.mark.parametrize("command, driver, position", [
+    (["analyze"], "evaluate", 1),
+    (["--windows", "segmented:2", "evolve"], "evolve", 2),
+], ids=["analyze", "evolve"])
+def test_repeated_measure_runs_once(runner, tmp_path, monkeypatch, command, driver, position):
+    # corr and correlation name one measure: it is estimated once and its files written once
+    runs, written = [], []
+    run, emit_all = getattr(cli, driver), netout.emit_all
+
+    def counted_run(*args, **kwargs):
+        runs.append(args[position])
+        return run(*args, **kwargs)
+
+    def counted_emit_all(*args, **kwargs):
+        written.extend(emit_all(*args, **kwargs))
+        return written
+
+    monkeypatch.setattr(cli, driver, counted_run)
+    monkeypatch.setattr(netout, "emit_all", counted_emit_all)
+    paths = write_panel(tmp_path, n_rows=80)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["--out", str(out), *command, "--measures", "corr,correlation,km", *paths])
+    assert result.exit_code == 0, result.output
+    assert runs == ["correlation", "km_drift"]
+    assert len(written) == len(set(written)) == len(_files(out))
+    assert json.loads((out / "config.json").read_text())["measures"] == ["corr", "correlation", "km"]
+
+
 def test_analyze_unknown_measure_exit_2(runner, tmp_path):
     paths = write_panel(tmp_path)
     result = runner.invoke(
@@ -175,6 +225,25 @@ def test_evolve_writes_long_csv(runner, tmp_path):
     assert data[0] == "window_start,window_end,from_asset,to_asset,value"
     assert len(data) == 1 + 5 * 4
     assert (out / "evolve_correlation.svg").exists()
+
+
+@pytest.mark.parametrize("measure", ["corr", "te"])
+def test_single_asset_evolve_writes_default_formats(runner, tmp_path, measure):
+    # one asset has no pairs: the heatmap has no pair rows and a zero-span legend
+    paths = write_panel(tmp_path, ids=("AAA",))
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, ["--out", str(out), "--windows", "segmented:3", "evolve", "--measures", measure, *paths],
+    )
+    assert result.exit_code == 0, result.output
+    stem = f"evolve_{canonical_measure(measure)}"
+    assert _files(out) == ["config.json", f"{stem}.csv", f"{stem}.json", f"{stem}.svg"]
+    assert len(json.loads((out / f"{stem}.json").read_text())["windows"]) == 3
+    svg = (out / f"{stem}.svg").read_text()
+    ET.fromstring(svg)
+    assert svg.count("<rect") == 1 + 32  # the background and the legend's steps
+    assert '<text x="150" y="94" font-size="11">0</text>\n' in svg
+    assert '<text x="246" y="94" font-size="11" text-anchor="end">0</text>\n' in svg
 
 
 def test_simulate_feeds_analyze(runner, tmp_path):
@@ -407,9 +476,16 @@ CORR_TE = ["analyze", "--measures", "corr,te"]
     (["--dt", "0", *CORR_TE], 2, "dt"),
     (["--config", "{config}", *CORR_TE], 2, "strategy"),
     (["--threshold", "-1", *CORR_TE], 2, "threshold"),
+    (["--windows", "sliding:0", *CORR_TE], 2, "error: windows: bad window spec 'sliding:0'"),
+    (["--format", "", *CORR_TE], 2, "error: format: unknown format ''"),
     (["analyze", "--measures", "corr,km"], 3, "km_drift"),
     (["--windows", "segmented:2", "evolve", "--measures", "corr,km"], 3, "km_drift: window 0"),
-], ids=["bins", "dt", "strategy", "threshold", "analyze-km", "evolve-km"])
+    (["--windows", "segmented:10", "evolve", "--measures", "te"], 2,
+     "error: transfer_entropy: window 0 [0:6): need at least 8 samples for quantile binning, got 6"),
+    (["--dt", "60", "analyze", "--measures", "km"], 2,
+     "error: km_drift: lag 60 leaves fewer than 2 increments in 59 samples"),
+], ids=["bins", "dt", "strategy", "threshold", "windows", "format-empty", "analyze-km", "evolve-km",
+        "evolve-short-window", "analyze-short-lag"])
 def test_failed_run_writes_nothing(runner, tmp_path, args, code, message):
     paths = _collinear_panel(tmp_path) if code == 3 else write_panel(tmp_path)
     cfg_path = tmp_path / "run.json"
@@ -437,7 +513,7 @@ def test_threshold_not_finite_or_negative_exit_2_before_estimators(runner, tmp_p
     if config is not None:
         cfg_path.write_text(config)
     calls = []
-    monkeypatch.setattr("infodrift.cli.compute_matrix", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr("infodrift.cli.evaluate", lambda *a, **k: calls.append(a))
     out = tmp_path / "out"
     args = [a.format(config=cfg_path) for a in args]
     result = runner.invoke(main, [*args, "--out", str(out), "analyze", "--measures", "corr,te", *paths])
@@ -468,14 +544,19 @@ def test_failed_write_removes_the_out_this_run_made(runner, tmp_path, monkeypatc
     assert (tmp_path / out_parts[0]).exists() == existed
 
 
-@pytest.mark.parametrize("args", [["--surrogates", "-3"], ["--config", "{config}"]], ids=["flag", "config"])
-def test_negative_surrogates_exit_2_before_out(runner, tmp_path, args):
+@pytest.mark.parametrize("args, command", [
+    (["--surrogates", "-3"], ["analyze", "--measures", "te"]),
+    (["--config", "{config}"], ["analyze", "--measures", "te"]),
+    (["--surrogates", "-3"], ["evolve", "--measures", "corr"]),
+    (["--surrogates", "-3"], ["stats"]),
+], ids=["flag", "config", "evolve-flag", "stats-flag"])
+def test_negative_surrogates_exit_2_before_out(runner, tmp_path, args, command):
     paths = write_panel(tmp_path)
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"surrogates": -3}))
     out = tmp_path / "out"
     args = [a.format(config=cfg_path) for a in args]
-    result = runner.invoke(main, [*args, "--out", str(out), "analyze", "--measures", "te", *paths])
+    result = runner.invoke(main, [*args, "--out", str(out), *command, *paths])
     assert result.exit_code == 2, result.output
     assert "surrogates must be >= 0" in result.output
     assert not out.exists()

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
-from infodrift import discretize, infoflow, kernels, synth
+from infodrift import cli, discretize, infoflow, kernels, measures, stats, synth
 
 SPANS = Path(__file__).resolve().parents[1] / "pipebench" / "spans.py"
 
@@ -42,6 +42,12 @@ def test_benchmark_trace_targets_exist():
         module = importlib.import_module(f"infodrift.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"infodrift.{layer}.{name}"
+    # the measure driver and the CLI call these by the names they import
+    assert measures.bin_series is discretize.bin_series
+    assert measures.te_matrix is infoflow.te_matrix
+    assert measures.mi_matrix is infoflow.mi_matrix
+    assert measures.correlation_matrix is stats.correlation_matrix
+    assert cli.te_floor_matrix is infoflow.te_floor_matrix
     assert kernels.BACKEND == "python"
     assert discretize.joint_counts is kernels.joint_counts
     assert infoflow.joint_counts is kernels.joint_counts

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infodrift import gen_ou, gen_var1, increment_moments, km_drift_matrix, solve_drift
+from infodrift import compute_matrix, gen_ou, gen_var1, increment_moments, solve_drift
 from infodrift.errors import SingularMomentMatrix, TooFewSamples
-from infodrift.kmdrift import drift_estimate
+from infodrift.kmdrift import drift_estimate, drift_matrix
 from infodrift.stats import ReturnsMatrix
 
 
@@ -80,7 +80,7 @@ def test_solve_drift_residual_consistency():
 
 def test_white_noise_identity():
     rng = np.random.default_rng(2)
-    m = km_drift_matrix(returns_of(rng.normal(size=(40000, 3)) * 0.01), dt=1)
+    m = compute_matrix(returns_of(rng.normal(size=(40000, 3)) * 0.01), "km_drift", dt=1)
     assert np.allclose(np.diag(m.values), -1.0, atol=0.05)
     off = m.values[~np.eye(3, dtype=bool)]
     assert np.all(np.abs(off) < 0.05)
@@ -88,7 +88,7 @@ def test_white_noise_identity():
 
 def test_km_matrix_metadata():
     rng = np.random.default_rng(3)
-    m = km_drift_matrix(returns_of(rng.normal(size=(500, 2))), dt=1)
+    m = compute_matrix(returns_of(rng.normal(size=(500, 2))), "km_drift", dt=1)
     assert m.measure == "km_drift"
     assert m.directed
     assert m.units == "per-step"
@@ -101,10 +101,10 @@ def test_km_matrix_metadata():
 def test_column_scaling_equivariance(c):
     rng = np.random.default_rng(4)
     x = gen_var1(np.array([[0.3, 0.1], [-0.2, 0.4]]), sigma=1.0, steps=2000, seed=5).values
-    base = km_drift_matrix(returns_of(x), dt=1).values
+    base = compute_matrix(returns_of(x), "km_drift", dt=1).values
     scaled_data = x.copy()
     scaled_data[:, 1] = scaled_data[:, 1] * c
-    scaled = km_drift_matrix(returns_of(scaled_data), dt=1).values
+    scaled = compute_matrix(returns_of(scaled_data), "km_drift", dt=1).values
     expected = base.copy()
     expected[1, :] = expected[1, :] * c
     expected[:, 1] = expected[:, 1] / c
@@ -121,14 +121,14 @@ def test_var1_step_map_recovered_in_low_noise():
 
 def test_ou_noise_free_scalar_decay_exact():
     panel = gen_ou(np.array([[-1.0]]), sigma=0.0, dt_sim=0.01, steps=200, seed=7, x0=np.array([1.0]))
-    m = km_drift_matrix(panel, dt=1, step_duration=0.01, center=False)
+    m = drift_matrix(drift_estimate(panel, dt=1, step_duration=0.01, center=False), panel.asset_ids)
     assert m.values[0, 0] == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_ou_two_dim_recovery_moderate_scale():
     a_true = np.array([[-0.5, 0.2], [0.0, -0.3]])
     panel = gen_ou(a_true, sigma=0.1, dt_sim=0.01, steps=200000, seed=8)
-    m = km_drift_matrix(panel, dt=1, step_duration=0.01)
+    m = compute_matrix(panel, "km_drift", dt=1, step_duration=0.01)
     assert np.allclose(m.values, a_true, atol=0.05)
 
 

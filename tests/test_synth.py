@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from infodrift import gen_coupled_binary, gen_ou, gen_var1, km_drift_matrix, te_matrix
+from infodrift import compute_matrix, gen_coupled_binary, gen_ou, gen_var1, te_matrix
 from infodrift.discretize import bin_series
 from infodrift.errors import UnstableSpec
 from infodrift.infoflow import surrogate_floor, transfer_entropy
@@ -96,7 +96,7 @@ def test_var_zero_coupling_te_at_floor_km_offdiag_zero():
     te = te_matrix(seqs, asset_ids=panel.asset_ids)
     floor = surrogate_floor(seqs[0], seqs[1], shuffles=10, seed=6)
     assert np.all(te.off_diagonal() < max(5 * floor, 0.003))
-    km = km_drift_matrix(panel, dt=1)
+    km = compute_matrix(panel, "km_drift", dt=1)
     off = km.values[~np.eye(2, dtype=bool)]
     assert np.all(np.abs(off) < 0.05)
 
