@@ -26,7 +26,7 @@ from . import ingest, netout, synth
 from .discretize import STRATEGIES
 from .errors import DataValidationError, EstimatorError, InfodriftError, TooFewSamples
 from .infoflow import te_floor_matrix
-from .measures import canonical_measure, evaluate
+from .measures import ENTROPY_MEASURES, canonical_measure, evaluate
 from .stats import RETURN_KINDS, compute_returns, describe
 from .windows import WindowSpec, evolve
 
@@ -222,9 +222,11 @@ def analyze(cfg: RunConfig, inputs, measures):
         names = _measure_names(cfg)
         returns = _load_panel(cfg)
         results = []
+        entropic = [name for name in names if name in ENTROPY_MEASURES]
+        seqs = None  # binned columns, kept while another entropy measure is to come
         for name in names:
             try:
-                matrix, basis = evaluate(returns, name, cfg.bins, cfg.strategy, cfg.dt)
+                matrix, basis = evaluate(returns, name, cfg.bins, cfg.strategy, cfg.dt, seqs=seqs)
                 results.append((name, matrix, cfg.formats))
                 if name == "km_drift":
                     results.append(("km_drift_estimate", basis, cfg.formats))
@@ -236,7 +238,10 @@ def analyze(cfg: RunConfig, inputs, measures):
                     results.append(("transfer_entropy_floor", floor, netout.TABLE_FORMATS))
             except (EstimatorError, TooFewSamples) as e:
                 raise type(e)(f"{name}: {e}") from e
-            del basis  # frees this measure's binned columns before the next measure runs
+            if name in entropic:
+                entropic.remove(name)
+                seqs = basis if entropic else None
+            del basis  # frees what no later measure uses before the next measure runs
             log.info("measure %s done", name)
         return results
 

@@ -9,6 +9,11 @@ empirical quantile edges are still carried on the sequence for reporting.
 Equal-width binning is edge-based and right-closed: interior-edge ties go to
 the lower bin, the maximum goes to the top bin. Both rules are deterministic
 across platforms.
+
+``bin_windows`` bins many rows at once (every window of every column for a
+windowed run): quantile ranks come from one argsort, quantile edges from one
+``np.quantile`` and equal-width edges from one ``np.linspace`` call, each row
+bit-identical to ``bin_series`` of that row, which is its one-row case.
 """
 
 from __future__ import annotations
@@ -86,22 +91,74 @@ class JointHistogram:
         )
 
 
-def _assign_edges(values: np.ndarray, edges: np.ndarray, bins: int) -> np.ndarray:
+def _check_bins(bins: int, strategy: str) -> None:
+    if bins < 2:
+        raise ValueError("bins must be >= 2")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}")
+
+
+def _rank_bins(values: np.ndarray, bins: int) -> np.ndarray:
+    # bin of value v = floor(mid_rank(v) * bins / n) within its row, ties
+    # share their bin; integer arithmetic on doubled ranks keeps the floor
+    # exact. Tied values get one bin whatever their order, so any sort will do.
+    rows, n = values.shape
+    order = np.argsort(values, axis=1)
+    ordered = np.take_along_axis(values, order, axis=1)
+    first = np.ones((rows, n), dtype=bool)  # first of its tie run
+    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    del ordered
+    first = first.ravel()
+    starts = np.flatnonzero(first)  # every row starts a run
+    counts = np.diff(starts, append=first.size)
+    run_bins = ((2 * (starts % n) + counts - 1) * bins) // (2 * n)
+    symbols = np.empty((rows, n), dtype=np.int64)
+    np.put_along_axis(symbols, order, run_bins[np.cumsum(first) - 1].reshape(rows, n), axis=1)
+    return symbols
+
+
+def bin_windows(values, bins: int, strategy: str = "quantile") -> tuple[np.ndarray, np.ndarray]:
+    """Discretize each row of a (W, L) array as ``bin_series`` does one column.
+
+    Returns the (W, L) int64 symbols and the (W, bins + 1) edges, row k being
+    ``bin_series(values[k])`` bit for bit: quantile rows are ranked by one
+    argsort and their edges come from one ``np.quantile`` call; equal-width
+    edges come from one ``np.linspace`` call. A row too short to bin raises
+    TooFewSamples; a constant row raises DegenerateSeries whose ``row`` is
+    the first such row.
+    """
+    _check_bins(bins, strategy)
+    # min and max of a strided row can differ from those of a contiguous one
+    # in the sign of a zero, so every row is reduced from one contiguous layout
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.ndim != 2:
+        raise ValueError("values must be two-dimensional")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("column must be finite")
+    rows, n = values.shape
+    if n < 2 or (strategy == "quantile" and n < bins):
+        raise TooFewSamples(f"need at least {bins} samples for {strategy} binning, got {n}")
+    lo, hi = values.min(axis=1), values.max(axis=1)
+    flat = np.flatnonzero(lo == hi)
+    if flat.size:
+        raise DegenerateSeries("all values equal", row=int(flat[0]))
+
+    if strategy == "quantile":
+        edges = np.quantile(values, np.arange(bins + 1) / bins, axis=1).T
+        edges[:, 0], edges[:, -1] = lo, hi
+        return _rank_bins(values, bins), edges
+    edges = np.empty((rows, bins + 1))
+    # np.linspace takes another route when any step underflows to zero, so
+    # rows with such a (subnormal) span are spaced apart from the others
+    tiny = (hi - lo) / bins == 0
+    for part in (tiny, ~tiny):
+        if part.any():
+            edges[part] = np.linspace(lo[part], hi[part], bins + 1, axis=1)
     # right-closed bins: interior-edge ties fall into the lower bin
-    symbols = np.searchsorted(edges[1:bins], values, side="left")
-    return symbols.astype(np.int64)
-
-
-def _assign_ranks(values: np.ndarray, bins: int) -> np.ndarray:
-    # bin of value v = floor(mid_rank(v) * bins / n), ties share their bin;
-    # integer arithmetic on doubled ranks keeps the floor exact
-    n = values.size
-    uniq, counts = np.unique(values, return_counts=True)
-    start = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    mid2 = 2 * start + counts - 1
-    uniq_bins = (mid2 * bins) // (2 * n)
-    idx = np.searchsorted(uniq, values)
-    return uniq_bins[idx].astype(np.int64)
+    symbols = np.empty((rows, n), dtype=np.int64)
+    for k in range(rows):
+        symbols[k] = np.searchsorted(edges[k, 1:bins], values[k], side="left")
+    return symbols, edges
 
 
 def bin_series(column, bins: int, strategy: str = "quantile") -> SymbolSequence:
@@ -110,31 +167,14 @@ def bin_series(column, bins: int, strategy: str = "quantile") -> SymbolSequence:
     quantile: rank-midpoint assignment (equal occupancy up to ties, every
     distinct value separable); the empirical k/bins quantiles travel along as
     the reported edges. equal_width: uniform edges over [min, max]; the
-    maximum lands in the top bin.
+    maximum lands in the top bin. This is ``bin_windows`` on one row.
     """
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}")
+    _check_bins(bins, strategy)
     values = np.asarray(column, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError("column must be one-dimensional")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("column must be finite")
-    if values.size < 2 or (strategy == "quantile" and values.size < bins):
-        raise TooFewSamples(f"need at least {bins} samples for {strategy} binning, got {values.size}")
-    lo, hi = float(values.min()), float(values.max())
-    if lo == hi:
-        raise DegenerateSeries("all values equal")
-
-    if strategy == "quantile":
-        edges = np.quantile(values, np.arange(bins + 1) / bins)
-        edges[0], edges[-1] = lo, hi
-        symbols = _assign_ranks(values, bins)
-    else:
-        edges = np.linspace(lo, hi, bins + 1)
-        symbols = _assign_edges(values, edges, bins)
-    return SymbolSequence(symbols=symbols, bins=bins, edges=edges)
+    symbols, edges = bin_windows(values[np.newaxis], bins, strategy)
+    return SymbolSequence(symbols=symbols[0], bins=bins, edges=edges[0])
 
 
 def joint_histogram(seqs: list[SymbolSequence], lags: list[int]) -> JointHistogram:

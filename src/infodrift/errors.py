@@ -72,7 +72,11 @@ class PayloadParseError(RemoteError):
 
 # stats / discretize / infoflow
 class DegenerateSeries(EstimatorError):
-    pass
+    """A series with no spread. ``row`` is its row when a batch of rows was checked."""
+
+    def __init__(self, message: str = "", row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class TooFewSamples(DataValidationError):

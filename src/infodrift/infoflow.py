@@ -13,22 +13,29 @@ source j into target i is estimated from the triple distribution of
 asset j into asset i; diagonals store the target's self conditional entropy
 H(i_{t+dt} | i_t), which is flagged in the matrix metadata.
 
-The matrix builders (``te_matrix``, ``mi_matrix``, ``te_floor_matrix``) are
-batched: per target they count every source at once, as one block of cells
-per source row in one ``joint_counts`` call, and then evaluate the same
-integer products, the same ``p * log2(num / den)`` terms and the same
-per-row ``.sum()`` as the per-pair functions. Their values are therefore
-bit-identical to ``transfer_entropy``, ``mutual_information`` and
-``surrogate_floor``, which stay the public per-pair API and the reference
-oracles the tests compare against. Sequences with fewer bins are padded to
-the largest bin count, which keeps the nonzero cells and their row-major
-order.
+The matrix builders are batched through one counting core. Every row of a
+count carries its own target part (the codes of the target's axes) plus one
+source sequence, so rows of different targets, and in ``te_matrices`` and
+``mi_matrices`` of different windows, share one ``joint_counts`` call. The
+diagonals (self conditional entropy, own entropy) are rows of the same core.
+From the counts they evaluate the same integer products, the same
+``p * log2(num / den)`` terms and the same contiguous per-row ``.sum()``
+and clamp as the per-pair functions. ``te_matrix`` and ``mi_matrix`` are the
+one-window case of ``te_matrices`` and ``mi_matrices``; ``te_floor_matrix``
+counts the shuffled sources of each pair. Their values are therefore
+bit-identical to ``transfer_entropy``, ``self_conditional_entropy``,
+``mutual_information``, ``entropy`` and ``surrogate_floor``, which stay the
+public per-pair API and the reference oracles the tests compare against.
+Sequences with fewer bins are padded to the largest bin count, which keeps
+the nonzero cells and their row-major order.
 
 Each count holds at most ``_MAX_CODES`` codes (a longer row is counted in
 time chunks whose integer counts are added), and the estimates are formed
 one such chunk at a time. The cap exists for memory: the pipeline
 benchmark's surrogate-floor workload peaks at about 45 MB with a bound of
 +10 %, and counting all 100 shuffles of a pair at once cost 8 MB there.
+A count too large to allocate at all (``--bins 2000`` asks 8e9 TE cells per
+row) raises EstimatorError naming the bins and the cells.
 """
 
 from __future__ import annotations
@@ -38,14 +45,14 @@ from itertools import islice
 import numpy as np
 
 from .discretize import JointHistogram, SymbolSequence, joint_histogram
-from .errors import LengthMismatch
+from .errors import EmptyOverlap, EstimatorError, LengthMismatch
 from .kernels import joint_counts
 from .matrices import ORIENTATION, InteractionMatrix
 
 _NEG_TOL = -1e-9
 
-# Codes per batched count: 128 KiB of int64. A 250-sample window still puts
-# all 19 sources of an N=20 target into one count at B=8.
+# Codes per batched count: 128 KiB of int64. A 250-sample window at B=8
+# puts 32 ordered pairs (2**14 cells) into one count.
 _MAX_CODES = 2**14
 
 
@@ -135,7 +142,15 @@ def _default_ids(n: int) -> tuple[str, ...]:
     return tuple(f"s{i}" for i in range(n))
 
 
-def _check_te_pairs(seqs: list[SymbolSequence], dt: int) -> None:
+def _check_lags(length: int, dt: int) -> None:
+    """joint_histogram's checks on one sequence at lags [0, dt], in its order."""
+    if dt < 0:
+        raise ValueError("lags must be >= 0")
+    if length - dt < 1:
+        raise EmptyOverlap(f"no samples left after lag alignment (length {length}, max lag {dt})")
+
+
+def _check_te_pairs(seqs, dt: int) -> None:
     """transfer_entropy's checks on the pairs into the first target, in its order.
 
     Once the first target has been checked every pair shares its length, so
@@ -151,7 +166,7 @@ def _check_te_pairs(seqs: list[SymbolSequence], dt: int) -> None:
             raise LengthMismatch(f"need at least dt + 2 = {dt + 2} samples, got {len(target)}")
 
 
-def _check_mi_pairs(seqs: list[SymbolSequence]) -> None:
+def _check_mi_pairs(seqs) -> None:
     """mutual_information's checks on the pairs (0, j), in its order."""
     x = seqs[0]
     for y in seqs[1:]:
@@ -161,79 +176,212 @@ def _check_mi_pairs(seqs: list[SymbolSequence]) -> None:
             raise LengthMismatch("need at least 2 samples")
 
 
-def _count_chunks(base: np.ndarray, sources, cells: int):
-    """Yield (rows, cells) counts of ``base + source``, one chunk of source rows at a time.
+def _count_chunks(rows, eff: int, bins: int, axes: int):
+    """Yield (k, bins**axes) counts of ``target + source``, k rows at a time.
 
-    Row r of a chunk is offset by ``r * cells`` so that one joint_counts call
-    counts the whole chunk. A call gets at most _MAX_CODES codes and, unless
-    a single row needs more, _MAX_CODES cells; a row longer than _MAX_CODES
-    is counted in time chunks whose integer counts are added. ``sources`` may
-    be a generator: it is drawn one chunk at a time, so neither the codes nor
-    the callers' per-cell arrays ever hold more than one chunk.
+    ``rows`` yields (target, source) pairs of int64 arrays of length ``eff``:
+    the target part holds the codes of every axis but the last, already
+    scaled by ``bins``, and the source symbols fill the last axis. Each row
+    carries its own target part, so rows of different targets and windows
+    share a count. Row r of a chunk is offset by ``r * cells`` so that one
+    joint_counts call counts the whole chunk. A call gets at most _MAX_CODES
+    codes and, unless a single row needs more, _MAX_CODES cells; a row longer
+    than _MAX_CODES is counted in time chunks whose integer counts are added.
+    ``rows`` may be a generator: it is drawn one chunk at a time, so neither
+    the codes nor the callers' per-cell arrays ever hold more than one chunk.
+    A count too large to allocate raises EstimatorError.
     """
-    eff = len(base)
+    cells = bins**axes
     per = max(1, min(_MAX_CODES // eff, _MAX_CODES // cells))
     span = min(eff, _MAX_CODES)
-    sources = iter(sources)
-    while chunk := list(islice(sources, per)):
-        offsets = np.arange(len(chunk), dtype=np.int64)[:, np.newaxis] * cells
-        counts = np.zeros(len(chunk) * cells, dtype=np.int64)
-        for t in range(0, eff, span):
-            codes = np.stack([src[t : t + span] for src in chunk])
-            codes += base[t : t + span]
-            codes += offsets
-            counts += joint_counts(codes.ravel(), counts.size)
-        yield counts.reshape(len(chunk), cells)
+    rows = iter(rows)
+    while chunk := list(islice(rows, per)):
+        k = len(chunk)
+        try:
+            counts = np.zeros(k * cells, dtype=np.int64)
+            for t in range(0, eff, span):
+                codes = np.concatenate([target[t : t + span] for target, _ in chunk]).reshape(k, -1)
+                codes += np.concatenate([source[t : t + span] for _, source in chunk]).reshape(k, -1)
+                codes += np.arange(k, dtype=np.int64)[:, np.newaxis] * cells
+                counts += joint_counts(codes.ravel(), counts.size)
+        except MemoryError:
+            raise EstimatorError(
+                f"bins {bins}: a count of {k * cells:,} histogram cells does not fit in memory"
+            ) from None
+        yield counts.reshape(k, cells)
+
+
+def _row_bounds(row: np.ndarray, rows: int):
+    """(start, end) of each row's contiguous run in the row-sorted ``row`` labels."""
+    bounds = np.searchsorted(row, np.arange(rows + 1)).tolist()
+    return zip(bounds[:-1], bounds[1:])
 
 
 def _row_sums(terms: np.ndarray, row: np.ndarray, rows: int) -> list[float]:
     """Clamped sum of each row's contiguous run of terms, the per-pair ``.sum()``."""
-    bounds = np.searchsorted(row, np.arange(rows + 1)).tolist()
-    return [_clamp(float(terms[a:b].sum())) for a, b in zip(bounds[:-1], bounds[1:])]
+    return [_clamp(float(terms[a:b].sum())) for a, b in _row_bounds(row, rows)]
 
 
-def _te_rows(base: np.ndarray, sources, bins: int) -> list[float]:
-    """TE into the target of ``base`` from each source row, in order, as
+def _entropies(counts: np.ndarray, total: int) -> list[float]:
+    """_entropy_counts of each row of (rows, cells) counts."""
+    idx = np.flatnonzero(counts > 0)
+    p = counts.ravel()[idx].astype(np.float64) / float(total)
+    terms = p * np.log2(p)
+    return [_clamp(float(-terms[a:b].sum())) for a, b in _row_bounds(idx // counts.shape[1], len(counts))]
+
+
+def _entropy_rows(rows, eff: int, bins: int) -> list[float]:
+    """Entropy of the symbols of each (zeros, symbols) row, as entropy() computes it."""
+    out = []
+    for counts in _count_chunks(rows, eff, bins, 1):
+        out += _entropies(counts, eff)
+    return out
+
+
+def _cond_entropy_rows(rows, eff: int, bins: int) -> list[float]:
+    """H(future | past) of each (future * bins, past) row, as self_conditional_entropy."""
+    out = []
+    for counts in _count_chunks(rows, eff, bins, 2):
+        past = counts.reshape(len(counts), bins, bins).sum(axis=1)
+        out += [_clamp(a - b) for a, b in zip(_entropies(counts, eff), _entropies(past, eff))]
+    return out
+
+
+def _te_rows(rows, eff: int, bins: int) -> list[float]:
+    """TE of each (_te_base of the target, source) row, in order, as
     transfer_entropy_from_joint computes it from (future, target past,
     source past) counts."""
     out = []
-    for counts in _count_chunks(base, sources, bins**3):
-        rows = len(counts)
-        c3 = counts.reshape(rows, bins, bins, bins)
-        c_fp = c3[0].sum(axis=2)  # (future, target past): the same in every row
-        c_p = c3[0].sum(axis=(0, 2))  # (target past,)
+    for counts in _count_chunks(rows, eff, bins, 3):
+        k = len(counts)
+        c3 = counts.reshape(k, bins, bins, bins)
+        c_fp = c3.sum(axis=3)  # (row, future, target past)
+        c_p = c_fp.sum(axis=1)  # (row, target past)
         c_ps = c3.sum(axis=1)  # (row, target past, source past)
         idx = np.flatnonzero(counts > 0)
-        c = counts.ravel()[idx]
-        num = (c3 * c_p[:, np.newaxis]).ravel()[idx].astype(np.float64)
-        den = (c_ps[:, np.newaxis, :, :] * c_fp[:, :, np.newaxis]).ravel()[idx].astype(np.float64)
-        p = c / float(len(base))
-        out += _row_sums(p * np.log2(num / den), idx // bins**3, rows)
+        num = (c3 * c_p[:, np.newaxis, :, np.newaxis]).ravel()[idx].astype(np.float64)
+        den = (c_ps[:, np.newaxis, :, :] * c_fp[:, :, :, np.newaxis]).ravel()[idx].astype(np.float64)
+        p = counts.ravel()[idx] / float(eff)
+        out += _row_sums(p * np.log2(num / den), idx // bins**3, k)
     return out
 
 
-def _mi_rows(base: np.ndarray, sources, bins: int) -> list[float]:
-    """MI of the sequence of ``base`` with each source row, in order, as
-    mutual_information_from_joint computes it from (x, y) counts."""
+def _mi_rows(rows, eff: int, bins: int) -> list[float]:
+    """MI of each (x * bins, y) row, in order, as mutual_information_from_joint
+    computes it from (x, y) counts."""
     out = []
-    for counts in _count_chunks(base, sources, bins**2):
-        rows = len(counts)
-        c2 = counts.reshape(rows, bins, bins)
-        c_x = c2[0].sum(axis=1)  # the same in every row
+    for counts in _count_chunks(rows, eff, bins, 2):
+        k = len(counts)
+        c2 = counts.reshape(k, bins, bins)
+        c_x = c2.sum(axis=2)  # (row, x)
         c_y = c2.sum(axis=1)  # (row, y)
         idx = np.flatnonzero(counts > 0)
         c = counts.ravel()[idx]
-        num = c.astype(np.float64) * float(len(base))
-        den = (c_x[:, np.newaxis] * c_y[:, np.newaxis, :]).ravel()[idx].astype(np.float64)
-        p = c / float(len(base))
-        out += _row_sums(p * np.log2(num / den), idx // bins**2, rows)
+        num = c.astype(np.float64) * float(eff)
+        den = (c_x[:, :, np.newaxis] * c_y[:, np.newaxis, :]).ravel()[idx].astype(np.float64)
+        p = c / float(eff)
+        out += _row_sums(p * np.log2(num / den), idx // bins**2, k)
     return out
 
 
-def _te_base(target: SymbolSequence, dt: int, bins: int) -> np.ndarray:
+def _te_base(target: np.ndarray, dt: int, bins: int) -> np.ndarray:
     """(future * bins + past) * bins: the target's part of every triple code."""
     eff = len(target) - dt
-    return (target.symbols[dt : dt + eff] * bins + target.symbols[:eff]) * bins
+    return (target[dt : dt + eff] * bins + target[:eff]) * bins
+
+
+def _te_pairs(windows, dt: int, bins: int):
+    """(target part, source) rows of every ordered pair, window by window,
+    target by target, sources in order."""
+    for win in windows:
+        pasts = [source[: len(source) - dt] for source in win]
+        for i, target in enumerate(win):
+            base = _te_base(target, dt, bins)
+            for j, source in enumerate(pasts):
+                if j != i:
+                    yield base, source
+
+
+def _mi_pairs(windows, bins: int):
+    """(x * bins, y) rows of every pair i < j, window by window, row-major."""
+    for win in windows:
+        for i, x in enumerate(win):
+            part = x * bins
+            for y in win[i + 1 :]:
+                yield part, y
+
+
+def te_matrices(windows, bins: int, dt: int = 1, asset_ids=None) -> list[InteractionMatrix]:
+    """te_matrix of each window, its rows counted together with the other windows'.
+
+    ``windows[w][i]`` holds asset i's int64 symbols in window w, all in
+    [0, bins); every window has the same assets and length. The first
+    window gets te_matrix's input checks. Each matrix is bit-identical to
+    te_matrix of its window's sequences, which is the one-window case.
+    """
+    first = windows[0]
+    n = len(first)
+    ids = tuple(asset_ids) if asset_ids is not None else _default_ids(n)
+    values = np.zeros((len(windows), n, n))
+    if n:
+        _check_lags(len(first[0]), dt)
+        _check_te_pairs(first, dt)
+        eff = len(first[0]) - dt
+        diagonal = ((win[i][dt:] * bins, win[i][:eff]) for win in windows for i in range(n))
+        values[:, np.arange(n), np.arange(n)] = np.reshape(_cond_entropy_rows(diagonal, eff, bins), (-1, n))
+        off = np.reshape(_te_rows(_te_pairs(windows, dt, bins), eff, bins), (len(windows), -1))
+        values[:, ~np.eye(n, dtype=bool)] = off
+    return [
+        InteractionMatrix(
+            asset_ids=ids,
+            values=v,
+            measure="transfer_entropy",
+            directed=True,
+            units="bits",
+            params={
+                "orientation": ORIENTATION,
+                "dt": dt,
+                "history": {"target": 1, "source": 1},
+                "diagonal": "self conditional entropy H(next|current)",
+            },
+        )
+        for v in values
+    ]
+
+
+def mi_matrices(windows, bins: int, asset_ids=None) -> list[InteractionMatrix]:
+    """mi_matrix of each window, its rows counted together with the other windows'.
+
+    ``windows`` is laid out as for te_matrices; the first window gets
+    mi_matrix's input checks. Each matrix is bit-identical to mi_matrix of
+    its window's sequences, which is the one-window case.
+    """
+    first = windows[0]
+    n = len(first)
+    ids = tuple(asset_ids) if asset_ids is not None else _default_ids(n)
+    values = np.zeros((len(windows), n, n))
+    if n:
+        length = len(first[0])
+        _check_lags(length, 0)
+        _check_mi_pairs(first)
+        zeros = np.zeros(length, dtype=np.int64)
+        own = _entropy_rows(((zeros, x) for win in windows for x in win), length, bins)
+        values[:, np.arange(n), np.arange(n)] = np.reshape(own, (-1, n))
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        pairs = np.reshape(_mi_rows(_mi_pairs(windows, bins), length, bins), (len(windows), -1))
+        values[:, upper] = pairs
+        values.transpose(0, 2, 1)[:, upper] = pairs
+    return [
+        InteractionMatrix(
+            asset_ids=ids,
+            values=v,
+            measure="mutual_information",
+            directed=False,
+            units="bits",
+            params={"diagonal": "self entropy H(x)"},
+        )
+        for v in values
+    ]
 
 
 def mi_matrix(seqs: list[SymbolSequence], asset_ids=None) -> InteractionMatrix:
@@ -242,24 +390,8 @@ def mi_matrix(seqs: list[SymbolSequence], asset_ids=None) -> InteractionMatrix:
     values[i, j] for i < j equals mutual_information(seqs[i], seqs[j]) bit
     for bit; values[j, i] is the same number.
     """
-    n = len(seqs)
-    ids = tuple(asset_ids) if asset_ids is not None else _default_ids(n)
     bins = max((s.bins for s in seqs), default=1)
-    values = np.zeros((n, n))
-    for i in range(n):
-        values[i, i] = entropy(joint_histogram([seqs[i]], lags=[0]))
-        if i == 0:
-            _check_mi_pairs(seqs)
-        row = _mi_rows(seqs[i].symbols * bins, (s.symbols for s in seqs[i + 1 :]), bins)
-        values[i, i + 1 :] = values[i + 1 :, i] = row
-    return InteractionMatrix(
-        asset_ids=ids,
-        values=values,
-        measure="mutual_information",
-        directed=False,
-        units="bits",
-        params={"diagonal": "self entropy H(x)"},
-    )
+    return mi_matrices([[s.symbols for s in seqs]], bins, asset_ids)[0]
 
 
 def te_matrix(seqs: list[SymbolSequence], dt: int = 1, asset_ids=None) -> InteractionMatrix:
@@ -267,30 +399,8 @@ def te_matrix(seqs: list[SymbolSequence], dt: int = 1, asset_ids=None) -> Intera
 
     Diagonals store the self conditional entropy H(i_{t+dt} | i_t).
     """
-    n = len(seqs)
-    ids = tuple(asset_ids) if asset_ids is not None else _default_ids(n)
     bins = max((s.bins for s in seqs), default=1)
-    values = np.zeros((n, n))
-    for i in range(n):
-        values[i, i] = self_conditional_entropy(seqs[i], dt=dt)
-        if i == 0:
-            _check_te_pairs(seqs, dt)
-        base = _te_base(seqs[i], dt, bins)
-        sources = (seqs[j].symbols[: len(base)] for j in range(n) if j != i)
-        values[i, np.arange(n) != i] = _te_rows(base, sources, bins)
-    return InteractionMatrix(
-        asset_ids=ids,
-        values=values,
-        measure="transfer_entropy",
-        directed=True,
-        units="bits",
-        params={
-            "orientation": ORIENTATION,
-            "dt": dt,
-            "history": {"target": 1, "source": 1},
-            "diagonal": "self conditional entropy H(next|current)",
-        },
-    )
+    return te_matrices([[s.symbols for s in seqs]], bins, dt, asset_ids)[0]
 
 
 def surrogate_floor(
@@ -339,16 +449,17 @@ def te_floor_matrix(
             raise ValueError("shuffles must be >= 1")
         _check_te_pairs(seqs, dt)
         for i in range(n):
-            base = _te_base(seqs[i], dt, bins)
+            base = _te_base(seqs[i].symbols, dt, bins)
+            eff = len(base)
             for j in range(n):
                 if i != j:
                     # surrogate_floor's stream and order: one permutation per shuffle
                     ss = np.random.SeedSequence(entropy=seed, spawn_key=(i, j))
                     rng = np.random.Generator(np.random.PCG64(ss))
                     src = seqs[j].symbols
-                    shuffled = (src[rng.permutation(len(src))[: len(base)]] for _ in range(shuffles))
+                    rows = ((base, src[rng.permutation(len(src))[:eff]]) for _ in range(shuffles))
                     acc = 0.0
-                    for te in _te_rows(base, shuffled, bins):
+                    for te in _te_rows(rows, eff, bins):
                         acc += te
                     values[i, j] = acc / shuffles
     return InteractionMatrix(

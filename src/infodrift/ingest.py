@@ -317,6 +317,7 @@ def fetch_remote(
                 raise HttpStatusError(status, url)
             payload = resp.read()
     except urllib.error.HTTPError as e:
+        e.close()  # the error is also the response, which holds the connection
         raise HttpStatusError(e.code, url) from None
     except urllib.error.URLError as e:
         raise NetworkError(f"{url}: {e.reason}") from None

@@ -6,6 +6,9 @@ Sliding mode steps a fixed-length window by a fixed stride while it fits.
 Window boundaries depend only on the sample count and the spec, never on the
 data. Quantile bin edges are re-fitted inside each window because the series
 cannot be assumed stationary; the choice is recorded in the result metadata.
+``evolve`` hands all windows of a measure to ``measures.evaluate_windows``,
+which bins and counts the windows of MI and TE together and gives each
+window the matrix ``compute_matrix`` would.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from .errors import EstimatorError, TooFewSamples, WindowTooLarge
 from .matrices import InteractionMatrix
-from .measures import canonical_measure, compute_matrix
+from .measures import canonical_measure, evaluate_windows
 from .stats import ReturnsMatrix
 
 
@@ -114,26 +117,26 @@ def evolve(
 ) -> WindowedResult:
     """Apply one estimator per window; estimator parameters stay fixed.
 
-    Estimator failures and too-short windows are re-raised naming the measure
-    and the offending window.
+    ``measures.evaluate_windows`` computes every window of the measure in
+    one call. Estimator failures and too-short windows are re-raised naming
+    the measure and the offending window.
     """
     measure = canonical_measure(measure)
     windows = make_windows(returns.n_samples, spec)
-    entries = []
-    for idx, (start, end) in enumerate(windows):
-        sub = returns.window(start, end)
-        try:
-            matrix = compute_matrix(
-                sub, measure, bins=bins, strategy=strategy, dt=dt,
-                step_duration=step_duration, ridge=ridge,
-            )
-        except (EstimatorError, TooFewSamples) as e:
-            raise type(e)(f"{measure}: window {idx} [{start}:{end}): {e}") from e
-        lo, hi = _labels(returns, start, end)
-        entries.append((lo, hi, start, end, matrix))
+    try:
+        matrices = evaluate_windows(
+            returns, windows, measure, bins=bins, strategy=strategy, dt=dt,
+            step_duration=step_duration, ridge=ridge,
+        )
+    except (EstimatorError, TooFewSamples) as e:
+        raise type(e)(f"{measure}: {e}") from e
+    entries = tuple(
+        (*_labels(returns, start, end), start, end, matrix)
+        for (start, end), matrix in zip(windows, matrices)
+    )
     return WindowedResult(
         measure=measure,
-        entries=tuple(entries),
+        entries=entries,
         spec=spec,
         params={
             "bins": bins,

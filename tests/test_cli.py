@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from infodrift import cli, kmdrift, measures, netout
+from infodrift import cli, infoflow, kmdrift, measures, netout
 from infodrift.cli import main
 from infodrift.matrices import InteractionMatrix
 from infodrift.measures import canonical_measure
@@ -131,6 +131,30 @@ def test_analyze_surrogates_bin_each_column_once(runner, tmp_path, monkeypatch):
     assert result.exit_code == 0, result.output
     assert len(calls) == 3
     assert (out / "transfer_entropy_floor.json").exists()
+
+
+def test_analyze_entropy_measures_bin_each_column_once(runner, tmp_path, monkeypatch):
+    # TE counts the columns that MI binned; the values are those of separate runs
+    calls = []
+    bin_series = measures.bin_series
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return bin_series(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "bin_series", counted)
+    paths = write_panel(tmp_path, n_rows=120, ids=("AAA", "BBB", "CCC"))
+    docs = {}
+    for measures_arg in ("mi,km,te", "mi", "te"):
+        out = tmp_path / measures_arg
+        result = runner.invoke(main, ["--out", str(out), "--format", "json", "analyze", "--measures", measures_arg, *paths])
+        assert result.exit_code == 0, result.output
+        docs[measures_arg] = {f.name: json.loads(f.read_text()) for f in out.glob("*_*.json")}
+    assert len(calls) == 3 + 3 + 3
+    for name in ("mutual_information.json", "transfer_entropy.json"):
+        single = docs["mi" if name.startswith("mutual") else "te"][name]
+        assert docs["mi,km,te"][name]["values"] == single["values"]
+        assert docs["mi,km,te"][name]["params"] == single["params"]
 
 
 @pytest.mark.parametrize("command, driver, position", [
@@ -396,6 +420,7 @@ def test_fetch_writes_series(runner, tmp_path):
         assert (tmp_path / "cache" / "GLD_2020-01-01_2020-01-31.csv").exists()
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def _run_cli(args, cwd, env_extra=None):
@@ -468,26 +493,52 @@ def _collinear_panel(tmp_path):
     return [path, str(twin)]
 
 
+def _flat_panel(tmp_path, rows=slice(None)):
+    # AAA and BBB; BBB's price holds still over ``rows``, so its returns there are 0
+    paths = write_panel(tmp_path)
+    bbb = tmp_path / "BBB.csv"
+    lines = bbb.read_text().splitlines()
+    header, data = lines[0], lines[1:]
+    flat = data[rows.start or 0].split(",")[1]
+    for i in range(len(data))[rows]:
+        data[i] = f"{data[i].split(',')[0]},{flat}"
+    bbb.write_text("\n".join([header, *data]) + "\n")
+    return paths
+
+
+PANELS = {
+    "random": write_panel,
+    "collinear": _collinear_panel,
+    # 59 returns in segmented:5 windows [0:12) [12:24) [24:36) [36:48) [48:59)
+    "flat-window": lambda tmp_path: _flat_panel(tmp_path, slice(24, 37)),
+    "flat": _flat_panel,
+}
 CORR_TE = ["analyze", "--measures", "corr,te"]
 
 
-@pytest.mark.parametrize("args, code, message", [
-    (["--bins", "1", *CORR_TE], 2, "bins"),
-    (["--dt", "0", *CORR_TE], 2, "dt"),
-    (["--config", "{config}", *CORR_TE], 2, "strategy"),
-    (["--threshold", "-1", *CORR_TE], 2, "threshold"),
-    (["--windows", "sliding:0", *CORR_TE], 2, "error: windows: bad window spec 'sliding:0'"),
-    (["--format", "", *CORR_TE], 2, "error: format: unknown format ''"),
-    (["analyze", "--measures", "corr,km"], 3, "km_drift"),
-    (["--windows", "segmented:2", "evolve", "--measures", "corr,km"], 3, "km_drift: window 0"),
+@pytest.mark.parametrize("args, code, message, panel", [
+    (["--bins", "1", *CORR_TE], 2, "bins", "random"),
+    (["--dt", "0", *CORR_TE], 2, "dt", "random"),
+    (["--config", "{config}", *CORR_TE], 2, "strategy", "random"),
+    (["--threshold", "-1", *CORR_TE], 2, "threshold", "random"),
+    (["--windows", "sliding:0", *CORR_TE], 2, "error: windows: bad window spec 'sliding:0'", "random"),
+    (["--format", "", *CORR_TE], 2, "error: format: unknown format ''", "random"),
+    (["analyze", "--measures", "corr,km"], 3, "km_drift", "collinear"),
+    (["--windows", "segmented:2", "evolve", "--measures", "corr,km"], 3, "km_drift: window 0", "collinear"),
     (["--windows", "segmented:10", "evolve", "--measures", "te"], 2,
-     "error: transfer_entropy: window 0 [0:6): need at least 8 samples for quantile binning, got 6"),
+     "error: transfer_entropy: window 0 [0:6): need at least 8 samples for quantile binning, got 6", "random"),
     (["--dt", "60", "analyze", "--measures", "km"], 2,
-     "error: km_drift: lag 60 leaves fewer than 2 increments in 59 samples"),
+     "error: km_drift: lag 60 leaves fewer than 2 increments in 59 samples", "random"),
+    (["--windows", "segmented:5", "evolve", "--measures", "te"], 3,
+     "error: transfer_entropy: window 2 [24:36): BBB: all values equal\n", "flat-window"),
+    (["--windows", "segmented:5", "evolve", "--measures", "corr"], 3,
+     "error: correlation: window 2 [24:36): BBB: zero variance\n", "flat-window"),
+    (["analyze", "--measures", "mi,te"], 3, "error: mutual_information: BBB: all values equal\n", "flat"),
 ], ids=["bins", "dt", "strategy", "threshold", "windows", "format-empty", "analyze-km", "evolve-km",
-        "evolve-short-window", "analyze-short-lag"])
-def test_failed_run_writes_nothing(runner, tmp_path, args, code, message):
-    paths = _collinear_panel(tmp_path) if code == 3 else write_panel(tmp_path)
+        "evolve-short-window", "analyze-short-lag", "evolve-flat-window", "evolve-corr-flat-window",
+        "analyze-flat"])
+def test_failed_run_writes_nothing(runner, tmp_path, args, code, message, panel):
+    paths = PANELS[panel](tmp_path)
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"strategy": "bogus"}))
     out = tmp_path / "out"
@@ -495,6 +546,21 @@ def test_failed_run_writes_nothing(runner, tmp_path, args, code, message):
     result = runner.invoke(main, ["--out", str(out), *args, *paths])
     assert result.exit_code == code, result.output
     assert message in result.output
+    assert not out.exists()
+
+
+def test_estimator_allocation_failure_exit_3_writes_nothing(runner, tmp_path, monkeypatch):
+    # as --bins 2000 on 2,500 rows, whose 8e9-cell TE count numpy cannot allocate
+    def no_memory(codes, size):
+        raise MemoryError(f"cannot allocate {size} counts")
+
+    monkeypatch.setattr(infoflow, "joint_counts", no_memory)
+    paths = write_panel(tmp_path, ids=("AAA", "BBB", "CCC", "DDD"))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["--out", str(out), "--bins", "4", "analyze", "--measures", "te", *paths])
+    assert result.exit_code == 3, result.output
+    assert "error: transfer_entropy: bins 4: a count of " in result.output
+    assert "histogram cells does not fit in memory" in result.output
     assert not out.exists()
 
 
@@ -618,6 +684,7 @@ def served():
     threading.Thread(target=server.serve_forever, daemon=True).start()
     yield f"http://127.0.0.1:{server.server_address[1]}/{{asset}}/{{start}}/{{end}}"
     server.shutdown()
+    server.server_close()
 
 
 @pytest.mark.parametrize("command, reads_panel", [

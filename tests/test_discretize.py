@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from infodrift import bin_series, joint_histogram
-from infodrift.discretize import SymbolSequence
+from infodrift.discretize import SymbolSequence, bin_windows
 from infodrift.errors import DegenerateSeries, EmptyOverlap, LengthMismatch, TooFewSamples
 
 
@@ -77,6 +77,68 @@ def test_quantile_invariant_under_monotone_transform(ints, bins):
     base = bin_series(values, bins, "quantile")
     transformed = bin_series(2.0 * values + 16.0, bins, "quantile")
     assert np.array_equal(base.symbols, transformed.symbols)
+
+
+def _assign_ranks(values, bins):
+    # the rank oracle: bin of value v = floor(mid_rank(v) * bins / n), ties
+    # share their bin, found through np.unique and searchsorted
+    n = values.size
+    uniq, counts = np.unique(values, return_counts=True)
+    start = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    uniq_bins = ((2 * start + counts - 1) * bins) // (2 * n)
+    return uniq_bins[np.searchsorted(uniq, values)].astype(np.int64)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def tied_rows(draw):
+    """(W, L) cent-rounded rows with ties, signed zeros and sometimes a constant row."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 6)), draw(st.integers(2, 60)))
+    values = np.round(rng.normal(size=shape) * draw(st.sampled_from([0.004, 0.02, 1.0])), 2)
+    values[rng.random(shape) < draw(st.sampled_from([0.0, 0.3]))] = -0.0
+    if draw(st.booleans()):
+        values[rng.integers(shape[0])] = draw(st.sampled_from([0.0, -0.0, 0.01]))
+    return values
+
+
+@given(tied_rows(), st.integers(2, 8), st.sampled_from(["quantile", "equal_width"]))
+@settings(max_examples=150, deadline=None)
+def test_bin_windows_rows_equal_the_one_row_oracles(values, bins, strategy):
+    lo, hi = values.min(axis=1), values.max(axis=1)
+    if strategy == "quantile" and values.shape[1] < bins:
+        with pytest.raises(TooFewSamples, match=f"need at least {bins} samples"):
+            bin_windows(values, bins, strategy)
+        return
+    if np.any(lo == hi):
+        with pytest.raises(DegenerateSeries, match="^all values equal$") as err:
+            bin_windows(values, bins, strategy)
+        assert err.value.row == np.flatnonzero(lo == hi)[0]
+        return
+    symbols, edges = bin_windows(values, bins, strategy)
+    for k, row in enumerate(values):
+        lo_k, hi_k = float(row.min()), float(row.max())
+        if strategy == "quantile":
+            expected = np.quantile(row, np.arange(bins + 1) / bins)
+            expected[0], expected[-1] = lo_k, hi_k
+            assert np.array_equal(symbols[k], _assign_ranks(row, bins))
+        else:
+            expected = np.linspace(lo_k, hi_k, bins + 1)
+            assert np.array_equal(symbols[k], np.searchsorted(expected[1:bins], row, side="left"))
+        assert np.array_equal(bits(edges[k]), bits(expected))
+        one = bin_series(row, bins, strategy)
+        assert np.array_equal(one.symbols, symbols[k]) and np.array_equal(bits(one.edges), bits(edges[k]))
+
+
+def test_equal_width_edges_of_a_subnormal_span_equal_scalar_linspace():
+    # np.linspace spaces a span whose step underflows to zero another way
+    values = np.array([[0.0, 5e-324, 1e-323], [0.0, 1.0, 2.0]])
+    symbols, edges = bin_windows(values, 4, "equal_width")
+    for k, row in enumerate(values):
+        assert np.array_equal(bits(edges[k]), bits(np.linspace(row.min(), row.max(), 5)))
 
 
 def seq_of(symbols, bins=2):

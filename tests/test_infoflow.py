@@ -18,7 +18,7 @@ from infodrift import (
     transfer_entropy,
 )
 from infodrift.discretize import JointHistogram, SymbolSequence
-from infodrift.errors import EmptyOverlap, LengthMismatch
+from infodrift.errors import EmptyOverlap, EstimatorError, LengthMismatch
 from infodrift.infoflow import self_conditional_entropy
 from infodrift.synth import binary_entropy, gen_coupled_binary
 
@@ -345,9 +345,21 @@ def test_batched_counts_stay_under_the_code_cap(code_counts):
     assert code_counts and max(code_counts) <= infoflow._MAX_CODES
 
 
-def test_window_te_matrix_counts_once_per_target(code_counts):
-    # an N=20 window of 250 samples at B=8: every source of a target in one count
+def test_window_te_matrix_shares_counts_across_targets(code_counts):
+    # an N=20 window of 250 samples at B=8: the 20 diagonals in one count,
+    # then the 380 ordered pairs 32 rows (2**14 cells) at a time across targets
     rng = np.random.default_rng(18)
     seqs = [seq_of(rng.integers(0, 8, size=250), 8) for _ in range(20)]
     te_matrix(seqs)
-    assert code_counts == [19 * 249] * 20
+    assert code_counts == [20 * 249] + [32 * 249] * 11 + [28 * 249]
+
+
+def test_count_allocation_failure_is_an_estimator_error(monkeypatch):
+    # a count too large to allocate names the bins and the cells it needed
+    def no_memory(codes, size):
+        raise MemoryError(f"cannot allocate {size} counts")
+
+    monkeypatch.setattr(infoflow, "joint_counts", no_memory)
+    for build in (lambda s: te_matrix(s), mi_matrix, lambda s: te_floor_matrix(s, shuffles=2)):
+        with pytest.raises(EstimatorError, match=r"^bins 3: a count of [\d,]+ histogram cells does not fit in memory$"):
+            build(_seqs(10, 10))

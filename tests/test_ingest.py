@@ -210,6 +210,7 @@ def http_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 CSV_BODY = b"date,close\n2020-01-01,100\n2020-01-02,101\n2020-01-03,102\n"
