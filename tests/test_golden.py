@@ -9,7 +9,8 @@ lands exactly on .5 before rounding, with asset ids that need CSV quoting
 diverging scale; graphs; a thresholded matrix as DOT; a drift estimate and
 the ``stats`` outputs. Every input is built from fixed, exactly representable
 numbers and ``generated_at`` is pinned, so the expected bytes depend on the
-writers alone. The directed windowed files were written by the writers that
+writers alone. The seeded ``simulate`` panels are the exception: their bytes
+also pin the noise stream and the recurrence's left-to-right summation. The directed windowed files were written by the writers that
 built each file as one string and coloured each cell on its own; the
 streaming writers must reproduce them byte for byte.
 """
@@ -196,8 +197,40 @@ def write_stats(out: Path) -> list[str]:
     return ["stats.csv", "stats.json"]
 
 
+def _simulate(out: Path, kind: str, args: list[str]) -> list[str]:
+    """``infodrift simulate`` of three assets A, B, C as ``simulate_<kind>_<asset>.csv``."""
+    runner = CliRunner()
+    names = []
+    with runner.isolated_filesystem(temp_dir=out) as work:
+        result = runner.invoke(
+            main, ["--out", "out", "--seed", "3", "simulate", "--kind", kind, "--assets", "A,B,C", *args]
+        )
+        assert result.exit_code == 0, result.output
+        for asset in "ABC":
+            names.append(f"simulate_{kind}_{asset}.csv")
+            os.replace(Path(work) / "out" / f"{asset}.csv", out / names[-1])
+    return names
+
+
+def write_simulate_ou(out: Path) -> list[str]:
+    """A seeded Euler-Maruyama OU panel: every coupling, the zero ones too,
+    enters each step's sum, so a change of summation order shows here."""
+    return _simulate(out, "ou_euler", [
+        "--steps", "300", "--sigma", "0.1", "--dt-sim", "0.05",
+        "--matrix", "[[-0.5, 0.3, 0.0], [0.0, -0.4, 0.2], [0.1, -0.3, -0.6]]",
+    ])
+
+
+def write_simulate_var1(out: Path) -> list[str]:
+    return _simulate(out, "var1", [
+        "--steps", "300", "--sigma", "0.05",
+        "--matrix", "[[0.5, -0.2, 0.1], [0.3, 0.4, 0.0], [0.0, -0.25, 0.6]]",
+    ])
+
+
 @pytest.mark.parametrize("write", [
     write_windowed, write_windowed_te, write_windowed_km, write_graphs, write_dot, write_drift, write_stats,
+    write_simulate_ou, write_simulate_var1,
 ])
 def test_output_bytes_match_golden(write, tmp_path, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", EPOCH)
