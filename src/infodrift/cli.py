@@ -307,6 +307,10 @@ def simulate(cfg: RunConfig, kind, steps, eps, matrix_json, sigma, dt_sim, asset
                 a = np.array(json.loads(matrix_json), dtype=np.float64)
             except (json.JSONDecodeError, ValueError) as e:
                 raise DataValidationError(f"matrix: {e}") from None
+            if not np.isfinite(a).all():
+                raise DataValidationError(f"matrix: entries must be finite, got {a[~np.isfinite(a)][0]}")
+            if names is not None and a.ndim == 2 and len(names) != len(a):
+                raise DataValidationError(f"assets: {kind} emits exactly {len(a)} series")
             if kind == "var1":
                 panel = synth.gen_var1(a, sigma=sigma, steps=steps, seed=cfg.seed, asset_ids=names)
             else:

@@ -27,7 +27,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .errors import UnsupportedFormatForShape
+from .errors import DataValidationError, UnsupportedFormatForShape
 from .ingest import DEFAULT_SCHEMA, PriceSeries, write_csv
 from .kmdrift import DriftEstimate
 from .matrices import InteractionMatrix
@@ -561,20 +561,28 @@ def emit_all(out_dir, results, config: dict | None = None, threshold: float = 0.
     """Write a run: ``out_dir/config.json`` when ``config`` is given, then
     each ``(stem, obj, formats)`` of ``results`` in order as
     ``<stem>.<extension>`` in each of ``formats`` its shape has, skipping the
-    others. Return the paths. An unknown format is an error. A failed write
-    removes every file this call wrote, so a run leaves all its files or none."""
-    written = []
+    others. Return the paths. An unknown format, or two results that map to
+    the same file name, is an error raised before any file is written. A
+    failed write removes every file this call wrote, so a run leaves all its
+    files or none."""
     if config is not None:
         results = [("config", config, ("json",)), *results]
+    plan = {}
+    for stem, obj, formats in results:
+        for fmt in dict.fromkeys(formats):
+            if fmt not in FORMATS:
+                raise UnsupportedFormatForShape(f"unknown format {fmt!r}; choose from {FORMATS}")
+            if (type(obj), fmt) in _WRITERS:
+                name = f"{stem}.{_EXTENSIONS[fmt]}"
+                if name in plan:
+                    raise DataValidationError(f"{stem}: two results would be written to {name}")
+                plan[name] = (obj, fmt)
+    written = []
     try:
-        for stem, obj, formats in results:
-            for fmt in formats:
-                if fmt not in FORMATS:
-                    raise UnsupportedFormatForShape(f"unknown format {fmt!r}; choose from {FORMATS}")
-                if (type(obj), fmt) in _WRITERS:
-                    path = os.path.join(out_dir, f"{stem}.{_EXTENSIONS[fmt]}")
-                    emit(obj, fmt, path, config, threshold)
-                    written.append(path)
+        for name, (obj, fmt) in plan.items():
+            path = os.path.join(out_dir, name)
+            emit(obj, fmt, path, config, threshold)
+            written.append(path)
     except BaseException:
         for path in written:
             if os.path.exists(path):

@@ -314,6 +314,34 @@ def test_simulate_unstable_exit_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--kind", "coupled_binary", "--assets", "X,X"], "error: X: two results would be written to X.csv\n"),
+    (["--kind", "var1", "--assets", "A", "--matrix", "[[0.5, 0.0], [0.1, 0.4]]"],
+     "error: assets: var1 emits exactly 2 series\n"),
+    (["--kind", "ou_euler", "--assets", "A,B,C", "--matrix", "[[-0.5, 0.0], [0.1, -0.4]]"],
+     "error: assets: ou_euler emits exactly 2 series\n"),
+    (["--kind", "var1", "--matrix", "[[NaN]]"], "error: matrix: entries must be finite, got nan\n"),
+    (["--kind", "ou_euler", "--matrix", "[[-1.0, 0.0], [0.0, -Infinity]]"],
+     "error: matrix: entries must be finite, got -inf\n"),
+    (["--kind", "var1", "--matrix", "[[1e400]]"], "error: matrix: entries must be finite, got inf\n"),
+], ids=["duplicate-assets", "var1-assets", "ou-assets", "nan", "minus-infinity", "overflow"])
+def test_simulate_bad_names_or_matrix_exit_2_before_out(runner, tmp_path, args, message):
+    out = tmp_path / "sim"
+    result = runner.invoke(main, ["--out", str(out), "simulate", "--steps", "10", *args])
+    assert result.exit_code == 2, result.output
+    assert result.output.endswith(message)
+    assert not out.exists()
+
+
+def test_fetch_duplicate_assets_exit_2_before_out(runner, tmp_path, served):
+    out = tmp_path / "fetched"
+    result = runner.invoke(main, ["--out", str(out), "fetch", "--endpoint", served, "--assets", "GLD,GLD",
+                                  "--start", "2020-01-01", "--end", "2020-01-31"])
+    assert result.exit_code == 2, result.output
+    assert result.output.endswith("error: GLD: two results would be written to GLD.csv\n")
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_overflow_writes_no_series(runner, tmp_path):
     # S4's price overflows to inf; S1-S3 are fine but nothing may be written,

@@ -1,12 +1,51 @@
 import importlib
 import importlib.util
+import math
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infodrift import cli, discretize, infoflow, kernels, measures, stats, synth
 
 SPANS = Path(__file__).resolve().parents[1] / "pipebench" / "spans.py"
+
+
+def scalar_recurrence(coeffs, noise, x0):
+    """The plain scalar loop, kept as the oracle of ``linear_recurrence``:
+    each row summed left to right from 0.0, the noise added last."""
+    steps, n = noise.shape
+    rows = [[float(coeffs[i, j]) for j in range(n)] for i in range(n)]
+    out = np.empty((steps + 1, n), dtype=np.float64)
+    x = [float(v) for v in x0]
+    out[0] = x
+    noise_rows = noise.tolist()
+    idx = range(n)
+    for t in range(steps):
+        w = noise_rows[t]
+        prev = x
+        x = []
+        for i in idx:
+            row = rows[i]
+            acc = 0.0
+            for j in idx:
+                acc = acc + row[j] * prev[j]
+            x.append(acc + w[i])
+        out[t + 1] = x
+    return out
+
+
+def assert_same_bits(out, ref):
+    """Bit equality wherever ``ref`` is a number, NaN where it is NaN. The
+    sign and payload of a NaN are left out: CPython's float paths do not fix
+    them (``inf * -0.0 + nan`` gave +nan on one path and -nan on another)."""
+    nan = np.isnan(ref)
+    assert out.shape == ref.shape
+    assert np.array_equal(np.isnan(out), nan)
+    assert np.array_equal(out.view(np.int64)[~nan], ref.view(np.int64)[~nan])
 
 
 def _random_case(seed, steps=4000, n=3):
@@ -23,8 +62,65 @@ def test_pure_recurrence_matches_matmul_reference():
     x = x0.copy()
     assert np.array_equal(out[0], x0)
     for t in range(200):
-        x = coeffs @ x + noise[t]
-        assert np.allclose(out[t + 1], x, atol=1e-12)
+        acc = np.zeros(2)  # coeffs @ x, summed a column at a time from 0.0 as the kernel sums
+        for j in range(2):
+            acc = acc + coeffs[:, j] * x[j]
+        x = acc + noise[t]
+        assert np.array_equal(out[t + 1].view(np.int64), x.view(np.int64))
+
+
+FINITE = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0]))
+NONFINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def recurrences(draw):
+    """Coefficients (of row sums at most 1 in size), ``x0`` and noise over 0
+    to 3 chunks of steps, with signed zeros and, in half the cases, an inf or
+    a NaN put in each array at a drawn position."""
+    n = draw(st.integers(1, 8))
+    chunk = kernels._CHUNK_VALUES // n
+    steps = draw(st.one_of(st.integers(0, 5), st.integers(chunk - 1, 3 * chunk + 1)))
+    coeffs = np.array(draw(st.lists(FINITE, min_size=n * n, max_size=n * n))).reshape(n, n) / n
+    x0 = np.array(draw(st.lists(FINITE, min_size=n, max_size=n)))
+    noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(steps, n))
+    if draw(st.booleans()):
+        for flat in (coeffs.reshape(-1), x0, noise.reshape(-1)):
+            if flat.size and draw(st.booleans()):
+                flat[draw(st.integers(0, flat.size - 1))] = draw(NONFINITE)
+    return coeffs, noise, x0
+
+
+@given(recurrences())
+@settings(max_examples=80, deadline=None)
+def test_recurrence_equals_the_scalar_oracle_bit_for_bit(case):
+    coeffs, noise, x0 = case
+    assert_same_bits(kernels.linear_recurrence(coeffs, noise, x0), scalar_recurrence(coeffs, noise, x0))
+
+
+def test_recurrence_at_n50_equals_the_scalar_oracle():
+    coeffs, noise, x0 = _random_case(50, steps=700, n=50)  # three chunks of 327 steps
+    out = kernels.linear_recurrence(coeffs / 50, noise, x0)
+    assert np.array_equal(out.view(np.int64), scalar_recurrence(coeffs / 50, noise, x0).view(np.int64))
+
+
+def test_step_source_holds_names_not_coefficients():
+    source = kernels._step_source(3)
+    assert re.findall(r"\d+\.\d+", source) == ["0.0"] * 3
+    assert "rows[2]" in source and "c2_2 * p2 + w2" in source
+
+
+def test_recurrence_memory_stays_near_the_output():
+    coeffs, noise, x0 = _random_case(7, steps=200_000, n=4)
+    kernels.linear_recurrence(coeffs, noise[:1], x0)  # compiles the n=4 step loop
+    tracemalloc.start()
+    try:
+        out = kernels.linear_recurrence(coeffs, noise, x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 6_400_032  # 6.1 MiB
+    assert peak - out.nbytes < 2 * 2**20, peak
 
 
 def test_pure_counts_are_exact():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infodrift import evolve, gen_var1, matrix_to_graph
-from infodrift.errors import UnsupportedFormatForShape
+from infodrift.errors import DataValidationError, UnsupportedFormatForShape
 from infodrift.kmdrift import drift_estimate
 from infodrift.matrices import InteractionMatrix
 from infodrift import netout
@@ -247,6 +247,17 @@ def test_emit_all_rejects_unknown_format(tmp_path):
     with pytest.raises(UnsupportedFormatForShape):
         emit_all(tmp_path, [("m", corr2x2(), ["json", "parquet"])])
     assert os.listdir(tmp_path) == []
+
+
+def test_emit_all_refuses_two_results_of_one_file_name(tmp_path):
+    with pytest.raises(DataValidationError, match="^m: two results would be written to m.csv$"):
+        emit_all(tmp_path, [("m", corr2x2(), ["json"]), ("m", corr2x2(), ["csv"]), ("m", corr2x2(), ["csv"])],
+                 config={"seed": 7})
+    with pytest.raises(DataValidationError, match="^config: two results would be written to config.json$"):
+        emit_all(tmp_path, [("config", corr2x2(), ["json"])], config={"seed": 7})
+    assert os.listdir(tmp_path) == []
+    # one result that names a format twice writes its file once
+    assert emit_all(tmp_path, [("m", corr2x2(), ["csv", "csv"])]) == [str(tmp_path / "m.csv")]
 
 
 def test_failed_write_leaves_no_files(tmp_path, monkeypatch):
