@@ -561,8 +561,9 @@ def emit_all(out_dir, results, config: dict | None = None, threshold: float = 0.
     """Write a run: ``out_dir/config.json`` when ``config`` is given, then
     each ``(stem, obj, formats)`` of ``results`` in order as
     ``<stem>.<extension>`` in each of ``formats`` its shape has, skipping the
-    others. Return the paths. An unknown format, or two results that map to
-    the same file name, is an error raised before any file is written. A
+    others; a format named twice for one result is written once. Return the
+    paths. An unknown format, or two results that map to the same file
+    name, is an error raised before any file is written. A
     failed write removes every file this call wrote, so a run leaves all its
     files or none."""
     if config is not None:

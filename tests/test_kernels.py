@@ -70,14 +70,14 @@ def test_pure_recurrence_matches_matmul_reference():
 
 
 FINITE = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0]))
-NONFINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+SPECIALS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
 
 
 @st.composite
 def recurrences(draw):
     """Coefficients (of row sums at most 1 in size), ``x0`` and noise over 0
-    to 3 chunks of steps, with signed zeros and, in half the cases, an inf or
-    a NaN put in each array at a drawn position."""
+    to 3 chunks of steps, with signed zeros and, in half the cases, a signed
+    zero, an inf or a NaN put in each array at a drawn position."""
     n = draw(st.integers(1, 8))
     chunk = kernels._CHUNK_VALUES // n
     steps = draw(st.one_of(st.integers(0, 5), st.integers(chunk - 1, 3 * chunk + 1)))
@@ -87,7 +87,7 @@ def recurrences(draw):
     if draw(st.booleans()):
         for flat in (coeffs.reshape(-1), x0, noise.reshape(-1)):
             if flat.size and draw(st.booleans()):
-                flat[draw(st.integers(0, flat.size - 1))] = draw(NONFINITE)
+                flat[draw(st.integers(0, flat.size - 1))] = draw(SPECIALS)
     return coeffs, noise, x0
 
 
