@@ -309,7 +309,9 @@ def simulate(cfg: RunConfig, kind, steps, eps, matrix_json, sigma, dt_sim, asset
                 raise DataValidationError(f"matrix: {e}") from None
             if not np.isfinite(a).all():
                 raise DataValidationError(f"matrix: entries must be finite, got {a[~np.isfinite(a)][0]}")
-            if names is not None and a.ndim == 2 and len(names) != len(a):
+            if a.ndim != 2 or a.shape[0] != a.shape[1]:
+                raise DataValidationError(f"matrix: must be square, got shape {a.shape}")
+            if names is not None and len(names) != len(a):
                 raise DataValidationError(f"assets: {kind} emits exactly {len(a)} series")
             if kind == "var1":
                 panel = synth.gen_var1(a, sigma=sigma, steps=steps, seed=cfg.seed, asset_ids=names)

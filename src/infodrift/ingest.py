@@ -4,6 +4,13 @@ Sources are local CSV files (header row required, configurable column names)
 or a remote endpoint returning either the same CSV schema or a JSON payload
 ``{"timestamps": [...], "closes": [...]}``. Alignment keeps only the calendar
 days common to every series; no interpolation or fill is ever applied.
+
+A CSV is read as columns: its lines are split once, and the date column,
+the price column and the price checks each take one pass over the whole
+file. Dates are sorted and checked for repeats as one array of ordinals, and
+``align`` intersects those arrays. Errors are located only on failure: when a
+pass fails, one helper walks the rows in file order to name the first faulty
+line, with the exception, line and message a row-by-row reader would give.
 """
 
 from __future__ import annotations
@@ -47,6 +54,11 @@ def _check_prices(asset_ids, dates, prices: np.ndarray) -> None:
         raise NonPositivePrice(-1, float(prices[t, k]), where=f"{asset_ids[k]} on {dates[t]}")
 
 
+def _ordinals(dates) -> np.ndarray:
+    """The dates' proleptic Gregorian ordinals, as int64."""
+    return np.fromiter(map(dt.date.toordinal, dates), np.int64, len(dates))
+
+
 @dataclass(frozen=True, eq=False)
 class PriceSeries:
     """Dated price observations for one asset, sorted by calendar day."""
@@ -62,9 +74,10 @@ class PriceSeries:
             raise TooFewSamples(
                 f"{self.asset_id}: need at least 2 observations, got {len(self.dates)}"
             )
-        for a, b in zip(self.dates, self.dates[1:]):
-            if a >= b:
-                raise DuplicateDate(f"{self.asset_id}: dates not strictly increasing at {b}")
+        ordinals = _ordinals(self.dates)
+        bad = np.flatnonzero(ordinals[1:] <= ordinals[:-1])
+        if len(bad):
+            raise DuplicateDate(f"{self.asset_id}: dates not strictly increasing at {self.dates[bad[0] + 1]}")
         prices = np.asarray(self.prices, dtype=np.float64)
         _check_prices((self.asset_id,), self.dates, prices[:, np.newaxis])
         prices.flags.writeable = False
@@ -102,38 +115,24 @@ class AlignedPanel:
         return len(self.dates)
 
 
-def _data_lines(text: str):
-    """Yield (line_number, raw_line) skipping blank and '#' comment lines."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        yield lineno, raw
-
-
-def _parse_rows(text: str, schema: dict, origin: str) -> list[tuple[int, dt.date, float]]:
-    lines = list(_data_lines(text))
-    if not lines:
-        raise EmptyFile(f"{origin}: no rows")
-    header_line, header_raw = lines[0]
-    header = next(csv.reader([header_raw]))
-    header = [h.strip() for h in header]
+def _decode(data: bytes, origin: str) -> str:
+    """``data`` as UTF-8 text; an undecodable byte raises MalformedRow naming its line."""
     try:
-        date_idx = header.index(schema["date"])
-        price_idx = header.index(schema["price"])
-    except ValueError:
-        raise MalformedRow(
-            header_line,
-            f"{origin}: header {header!r} lacks column "
-            f"{schema['date']!r} or {schema['price']!r}",
-        ) from None
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = len((data[: e.start].decode("utf-8") + "x").splitlines())
+        raise MalformedRow(line, f"{origin}: not UTF-8: byte 0x{data[e.start]:02x} ({e.reason})") from None
 
-    out = []
-    for lineno, raw in lines[1:]:
-        fields = next(csv.reader([raw]))
+
+def _raise_first_fault(origin: str, n_header: int, numbers, rows, date_idx: int, price_idx: int):
+    """Raise the error of the first faulty row in file order. A row is checked
+    for its field count, then its date, then its price, then the price's sign.
+    Called only once the column pass of ``_parse_csv`` has failed."""
+    for lineno, fields in zip(numbers, rows):
         if len(fields) <= max(date_idx, price_idx):
-            raise MalformedRow(lineno, f"{origin}: expected {len(header)} fields, got {len(fields)}")
+            raise MalformedRow(lineno, f"{origin}: expected {n_header} fields, got {len(fields)}")
         try:
-            day = dt.date.fromisoformat(fields[date_idx].strip())
+            dt.date.fromisoformat(fields[date_idx].strip())
         except ValueError:
             raise MalformedRow(lineno, f"{origin}: bad date {fields[date_idx]!r}") from None
         try:
@@ -142,28 +141,65 @@ def _parse_rows(text: str, schema: dict, origin: str) -> list[tuple[int, dt.date
             raise MalformedRow(lineno, f"{origin}: bad price {fields[price_idx]!r}") from None
         if not math.isfinite(price) or price <= 0:
             raise NonPositivePrice(lineno, price, where=f"line {lineno}: {origin}")
-        out.append((lineno, day, price))
-    if not out:
+
+
+def _parse_csv(text: str, schema: dict, origin: str) -> tuple[list[int], list[dt.date], np.ndarray]:
+    """The line numbers, dates and prices of a CSV text's data rows, in file order.
+
+    Blank and ``#`` lines are skipped; the first other line is the header.
+    Each column is parsed in one pass, and the rows are looked at one by one
+    only to name the first faulty one.
+    """
+    lines = text.splitlines()
+    numbers = [n for n, s in enumerate(map(str.lstrip, lines), start=1) if s and s[0] != "#"]
+    if not numbers:
+        raise EmptyFile(f"{origin}: no rows")
+    # Each line is read on its own, so an unterminated quote ends with its
+    # line; only a line that holds a quote goes through csv.reader.
+    kept = [lines[n - 1] for n in numbers]
+    rows = [next(csv.reader((line,))) if '"' in line else line.split(",") for line in kept]
+    header = [h.strip() for h in rows[0]]
+    try:
+        date_idx = header.index(schema["date"])
+        price_idx = header.index(schema["price"])
+    except ValueError:
+        raise MalformedRow(
+            numbers[0],
+            f"{origin}: header {header!r} lacks column "
+            f"{schema['date']!r} or {schema['price']!r}",
+        ) from None
+    numbers, rows = numbers[1:], rows[1:]
+    if not rows:
         raise EmptyFile(f"{origin}: header only, no data rows")
-    return out
+
+    try:
+        days = list(map(dt.date.fromisoformat, [r[date_idx].strip() for r in rows]))
+        prices = np.fromiter(map(float, [r[price_idx] for r in rows]), np.float64, len(rows))
+    except (IndexError, ValueError):  # a short row, a bad date or a bad price
+        prices = None
+    if prices is None or not (np.isfinite(prices) & (prices > 0)).all():
+        _raise_first_fault(origin, len(header), numbers, rows, date_idx, price_idx)
+    return numbers, days, prices
 
 
 def _build_series(
-    asset_id: str, rows: list[tuple[int, dt.date, float]], positions: str = "lines"
+    asset_id: str, positions, days: list[dt.date], prices: np.ndarray, unit: str = "lines"
 ) -> PriceSeries:
-    """A PriceSeries from (position, date, price) rows; ``positions`` names
-    what the positions count in messages ("lines" of a CSV, JSON "indices")."""
-    seen: dict[dt.date, int] = {}
-    for pos, day, _ in rows:
-        if day in seen:
-            raise DuplicateDate(f"{asset_id}: date {day} on {positions} {seen[day]} and {pos}")
-        seen[day] = pos
-    rows = sorted(rows, key=lambda r: r[1])
-    return PriceSeries(
-        asset_id=asset_id,
-        dates=tuple(r[1] for r in rows),
-        prices=np.array([r[2] for r in rows], dtype=np.float64),
-    )
+    """A PriceSeries from dates and prices in input order. ``positions`` number
+    the observations in messages, as ``unit`` ("lines" of a CSV, JSON
+    "indices"); a repeated date names its first repeat in input order."""
+    ords = _ordinals(days)
+    if not (ords[1:] > ords[:-1]).all():
+        order = np.argsort(ords, kind="stable")
+        sorted_ords = ords[order]
+        repeats = order[1:][sorted_ords[1:] == sorted_ords[:-1]]
+        if len(repeats):
+            j = int(repeats.min())
+            i = int(order[np.searchsorted(sorted_ords, ords[j])])
+            raise DuplicateDate(f"{asset_id}: date {days[j]} on {unit} {positions[i]} and {positions[j]}")
+        days = [days[k] for k in order.tolist()]
+        prices = prices[order]
+    return PriceSeries(asset_id=asset_id, dates=tuple(days), prices=prices)
 
 
 def load_csv(path, schema: dict | None = None, asset_id: str | None = None) -> PriceSeries:
@@ -178,9 +214,9 @@ def load_csv(path, schema: dict | None = None, asset_id: str | None = None) -> P
     path = os.fspath(path)
     if asset_id is None:
         asset_id = os.path.splitext(os.path.basename(path))[0]
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return _build_series(asset_id, _parse_rows(text, schema, origin=path))
+    with open(path, "rb") as fh:
+        text = _decode(fh.read(), path)
+    return _build_series(asset_id, *_parse_csv(text, schema, origin=path))
 
 
 def write_csv(series: PriceSeries, path, schema: dict | None = None, header_comment: str | None = None) -> None:
@@ -215,69 +251,77 @@ def align(series_list: list[PriceSeries]) -> AlignedPanel:
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise DuplicateAssetId(f"duplicate asset ids: {dupes}")
 
-    common = set(series_list[0].dates)
-    for s in series_list[1:]:
-        common &= set(s.dates)
+    ords = [_ordinals(s.dates) for s in series_list]
+    common = ords[0]
+    for o in ords[1:]:
+        common = np.intersect1d(common, o, assume_unique=True)
     if len(common) < 3:
         raise InsufficientOverlap(
             f"only {len(common)} dates common to all {len(series_list)} series"
         )
-    dates = tuple(sorted(common))
-    cols = []
-    for s in series_list:
-        lookup = dict(zip(s.dates, s.prices))
-        cols.append([lookup[d] for d in dates])
-    prices = np.array(cols, dtype=np.float64).T
+    dates = tuple(map(dt.date.fromordinal, common.tolist()))
+    # (N, T) transposed, not a C-ordered (T, N) copy: reductions over the panel
+    # follow its memory order, and the output bytes depend on it
+    prices = np.stack([s.prices[np.searchsorted(o, common)] for s, o in zip(series_list, ords)]).T
     return AlignedPanel(asset_ids=tuple(ids), dates=dates, prices=prices)
 
 
-def _parse_json_payload(payload: bytes, asset_id: str) -> list[tuple[int, dt.date, float]]:
+def _parse_json_payload(text: str, asset_id: str) -> tuple[range, list[dt.date], np.ndarray]:
+    """The indices, dates and prices of a ``{"timestamps": [...], "closes": [...]}``
+    payload. A timestamp is an ISO date or epoch seconds (UTC)."""
     try:
-        doc = json.loads(payload)
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise PayloadParseError(f"{asset_id}: invalid JSON: {e}") from None
     if not isinstance(doc, dict) or "timestamps" not in doc or "closes" not in doc:
         raise PayloadParseError(f"{asset_id}: JSON payload must have 'timestamps' and 'closes'")
     stamps, closes = doc["timestamps"], doc["closes"]
+    for key, value in (("timestamps", stamps), ("closes", closes)):
+        if not isinstance(value, list):
+            raise PayloadParseError(f"{asset_id}: {key!r} must be a list, got {value!r}")
     if len(stamps) != len(closes):
         raise PayloadParseError(
             f"{asset_id}: timestamps ({len(stamps)}) and closes ({len(closes)}) differ in length"
         )
-    rows = []
+    if not stamps:
+        raise PayloadParseError(f"{asset_id}: empty payload")
+    days = []
+    prices = np.empty(len(closes))
     for i, (ts, close) in enumerate(zip(stamps, closes)):
         if close is None:
             raise PayloadParseError(f"{asset_id}: null close at index {i}")
         if isinstance(ts, str):
             try:
-                day = dt.date.fromisoformat(ts)
+                days.append(dt.date.fromisoformat(ts))
             except ValueError:
                 raise PayloadParseError(f"{asset_id}: bad date {ts!r} at index {i}") from None
-        elif isinstance(ts, (int, float)):
-            day = dt.datetime.fromtimestamp(ts, tz=dt.timezone.utc).date()
+        elif isinstance(ts, (int, float)) and not isinstance(ts, bool):
+            try:
+                days.append(dt.datetime.fromtimestamp(ts, tz=dt.timezone.utc).date())
+            except (OverflowError, OSError, ValueError):  # out of range, or NaN
+                raise PayloadParseError(f"{asset_id}: bad timestamp {ts!r} at index {i}") from None
         else:
             raise PayloadParseError(f"{asset_id}: bad timestamp {ts!r} at index {i}")
         try:
+            if isinstance(close, bool):
+                raise TypeError
             price = float(close)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise PayloadParseError(f"{asset_id}: bad close {close!r} at index {i}") from None
         if not math.isfinite(price) or price <= 0:
             raise PayloadParseError(f"{asset_id}: non-positive close {price!r} at index {i}")
-        rows.append((i, day, price))
-    if not rows:
-        raise PayloadParseError(f"{asset_id}: empty payload")
-    return rows
+        prices[i] = price
+    return range(len(days)), days, prices
 
 
 def _payload_to_series(payload: bytes, asset_id: str, schema: dict) -> PriceSeries:
     try:
+        text = _decode(payload, asset_id)
         if payload.lstrip()[:1] == b"{":
-            return _build_series(asset_id, _parse_json_payload(payload, asset_id), positions="indices")
-        text = payload.decode("utf-8")
-        return _build_series(asset_id, _parse_rows(text, schema, origin=asset_id))
-    except UnicodeDecodeError as e:
-        raise PayloadParseError(f"{asset_id}: undecodable payload: {e}") from None
+            return _build_series(asset_id, *_parse_json_payload(text, asset_id), unit="indices")
+        return _build_series(asset_id, *_parse_csv(text, schema, origin=asset_id))
     except DataValidationError as e:
-        # every message of the row parser and of PriceSeries names the asset already
+        # every message of the parsers and of PriceSeries names the asset already
         raise PayloadParseError(str(e)) from None
 
 

@@ -324,7 +324,10 @@ def test_simulate_unstable_exit_2(runner, tmp_path):
     (["--kind", "ou_euler", "--matrix", "[[-1.0, 0.0], [0.0, -Infinity]]"],
      "error: matrix: entries must be finite, got -inf\n"),
     (["--kind", "var1", "--matrix", "[[1e400]]"], "error: matrix: entries must be finite, got inf\n"),
-], ids=["duplicate-assets", "var1-assets", "ou-assets", "nan", "minus-infinity", "overflow"])
+    (["--kind", "var1", "--matrix", "[[0.5, 0.1]]"], "error: matrix: must be square, got shape (1, 2)\n"),
+    (["--kind", "ou_euler", "--matrix", "[[0.5, 0.1]]"], "error: matrix: must be square, got shape (1, 2)\n"),
+], ids=["duplicate-assets", "var1-assets", "ou-assets", "nan", "minus-infinity", "overflow",
+        "var1-not-square", "ou-not-square"])
 def test_simulate_bad_names_or_matrix_exit_2_before_out(runner, tmp_path, args, message):
     out = tmp_path / "sim"
     result = runner.invoke(main, ["--out", str(out), "simulate", "--steps", "10", *args])

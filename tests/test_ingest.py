@@ -1,5 +1,7 @@
+import csv
 import datetime as dt
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -11,6 +13,9 @@ from hypothesis import strategies as st
 
 from infodrift import align, fetch_remote, load_csv, write_csv
 from infodrift.cli import main
+from infodrift.ingest import AlignedPanel, PriceSeries
+from infodrift.kmdrift import drift_estimate
+from infodrift.stats import compute_returns, correlation_matrix
 from infodrift.errors import (
     DuplicateAssetId,
     DuplicateDate,
@@ -157,8 +162,6 @@ def series_family(draw):
 @given(series_family())
 @settings(max_examples=40, deadline=None)
 def test_align_dates_are_set_intersection(family):
-    from infodrift.ingest import PriceSeries
-
     series = [PriceSeries(asset_id=i, dates=d, prices=p) for i, d, p in family]
     expected = set(series[0].dates)
     for s in series[1:]:
@@ -176,8 +179,6 @@ def test_align_dates_are_set_intersection(family):
 @settings(max_examples=20, deadline=None)
 def test_align_row_order_invariant(perm):
     # shuffling observation rows within the CSV never changes the panel
-    from infodrift.ingest import PriceSeries
-
     base = dt.date(2020, 1, 1).toordinal()
     dates = [dt.date.fromordinal(base + i) for i in range(5)]
     prices = [10.0, 11.0, 12.0, 13.0, 14.0]
@@ -332,7 +333,15 @@ def test_fetch_remote_network_error():
      "ODD: need at least 2 observations, got 1"),
     (json.dumps({"timestamps": ["2020-01-01", "2020-01-01"], "closes": [10.0, 11.0]}).encode(),
      "ODD: date 2020-01-01 on indices 0 and 1"),
-], ids=["csv-duplicate-date", "csv-zero-price", "json-one-row", "json-duplicate-date"])
+    (json.dumps({"timestamps": 5, "closes": 5}).encode(), "ODD: 'timestamps' must be a list, got 5"),
+    (json.dumps({"timestamps": [1e20, 1e20], "closes": [1, 2]}).encode(),
+     "ODD: bad timestamp 1e+20 at index 0"),
+    (json.dumps({"timestamps": ["2020-01-01", True], "closes": [1, 2]}).encode(),
+     "ODD: bad timestamp True at index 1"),
+    (json.dumps({"timestamps": ["2020-01-01", "2020-01-02"], "closes": [1.5, True]}).encode(),
+     "ODD: bad close True at index 1"),
+], ids=["csv-duplicate-date", "csv-zero-price", "json-one-row", "json-duplicate-date",
+        "json-not-lists", "json-timestamp-out-of-range", "json-bool-timestamp", "json-bool-close"])
 def test_fetch_cli_payload_fault_exit_3_names_asset(http_server, tmp_path, body, message):
     _Handler.responses["/q/ODD/2020-01-01/2020-01-31"] = (200, body)
     out = tmp_path / "out"
@@ -344,3 +353,187 @@ def test_fetch_cli_payload_fault_exit_3_names_asset(http_server, tmp_path, body,
     assert f"error: {message}" in result.output.splitlines()  # the asset named once
     assert not out.exists()
     assert not (tmp_path / "c" / "ODD_2020-01-01_2020-01-31.csv").exists()
+
+
+def test_price_series_names_first_date_out_of_order():
+    days = [dt.date(2020, 1, d) for d in (1, 3, 3, 2)]
+    with pytest.raises(DuplicateDate) as err:
+        PriceSeries(asset_id="a", dates=tuple(days), prices=np.ones(4))
+    assert str(err.value) == "a: dates not strictly increasing at 2020-01-03"
+
+
+def test_load_csv_undecodable_byte_names_path_and_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"Date,Adj Close\r\n2020-01-01,100\r\n2020-01-02,1\xff1\r\n")
+    with pytest.raises(MalformedRow) as err:
+        load_csv(path)
+    assert err.value.line == 3
+    assert str(err.value) == f"line 3: {path}: not UTF-8: byte 0xff (invalid start byte)"
+    result = CliRunner().invoke(main, ["--out", str(tmp_path / "out"), "stats", str(path)])
+    assert result.exit_code == 2, result.output
+    assert result.output.endswith(f"error: {err.value}\n")
+    assert not (tmp_path / "out").exists()
+
+
+# The row-by-row reader that load_csv replaced, kept as the oracle of its
+# results and of its errors: the same exception, line and message.
+
+def test_load_csv_names_first_repeat_in_file_order(csv_dir):
+    days = ["2020-01-05", "2020-01-02", "2020-01-05", "2020-01-02", "2020-01-05"]
+    path = csv_dir("d.csv", "Date,Adj Close\n" + "".join(f"{d},1\n" for d in days))
+    with pytest.raises(DuplicateDate) as err:
+        load_csv(path)
+    assert str(err.value) == "d: date 2020-01-05 on lines 2 and 4"
+
+
+def _oracle_data_lines(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip() or raw.lstrip().startswith("#"):
+            continue
+        yield lineno, raw
+
+
+def _oracle_parse_rows(text, schema, origin):
+    lines = list(_oracle_data_lines(text))
+    if not lines:
+        raise EmptyFile(f"{origin}: no rows")
+    header_line, header_raw = lines[0]
+    header = next(csv.reader([header_raw]))
+    header = [h.strip() for h in header]
+    try:
+        date_idx = header.index(schema["date"])
+        price_idx = header.index(schema["price"])
+    except ValueError:
+        raise MalformedRow(
+            header_line,
+            f"{origin}: header {header!r} lacks column "
+            f"{schema['date']!r} or {schema['price']!r}",
+        ) from None
+
+    out = []
+    for lineno, raw in lines[1:]:
+        fields = next(csv.reader([raw]))
+        if len(fields) <= max(date_idx, price_idx):
+            raise MalformedRow(lineno, f"{origin}: expected {len(header)} fields, got {len(fields)}")
+        try:
+            day = dt.date.fromisoformat(fields[date_idx].strip())
+        except ValueError:
+            raise MalformedRow(lineno, f"{origin}: bad date {fields[date_idx]!r}") from None
+        try:
+            price = float(fields[price_idx])
+        except ValueError:
+            raise MalformedRow(lineno, f"{origin}: bad price {fields[price_idx]!r}") from None
+        if not math.isfinite(price) or price <= 0:
+            raise NonPositivePrice(lineno, price, where=f"line {lineno}: {origin}")
+        out.append((lineno, day, price))
+    if not out:
+        raise EmptyFile(f"{origin}: header only, no data rows")
+    return out
+
+
+def _oracle_build_series(asset_id, rows, positions="lines"):
+    seen = {}
+    for pos, day, _ in rows:
+        if day in seen:
+            raise DuplicateDate(f"{asset_id}: date {day} on {positions} {seen[day]} and {pos}")
+        seen[day] = pos
+    rows = sorted(rows, key=lambda r: r[1])
+    return PriceSeries(
+        asset_id=asset_id,
+        dates=tuple(r[1] for r in rows),
+        prices=np.array([r[2] for r in rows], dtype=np.float64),
+    )
+
+
+def _oracle_load_csv(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    return _oracle_build_series("f", _oracle_parse_rows(text, {"date": "Date", "price": "Adj Close"}, str(path)))
+
+
+def _outcome(load):
+    try:
+        series = load()
+    except Exception as e:
+        return type(e), getattr(e, "line", None), str(e)
+    return series.dates, series.prices.tobytes()
+
+
+_FAULTS = {
+    "short": lambda row, draw, rows: row[:1],
+    "date": lambda row, draw, rows: [draw(st.sampled_from(["2020-13-01", "x", "", "20-01-01"]))] + row[1:],
+    "price": lambda row, draw, rows: row[:-1] + [draw(st.sampled_from(["abc", "", "1.2.3"]))],
+    "sign": lambda row, draw, rows: row[:-1] + [draw(st.sampled_from(["0", "-1.5", "-0.0", "nan", "inf"]))],
+    "duplicate": lambda row, draw, rows: [draw(st.sampled_from(rows))[0]] + row[1:],
+    # an unterminated quote runs to the end of its line: one field
+    "open-quote": lambda row, draw, rows: ['"' + row[0]] + row[1:],
+}
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV of 1-12 rows with comments, blank lines, quoting, CRLF and
+    shuffled rows, and with up to three faults on one or more rows."""
+    extra = draw(st.booleans())  # a column between the date and the price
+    rows = []
+    for offset in draw(st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True)):
+        day = dt.date.fromordinal(dt.date(2020, 1, 1).toordinal() + offset).isoformat()
+        price = draw(st.floats(min_value=0.01, max_value=1e6))
+        rows.append([draw(st.sampled_from([day, f" {day} "])),
+                     draw(st.sampled_from([repr(price), f"{price:.2f}", f" {price!r}"]))])
+        if extra:
+            rows[-1].insert(1, "1")
+    if draw(st.booleans()):
+        rows.sort(key=lambda r: r[0].strip())
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        k = draw(st.integers(0, len(rows) - 1))
+        rows[k] = _FAULTS[draw(st.sampled_from(sorted(_FAULTS)))](rows[k], draw, rows)
+
+    def render(fields):
+        style = draw(st.sampled_from(["plain", "plain", "quoted", "open-last"]))
+        if style == "quoted":  # a quoted field may hold a comma
+            return ",".join(f'"{f},0"' if f == "1" else f'"{f}"' for f in fields)
+        if style == "open-last":  # an unterminated quote that ends its line is harmless
+            return ",".join(fields[:-1] + [f'"{fields[-1]}'])
+        return ",".join(fields)
+
+    header = ["Date", "Open", "Adj Close"] if extra else ["Date", "Adj Close"]
+    lines = [draw(st.sampled_from([",".join(header), ",".join(f'"{h}"' for h in header), " , ".join(header)]))]
+    lines += [render(r) for r in rows]
+    noise = st.sampled_from(["", "   ", "\t", "# note", "  # a, comment"])
+    text_lines = []
+    for line in lines:
+        text_lines += draw(st.lists(noise, max_size=2)) + [line]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(text_lines) + draw(st.sampled_from(["", newline]))
+
+
+@given(csv_texts())
+@settings(max_examples=300, deadline=None)
+def test_load_csv_matches_row_by_row_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("oracle") / "f.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(lambda: load_csv(path)) == _outcome(lambda: _oracle_load_csv(path))
+
+
+def test_align_keeps_transposed_layout_and_its_bits():
+    # numpy reductions follow memory order, so a C-ordered (T, N) panel with
+    # the same values gives other correlation and drift bits
+    rng = np.random.default_rng(7)
+    base = dt.date(2020, 1, 1).toordinal()
+    series = []
+    for k in range(12):
+        days = np.sort(rng.choice(700, size=640, replace=False))
+        prices = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, len(days))))
+        series.append(PriceSeries(f"s{k}", tuple(dt.date.fromordinal(base + int(d)) for d in days), prices))
+    panel = align(series)
+
+    common = sorted(set.intersection(*(set(s.dates) for s in series)))
+    reference = np.array([[dict(zip(s.dates, s.prices))[d] for d in common] for s in series]).T
+    assert panel.dates == tuple(common)
+    assert np.array_equal(panel.prices, reference)
+    assert panel.prices.strides == reference.strides
+    ref_panel = AlignedPanel(panel.asset_ids, tuple(common), reference)
+    for measure in (lambda p: correlation_matrix(compute_returns(p)).values,
+                    lambda p: drift_estimate(compute_returns(p)).A):
+        assert measure(panel).tobytes() == measure(ref_panel).tobytes()
