@@ -13,34 +13,49 @@ source j into target i is estimated from the triple distribution of
 asset j into asset i; diagonals store the target's self conditional entropy
 H(i_{t+dt} | i_t), which is flagged in the matrix metadata.
 
-The matrix builders are batched through one counting core. Every row of a
-count carries its own target part (the codes of the target's axes) plus one
-source sequence, so rows of different targets, and in ``te_matrices`` and
-``mi_matrices`` of different windows, share one ``joint_counts`` call. The
+The matrix builders are batched through one counting core. The symbols of
+every asset, and in ``te_matrices`` and ``mi_matrices`` of every window, are
+stacked into one array, and each row of a count is one (target, source)
+pair picked from it by index arrays. So rows of different targets and
+windows share one ``joint_counts`` call, and a count's codes are built one
+axis at a time by gathering those rows, with no per-row Python slice. The
 diagonals (self conditional entropy, own entropy) are rows of the same core.
-From the counts they evaluate the same integer products, the same
-``p * log2(num / den)`` terms and the same contiguous per-row ``.sum()``
-and clamp as the per-pair functions. ``te_matrix`` and ``mi_matrix`` are the
-one-window case of ``te_matrices`` and ``mi_matrices``; ``te_floor_matrix``
-counts the shuffled sources of each pair. Their values are therefore
-bit-identical to ``transfer_entropy``, ``self_conditional_entropy``,
-``mutual_information``, ``entropy`` and ``surrogate_floor``, which stay the
-public per-pair API and the reference oracles the tests compare against.
-Sequences with fewer bins are padded to the largest bin count, which keeps
-the nonzero cells and their row-major order.
+
+A TE row visits only its nonzero (future, target past, source past) cells,
+about 197 of 512 at 8 bins and 250 samples. The target's marginals c_fp
+(future, past) and c_p (past) do not depend on the source: they come from
+the target's own (future, past) count, the one its diagonal is computed
+from, and each nonzero cell gathers them through lookup tables that map a
+flat cell of the count to its (row, future, past) and (row, past, source)
+cells; c_ps is one reduction per count over the future axis. The builders
+then form the same int64 products (c * c_p and c_ps * c_fp), the same
+``p * log2(num / den)`` terms in row-major cell order and the same
+contiguous pairwise sum and clamp per row as the per-pair functions.
+``te_matrix`` and ``mi_matrix`` are the one-window case of ``te_matrices``
+and ``mi_matrices``; ``te_floor_matrix`` counts the shuffled sources of
+each pair. Their values are therefore bit-identical to
+``transfer_entropy``, ``self_conditional_entropy``, ``mutual_information``,
+``entropy`` and ``surrogate_floor``, which stay the public per-pair API and
+the reference oracles the tests compare against. Sequences with fewer bins
+are padded to the largest bin count, which keeps the nonzero cells and
+their row-major order.
 
 Each count holds at most ``_MAX_CODES`` codes (a longer row is counted in
 time chunks whose integer counts are added), and the estimates are formed
 one such chunk at a time. The cap exists for memory: the pipeline
 benchmark's surrogate-floor workload peaks at about 45 MB with a bound of
 +10 %, and counting all 100 shuffles of a pair at once cost 8 MB there.
-A count too large to allocate at all (``--bins 2000`` asks 8e9 TE cells per
-row) raises EstimatorError naming the bins and the cells.
+For the same reason no target part is stored per row: at 10^6 samples a
+stored copy of every target's codes next to the stacked symbols raised the
+simulate-long peak by 15 MB. The lookup tables hold two entries per cell of
+one count. A count or table too large to allocate at all (``--bins 2000``
+asks 8e9 TE cells per row) raises EstimatorError naming the bins and the
+cells.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -176,139 +191,144 @@ def _check_mi_pairs(seqs) -> None:
             raise LengthMismatch("need at least 2 samples")
 
 
-def _count_chunks(rows, eff: int, bins: int, axes: int):
-    """Yield (k, bins**axes) counts of ``target + source``, k rows at a time.
+def _per_count(eff: int, cells: int) -> int:
+    """Rows per count: at most _MAX_CODES codes and, unless a single row needs
+    more, _MAX_CODES cells."""
+    return max(1, min(_MAX_CODES // eff, _MAX_CODES // cells))
 
-    ``rows`` yields (target, source) pairs of int64 arrays of length ``eff``:
-    the target part holds the codes of every axis but the last, already
-    scaled by ``bins``, and the source symbols fill the last axis. Each row
-    carries its own target part, so rows of different targets and windows
-    share a count. Row r of a chunk is offset by ``r * cells`` so that one
-    joint_counts call counts the whole chunk. A call gets at most _MAX_CODES
-    codes and, unless a single row needs more, _MAX_CODES cells; a row longer
-    than _MAX_CODES is counted in time chunks whose integer counts are added.
-    ``rows`` may be a generator: it is drawn one chunk at a time, so neither
-    the codes nor the callers' per-cell arrays ever hold more than one chunk.
-    A count too large to allocate raises EstimatorError.
+
+@contextmanager
+def _fits(bins: int, cells: int):
+    """Raise a MemoryError inside the block as EstimatorError naming the bins and cells."""
+    try:
+        yield
+    except MemoryError:
+        raise EstimatorError(
+            f"bins {bins}: a count of {cells:,} histogram cells does not fit in memory"
+        ) from None
+
+
+def _count(parts, eff: int, bins: int) -> np.ndarray:
+    """(k, bins**axes) counts of k rows of codes, one axis per part.
+
+    Each part is (symbols, rows, lag): at time t in [0, eff) axis a of row r
+    holds ``symbols[rows[r], lag + t]``, and the axes make a row-major code,
+    the first part's the slowest. The first part's ``rows`` is an index
+    array of k rows; a later part's may also be a slice. Row r is offset by
+    ``r * cells`` so that one joint_counts call counts every row; a row
+    longer than _MAX_CODES is counted in time chunks whose counts are added.
     """
-    cells = bins**axes
-    per = max(1, min(_MAX_CODES // eff, _MAX_CODES // cells))
+    (first, rows, lag), *rest = parts
+    k = len(rows)
+    cells = bins ** len(parts)
     span = min(eff, _MAX_CODES)
-    rows = iter(rows)
-    while chunk := list(islice(rows, per)):
-        k = len(chunk)
-        try:
-            counts = np.zeros(k * cells, dtype=np.int64)
-            for t in range(0, eff, span):
-                codes = np.concatenate([target[t : t + span] for target, _ in chunk]).reshape(k, -1)
-                codes += np.concatenate([source[t : t + span] for _, source in chunk]).reshape(k, -1)
-                codes += np.arange(k, dtype=np.int64)[:, np.newaxis] * cells
-                counts += joint_counts(codes.ravel(), counts.size)
-        except MemoryError:
-            raise EstimatorError(
-                f"bins {bins}: a count of {k * cells:,} histogram cells does not fit in memory"
-            ) from None
-        yield counts.reshape(k, cells)
+    offsets = np.arange(0, k * cells, cells, dtype=np.int64)[:, np.newaxis]
+    with _fits(bins, k * cells):
+        counts = None
+        for t in range(0, eff, span):
+            end = min(t + span, eff)
+            codes = first[rows, lag + t : lag + end]
+            for symbols, rows_a, lag_a in rest:
+                codes *= bins
+                codes += symbols[rows_a, lag_a + t : lag_a + end]
+            codes += offsets
+            found = joint_counts(codes.ravel(), k * cells)
+            if counts is None:
+                counts = found
+            else:
+                counts += found
+    return counts.reshape(k, cells)
 
 
-def _row_bounds(row: np.ndarray, rows: int):
-    """(start, end) of each row's contiguous run in the row-sorted ``row`` labels."""
-    bounds = np.searchsorted(row, np.arange(rows + 1)).tolist()
-    return zip(bounds[:-1], bounds[1:])
+def _chunks(parts, eff: int, bins: int):
+    """Yield (r, counts): _count of the parts' rows r to r + len(counts),
+    _per_count rows at a time."""
+    per = _per_count(eff, bins ** len(parts))
+    for r in range(0, len(parts[0][1]), per):
+        yield r, _count([(symbols, rows[r : r + per], lag) for symbols, rows, lag in parts], eff, bins)
 
 
-def _row_sums(terms: np.ndarray, row: np.ndarray, rows: int) -> list[float]:
-    """Clamped sum of each row's contiguous run of terms, the per-pair ``.sum()``."""
-    return [_clamp(float(terms[a:b].sum())) for a, b in _row_bounds(row, rows)]
+def _count_rows(parts, eff: int, bins: int) -> np.ndarray:
+    """Every row's counts of the parts, as one (rows, bins**axes) array."""
+    cells = bins ** len(parts)
+    with _fits(bins, len(parts[0][1]) * cells):
+        counts = np.empty((len(parts[0][1]), cells), dtype=np.int64)
+    for r, found in _chunks(parts, eff, bins):
+        counts[r : r + len(found)] = found
+    return counts
+
+
+def _row_sums(terms: np.ndarray, idx: np.ndarray, rows: int, cells: int) -> list[float]:
+    """Sum of each row's contiguous run of terms, whose flat cells ``idx`` in a
+    (rows, cells) count are sorted: one pairwise ``np.add.reduce`` per row,
+    which is what the per-pair ``.sum()`` computes."""
+    bounds = np.searchsorted(idx, np.arange(0, (rows + 1) * cells, cells)).tolist()
+    add = np.add.reduce
+    return [float(add(terms[a:b])) for a, b in zip(bounds, bounds[1:])]
 
 
 def _entropies(counts: np.ndarray, total: int) -> list[float]:
     """_entropy_counts of each row of (rows, cells) counts."""
     idx = np.flatnonzero(counts > 0)
     p = counts.ravel()[idx].astype(np.float64) / float(total)
-    terms = p * np.log2(p)
-    return [_clamp(float(-terms[a:b].sum())) for a, b in _row_bounds(idx // counts.shape[1], len(counts))]
+    return [_clamp(-s) for s in _row_sums(p * np.log2(p), idx, *counts.shape)]
 
 
-def _entropy_rows(rows, eff: int, bins: int) -> list[float]:
-    """Entropy of the symbols of each (zeros, symbols) row, as entropy() computes it."""
-    out = []
-    for counts in _count_chunks(rows, eff, bins, 1):
-        out += _entropies(counts, eff)
-    return out
+def _cond_entropies(pair: np.ndarray, eff: int, bins: int) -> list[float]:
+    """H(future | past) of each row of (future, past) counts, as self_conditional_entropy."""
+    past = pair.reshape(len(pair), bins, bins).sum(axis=1)
+    return [_clamp(a - b) for a, b in zip(_entropies(pair, eff), _entropies(past, eff))]
 
 
-def _cond_entropy_rows(rows, eff: int, bins: int) -> list[float]:
-    """H(future | past) of each (future * bins, past) row, as self_conditional_entropy."""
-    out = []
-    for counts in _count_chunks(rows, eff, bins, 2):
-        past = counts.reshape(len(counts), bins, bins).sum(axis=1)
-        out += [_clamp(a - b) for a, b in zip(_entropies(counts, eff), _entropies(past, eff))]
-    return out
+def _target_counts(sym: np.ndarray, dt: int, bins: int):
+    """Each row's (future, past) counts and past counts as a target, the
+    latter repeated over the future axis so that both are indexed alike."""
+    rows = np.arange(len(sym))
+    pair = _count_rows([(sym, rows, dt), (sym, rows, 0)], sym.shape[1] - dt, bins)
+    return pair, np.tile(pair.reshape(len(sym), bins, bins).sum(axis=1), bins)
 
 
-def _te_rows(rows, eff: int, bins: int) -> list[float]:
-    """TE of each (_te_base of the target, source) row, in order, as
-    transfer_entropy_from_joint computes it from (future, target past,
-    source past) counts."""
-    out = []
-    for counts in _count_chunks(rows, eff, bins, 3):
-        k = len(counts)
-        c3 = counts.reshape(k, bins, bins, bins)
-        c_fp = c3.sum(axis=3)  # (row, future, target past)
-        c_p = c_fp.sum(axis=1)  # (row, target past)
-        c_ps = c3.sum(axis=1)  # (row, target past, source past)
-        idx = np.flatnonzero(counts > 0)
-        num = (c3 * c_p[:, np.newaxis, :, np.newaxis]).ravel()[idx].astype(np.float64)
-        den = (c_ps[:, np.newaxis, :, :] * c_fp[:, :, :, np.newaxis]).ravel()[idx].astype(np.float64)
-        p = counts.ravel()[idx] / float(eff)
-        out += _row_sums(p * np.log2(num / den), idx // bins**3, k)
-    return out
+def _te_cells(k: int, bins: int):
+    """For each flat cell of k (future, past, source) count rows, its flat cell
+    in the rows' (future, past) and (past, source) counts."""
+    with _fits(bins, k * bins**3):
+        cells = np.arange(k * bins**3)
+        return cells // bins, cells // bins**3 * bins**2 + cells % bins**2
 
 
-def _mi_rows(rows, eff: int, bins: int) -> list[float]:
-    """MI of each (x * bins, y) row, in order, as mutual_information_from_joint
+def _te_sums(counts, c_fp, c_p, eff: int, bins: int, tables) -> list[float]:
+    """TE of each row of (k, bins**3) counts, as transfer_entropy_from_joint
+    computes it from (future, target past, source past) counts.
+
+    ``c_fp`` and ``c_p`` are the rows' target counts from _target_counts and
+    ``tables`` are _te_cells of at least k rows. Only the nonzero cells are
+    visited, in row-major order, so each row's terms are one contiguous run.
+    """
+    k, cells = counts.shape
+    flat = counts.ravel()
+    idx = np.flatnonzero(flat > 0)
+    c = flat[idx]
+    fp, ps = (table[idx] for table in tables)
+    c_ps = counts.reshape(k, bins, bins * bins).sum(axis=1).ravel()  # (row, target past, source past)
+    num = (c * c_p.ravel()[fp]).astype(np.float64)
+    den = (c_ps[ps] * c_fp.ravel()[fp]).astype(np.float64)
+    terms = c / float(eff) * np.log2(num / den)
+    return [_clamp(s) for s in _row_sums(terms, idx, k, cells)]
+
+
+def _mi_sums(counts, eff: int, bins: int) -> list[float]:
+    """MI of each row of (k, bins**2) counts, as mutual_information_from_joint
     computes it from (x, y) counts."""
-    out = []
-    for counts in _count_chunks(rows, eff, bins, 2):
-        k = len(counts)
-        c2 = counts.reshape(k, bins, bins)
-        c_x = c2.sum(axis=2)  # (row, x)
-        c_y = c2.sum(axis=1)  # (row, y)
-        idx = np.flatnonzero(counts > 0)
-        c = counts.ravel()[idx]
-        num = c.astype(np.float64) * float(eff)
-        den = (c_x[:, :, np.newaxis] * c_y[:, np.newaxis, :]).ravel()[idx].astype(np.float64)
-        p = c / float(eff)
-        out += _row_sums(p * np.log2(num / den), idx // bins**2, k)
-    return out
-
-
-def _te_base(target: np.ndarray, dt: int, bins: int) -> np.ndarray:
-    """(future * bins + past) * bins: the target's part of every triple code."""
-    eff = len(target) - dt
-    return (target[dt : dt + eff] * bins + target[:eff]) * bins
-
-
-def _te_pairs(windows, dt: int, bins: int):
-    """(target part, source) rows of every ordered pair, window by window,
-    target by target, sources in order."""
-    for win in windows:
-        pasts = [source[: len(source) - dt] for source in win]
-        for i, target in enumerate(win):
-            base = _te_base(target, dt, bins)
-            for j, source in enumerate(pasts):
-                if j != i:
-                    yield base, source
-
-
-def _mi_pairs(windows, bins: int):
-    """(x * bins, y) rows of every pair i < j, window by window, row-major."""
-    for win in windows:
-        for i, x in enumerate(win):
-            part = x * bins
-            for y in win[i + 1 :]:
-                yield part, y
+    k = len(counts)
+    c2 = counts.reshape(k, bins, bins)
+    c_x = c2.sum(axis=2)  # (row, x)
+    c_y = c2.sum(axis=1)  # (row, y)
+    idx = np.flatnonzero(counts > 0)
+    c = counts.ravel()[idx]
+    num = c.astype(np.float64) * float(eff)
+    den = (c_x[:, :, np.newaxis] * c_y[:, np.newaxis, :]).ravel()[idx].astype(np.float64)
+    terms = c / float(eff) * np.log2(num / den)
+    return [_clamp(s) for s in _row_sums(terms, idx, k, bins**2)]
 
 
 def te_matrices(windows, bins: int, dt: int = 1, asset_ids=None) -> list[InteractionMatrix]:
@@ -326,11 +346,22 @@ def te_matrices(windows, bins: int, dt: int = 1, asset_ids=None) -> list[Interac
     if n:
         _check_lags(len(first[0]), dt)
         _check_te_pairs(first, dt)
-        eff = len(first[0]) - dt
-        diagonal = ((win[i][dt:] * bins, win[i][:eff]) for win in windows for i in range(n))
-        values[:, np.arange(n), np.arange(n)] = np.reshape(_cond_entropy_rows(diagonal, eff, bins), (-1, n))
-        off = np.reshape(_te_rows(_te_pairs(windows, dt, bins), eff, bins), (len(windows), -1))
-        values[:, ~np.eye(n, dtype=bool)] = off
+        sym = np.asarray(windows, dtype=np.int64).reshape(len(windows) * n, -1)
+        eff = sym.shape[1] - dt
+        # every ordered pair, window by window, target by target, sources in order
+        off = ~np.eye(n, dtype=bool)
+        i, j = np.nonzero(off)
+        first_rows = np.arange(0, len(sym), n)[:, np.newaxis]
+        ti, si = (first_rows + i).ravel(), (first_rows + j).ravel()
+        # the tables first: bins too many to count fail before any count is held
+        tables = _te_cells(min(_per_count(eff, bins**3), len(ti)), bins)
+        pair, c_p = _target_counts(sym, dt, bins)
+        values[:, np.arange(n), np.arange(n)] = np.reshape(_cond_entropies(pair, eff, bins), (-1, n))
+        te = []
+        for r, counts in _chunks([(sym, ti, dt), (sym, ti, 0), (sym, si, 0)], eff, bins):
+            rows = ti[r : r + len(counts)]
+            te += _te_sums(counts, pair[rows], c_p[rows], eff, bins, tables)
+        values[:, off] = np.reshape(te, (len(windows), -1))
     return [
         InteractionMatrix(
             asset_ids=ids,
@@ -364,11 +395,18 @@ def mi_matrices(windows, bins: int, asset_ids=None) -> list[InteractionMatrix]:
         length = len(first[0])
         _check_lags(length, 0)
         _check_mi_pairs(first)
-        zeros = np.zeros(length, dtype=np.int64)
-        own = _entropy_rows(((zeros, x) for win in windows for x in win), length, bins)
+        sym = np.asarray(windows, dtype=np.int64).reshape(len(windows) * n, length)
+        own = _entropies(_count_rows([(sym, np.arange(len(sym)), 0)], length, bins), length)
         values[:, np.arange(n), np.arange(n)] = np.reshape(own, (-1, n))
+        # every pair i < j, window by window, row-major
         upper = np.triu(np.ones((n, n), dtype=bool), 1)
-        pairs = np.reshape(_mi_rows(_mi_pairs(windows, bins), length, bins), (len(windows), -1))
+        i, j = np.nonzero(upper)
+        first_rows = np.arange(0, len(sym), n)[:, np.newaxis]
+        ti, si = (first_rows + i).ravel(), (first_rows + j).ravel()
+        pairs = []
+        for _, counts in _chunks([(sym, ti, 0), (sym, si, 0)], length, bins):
+            pairs += _mi_sums(counts, length, bins)
+        pairs = np.reshape(pairs, (len(windows), -1))
         values[:, upper] = pairs
         values.transpose(0, 2, 1)[:, upper] = pairs
     return [
@@ -448,19 +486,27 @@ def te_floor_matrix(
         if shuffles < 1:
             raise ValueError("shuffles must be >= 1")
         _check_te_pairs(seqs, dt)
+        sym = np.stack([s.symbols for s in seqs])
+        length = sym.shape[1]
+        eff = length - dt
+        per = min(_per_count(eff, bins**3), shuffles)
+        tables = _te_cells(per, bins)
+        pair, c_p = _target_counts(sym, dt, bins)
         for i in range(n):
-            base = _te_base(seqs[i].symbols, dt, bins)
-            eff = len(base)
             for j in range(n):
                 if i != j:
                     # surrogate_floor's stream and order: one permutation per shuffle
                     ss = np.random.SeedSequence(entropy=seed, spawn_key=(i, j))
                     rng = np.random.Generator(np.random.PCG64(ss))
-                    src = seqs[j].symbols
-                    rows = ((base, src[rng.permutation(len(src))[:eff]]) for _ in range(shuffles))
                     acc = 0.0
-                    for te in _te_rows(rows, eff, bins):
-                        acc += te
+                    for r in range(0, shuffles, per):
+                        k = min(per, shuffles - r)
+                        perms = np.array([rng.permutation(length)[:eff] for _ in range(k)])
+                        rows = np.full(k, i)
+                        parts = [(sym, rows, dt), (sym, rows, 0), (sym[j][perms], slice(None), 0)]
+                        counts = _count(parts, eff, bins)
+                        for te in _te_sums(counts, pair[rows], c_p[rows], eff, bins, tables):
+                            acc += te
                     values[i, j] = acc / shuffles
     return InteractionMatrix(
         asset_ids=ids,

@@ -143,6 +143,16 @@ def _raise_first_fault(origin: str, n_header: int, numbers, rows, date_idx: int,
             raise NonPositivePrice(lineno, price, where=f"line {lineno}: {origin}")
 
 
+def _quoted_fields(line: str, lineno: int, origin: str) -> list[str]:
+    """The fields of a line that holds a quote, as csv.reader splits it; a
+    field csv.reader refuses (one longer than ``csv.field_size_limit()``)
+    raises MalformedRow naming the line."""
+    try:
+        return next(csv.reader((line,)))
+    except csv.Error as e:
+        raise MalformedRow(lineno, f"{origin}: {e}") from None
+
+
 def _parse_csv(text: str, schema: dict, origin: str) -> tuple[list[int], list[dt.date], np.ndarray]:
     """The line numbers, dates and prices of a CSV text's data rows, in file order.
 
@@ -157,7 +167,7 @@ def _parse_csv(text: str, schema: dict, origin: str) -> tuple[list[int], list[dt
     # Each line is read on its own, so an unterminated quote ends with its
     # line; only a line that holds a quote goes through csv.reader.
     kept = [lines[n - 1] for n in numbers]
-    rows = [next(csv.reader((line,))) if '"' in line else line.split(",") for line in kept]
+    rows = [_quoted_fields(line, n, origin) if '"' in line else line.split(",") for n, line in zip(numbers, kept)]
     header = [h.strip() for h in rows[0]]
     try:
         date_idx = header.index(schema["date"])

@@ -80,4 +80,4 @@ def linear_recurrence(coeffs, noise, x0):
 
 def joint_counts(codes, size):
     """Dense occurrence counts of flat cell codes in [0, size)."""
-    return np.bincount(codes, minlength=size).astype(np.int64)
+    return np.bincount(codes, minlength=size).astype(np.int64, copy=False)

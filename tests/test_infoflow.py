@@ -279,6 +279,24 @@ def test_batched_matrices_equal_per_pair_oracles_bit_for_bit(data):
     assert_bits_equal(floor, pairwise_floor(seqs, dt, shuffles, seed=7))
 
 
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_window_te_matrices_equal_per_pair_oracles_bit_for_bit(data):
+    # the evolve shape: several windows at 6-8 bins and 150-300 samples, so
+    # many rows have more than the 128 nonzero cells at which numpy's
+    # pairwise sum splits in two
+    bins = data.draw(st.integers(6, 8), label="bins")
+    length = data.draw(st.integers(150, 300), label="length")
+    n = data.draw(st.integers(2, 4), label="n")
+    windows = data.draw(st.integers(2, 4), label="windows")
+    dt = data.draw(st.integers(1, 2), label="dt")
+    used = data.draw(st.integers(bins - 1, bins), label="used")  # an unused bin leaves empty cells
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    symbols = rng.integers(0, used, size=(windows, n, length))
+    for win, m in zip(symbols, infoflow.te_matrices(symbols, bins, dt=dt)):
+        assert_bits_equal(m.values, pairwise_te([seq_of(s, bins) for s in win], dt))
+
+
 def _seqs(*lengths):
     rng = np.random.default_rng(16)
     return [seq_of(rng.integers(0, 3, size=t), 3) for t in lengths]
@@ -346,8 +364,10 @@ def test_batched_counts_stay_under_the_code_cap(code_counts):
 
 
 def test_window_te_matrix_shares_counts_across_targets(code_counts):
-    # an N=20 window of 250 samples at B=8: the 20 diagonals in one count,
-    # then the 380 ordered pairs 32 rows (2**14 cells) at a time across targets
+    # an N=20 window of 250 samples at B=8: the 20 targets' (future, past)
+    # counts in one count, which also give every TE row its target marginals,
+    # then the 380 ordered pairs 32 rows (2**14 cells) at a time, so a count
+    # holds the rows of two or three targets (19 rows each)
     rng = np.random.default_rng(18)
     seqs = [seq_of(rng.integers(0, 8, size=250), 8) for _ in range(20)]
     te_matrix(seqs)

@@ -375,6 +375,20 @@ def test_load_csv_undecodable_byte_names_path_and_line(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_load_csv_field_over_csv_limit_names_path_and_line(tmp_path):
+    # csv.reader refuses a field longer than csv.field_size_limit() (131072)
+    path = tmp_path / "big.csv"
+    path.write_text('Date,Adj Close\n2020-01-01,100\n2020-01-02,"' + "1" * 200_000 + '"\n')
+    with pytest.raises(MalformedRow) as err:
+        load_csv(path)
+    assert err.value.line == 3
+    assert str(err.value) == f"line 3: {path}: field larger than field limit ({csv.field_size_limit()})"
+    result = CliRunner().invoke(main, ["--out", str(tmp_path / "out"), "stats", str(path)])
+    assert result.exit_code == 2, result.output
+    assert result.output.endswith(f"error: {err.value}\n")
+    assert not (tmp_path / "out").exists()
+
+
 # The row-by-row reader that load_csv replaced, kept as the oracle of its
 # results and of its errors: the same exception, line and message.
 
