@@ -84,6 +84,9 @@ class RunConfig:
                 WindowSpec.parse(doc["windows"])
             except ValueError as e:
                 raise DataValidationError(f"windows: {e}") from None
+        for name, least in (("bins", 2), ("dt", 1), ("seed", 0)):
+            if doc.get(name, least) < least:
+                raise DataValidationError(f"{name}: expected an integer >= {least}, got {doc[name]!r}")
         threshold = doc.get("threshold", 0.0)
         if not (math.isfinite(threshold) and threshold >= 0):
             raise DataValidationError(f"threshold: expected a finite number >= 0, got {threshold!r}")

@@ -15,6 +15,7 @@ line, with the exception, line and message a row-by-row reader would give.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime as dt
 import io
@@ -116,12 +117,13 @@ class AlignedPanel:
 
 
 def _decode(data: bytes, origin: str) -> str:
-    """``data`` as UTF-8 text; an undecodable byte raises MalformedRow naming its line."""
+    """``data`` as UTF-8 text, without a leading byte-order mark; an
+    undecodable byte raises MalformedRow naming its line."""
     try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        line = len((data[: e.start].decode("utf-8") + "x").splitlines())
-        raise MalformedRow(line, f"{origin}: not UTF-8: byte 0x{data[e.start]:02x} ({e.reason})") from None
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as e:  # e.object and e.start are past the mark
+        line = len((e.object[: e.start].decode("utf-8") + "x").splitlines())
+        raise MalformedRow(line, f"{origin}: not UTF-8: byte 0x{e.object[e.start]:02x} ({e.reason})") from None
 
 
 def _raise_first_fault(origin: str, n_header: int, numbers, rows, date_idx: int, price_idx: int):
@@ -327,7 +329,7 @@ def _parse_json_payload(text: str, asset_id: str) -> tuple[range, list[dt.date],
 def _payload_to_series(payload: bytes, asset_id: str, schema: dict) -> PriceSeries:
     try:
         text = _decode(payload, asset_id)
-        if payload.lstrip()[:1] == b"{":
+        if payload.removeprefix(codecs.BOM_UTF8).lstrip()[:1] == b"{":
             return _build_series(asset_id, *_parse_json_payload(text, asset_id), unit="indices")
         return _build_series(asset_id, *_parse_csv(text, schema, origin=asset_id))
     except DataValidationError as e:

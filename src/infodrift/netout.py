@@ -320,9 +320,10 @@ def _graph_csv(g: InteractionGraph, fh, config: dict | None, threshold: float) -
 
 def _stats_csv(s: StatsSummary, fh, config: dict | None, threshold: float) -> None:
     _csv(fh, "stats", config)
-    fh.write(",".join(["asset", *_STATS_COLUMNS]) + "\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["asset", *_STATS_COLUMNS])
     for asset, *moments in s.rows():
-        fh.write(",".join([asset, *(repr(float(v)) for v in moments)]) + "\n")
+        writer.writerow([asset, *(repr(float(v)) for v in moments)])
 
 
 def _series_csv(s: PriceSeries, fh, config: dict | None, threshold: float) -> None:
@@ -333,6 +334,11 @@ def _series_csv(s: PriceSeries, fh, config: dict | None, threshold: float) -> No
 
 # ---------------------------------------------------------------- DOT
 
+def _dot_id(name: str) -> str:
+    """``name`` as a quoted DOT ID: ``\\"`` is the only escape Graphviz reads in one."""
+    return '"' + name.replace('"', '\\"') + '"'
+
+
 def graph_to_dot(g: InteractionGraph, config: dict | None = None) -> str:
     arrow = "->" if g.directed else "--"
     lines = []
@@ -340,9 +346,9 @@ def graph_to_dot(g: InteractionGraph, config: dict | None = None) -> str:
         lines.append(f"// config: {json.dumps(config, sort_keys=True)}")
     lines.append("digraph G {" if g.directed else "graph G {")
     for node in g.nodes:
-        lines.append(f'  "{node}";')
+        lines.append(f"  {_dot_id(node)};")
     for a, b, w in g.edges:
-        lines.append(f'  "{a}" {arrow} "{b}" [label="{w:.2f}"];')
+        lines.append(f'  {_dot_id(a)} {arrow} {_dot_id(b)} [label="{w:.2f}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -461,7 +467,7 @@ def _windowed_svg(w: WindowedResult, fh, config: dict | None, threshold: float) 
     width = left + k * cell + 24
     height = top + len(pairs) * cell + 56
     rows, cols = [i for _, _, i, _ in pairs], [j for _, _, _, j in pairs]
-    pair_vals = w.values_stack()[:, rows, cols].T
+    pair_vals = np.stack([e[4].values for e in w.entries])[:, rows, cols].T
     vmin, vmax, diverging = _scale(w.measure, pair_vals)
 
     _svg_open(fh, width, height, f"{w.measure} evolution", config)
@@ -495,22 +501,6 @@ def _windowed_svg(w: WindowedResult, fh, config: dict | None, threshold: float) 
     )
     _legend(fh, left, top + len(pairs) * cell + 24, k * cell, vmin, vmax, diverging)
     fh.write("</svg>\n")
-
-
-def _render(write, obj, config: dict | None) -> str:
-    fh = io.StringIO()
-    write(obj, fh, config, 0.0)
-    return fh.getvalue()
-
-
-def matrix_to_svg(m: InteractionMatrix, config: dict | None = None) -> str:
-    """Self-contained N x N heatmap with value labels and a legend."""
-    return _render(_matrix_svg, m, config)
-
-
-def windowed_to_svg(w: WindowedResult, config: dict | None = None) -> str:
-    """Pairs-by-windows heatmap: one row per ordered (or unordered) pair."""
-    return _render(_windowed_svg, w, config)
 
 
 # ---------------------------------------------------------------- emit

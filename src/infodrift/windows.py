@@ -6,9 +6,13 @@ Sliding mode steps a fixed-length window by a fixed stride while it fits.
 Window boundaries depend only on the sample count and the spec, never on the
 data. Quantile bin edges are re-fitted inside each window because the series
 cannot be assumed stationary; the choice is recorded in the result metadata.
-``evolve`` hands all windows of a measure to ``measures.evaluate_windows``,
-which bins and counts the windows of MI and TE together and gives each
-window the matrix ``compute_matrix`` would.
+
+``evolve`` is the windowed driver. Correlation and km_drift bin nothing, so
+it calls ``compute_matrix`` once per window. For MI and TE it rank-bins
+every window of every column with one ``bin_windows`` call per block of
+windows and counts all their rows through ``mi_matrices``/``te_matrices``.
+Each window's matrix is bit-identical to ``compute_matrix`` on that window,
+which a single-window evolve therefore equals too.
 """
 
 from __future__ import annotations
@@ -17,10 +21,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EstimatorError, TooFewSamples, WindowTooLarge
-from .matrices import InteractionMatrix
-from .measures import canonical_measure, evaluate_windows
+from .discretize import bin_windows
+from .errors import DegenerateSeries, EstimatorError, TooFewSamples, WindowTooLarge
+from .infoflow import mi_matrices, te_matrices
+from .measures import ENTROPY_MEASURES, canonical_measure, compute_matrix, with_bins
 from .stats import ReturnsMatrix
+
+# Symbols binned at once by evolve: 256 KiB of int64, six windows at the
+# pipeline benchmark's evolve-sliding shape (N=20, 456 windows of 250), whose
+# whole run peaks near 56 MB. Blocks of 2**17 symbols raised that peak by
+# 1 MB and of 2**18 by 5 MB, at the same speed.
+_BLOCK_SYMBOLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -74,12 +85,6 @@ class WindowedResult:
         if not self.entries:
             raise ValueError("windowed result cannot be empty")
 
-    def matrices(self) -> list[InteractionMatrix]:
-        return [e[4] for e in self.entries]
-
-    def values_stack(self) -> np.ndarray:
-        return np.stack([e[4].values for e in self.entries])
-
 
 def make_windows(t: int, spec: WindowSpec) -> list[tuple[int, int]]:
     """Half-open index windows [start, end) within [0, t)."""
@@ -105,6 +110,21 @@ def _labels(returns: ReturnsMatrix, start: int, end: int) -> tuple[str, str]:
     return str(start), str(end - 1)
 
 
+def _blocks(windows, n_assets: int):
+    """Runs of consecutive equal-length windows as ((idx, start, end), ...),
+    each holding at most _BLOCK_SYMBOLS symbols, or one window."""
+    block = []
+    for idx, (start, end) in enumerate(windows):
+        length = end - start
+        if block and (length != block[0][2] - block[0][1]
+                      or (len(block) + 1) * n_assets * length > _BLOCK_SYMBOLS):
+            yield block
+            block = []
+        block.append((idx, start, end))
+    if block:
+        yield block
+
+
 def evolve(
     returns: ReturnsMatrix,
     spec: WindowSpec,
@@ -117,19 +137,48 @@ def evolve(
 ) -> WindowedResult:
     """Apply one estimator per window; estimator parameters stay fixed.
 
-    ``measures.evaluate_windows`` computes every window of the measure in
-    one call. Estimator failures and too-short windows are re-raised naming
-    the measure and the offending window.
+    Each window's matrix equals ``compute_matrix`` on
+    ``returns.window(start, end)`` bit for bit. An estimator failure or
+    too-short window is the first error the per-window loop met, re-raised
+    naming the measure and the window (and, for a constant column, the asset).
     """
     measure = canonical_measure(measure)
     windows = make_windows(returns.n_samples, spec)
+    n = returns.n_assets
+
+    def estimate(x):
+        """Matrices of the windows whose columns are the rows of x, window-major."""
+        symbols, edges = bin_windows(x, bins, strategy)
+        symbols = symbols.reshape(-1, n, x.shape[1])
+        if measure == "mutual_information":
+            found = mi_matrices(symbols, bins, asset_ids=returns.asset_ids)
+        else:
+            found = te_matrices(symbols, bins, dt=dt, asset_ids=returns.asset_ids)
+        edges = edges.tolist()
+        return [with_bins(m, bins, strategy, edges[w * n : (w + 1) * n]) for w, m in enumerate(found)]
+
+    matrices = []
     try:
-        matrices = evaluate_windows(
-            returns, windows, measure, bins=bins, strategy=strategy, dt=dt,
-            step_duration=step_duration, ridge=ridge,
-        )
+        if measure not in ENTROPY_MEASURES:
+            for idx, (start, end) in enumerate(windows):
+                matrices.append(compute_matrix(
+                    returns.window(start, end), measure, bins=bins, strategy=strategy, dt=dt,
+                    step_duration=step_duration, ridge=ridge,
+                ))
+        else:
+            for block in _blocks(windows, n):
+                idx, start, end = block[0]
+                x = np.stack([returns.values[s:e].T for _, s, e in block]).reshape(len(block) * n, end - start)
+                try:
+                    matrices += estimate(x)
+                except DegenerateSeries as e:  # from bin_windows, which names the row
+                    w, k = divmod(e.row, n)
+                    if w:  # the per-window loop estimated the block's first window before binning this one
+                        estimate(x[:n])
+                    idx, start, end = block[w]
+                    raise DegenerateSeries(f"{returns.asset_ids[k]}: {e}") from e
     except (EstimatorError, TooFewSamples) as e:
-        raise type(e)(f"{measure}: {e}") from e
+        raise type(e)(f"{measure}: window {idx} [{start}:{end}): {e}") from e
     entries = tuple(
         (*_labels(returns, start, end), start, end, matrix)
         for (start, end), matrix in zip(windows, matrices)

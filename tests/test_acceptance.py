@@ -30,7 +30,7 @@ from infodrift import (
 from infodrift.discretize import SymbolSequence, bin_series
 from infodrift.infoflow import mi_matrix, te_matrix
 from infodrift.matrices import InteractionMatrix
-from infodrift.netout import emit, load_matrix_csv, load_matrix_json, matrix_to_svg
+from infodrift.netout import emit, load_matrix_csv, load_matrix_json
 from infodrift.stats import ReturnsMatrix, compute_returns, correlation_matrix, describe
 from infodrift.synth import binary_entropy
 from infodrift.windows import WindowSpec, make_windows
@@ -322,7 +322,9 @@ def test_criterion_9_invariant_suite(tmp_path):
     ))
 
     # SVG byte determinism
-    checks.append(("svg deterministic", matrix_to_svg(m) == matrix_to_svg(m)))
+    emit(m, "svg_heatmap", tmp_path / "a.svg")
+    emit(m, "svg_heatmap", tmp_path / "b.svg")
+    checks.append(("svg deterministic", (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()))
 
     failed = [name for name, ok in checks if not ok]
     _report(9, "invariant suite", not failed, f"{len(checks)} invariants" + (f"; failed: {failed}" if failed else ""))

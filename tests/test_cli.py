@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import json
 import os
@@ -52,6 +53,18 @@ def test_stats_two_asset_fixture(runner, tmp_path):
     doc = json.loads((out / "stats.json").read_text())
     assert [row["asset"] for row in doc["rows"]] == ["AAA", "BBB"]
     assert doc["config"]["config_version"] == 1
+
+
+def test_stats_csv_quotes_asset_ids(runner, tmp_path):
+    # an asset id is a file name, so it can hold a comma or a quote
+    paths = write_panel(tmp_path, ids=("A,1", 'B"q'))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["--out", str(out), "stats", *paths])
+    assert result.exit_code == 0, result.output
+    lines = [l for l in (out / "stats.csv").read_text().splitlines() if not l.startswith("#")]
+    rows = list(csv.reader(lines))
+    assert [len(row) for row in rows] == [5, 5, 5]
+    assert [row[0] for row in rows] == ["asset", "A,1", 'B"q']
 
 
 def test_stats_no_inputs_exit_2(runner, tmp_path):
@@ -595,16 +608,25 @@ def test_estimator_allocation_failure_exit_3_writes_nothing(runner, tmp_path, mo
     assert not out.exists()
 
 
-@pytest.mark.parametrize("args, config", [
-    (["--threshold", "-1"], None),
-    (["--threshold", "nan"], None),
-    (["--threshold", "inf"], None),
-    (["--config", "{config}"], '{"threshold": -0.5}'),
-    (["--config", "{config}"], '{"threshold": NaN}'),
-    (["--config", "{config}", "--threshold", "0.1"], '{"threshold": -Infinity}'),
-], ids=["flag-negative", "flag-nan", "flag-inf", "config-negative", "config-nan", "config-under-flag"])
-def test_threshold_not_finite_or_negative_exit_2_before_estimators(runner, tmp_path, monkeypatch, args, config):
-    # a threshold is checked where it is read, before any estimator runs or --out exists
+THRESHOLD = "error: threshold: expected a finite number >= 0"
+
+
+@pytest.mark.parametrize("args, config, message", [
+    (["--threshold", "-1"], None, THRESHOLD),
+    (["--threshold", "nan"], None, THRESHOLD),
+    (["--threshold", "inf"], None, THRESHOLD),
+    (["--config", "{config}"], '{"threshold": -0.5}', THRESHOLD),
+    (["--config", "{config}"], '{"threshold": NaN}', THRESHOLD),
+    (["--config", "{config}", "--threshold", "0.1"], '{"threshold": -Infinity}', THRESHOLD),
+    (["--dt", "0"], None, "error: dt: expected an integer >= 1, got 0\n"),
+    (["--config", "{config}"], '{"bins": 1}', "error: bins: expected an integer >= 2, got 1\n"),
+    (["--seed", "-1", "--surrogates", "3"], None, "error: seed: expected an integer >= 0, got -1\n"),
+], ids=["flag-negative", "flag-nan", "flag-inf", "config-negative", "config-nan", "config-under-flag",
+        "dt-zero", "config-bins-one", "seed-negative"])
+def test_threshold_not_finite_or_negative_exit_2_before_estimators(runner, tmp_path, monkeypatch, args, config,
+                                                                   message):
+    # a threshold, like bins, dt and seed, is checked where it is read, before
+    # any estimator runs or --out exists
     paths = write_panel(tmp_path)
     cfg_path = tmp_path / "run.json"
     if config is not None:
@@ -615,7 +637,7 @@ def test_threshold_not_finite_or_negative_exit_2_before_estimators(runner, tmp_p
     args = [a.format(config=cfg_path) for a in args]
     result = runner.invoke(main, [*args, "--out", str(out), "analyze", "--measures", "corr,te", *paths])
     assert result.exit_code == 2, result.output
-    assert "error: threshold: expected a finite number >= 0" in result.output
+    assert message in result.output
     assert calls == []
     assert not out.exists()
 

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import datetime as dt
 import json
@@ -252,6 +253,17 @@ def test_fetch_remote_json_payload(http_server):
     assert list(series.prices) == [10.0, 11.0]
 
 
+def test_fetch_remote_json_payload_after_byte_order_mark(http_server):
+    doc = {"timestamps": ["2020-01-01", "2020-01-02"], "closes": [10.0, 11.0]}
+    _Handler.responses["/q/K/2020-01-01/2020-01-31"] = (200, codecs.BOM_UTF8 + json.dumps(doc).encode())
+    series = fetch_remote(
+        http_server + "/q/{asset}/{start}/{end}",
+        "K",
+        (dt.date(2020, 1, 1), dt.date(2020, 1, 31)),
+    )
+    assert list(series.prices) == [10.0, 11.0]
+
+
 def test_fetch_remote_json_null_close_names_index(http_server):
     doc = {"timestamps": ["2020-01-01", "2020-01-02"], "closes": [10.0, None]}
     _Handler.responses["/q/N/2020-01-01/2020-01-31"] = (200, json.dumps(doc).encode())
@@ -373,6 +385,20 @@ def test_load_csv_undecodable_byte_names_path_and_line(tmp_path):
     assert result.exit_code == 2, result.output
     assert result.output.endswith(f"error: {err.value}\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    text = b"Date,Adj Close\r\n2020-01-01,100\r\n2020-01-02,101\r\n2020-01-03,102\r\n"
+    plain, marked, bad = tmp_path / "plain.csv", tmp_path / "marked.csv", tmp_path / "bad.csv"
+    plain.write_bytes(text)
+    marked.write_bytes(codecs.BOM_UTF8 + text)
+    a, b = load_csv(plain, asset_id="X"), load_csv(marked, asset_id="X")
+    assert a.dates == b.dates and np.array_equal(a.prices, b.prices)
+    # the line and byte of a fault past the mark are those of the file
+    bad.write_bytes(codecs.BOM_UTF8 + text.replace(b"101", b"1\xff1"))
+    with pytest.raises(MalformedRow) as err:
+        load_csv(bad)
+    assert str(err.value) == f"line 3: {bad}: not UTF-8: byte 0xff (invalid start byte)"
 
 
 def test_load_csv_field_over_csv_limit_names_path_and_line(tmp_path):

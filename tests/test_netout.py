@@ -20,8 +20,6 @@ from infodrift.netout import (
     graph_to_dot,
     load_matrix_csv,
     load_matrix_json,
-    matrix_to_svg,
-    windowed_to_svg,
 )
 from infodrift.stats import ReturnsMatrix
 from infodrift.windows import WindowedResult, WindowSpec
@@ -141,6 +139,15 @@ def test_dot_directed_format():
     assert '"A" -> "C" [label="0.20"];' in text
 
 
+def test_dot_escapes_quotes_in_asset_ids():
+    m = InteractionMatrix(
+        asset_ids=("A,1", 'B"q'), values=np.array([[1.0, 0.5], [0.5, 1.0]]),
+        measure="correlation", directed=False, units="dimensionless",
+    )
+    lines = graph_to_dot(matrix_to_graph(m, threshold=0.4)).splitlines()
+    assert lines[1:4] == ['  "A,1";', '  "B\\"q";', '  "A,1" -- "B\\"q" [label="0.50"];']
+
+
 def test_dot_node_order_is_input_order():
     text = graph_to_dot(matrix_to_graph(te_matrix_fixture(), threshold=99.0))
     lines = [l.strip() for l in text.splitlines()]
@@ -155,10 +162,11 @@ def test_svg_bytes_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_svg_matrix_golden_file():
-    text = matrix_to_svg(corr2x2(0.5))
-    golden = (DATA / "corr2x2_golden.svg").read_text()
-    assert text == golden
+def test_svg_matrix_golden_file(tmp_path):
+    path = tmp_path / "m.svg"
+    emit(corr2x2(0.5), "svg_heatmap", path)
+    golden = (DATA / "corr2x2_golden.svg").read_bytes()
+    assert path.read_bytes() == golden
 
 
 def test_windowed_outputs(tmp_path):
@@ -184,10 +192,12 @@ def test_windowed_outputs(tmp_path):
     assert spath.read_text() == svg1
 
 
-def test_windowed_svg_has_one_column_per_window():
+def test_windowed_svg_has_one_column_per_window(tmp_path):
     panel = gen_var1(np.array([[0.4, 0.1], [0.0, 0.3]]), sigma=1.0, steps=300, seed=4)
     result = evolve(panel, WindowSpec(mode="segmented", segments=10), "transfer_entropy", bins=2)
-    text = windowed_to_svg(result)
+    path = tmp_path / "w.svg"
+    emit(result, "svg_heatmap", path)
+    text = path.read_text()
     for k in range(10):
         assert f">w{k}</text>" in text
     # directed 2-asset panel: 2 ordered pair rows

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infodrift import compute_matrix, evolve, gen_coupled_binary, gen_var1, infoflow, make_windows, measures
+from infodrift import compute_matrix, evolve, gen_coupled_binary, gen_var1, infoflow, make_windows, windows
 from infodrift.discretize import bin_series, joint_histogram
 from infodrift.errors import DegenerateSeries, EstimatorError, LengthMismatch, TooFewSamples, WindowTooLarge
 from infodrift.infoflow import entropy, mutual_information, self_conditional_entropy, transfer_entropy
@@ -216,7 +216,7 @@ def specs(draw, t):
 def test_evolve_equals_per_window_oracles_bit_for_bit(returns, data, bins, dt, strategy, measure):
     spec = data.draw(specs(returns.n_samples), label="spec")
     # small blocks also put window runs of one length into several blocks
-    block = data.draw(st.sampled_from([1, 7, 40, 300, measures._BLOCK_SYMBOLS]), label="block")
+    block = data.draw(st.sampled_from([1, 7, 40, 300, windows._BLOCK_SYMBOLS]), label="block")
     codes = []
     real = infoflow.joint_counts
 
@@ -225,7 +225,7 @@ def test_evolve_equals_per_window_oracles_bit_for_bit(returns, data, bins, dt, s
         return real(c, size)
 
     expected = oracle_evolve(returns, spec, measure, bins, strategy, dt)
-    with mock.patch.object(measures, "_BLOCK_SYMBOLS", block), mock.patch.object(infoflow, "joint_counts", recording):
+    with mock.patch.object(windows, "_BLOCK_SYMBOLS", block), mock.patch.object(infoflow, "joint_counts", recording):
         if isinstance(expected, Exception):
             with pytest.raises(type(expected)) as err:
                 evolve(returns, spec, measure, bins=bins, strategy=strategy, dt=dt)
