@@ -225,8 +225,7 @@ def analyze(cfg: RunConfig, inputs, measures):
         names = _measure_names(cfg)
         returns = _load_panel(cfg)
         results = []
-        entropic = [name for name in names if name in ENTROPY_MEASURES]
-        seqs = None  # binned columns, kept while another entropy measure is to come
+        seqs = None  # the first entropy measure's binned columns, counted by the later ones
         for name in names:
             try:
                 matrix, basis = evaluate(returns, name, cfg.bins, cfg.strategy, cfg.dt, seqs=seqs)
@@ -241,10 +240,8 @@ def analyze(cfg: RunConfig, inputs, measures):
                     results.append(("transfer_entropy_floor", floor, netout.TABLE_FORMATS))
             except (EstimatorError, TooFewSamples) as e:
                 raise type(e)(f"{name}: {e}") from e
-            if name in entropic:
-                entropic.remove(name)
-                seqs = basis if entropic else None
-            del basis  # frees what no later measure uses before the next measure runs
+            if name in ENTROPY_MEASURES:
+                seqs = basis
             log.info("measure %s done", name)
         return results
 

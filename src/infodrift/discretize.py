@@ -177,6 +177,21 @@ def bin_series(column, bins: int, strategy: str = "quantile") -> SymbolSequence:
     return SymbolSequence(symbols=symbols[0], bins=bins, edges=edges[0])
 
 
+def aligned_length(lengths, lags) -> int:
+    """Samples left when sequences of these lengths are aligned at these lags,
+    checked in joint_histogram's order: lags >= 0, equal lengths, overlap."""
+    if any(lag < 0 for lag in lags):
+        raise ValueError("lags must be >= 0")
+    length = lengths[0]
+    if any(n != length for n in lengths):
+        raise LengthMismatch(f"sequence lengths differ: {list(lengths)}")
+    max_lag = max(lags)
+    eff = length - max_lag
+    if eff < 1:
+        raise EmptyOverlap(f"no samples left after lag alignment (length {length}, max lag {max_lag})")
+    return eff
+
+
 def joint_histogram(seqs: list[SymbolSequence], lags: list[int]) -> JointHistogram:
     """Joint counts of lagged symbols.
 
@@ -190,15 +205,8 @@ def joint_histogram(seqs: list[SymbolSequence], lags: list[int]) -> JointHistogr
         raise ValueError("one lag per sequence required")
     if not seqs:
         raise ValueError("at least one sequence required")
-    if any(lag < 0 for lag in lags):
-        raise ValueError("lags must be >= 0")
-    length = len(seqs[0])
-    if any(len(s) != length for s in seqs):
-        raise LengthMismatch(f"sequence lengths differ: {[len(s) for s in seqs]}")
+    eff = aligned_length([len(s) for s in seqs], lags)
     max_lag = max(lags)
-    eff = length - max_lag
-    if eff < 1:
-        raise EmptyOverlap(f"no samples left after lag alignment (length {length}, max lag {max_lag})")
 
     dims = tuple(s.bins for s in seqs)
     codes = np.zeros(eff, dtype=np.int64)

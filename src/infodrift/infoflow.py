@@ -36,7 +36,9 @@ and ``mi_matrices``; ``te_floor_matrix`` counts the shuffled sources of
 each pair. Their values are therefore bit-identical to
 ``transfer_entropy``, ``self_conditional_entropy``, ``mutual_information``,
 ``entropy`` and ``surrogate_floor``, which stay the public per-pair API and
-the reference oracles the tests compare against. Sequences with fewer bins
+the reference oracles the tests compare against. The builders check the
+pairs into the first target through the oracles' own input rules, so they
+raise what a per-pair loop met first. Sequences with fewer bins
 are padded to the largest bin count, which keeps the nonzero cells and
 their row-major order.
 
@@ -59,8 +61,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .discretize import JointHistogram, SymbolSequence, joint_histogram
-from .errors import EmptyOverlap, EstimatorError, LengthMismatch
+from .discretize import JointHistogram, SymbolSequence, aligned_length, joint_histogram
+from .errors import EstimatorError, LengthMismatch
 from .kernels import joint_counts
 from .matrices import ORIENTATION, InteractionMatrix
 
@@ -90,12 +92,17 @@ def entropy(hist: JointHistogram) -> float:
     return _entropy_counts(hist.counts, hist.total)
 
 
-def mutual_information(x: SymbolSequence, y: SymbolSequence) -> float:
-    """I(x; y) in bits from the empirical joint of the two sequences."""
+def _check_mi(x, y) -> None:
+    """mutual_information's input rule; x and y need only a length."""
     if len(x) != len(y):
         raise LengthMismatch(f"length {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise LengthMismatch("need at least 2 samples")
+
+
+def mutual_information(x: SymbolSequence, y: SymbolSequence) -> float:
+    """I(x; y) in bits from the empirical joint of the two sequences."""
+    _check_mi(x, y)
     hist = joint_histogram([x, y], lags=[0, 0])
     return mutual_information_from_joint(hist)
 
@@ -114,6 +121,16 @@ def mutual_information_from_joint(hist: JointHistogram) -> float:
     return _clamp(float((p * np.log2(num / den)).sum()))
 
 
+def _check_te(source, target, dt: int) -> None:
+    """transfer_entropy's input rule; source and target need only a length."""
+    if len(source) != len(target):
+        raise LengthMismatch(f"length {len(source)} vs {len(target)}")
+    if dt < 1:
+        raise ValueError("dt must be >= 1")
+    if len(target) < dt + 2:
+        raise LengthMismatch(f"need at least dt + 2 = {dt + 2} samples, got {len(target)}")
+
+
 def transfer_entropy(source: SymbolSequence, target: SymbolSequence, dt: int = 1) -> float:
     """Transfer entropy source -> target in bits, histories one step deep.
 
@@ -121,12 +138,7 @@ def transfer_entropy(source: SymbolSequence, target: SymbolSequence, dt: int = 1
     source_t) of p * log2[ p(target_future | both pasts) /
     p(target_future | own past) ].
     """
-    if len(source) != len(target):
-        raise LengthMismatch(f"length {len(source)} vs {len(target)}")
-    if dt < 1:
-        raise ValueError("dt must be >= 1")
-    if len(target) < dt + 2:
-        raise LengthMismatch(f"need at least dt + 2 = {dt + 2} samples, got {len(target)}")
+    _check_te(source, target, dt)
     triple = joint_histogram([target, target, source], lags=[0, dt, dt])
     return transfer_entropy_from_joint(triple)
 
@@ -155,40 +167,6 @@ def self_conditional_entropy(target: SymbolSequence, dt: int = 1) -> float:
 
 def _default_ids(n: int) -> tuple[str, ...]:
     return tuple(f"s{i}" for i in range(n))
-
-
-def _check_lags(length: int, dt: int) -> None:
-    """joint_histogram's checks on one sequence at lags [0, dt], in its order."""
-    if dt < 0:
-        raise ValueError("lags must be >= 0")
-    if length - dt < 1:
-        raise EmptyOverlap(f"no samples left after lag alignment (length {length}, max lag {dt})")
-
-
-def _check_te_pairs(seqs, dt: int) -> None:
-    """transfer_entropy's checks on the pairs into the first target, in its order.
-
-    Once the first target has been checked every pair shares its length, so
-    these raise what the per-pair loop raised first.
-    """
-    target = seqs[0]
-    for source in seqs[1:]:
-        if len(source) != len(target):
-            raise LengthMismatch(f"length {len(source)} vs {len(target)}")
-        if dt < 1:
-            raise ValueError("dt must be >= 1")
-        if len(target) < dt + 2:
-            raise LengthMismatch(f"need at least dt + 2 = {dt + 2} samples, got {len(target)}")
-
-
-def _check_mi_pairs(seqs) -> None:
-    """mutual_information's checks on the pairs (0, j), in its order."""
-    x = seqs[0]
-    for y in seqs[1:]:
-        if len(x) != len(y):
-            raise LengthMismatch(f"length {len(x)} vs {len(y)}")
-        if len(x) < 2:
-            raise LengthMismatch("need at least 2 samples")
 
 
 def _per_count(eff: int, cells: int) -> int:
@@ -344,10 +322,11 @@ def te_matrices(windows, bins: int, dt: int = 1, asset_ids=None) -> list[Interac
     ids = tuple(asset_ids) if asset_ids is not None else _default_ids(n)
     values = np.zeros((len(windows), n, n))
     if n:
-        _check_lags(len(first[0]), dt)
-        _check_te_pairs(first, dt)
+        # the per-pair loop's first checks: the first target's diagonal, then its sources
+        eff = aligned_length([len(first[0])] * 2, [0, dt])
+        for source in first[1:]:
+            _check_te(source, first[0], dt)
         sym = np.asarray(windows, dtype=np.int64).reshape(len(windows) * n, -1)
-        eff = sym.shape[1] - dt
         # every ordered pair, window by window, target by target, sources in order
         off = ~np.eye(n, dtype=bool)
         i, j = np.nonzero(off)
@@ -392,9 +371,9 @@ def mi_matrices(windows, bins: int, asset_ids=None) -> list[InteractionMatrix]:
     ids = tuple(asset_ids) if asset_ids is not None else _default_ids(n)
     values = np.zeros((len(windows), n, n))
     if n:
-        length = len(first[0])
-        _check_lags(length, 0)
-        _check_mi_pairs(first)
+        length = aligned_length([len(first[0])], [0])
+        for y in first[1:]:
+            _check_mi(first[0], y)
         sym = np.asarray(windows, dtype=np.int64).reshape(len(windows) * n, length)
         own = _entropies(_count_rows([(sym, np.arange(len(sym)), 0)], length, bins), length)
         values[:, np.arange(n), np.arange(n)] = np.reshape(own, (-1, n))
@@ -441,6 +420,11 @@ def te_matrix(seqs: list[SymbolSequence], dt: int = 1, asset_ids=None) -> Intera
     return te_matrices([[s.symbols for s in seqs]], bins, dt, asset_ids)[0]
 
 
+def _check_shuffles(shuffles: int) -> None:
+    if shuffles < 1:
+        raise ValueError("shuffles must be >= 1")
+
+
 def surrogate_floor(
     source: SymbolSequence,
     target: SymbolSequence,
@@ -453,8 +437,7 @@ def surrogate_floor(
     Shuffling destroys the source's temporal alignment while preserving its
     marginal, so the residual TE estimates the plug-in bias.
     """
-    if shuffles < 1:
-        raise ValueError("shuffles must be >= 1")
+    _check_shuffles(shuffles)
     rng = np.random.Generator(np.random.PCG64(seed))
     acc = 0.0
     for _ in range(shuffles):
@@ -483,9 +466,9 @@ def te_floor_matrix(
     bins = max((s.bins for s in seqs), default=1)
     values = np.zeros((n, n))
     if n > 1:
-        if shuffles < 1:
-            raise ValueError("shuffles must be >= 1")
-        _check_te_pairs(seqs, dt)
+        _check_shuffles(shuffles)
+        for source in seqs[1:]:
+            _check_te(source, seqs[0], dt)
         sym = np.stack([s.symbols for s in seqs])
         length = sym.shape[1]
         eff = length - dt

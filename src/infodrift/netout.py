@@ -289,11 +289,11 @@ def load_matrix_csv(path) -> InteractionMatrix:
 _EOL = csv.excel.lineterminator
 
 
-def _csv_prefix(*fields: str) -> str:
-    """``fields`` as ``csv.writer`` writes them in a row, and a comma."""
+def _csv_row(*fields: str) -> str:
+    """``fields`` as ``csv.writer`` writes them in a row, without its line ending."""
     buf = io.StringIO()
     csv.writer(buf).writerow(fields)
-    return buf.getvalue()[: -len(_EOL)] + ","
+    return buf.getvalue()[: -len(_EOL)]
 
 
 def _windowed_csv(w: WindowedResult, fh, config: dict | None, threshold: float) -> None:
@@ -302,11 +302,11 @@ def _windowed_csv(w: WindowedResult, fh, config: dict | None, threshold: float) 
     ids = w.entries[0][4].asset_ids
     pairs = list(_pairs(len(ids), directed=True, keep_self=True))
     rows, cols = [i for _, _, i, _ in pairs], [j for _, _, _, j in pairs]
-    pair_prefixes = [_csv_prefix(ids[a], ids[b]) for a, b, _, _ in pairs]
+    pair_prefixes = [_csv_row(ids[a], ids[b]) + "," for a, b, _, _ in pairs]
     writer = _csv(fh, "windowed", config, measure=w.measure)
     writer.writerow(["window_start", "window_end", "from_asset", "to_asset", "value"])
     for lo, hi, _, _, matrix in w.entries:
-        window = _csv_prefix(lo, hi)
+        window = _csv_row(lo, hi) + ","
         values = matrix.values[rows, cols].tolist()
         fh.write("".join([f"{window}{pair}{v!r}{_EOL}" for pair, v in zip(pair_prefixes, values)]))
 
@@ -319,11 +319,11 @@ def _graph_csv(g: InteractionGraph, fh, config: dict | None, threshold: float) -
 
 
 def _stats_csv(s: StatsSummary, fh, config: dict | None, threshold: float) -> None:
+    # rows end in \n, quoted as the default dialect quotes them: a \r too
     _csv(fh, "stats", config)
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["asset", *_STATS_COLUMNS])
+    fh.write(_csv_row("asset", *_STATS_COLUMNS) + "\n")
     for asset, *moments in s.rows():
-        writer.writerow([asset, *(repr(float(v)) for v in moments)])
+        fh.write(_csv_row(asset, *(repr(float(v)) for v in moments)) + "\n")
 
 
 def _series_csv(s: PriceSeries, fh, config: dict | None, threshold: float) -> None:
@@ -335,7 +335,10 @@ def _series_csv(s: PriceSeries, fh, config: dict | None, threshold: float) -> No
 # ---------------------------------------------------------------- DOT
 
 def _dot_id(name: str) -> str:
-    """``name`` as a quoted DOT ID: ``\\"`` is the only escape Graphviz reads in one."""
+    """``name`` as a quoted DOT ID: ``\\"`` is the only escape Graphviz reads in one,
+    so a trailing backslash would escape the closing quote and is refused."""
+    if name.endswith("\\"):
+        raise UnsupportedFormatForShape(f"{name}: a DOT ID cannot end in a backslash")
     return '"' + name.replace('"', '\\"') + '"'
 
 

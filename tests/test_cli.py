@@ -56,15 +56,24 @@ def test_stats_two_asset_fixture(runner, tmp_path):
 
 
 def test_stats_csv_quotes_asset_ids(runner, tmp_path):
-    # an asset id is a file name, so it can hold a comma or a quote
-    paths = write_panel(tmp_path, ids=("A,1", 'B"q'))
+    # an asset id is a file name, so it can hold a comma, a quote or a carriage return
+    paths = write_panel(tmp_path, ids=("A,1", 'B"q', "C\rq"))
     out = tmp_path / "out"
     result = runner.invoke(main, ["--out", str(out), "stats", *paths])
     assert result.exit_code == 0, result.output
-    lines = [l for l in (out / "stats.csv").read_text().splitlines() if not l.startswith("#")]
-    rows = list(csv.reader(lines))
-    assert [len(row) for row in rows] == [5, 5, 5]
-    assert [row[0] for row in rows] == ["asset", "A,1", 'B"q']
+    with open(out / "stats.csv", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if not row[0].startswith("#")]
+    assert [len(row) for row in rows] == [5, 5, 5, 5]
+    assert [row[0] for row in rows] == ["asset", "A,1", 'B"q', "C\rq"]
+
+
+def test_dot_asset_id_ending_in_a_backslash_exit_2_before_out(runner, tmp_path):
+    paths = write_panel(tmp_path, ids=("A\\", "BBB"))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["--out", str(out), "--format", "dot", "analyze", "--measures", "corr", *paths])
+    assert result.exit_code == 2, result.output
+    assert result.output.endswith("error: A\\: a DOT ID cannot end in a backslash\n")
+    assert not out.exists()
 
 
 def test_stats_no_inputs_exit_2(runner, tmp_path):
@@ -339,8 +348,11 @@ def test_simulate_unstable_exit_2(runner, tmp_path):
     (["--kind", "var1", "--matrix", "[[1e400]]"], "error: matrix: entries must be finite, got inf\n"),
     (["--kind", "var1", "--matrix", "[[0.5, 0.1]]"], "error: matrix: must be square, got shape (1, 2)\n"),
     (["--kind", "ou_euler", "--matrix", "[[0.5, 0.1]]"], "error: matrix: must be square, got shape (1, 2)\n"),
+    (["--kind", "coupled_binary", "--assets", "A,B,C"], "error: assets: coupled_binary emits exactly 2 series\n"),
+    (["--kind", "var1"], "error: matrix: --matrix is required for var1/ou_euler\n"),
+    (["--kind", "var1", "--matrix", "[[0.5"], "error: matrix: Expecting ',' delimiter: line 1 column 6 (char 5)\n"),
 ], ids=["duplicate-assets", "var1-assets", "ou-assets", "nan", "minus-infinity", "overflow",
-        "var1-not-square", "ou-not-square"])
+        "var1-not-square", "ou-not-square", "binary-assets", "no-matrix", "matrix-not-json"])
 def test_simulate_bad_names_or_matrix_exit_2_before_out(runner, tmp_path, args, message):
     out = tmp_path / "sim"
     result = runner.invoke(main, ["--out", str(out), "simulate", "--steps", "10", *args])
@@ -418,6 +430,23 @@ def test_config_unknown_field_exit_2(runner, tmp_path):
     result = runner.invoke(main, ["--config", str(cfg_path), "stats"])
     assert result.exit_code == 2
     assert "bogus_field" in result.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--config", "{tmp}/run.json", "analyze"],
+     "error: config {tmp}/run.json: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"),
+    (["--config", "{tmp}/none.json", "analyze"],
+     "error: config {tmp}/none.json: [Errno 2] No such file or directory: '{tmp}/none.json'\n"),
+    (["fetch", "--endpoint", "http://127.0.0.1:1/{asset}", "--assets", "GLD",
+      "--start", "2020-13-01", "--end", "2020-12-31"], "error: date: month must be in 1..12\n"),
+], ids=["config-not-json", "config-missing", "fetch-bad-date"])
+def test_unreadable_config_or_bad_date_exit_2_before_out(runner, tmp_path, args, message):
+    (tmp_path / "run.json").write_text("{not json")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["--out", str(out), *(a.replace("{tmp}", str(tmp_path)) for a in args)])
+    assert result.exit_code == 2, result.output
+    assert result.output.endswith(message.replace("{tmp}", str(tmp_path)))
+    assert not out.exists()
 
 
 def test_config_unknown_format_exit_2_before_out(runner, tmp_path):
@@ -578,9 +607,10 @@ CORR_TE = ["analyze", "--measures", "corr,te"]
     (["--windows", "segmented:5", "evolve", "--measures", "corr"], 3,
      "error: correlation: window 2 [24:36): BBB: zero variance\n", "flat-window"),
     (["analyze", "--measures", "mi,te"], 3, "error: mutual_information: BBB: all values equal\n", "flat"),
+    (["analyze", "--measures", ","], 2, "error: measures: at least one measure required\n", "random"),
 ], ids=["bins", "dt", "strategy", "threshold", "windows", "format-empty", "analyze-km", "evolve-km",
         "evolve-short-window", "analyze-short-lag", "evolve-flat-window", "evolve-corr-flat-window",
-        "analyze-flat"])
+        "analyze-flat", "no-measures"])
 def test_failed_run_writes_nothing(runner, tmp_path, args, code, message, panel):
     paths = PANELS[panel](tmp_path)
     cfg_path = tmp_path / "run.json"

@@ -324,10 +324,11 @@ def _seqs(*lengths):
 ], ids=["te-dt0", "te-lengths", "te-short", "te-no-overlap", "floor-dt0", "floor-lengths",
         "floor-no-shuffles", "mi-lengths", "mi-short"])
 def test_matrix_input_errors_are_the_per_pair_errors(build, oracle, error):
-    with pytest.raises(error):
+    with pytest.raises(error) as expected:
         oracle()
-    with pytest.raises(error):
+    with pytest.raises(error) as got:
         build()
+    assert str(got.value) == str(expected.value)
 
 
 def test_single_sequence_matrices_have_no_pairs():

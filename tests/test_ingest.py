@@ -352,8 +352,18 @@ def test_fetch_remote_network_error():
      "ODD: bad timestamp True at index 1"),
     (json.dumps({"timestamps": ["2020-01-01", "2020-01-02"], "closes": [1.5, True]}).encode(),
      "ODD: bad close True at index 1"),
+    (b"{bad", "ODD: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (json.dumps({"timestamps": [1]}).encode(), "ODD: JSON payload must have 'timestamps' and 'closes'"),
+    (json.dumps({"timestamps": ["2020-01-01"], "closes": [1, 2]}).encode(),
+     "ODD: timestamps (1) and closes (2) differ in length"),
+    (json.dumps({"timestamps": [], "closes": []}).encode(), "ODD: empty payload"),
+    (json.dumps({"timestamps": ["2020-02-30"], "closes": [1]}).encode(), "ODD: bad date '2020-02-30' at index 0"),
+    (json.dumps({"timestamps": ["2020-01-01", "2020-01-02"], "closes": [1, -2]}).encode(),
+     "ODD: non-positive close -2.0 at index 1"),
 ], ids=["csv-duplicate-date", "csv-zero-price", "json-one-row", "json-duplicate-date",
-        "json-not-lists", "json-timestamp-out-of-range", "json-bool-timestamp", "json-bool-close"])
+        "json-not-lists", "json-timestamp-out-of-range", "json-bool-timestamp", "json-bool-close",
+        "json-invalid", "json-no-closes", "json-lengths-differ", "json-empty", "json-bad-date",
+        "json-negative-close"])
 def test_fetch_cli_payload_fault_exit_3_names_asset(http_server, tmp_path, body, message):
     _Handler.responses["/q/ODD/2020-01-01/2020-01-31"] = (200, body)
     out = tmp_path / "out"

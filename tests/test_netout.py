@@ -148,6 +148,16 @@ def test_dot_escapes_quotes_in_asset_ids():
     assert lines[1:4] == ['  "A,1";', '  "B\\"q";', '  "A,1" -- "B\\"q" [label="0.50"];']
 
 
+def test_dot_refuses_an_asset_id_ending_in_a_backslash():
+    # Graphviz would read the id's last backslash and the closing quote as an escaped quote
+    m = InteractionMatrix(
+        asset_ids=("A\\", "B"), values=np.array([[1.0, 0.5], [0.5, 1.0]]),
+        measure="correlation", directed=False, units="dimensionless",
+    )
+    with pytest.raises(UnsupportedFormatForShape, match=r"^A\\: a DOT ID cannot end in a backslash$"):
+        graph_to_dot(matrix_to_graph(m, threshold=0.4))
+
+
 def test_dot_node_order_is_input_order():
     text = graph_to_dot(matrix_to_graph(te_matrix_fixture(), threshold=99.0))
     lines = [l.strip() for l in text.splitlines()]
