@@ -32,15 +32,21 @@ then form the same int64 products (c * c_p and c_ps * c_fp), the same
 ``p * log2(num / den)`` terms in row-major cell order and the same
 contiguous pairwise sum and clamp per row as the per-pair functions.
 ``te_matrix`` and ``mi_matrix`` are the one-window case of ``te_matrices``
-and ``mi_matrices``; ``te_floor_matrix`` counts the shuffled sources of
-each pair. Their values are therefore bit-identical to
-``transfer_entropy``, ``self_conditional_entropy``, ``mutual_information``,
-``entropy`` and ``surrogate_floor``, which stay the public per-pair API and
-the reference oracles the tests compare against. The builders check the
-pairs into the first target through the oracles' own input rules, so they
-raise what a per-pair loop met first. Sequences with fewer bins
-are padded to the largest bin count, which keeps the nonzero cells and
-their row-major order.
+and ``mi_matrices``, which return (windows, n, n) values that
+``as_te_matrix`` and ``as_mi_matrix`` make into matrices;
+``te_floor_matrix`` counts the shuffled sources of each pair. Their values
+are therefore bit-identical to ``transfer_entropy``,
+``self_conditional_entropy``, ``mutual_information``, ``entropy`` and
+``surrogate_floor``, which stay the public per-pair API and the reference
+oracles the tests compare against. The builders check the pairs into the
+first target through the oracles' own input rules, so they raise what a
+per-pair loop met first. Sequences with fewer bins are padded to the
+largest bin count, which keeps the nonzero cells and their row-major order.
+
+``te_floor_matrix`` counts one target row per ``kernels.fan_out`` task, on
+every CPU the process may run on. Each pair keeps its own seeded stream,
+its shuffle order and its order of summation, so the values do not depend
+on the number of workers.
 
 Each count holds at most ``_MAX_CODES`` codes (a longer row is counted in
 time chunks whose integer counts are added), and the estimates are formed
@@ -62,8 +68,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from .discretize import JointHistogram, SymbolSequence, aligned_length, joint_histogram
-from .errors import EstimatorError, LengthMismatch
-from .kernels import joint_counts
+from .errors import EstimatorError, LengthMismatch, TooFewSamples
+from .kernels import fan_out, joint_counts
 from .matrices import ORIENTATION, InteractionMatrix
 
 _NEG_TOL = -1e-9
@@ -128,7 +134,7 @@ def _check_te(source, target, dt: int) -> None:
     if dt < 1:
         raise ValueError("dt must be >= 1")
     if len(target) < dt + 2:
-        raise LengthMismatch(f"need at least dt + 2 = {dt + 2} samples, got {len(target)}")
+        raise TooFewSamples(f"need at least dt + 2 = {dt + 2} samples, got {len(target)}")
 
 
 def transfer_entropy(source: SymbolSequence, target: SymbolSequence, dt: int = 1) -> float:
@@ -165,8 +171,8 @@ def self_conditional_entropy(target: SymbolSequence, dt: int = 1) -> float:
     return _clamp(_entropy_counts(pair.counts, pair.total) - _entropy_counts(past, pair.total))
 
 
-def _default_ids(n: int) -> tuple[str, ...]:
-    return tuple(f"s{i}" for i in range(n))
+def _ids(asset_ids, n: int) -> tuple[str, ...]:
+    return tuple(asset_ids) if asset_ids is not None else tuple(f"s{i}" for i in range(n))
 
 
 def _per_count(eff: int, cells: int) -> int:
@@ -309,17 +315,18 @@ def _mi_sums(counts, eff: int, bins: int) -> list[float]:
     return [_clamp(s) for s in _row_sums(terms, idx, k, bins**2)]
 
 
-def te_matrices(windows, bins: int, dt: int = 1, asset_ids=None) -> list[InteractionMatrix]:
-    """te_matrix of each window, its rows counted together with the other windows'.
+def te_matrices(windows, bins: int, dt: int = 1) -> np.ndarray:
+    """te_matrix values of each window as one (windows, n, n) array, the
+    rows of every window counted together.
 
     ``windows[w][i]`` holds asset i's int64 symbols in window w, all in
     [0, bins); every window has the same assets and length. The first
-    window gets te_matrix's input checks. Each matrix is bit-identical to
-    te_matrix of its window's sequences, which is the one-window case.
+    window gets te_matrix's input checks. Each window's values are
+    bit-identical to te_matrix of its sequences, which is the one-window
+    case; ``as_te_matrix`` makes them its matrix.
     """
     first = windows[0]
     n = len(first)
-    ids = tuple(asset_ids) if asset_ids is not None else _default_ids(n)
     values = np.zeros((len(windows), n, n))
     if n:
         # the per-pair loop's first checks: the first target's diagonal, then its sources
@@ -341,34 +348,37 @@ def te_matrices(windows, bins: int, dt: int = 1, asset_ids=None) -> list[Interac
             rows = ti[r : r + len(counts)]
             te += _te_sums(counts, pair[rows], c_p[rows], eff, bins, tables)
         values[:, off] = np.reshape(te, (len(windows), -1))
-    return [
-        InteractionMatrix(
-            asset_ids=ids,
-            values=v,
-            measure="transfer_entropy",
-            directed=True,
-            units="bits",
-            params={
-                "orientation": ORIENTATION,
-                "dt": dt,
-                "history": {"target": 1, "source": 1},
-                "diagonal": "self conditional entropy H(next|current)",
-            },
-        )
-        for v in values
-    ]
+    return values
 
 
-def mi_matrices(windows, bins: int, asset_ids=None) -> list[InteractionMatrix]:
-    """mi_matrix of each window, its rows counted together with the other windows'.
+def as_te_matrix(values, dt: int = 1, asset_ids=None) -> InteractionMatrix:
+    """te_matrix's InteractionMatrix holding the given (n, n) values."""
+    return InteractionMatrix(
+        asset_ids=_ids(asset_ids, len(values)),
+        values=values,
+        measure="transfer_entropy",
+        directed=True,
+        units="bits",
+        params={
+            "orientation": ORIENTATION,
+            "dt": dt,
+            "history": {"target": 1, "source": 1},
+            "diagonal": "self conditional entropy H(next|current)",
+        },
+    )
+
+
+def mi_matrices(windows, bins: int) -> np.ndarray:
+    """mi_matrix values of each window as one (windows, n, n) array, the
+    rows of every window counted together.
 
     ``windows`` is laid out as for te_matrices; the first window gets
-    mi_matrix's input checks. Each matrix is bit-identical to mi_matrix of
-    its window's sequences, which is the one-window case.
+    mi_matrix's input checks. Each window's values are bit-identical to
+    mi_matrix of its sequences, which is the one-window case;
+    ``as_mi_matrix`` makes them its matrix.
     """
     first = windows[0]
     n = len(first)
-    ids = tuple(asset_ids) if asset_ids is not None else _default_ids(n)
     values = np.zeros((len(windows), n, n))
     if n:
         length = aligned_length([len(first[0])], [0])
@@ -388,17 +398,19 @@ def mi_matrices(windows, bins: int, asset_ids=None) -> list[InteractionMatrix]:
         pairs = np.reshape(pairs, (len(windows), -1))
         values[:, upper] = pairs
         values.transpose(0, 2, 1)[:, upper] = pairs
-    return [
-        InteractionMatrix(
-            asset_ids=ids,
-            values=v,
-            measure="mutual_information",
-            directed=False,
-            units="bits",
-            params={"diagonal": "self entropy H(x)"},
-        )
-        for v in values
-    ]
+    return values
+
+
+def as_mi_matrix(values, asset_ids=None) -> InteractionMatrix:
+    """mi_matrix's InteractionMatrix holding the given (n, n) values."""
+    return InteractionMatrix(
+        asset_ids=_ids(asset_ids, len(values)),
+        values=values,
+        measure="mutual_information",
+        directed=False,
+        units="bits",
+        params={"diagonal": "self entropy H(x)"},
+    )
 
 
 def mi_matrix(seqs: list[SymbolSequence], asset_ids=None) -> InteractionMatrix:
@@ -408,7 +420,7 @@ def mi_matrix(seqs: list[SymbolSequence], asset_ids=None) -> InteractionMatrix:
     for bit; values[j, i] is the same number.
     """
     bins = max((s.bins for s in seqs), default=1)
-    return mi_matrices([[s.symbols for s in seqs]], bins, asset_ids)[0]
+    return as_mi_matrix(mi_matrices([[s.symbols for s in seqs]], bins)[0], asset_ids)
 
 
 def te_matrix(seqs: list[SymbolSequence], dt: int = 1, asset_ids=None) -> InteractionMatrix:
@@ -417,7 +429,7 @@ def te_matrix(seqs: list[SymbolSequence], dt: int = 1, asset_ids=None) -> Intera
     Diagonals store the self conditional entropy H(i_{t+dt} | i_t).
     """
     bins = max((s.bins for s in seqs), default=1)
-    return te_matrices([[s.symbols for s in seqs]], bins, dt, asset_ids)[0]
+    return as_te_matrix(te_matrices([[s.symbols for s in seqs]], bins, dt)[0], dt, asset_ids)
 
 
 def _check_shuffles(shuffles: int) -> None:
@@ -459,10 +471,10 @@ def te_floor_matrix(
     """Surrogate-shuffle floor for every ordered pair, same layout as te_matrix.
 
     Each pair gets an independent deterministic substream keyed by (i, j), so
-    the result does not depend on evaluation order.
+    the result does not depend on evaluation order. Each target row is one
+    ``fan_out`` task, counted from the tables and target counts built before.
     """
     n = len(seqs)
-    ids = tuple(asset_ids) if asset_ids is not None else _default_ids(n)
     bins = max((s.bins for s in seqs), default=1)
     values = np.zeros((n, n))
     if n > 1:
@@ -475,7 +487,10 @@ def te_floor_matrix(
         per = min(_per_count(eff, bins**3), shuffles)
         tables = _te_cells(per, bins)
         pair, c_p = _target_counts(sym, dt, bins)
-        for i in range(n):
+
+        def floor_row(i):
+            """Row i: the floor of every source into target i."""
+            row = np.zeros(n)
             for j in range(n):
                 if i != j:
                     # surrogate_floor's stream and order: one permutation per shuffle
@@ -490,9 +505,12 @@ def te_floor_matrix(
                         counts = _count(parts, eff, bins)
                         for te in _te_sums(counts, pair[rows], c_p[rows], eff, bins, tables):
                             acc += te
-                    values[i, j] = acc / shuffles
+                    row[j] = acc / shuffles
+            return row
+
+        values = np.stack(fan_out(floor_row, n))
     return InteractionMatrix(
-        asset_ids=ids,
+        asset_ids=_ids(asset_ids, n),
         values=values,
         measure="transfer_entropy",
         directed=True,

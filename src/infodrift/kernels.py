@@ -1,5 +1,5 @@
-"""Kernels: the sequential recurrence behind the synthetic process generators
-and the histogram counter.
+"""Kernels: the sequential recurrence behind the synthetic process generators,
+the histogram counter and the process fan-out of the estimators.
 
 ``linear_recurrence`` steps x_{t+1} = C x_t + w_t in scalar Python floats,
 summing each component left to right from 0.0:
@@ -23,9 +23,26 @@ to a half (N >= 50) of what the scalar loop's did, so the compile pays for
 itself after 200 to 450 steps.
 
 ``joint_counts`` delegates to ``np.bincount``, which is integer-exact.
+
+``fan_out(task, count)`` returns ``[task(0), ..., task(count - 1)]``. It runs
+the tasks on forked worker processes, one per CPU this process may run on
+(``os.sched_getaffinity``, so ``taskset`` limits them; ``os.cpu_count``
+where that call is missing), never more than ``count``. With one CPU, or
+where the ``fork`` start method is not offered, it runs them in-process,
+which is the only serial path. Workers are forked, so a task may be a
+closure over arrays built before the call; only ``k`` and the task's
+result cross between processes, and a task should return plain arrays,
+numbers or lists (an unpickled array comes back writeable). A task that
+fails in a worker is run again in the calling process, so the caller sees
+the serial path's exception, with its type, message and ``__cause__``, and
+no exception has to be pickled. Every worker has exited when ``fan_out``
+returns or raises. Spans and counters that a tracer records inside a worker
+stay in that worker. Python 3.12 and later warn when forking a process
+that runs threads, such as an OpenBLAS thread pool.
 """
 
 import functools
+import os
 
 import numpy as np
 
@@ -81,3 +98,54 @@ def linear_recurrence(coeffs, noise, x0):
 def joint_counts(codes, size):
     """Dense occurrence counts of flat cell codes in [0, size)."""
     return np.bincount(codes, minlength=size).astype(np.int64, copy=False)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_task = None  # the task of a fan_out, set in each of its workers only
+
+
+def _adopt(task) -> None:
+    global _task
+    _task = task
+
+
+def _run(k):
+    """(True, task(k)) in a worker, or (False, None) for the caller to run it again."""
+    try:
+        return True, _task(k)
+    except Exception:  # the caller raises it from its own run, unpickled
+        return False, None
+
+
+def fan_out(task, count: int) -> list:
+    """[task(0), ..., task(count - 1)], computed on forked workers, one per CPU."""
+    workers = min(_cpus(), count)
+    if workers > 1:
+        # imported here: about 20 ms that a run with nothing to fan out never pays
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+
+            context = multiprocessing.get_context("fork")
+            pool = ProcessPoolExecutor(workers, context, initializer=_adopt, initargs=(task,))
+            try:
+                futures = [pool.submit(_run, k) for k in range(count)]
+                found = []
+                for future in futures:
+                    try:
+                        found.append(future.result())
+                    except BrokenProcessPool:  # a worker died; its tasks are run here
+                        found.append((False, None))
+            finally:
+                pool.shutdown(cancel_futures=True)
+            return [result if ok else task(k) for k, (ok, result) in enumerate(found)]
+    return [task(k) for k in range(count)]

@@ -11,8 +11,11 @@ cannot be assumed stationary; the choice is recorded in the result metadata.
 it calls ``compute_matrix`` once per window. For MI and TE it rank-bins
 every window of every column with one ``bin_windows`` call per block of
 windows and counts all their rows through ``mi_matrices``/``te_matrices``.
-Each window's matrix is bit-identical to ``compute_matrix`` on that window,
-which a single-window evolve therefore equals too.
+The blocks are independent, so each is one ``kernels.fan_out`` task, run on
+every CPU the process may run on: a task returns its windows' values and
+bin edges, and the calling process makes the matrices. Each window's matrix
+is bit-identical to ``compute_matrix`` on that window, which a
+single-window evolve therefore equals too, however many workers there are.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import numpy as np
 
 from .discretize import bin_windows
 from .errors import DegenerateSeries, EstimatorError, TooFewSamples, WindowTooLarge
-from .infoflow import mi_matrices, te_matrices
+from .infoflow import as_mi_matrix, as_te_matrix, mi_matrices, te_matrices
+from .kernels import fan_out
 from .measures import ENTROPY_MEASURES, canonical_measure, compute_matrix, with_bins
 from .stats import ReturnsMatrix
 
@@ -125,6 +129,12 @@ def _blocks(windows, n_assets: int):
         yield block
 
 
+def _in_window(e: Exception, measure: str, window) -> Exception:
+    """e, of its own type, naming the measure and the (idx, start, end) window."""
+    idx, start, end = window
+    return type(e)(f"{measure}: window {idx} [{start}:{end}): {e}")
+
+
 def evolve(
     returns: ReturnsMatrix,
     spec: WindowSpec,
@@ -146,39 +156,51 @@ def evolve(
     windows = make_windows(returns.n_samples, spec)
     n = returns.n_assets
 
-    def estimate(x):
-        """Matrices of the windows whose columns are the rows of x, window-major."""
-        symbols, edges = bin_windows(x, bins, strategy)
-        symbols = symbols.reshape(-1, n, x.shape[1])
-        if measure == "mutual_information":
-            found = mi_matrices(symbols, bins, asset_ids=returns.asset_ids)
-        else:
-            found = te_matrices(symbols, bins, dt=dt, asset_ids=returns.asset_ids)
-        edges = edges.tolist()
-        return [with_bins(m, bins, strategy, edges[w * n : (w + 1) * n]) for w, m in enumerate(found)]
-
-    matrices = []
-    try:
-        if measure not in ENTROPY_MEASURES:
-            for idx, (start, end) in enumerate(windows):
+    if measure not in ENTROPY_MEASURES:
+        matrices = []
+        for idx, (start, end) in enumerate(windows):
+            try:
                 matrices.append(compute_matrix(
                     returns.window(start, end), measure, bins=bins, strategy=strategy, dt=dt,
                     step_duration=step_duration, ridge=ridge,
                 ))
-        else:
-            for block in _blocks(windows, n):
-                idx, start, end = block[0]
-                x = np.stack([returns.values[s:e].T for _, s, e in block]).reshape(len(block) * n, end - start)
+            except (EstimatorError, TooFewSamples) as e:
+                raise _in_window(e, measure, (idx, start, end)) from e
+    else:
+        blocks = list(_blocks(windows, n))
+
+        def count(x):
+            """Values and bin edges of the windows whose columns are the rows of x, window-major."""
+            symbols, edges = bin_windows(x, bins, strategy)
+            symbols = symbols.reshape(-1, n, x.shape[1])
+            if measure == "mutual_information":
+                return mi_matrices(symbols, bins), edges
+            return te_matrices(symbols, bins, dt=dt), edges
+
+        def estimate(b):
+            """count of block b, its first error named as the per-window loop met it."""
+            block = blocks[b]
+            _, start, end = window = block[0]
+            x = np.stack([returns.values[s:e].T for _, s, e in block]).reshape(len(block) * n, end - start)
+            try:
                 try:
-                    matrices += estimate(x)
+                    return count(x)
                 except DegenerateSeries as e:  # from bin_windows, which names the row
                     w, k = divmod(e.row, n)
                     if w:  # the per-window loop estimated the block's first window before binning this one
-                        estimate(x[:n])
-                    idx, start, end = block[w]
+                        count(x[:n])
+                    window = block[w]
                     raise DegenerateSeries(f"{returns.asset_ids[k]}: {e}") from e
-    except (EstimatorError, TooFewSamples) as e:
-        raise type(e)(f"{measure}: window {idx} [{start}:{end}): {e}") from e
+            except (EstimatorError, TooFewSamples) as e:
+                raise _in_window(e, measure, window) from e
+
+        ids = returns.asset_ids
+        matrices = []
+        for values, edges in fan_out(estimate, len(blocks)):
+            edges = edges.tolist()
+            for w, v in enumerate(values):
+                m = as_mi_matrix(v, ids) if measure == "mutual_information" else as_te_matrix(v, dt, ids)
+                matrices.append(with_bins(m, bins, strategy, edges[w * n : (w + 1) * n]))
     entries = tuple(
         (*_labels(returns, start, end), start, end, matrix)
         for (start, end), matrix in zip(windows, matrices)

@@ -602,6 +602,10 @@ CORR_TE = ["analyze", "--measures", "corr,te"]
      "error: transfer_entropy: window 0 [0:6): need at least 8 samples for quantile binning, got 6", "random"),
     (["--dt", "60", "analyze", "--measures", "km"], 2,
      "error: km_drift: lag 60 leaves fewer than 2 increments in 59 samples", "random"),
+    (["--windows", "segmented:5", "--dt", "11", "evolve", "--measures", "te"], 2,
+     "error: transfer_entropy: window 0 [0:12): need at least dt + 2 = 13 samples, got 12\n", "random"),
+    (["--dt", "58", "analyze", "--measures", "te"], 2,
+     "error: transfer_entropy: need at least dt + 2 = 60 samples, got 59\n", "random"),
     (["--windows", "segmented:5", "evolve", "--measures", "te"], 3,
      "error: transfer_entropy: window 2 [24:36): BBB: all values equal\n", "flat-window"),
     (["--windows", "segmented:5", "evolve", "--measures", "corr"], 3,
@@ -609,7 +613,8 @@ CORR_TE = ["analyze", "--measures", "corr,te"]
     (["analyze", "--measures", "mi,te"], 3, "error: mutual_information: BBB: all values equal\n", "flat"),
     (["analyze", "--measures", ","], 2, "error: measures: at least one measure required\n", "random"),
 ], ids=["bins", "dt", "strategy", "threshold", "windows", "format-empty", "analyze-km", "evolve-km",
-        "evolve-short-window", "analyze-short-lag", "evolve-flat-window", "evolve-corr-flat-window",
+        "evolve-short-window", "analyze-short-lag", "evolve-short-te-lag", "analyze-short-te-lag",
+        "evolve-flat-window", "evolve-corr-flat-window",
         "analyze-flat", "no-measures"])
 def test_failed_run_writes_nothing(runner, tmp_path, args, code, message, panel):
     paths = PANELS[panel](tmp_path)

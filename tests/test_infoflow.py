@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from infodrift import (
     entropy,
     infoflow,
+    kernels,
     joint_histogram,
     mi_matrix,
     mutual_information,
@@ -18,7 +20,7 @@ from infodrift import (
     transfer_entropy,
 )
 from infodrift.discretize import JointHistogram, SymbolSequence
-from infodrift.errors import EmptyOverlap, EstimatorError, LengthMismatch
+from infodrift.errors import EmptyOverlap, EstimatorError, LengthMismatch, TooFewSamples
 from infodrift.infoflow import self_conditional_entropy
 from infodrift.synth import binary_entropy, gen_coupled_binary
 
@@ -136,7 +138,7 @@ def test_te_shifted_source_one_bit():
 
 
 def test_te_needs_enough_samples():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(TooFewSamples):
         transfer_entropy(seq_of([0, 1], 2), seq_of([1, 0], 2))
 
 
@@ -293,8 +295,8 @@ def test_window_te_matrices_equal_per_pair_oracles_bit_for_bit(data):
     used = data.draw(st.integers(bins - 1, bins), label="used")  # an unused bin leaves empty cells
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     symbols = rng.integers(0, used, size=(windows, n, length))
-    for win, m in zip(symbols, infoflow.te_matrices(symbols, bins, dt=dt)):
-        assert_bits_equal(m.values, pairwise_te([seq_of(s, bins) for s in win], dt))
+    for win, values in zip(symbols, infoflow.te_matrices(symbols, bins, dt=dt)):
+        assert_bits_equal(values, pairwise_te([seq_of(s, bins) for s in win], dt))
 
 
 def _seqs(*lengths):
@@ -308,7 +310,7 @@ def _seqs(*lengths):
     (lambda: te_matrix(_seqs(10, 10, 12)),
      lambda: transfer_entropy(*_seqs(12, 10)), LengthMismatch),
     (lambda: te_matrix(_seqs(4, 4), dt=3),
-     lambda: transfer_entropy(*_seqs(4, 4), dt=3), LengthMismatch),
+     lambda: transfer_entropy(*_seqs(4, 4), dt=3), TooFewSamples),
     (lambda: te_matrix(_seqs(4, 4), dt=4),
      lambda: self_conditional_entropy(_seqs(4)[0], dt=4), EmptyOverlap),
     (lambda: te_floor_matrix(_seqs(10, 10), dt=0),
@@ -340,7 +342,11 @@ def test_single_sequence_matrices_have_no_pairs():
 
 @pytest.fixture
 def code_counts(monkeypatch):
-    """The number of codes of every infoflow joint_counts call, in call order."""
+    """The number of codes of every infoflow joint_counts call, in call order.
+
+    Counts run in-process: a worker's calls would not reach the recorder.
+    """
+    monkeypatch.setattr(kernels, "_cpus", lambda: 1)
     sizes = []
     real = infoflow.joint_counts
 
@@ -373,6 +379,22 @@ def test_window_te_matrix_shares_counts_across_targets(code_counts):
     seqs = [seq_of(rng.integers(0, 8, size=250), 8) for _ in range(20)]
     te_matrix(seqs)
     assert code_counts == [20 * 249] + [32 * 249] * 11 + [28 * 249]
+
+
+def test_fanned_out_floor_equals_in_process(monkeypatch):
+    # one target row per fan_out task: two CPUs fork two workers, one CPU
+    # counts every row in-process, and the bits are the same
+    rng = np.random.default_rng(22)
+    seqs = [seq_of(rng.integers(0, 4, size=120), 4) for _ in range(4)]
+    found = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(kernels, "_cpus", lambda cpus=cpus: cpus)
+        found.append(te_floor_matrix(seqs, shuffles=7, seed=3))
+    assert multiprocessing.active_children() == []
+    fanned, alone = found
+    assert_bits_equal(fanned.values, alone.values)
+    assert_bits_equal(fanned.values, pairwise_floor(seqs, 1, 7, seed=3))
+    assert not fanned.values.flags.writeable
 
 
 def test_count_allocation_failure_is_an_estimator_error(monkeypatch):

@@ -1,15 +1,19 @@
 import importlib
 import importlib.util
 import math
+import multiprocessing
+import os
 import re
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infodrift import cli, discretize, infoflow, kernels, measures, stats, synth
+from infodrift.errors import MalformedRow
 
 SPANS = Path(__file__).resolve().parents[1] / "pipebench" / "spans.py"
 
@@ -148,3 +152,71 @@ def test_benchmark_trace_targets_exist():
     assert discretize.joint_counts is kernels.joint_counts
     assert infoflow.joint_counts is kernels.joint_counts
     assert synth.linear_recurrence is kernels.linear_recurrence
+
+
+# ---------------------------------------------------------------- fan_out
+
+def test_fan_out_keeps_order_and_runs_on_forked_workers(monkeypatch):
+    monkeypatch.setattr(kernels, "_cpus", lambda: 2)
+    scale = np.arange(3)  # a closure over an array: the task is never pickled
+    found = kernels.fan_out(lambda k: (scale * k, os.getpid()), 9)
+    assert [list(v) for v, _ in found] == [[0, k, 2 * k] for k in range(9)]
+    assert os.getpid() not in {pid for _, pid in found}
+    assert multiprocessing.active_children() == []
+
+
+def test_fan_out_runs_in_process_with_one_cpu_or_without_fork(monkeypatch):
+    def pid(k):
+        return os.getpid()
+
+    monkeypatch.setattr(kernels, "_cpus", lambda: 1)
+    assert kernels.fan_out(pid, 3) == [os.getpid()] * 3
+    monkeypatch.setattr(kernels, "_cpus", lambda: 2)
+    assert kernels.fan_out(pid, 1) == [os.getpid()]
+    assert kernels.fan_out(pid, 0) == []
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert kernels.fan_out(pid, 3) == [os.getpid()] * 3
+
+
+def test_fan_out_raises_the_first_error_of_the_serial_path(monkeypatch):
+    # MalformedRow takes two arguments, so it cannot be unpickled from its
+    # message; the calling process raises it from its own run of the task
+    monkeypatch.setattr(kernels, "_cpus", lambda: 2)
+    ran = []
+
+    def task(k):
+        ran.append(k)
+        if k == 2:
+            raise MalformedRow(7, "bad price") from KeyError(k)
+        if k == 4:
+            raise ValueError("not the first error")
+        return k
+
+    with pytest.raises(MalformedRow) as err:
+        kernels.fan_out(task, 6)
+    assert str(err.value) == "line 7: bad price" and err.value.line == 7
+    assert type(err.value.__cause__) is KeyError
+    assert ran == [2]  # the calling process runs only the task that failed first
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("failure", ["raises", "dies"])
+def test_fan_out_reruns_a_task_that_failed_only_in_a_worker(monkeypatch, failure):
+    # a task that raises, or a worker that dies (and breaks the pool), in a
+    # worker only: the calling process runs the tasks left without a result
+    monkeypatch.setattr(kernels, "_cpus", lambda: 2)
+    caller = os.getpid()
+
+    def task(k):
+        if os.getpid() != caller and k == 3:
+            if failure == "dies":
+                os._exit(1)
+            raise MemoryError("worker out of memory")
+        return k * k
+
+    assert kernels.fan_out(task, 7) == [k * k for k in range(7)]
+    assert multiprocessing.active_children() == []
+
+
+def test_cpus_follow_the_affinity_mask():
+    assert kernels._cpus() == len(os.sched_getaffinity(0))

@@ -1,3 +1,4 @@
+import multiprocessing
 from unittest import mock
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infodrift import compute_matrix, evolve, gen_coupled_binary, gen_var1, infoflow, make_windows, windows
+from infodrift import compute_matrix, evolve, gen_coupled_binary, gen_var1, infoflow, kernels, make_windows, windows
 from infodrift.discretize import bin_series, joint_histogram
-from infodrift.errors import DegenerateSeries, EstimatorError, LengthMismatch, TooFewSamples, WindowTooLarge
+from infodrift.errors import DegenerateSeries, EstimatorError, TooFewSamples, WindowTooLarge
 from infodrift.infoflow import entropy, mutual_information, self_conditional_entropy, transfer_entropy
 from infodrift.stats import ReturnsMatrix
 from infodrift.windows import WindowSpec
@@ -225,7 +226,10 @@ def test_evolve_equals_per_window_oracles_bit_for_bit(returns, data, bins, dt, s
         return real(c, size)
 
     expected = oracle_evolve(returns, spec, measure, bins, strategy, dt)
-    with mock.patch.object(windows, "_BLOCK_SYMBOLS", block), mock.patch.object(infoflow, "joint_counts", recording):
+    # in-process, so that every count reaches the recorder; the fork path is
+    # held to the in-process one by test_fanned_out_evolve_equals_in_process
+    with mock.patch.object(windows, "_BLOCK_SYMBOLS", block), mock.patch.object(infoflow, "joint_counts", recording), \
+            mock.patch.object(kernels, "_cpus", lambda: 1):
         if isinstance(expected, Exception):
             with pytest.raises(type(expected)) as err:
                 evolve(returns, spec, measure, bins=bins, strategy=strategy, dt=dt)
@@ -255,7 +259,7 @@ def test_long_windows_are_counted_in_capped_calls():
         return real(c, size)
 
     spec = WindowSpec(mode="segmented", segments=2)
-    with mock.patch.object(infoflow, "joint_counts", recording):
+    with mock.patch.object(infoflow, "joint_counts", recording), mock.patch.object(kernels, "_cpus", lambda: 1):
         for measure in ("mutual_information", "transfer_entropy"):
             result = evolve(returns, spec, measure, bins=8)
             for (start, end), entry in zip(make_windows(returns.n_samples, spec), result.entries):
@@ -273,7 +277,7 @@ def _short_windows(flat_window):
 
 @pytest.mark.parametrize("flat_window, error, message", [
     (0, DegenerateSeries, "transfer_entropy: window 0 [0:3): A1: all values equal"),
-    (1, LengthMismatch, "transfer_entropy: window 0 [0:3): need at least dt + 2 = 4 samples, got 3"),
+    (1, TooFewSamples, "transfer_entropy: window 0 [0:3): need at least dt + 2 = 4 samples, got 3"),
 ], ids=["flat-first", "flat-later"])
 def test_window_error_is_the_first_the_per_window_loop_met(flat_window, error, message):
     # window 0 is binned before its estimator checks the lag, and window 1 after
@@ -281,3 +285,66 @@ def test_window_error_is_the_first_the_per_window_loop_met(flat_window, error, m
     with pytest.raises(error) as err:
         evolve(_short_windows(flat_window), spec, "te", bins=2, dt=2)
     assert str(err.value) == message
+
+
+# ---------------------------------------------------------------- fan-out
+# evolve counts each block of MI/TE windows as one kernels.fan_out task: two
+# CPUs fork two workers, one CPU counts every block in-process, and both
+# give the same bits and the same first error. 12 windows of 40 samples on
+# 3 assets, two windows to a block of 240 symbols, so six tasks.
+
+def _fan_out_panel(flat=False):
+    values = np.round(np.random.default_rng(21).normal(size=(480, 3)) * 0.01, 3)
+    if flat:  # A1 constant in window 9, the second window of the fifth block
+        values[360:400, 1] = 0.5
+    return returns_of(values)
+
+
+def _evolve_on(cpus, returns, measure, **kwargs):
+    spec = WindowSpec(mode="segmented", segments=12)
+    with mock.patch.object(kernels, "_cpus", lambda: cpus), mock.patch.object(windows, "_BLOCK_SYMBOLS", 240):
+        return evolve(returns, spec, measure, bins=4, **kwargs)
+
+
+@pytest.mark.parametrize("measure", ["mutual_information", "transfer_entropy"])
+def test_fanned_out_evolve_equals_in_process(measure):
+    returns = _fan_out_panel()
+    fanned, alone = (_evolve_on(cpus, returns, measure) for cpus in (2, 1))
+    assert multiprocessing.active_children() == []
+    assert len(fanned.entries) == len(alone.entries) == 12
+    for got, expected in zip(fanned.entries, alone.entries):
+        assert got[:4] == expected[:4]
+        assert np.array_equal(bits(got[4].values), bits(expected[4].values))
+        assert not got[4].values.flags.writeable
+        edges = [list(m.params.pop("bin_edges").values()) for m in (got[4], expected[4])]
+        assert np.array_equal(bits(edges[0]), bits(edges[1]))
+        assert got[4].params == expected[4].params
+
+
+def _no_memory(codes, size):
+    raise MemoryError(f"cannot allocate {size} counts")
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("flat-later-block", DegenerateSeries, "transfer_entropy: window 9 [360:400): A1: all values equal"),
+    ("lag", TooFewSamples, "transfer_entropy: window 0 [0:40): need at least dt + 2 = 41 samples, got 40"),
+    ("no-memory", EstimatorError, "transfer_entropy: window 0 [0:40): bins 4: a count of 96 histogram cells"),
+])
+def test_fanned_out_evolve_errors_equal_in_process(monkeypatch, case, error, message):
+    # the first error of the in-process loop, raised in a worker and again,
+    # from the rerun of its task, in the calling process
+    returns, dt = _fan_out_panel(flat=case == "flat-later-block"), 1
+    if case == "lag":
+        dt = 39
+    elif case == "no-memory":  # in every worker too
+        monkeypatch.setattr(infoflow, "joint_counts", _no_memory)
+    found = []
+    for cpus in (2, 1):
+        with pytest.raises(error) as err:
+            _evolve_on(cpus, returns, "transfer_entropy", dt=dt)
+        found.append(err.value)
+    assert multiprocessing.active_children() == []
+    fanned, alone = found
+    assert str(fanned).startswith(message)
+    assert type(fanned) is type(alone) and str(fanned) == str(alone)
+    assert type(fanned.__cause__) is type(alone.__cause__)
