@@ -18,8 +18,10 @@ every asset, and in ``te_matrices`` and ``mi_matrices`` of every window, are
 stacked into one array, and each row of a count is one (target, source)
 pair picked from it by index arrays. So rows of different targets and
 windows share one ``joint_counts`` call, and a count's codes are built one
-axis at a time by gathering those rows, with no per-row Python slice. The
-diagonals (self conditional entropy, own entropy) are rows of the same core.
+axis at a time by gathering those rows, with no per-row Python slice; the
+(future, past) part of a TE code is built once for each target of the count
+and gathered for its sources. The diagonals (self conditional entropy, own
+entropy) are rows of the same core.
 
 A TE row visits only its nonzero (future, target past, source past) cells,
 about 197 of 512 at 8 bins and 250 samples. The target's marginals c_fp
@@ -53,12 +55,12 @@ time chunks whose integer counts are added), and the estimates are formed
 one such chunk at a time. The cap exists for memory: the pipeline
 benchmark's surrogate-floor workload peaks at about 45 MB with a bound of
 +10 %, and counting all 100 shuffles of a pair at once cost 8 MB there.
-For the same reason no target part is stored per row: at 10^6 samples a
-stored copy of every target's codes next to the stacked symbols raised the
-simulate-long peak by 15 MB. The lookup tables hold two entries per cell of
-one count. A count or table too large to allocate at all (``--bins 2000``
-asks 8e9 TE cells per row) raises EstimatorError naming the bins and the
-cells.
+For the same reason a target's part is built per count, not stored: at
+10^6 samples a stored copy of every target's codes next to the stacked
+symbols raised the simulate-long peak by 15 MB. The lookup tables hold two
+entries per cell of one count. A count or table too large to allocate at
+all (``--bins 2000`` asks 8e9 TE cells per row) raises EstimatorError
+naming the bins and the cells.
 """
 
 from __future__ import annotations
@@ -192,29 +194,44 @@ def _fits(bins: int, cells: int):
         ) from None
 
 
-def _count(parts, eff: int, bins: int) -> np.ndarray:
-    """(k, bins**axes) counts of k rows of codes, one axis per part.
+def _cells(parts, bins: int) -> int:
+    """Cells of one row's count of the parts: one axis per lag."""
+    return bins ** sum(len(lags) for _, _, lags in parts)
 
-    Each part is (symbols, rows, lag): at time t in [0, eff) axis a of row r
-    holds ``symbols[rows[r], lag + t]``, and the axes make a row-major code,
-    the first part's the slowest. The first part's ``rows`` is an index
-    array of k rows; a later part's may also be a slice. Row r is offset by
-    ``r * cells`` so that one joint_counts call counts every row; a row
-    longer than _MAX_CODES is counted in time chunks whose counts are added.
+
+def _count(parts, eff: int, bins: int) -> np.ndarray:
+    """(k, bins**axes) counts of k rows of codes, one axis per lag of each part.
+
+    Each part is (symbols, rows, lags): at time t in [0, eff) the axis of a
+    lag in ``lags`` of row r holds ``symbols[rows[r], lag + t]``, and the
+    axes make a row-major code, the first part's first lag the slowest. The
+    first part's ``rows`` is a nondecreasing index array of k rows, and its
+    code is built once for each row from ``rows[0]`` to ``rows[-1]`` and then
+    gathered: a target's (future, past) code is built once however many
+    sources it is counted with. A later part's rows may also be a slice. Row
+    r is offset by ``r * cells`` so that one joint_counts call counts every
+    row; a row longer than _MAX_CODES is counted in time chunks whose counts
+    are added.
     """
-    (first, rows, lag), *rest = parts
+    (first, rows, lags), *rest = parts
     k = len(rows)
-    cells = bins ** len(parts)
+    cells = _cells(parts, bins)
     span = min(eff, _MAX_CODES)
     offsets = np.arange(0, k * cells, cells, dtype=np.int64)[:, np.newaxis]
+    lo, hi = int(rows[0]), int(rows[-1]) + 1
+    own = rows - lo
     with _fits(bins, k * cells):
         counts = None
         for t in range(0, eff, span):
             end = min(t + span, eff)
-            codes = first[rows, lag + t : lag + end]
-            for symbols, rows_a, lag_a in rest:
-                codes *= bins
-                codes += symbols[rows_a, lag_a + t : lag_a + end]
+            codes = first[lo:hi, lags[0] + t : lags[0] + end]
+            for lag in lags[1:]:
+                codes = codes * bins + first[lo:hi, lag + t : lag + end]
+            codes = codes[own]
+            for symbols, rows_a, lags_a in rest:
+                for lag in lags_a:
+                    codes *= bins
+                    codes += symbols[rows_a, lag + t : lag + end]
             codes += offsets
             found = joint_counts(codes.ravel(), k * cells)
             if counts is None:
@@ -227,14 +244,14 @@ def _count(parts, eff: int, bins: int) -> np.ndarray:
 def _chunks(parts, eff: int, bins: int):
     """Yield (r, counts): _count of the parts' rows r to r + len(counts),
     _per_count rows at a time."""
-    per = _per_count(eff, bins ** len(parts))
+    per = _per_count(eff, _cells(parts, bins))
     for r in range(0, len(parts[0][1]), per):
-        yield r, _count([(symbols, rows[r : r + per], lag) for symbols, rows, lag in parts], eff, bins)
+        yield r, _count([(symbols, rows[r : r + per], lags) for symbols, rows, lags in parts], eff, bins)
 
 
 def _count_rows(parts, eff: int, bins: int) -> np.ndarray:
     """Every row's counts of the parts, as one (rows, bins**axes) array."""
-    cells = bins ** len(parts)
+    cells = _cells(parts, bins)
     with _fits(bins, len(parts[0][1]) * cells):
         counts = np.empty((len(parts[0][1]), cells), dtype=np.int64)
     for r, found in _chunks(parts, eff, bins):
@@ -268,7 +285,7 @@ def _target_counts(sym: np.ndarray, dt: int, bins: int):
     """Each row's (future, past) counts and past counts as a target, the
     latter repeated over the future axis so that both are indexed alike."""
     rows = np.arange(len(sym))
-    pair = _count_rows([(sym, rows, dt), (sym, rows, 0)], sym.shape[1] - dt, bins)
+    pair = _count_rows([(sym, rows, (dt, 0))], sym.shape[1] - dt, bins)
     return pair, np.tile(pair.reshape(len(sym), bins, bins).sum(axis=1), bins)
 
 
@@ -344,7 +361,7 @@ def te_matrices(windows, bins: int, dt: int = 1) -> np.ndarray:
         pair, c_p = _target_counts(sym, dt, bins)
         values[:, np.arange(n), np.arange(n)] = np.reshape(_cond_entropies(pair, eff, bins), (-1, n))
         te = []
-        for r, counts in _chunks([(sym, ti, dt), (sym, ti, 0), (sym, si, 0)], eff, bins):
+        for r, counts in _chunks([(sym, ti, (dt, 0)), (sym, si, (0,))], eff, bins):
             rows = ti[r : r + len(counts)]
             te += _te_sums(counts, pair[rows], c_p[rows], eff, bins, tables)
         values[:, off] = np.reshape(te, (len(windows), -1))
@@ -385,7 +402,7 @@ def mi_matrices(windows, bins: int) -> np.ndarray:
         for y in first[1:]:
             _check_mi(first[0], y)
         sym = np.asarray(windows, dtype=np.int64).reshape(len(windows) * n, length)
-        own = _entropies(_count_rows([(sym, np.arange(len(sym)), 0)], length, bins), length)
+        own = _entropies(_count_rows([(sym, np.arange(len(sym)), (0,))], length, bins), length)
         values[:, np.arange(n), np.arange(n)] = np.reshape(own, (-1, n))
         # every pair i < j, window by window, row-major
         upper = np.triu(np.ones((n, n), dtype=bool), 1)
@@ -393,7 +410,7 @@ def mi_matrices(windows, bins: int) -> np.ndarray:
         first_rows = np.arange(0, len(sym), n)[:, np.newaxis]
         ti, si = (first_rows + i).ravel(), (first_rows + j).ravel()
         pairs = []
-        for _, counts in _chunks([(sym, ti, 0), (sym, si, 0)], length, bins):
+        for _, counts in _chunks([(sym, ti, (0,)), (sym, si, (0,))], length, bins):
             pairs += _mi_sums(counts, length, bins)
         pairs = np.reshape(pairs, (len(windows), -1))
         values[:, upper] = pairs
@@ -501,7 +518,7 @@ def te_floor_matrix(
                         k = min(per, shuffles - r)
                         perms = np.array([rng.permutation(length)[:eff] for _ in range(k)])
                         rows = np.full(k, i)
-                        parts = [(sym, rows, dt), (sym, rows, 0), (sym[j][perms], slice(None), 0)]
+                        parts = [(sym, rows, (dt, 0)), (sym[j][perms], slice(None), (0,))]
                         counts = _count(parts, eff, bins)
                         for te in _te_sums(counts, pair[rows], c_p[rows], eff, bins, tables):
                             acc += te

@@ -23,8 +23,6 @@ import json
 import math
 import os
 import tempfile
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 
 import numpy as np
@@ -365,6 +363,10 @@ def fetch_remote(
     if cached and os.path.exists(cached):
         with open(cached, "rb") as fh:
             return _payload_to_series(fh.read(), asset_id, schema)
+    # imported here: it imports http.client, ssl and email, which only a fetch needs
+    import urllib.error
+    import urllib.request
+
     url = endpoint.format(asset=asset_id, start=start.isoformat(), end=end.isoformat())
     try:
         with urllib.request.urlopen(url, timeout=timeout) as resp:

@@ -1,5 +1,5 @@
 """Kernels: the sequential recurrence behind the synthetic process generators,
-the histogram counter and the process fan-out of the estimators.
+the histogram counter and the process fan-out of the estimators and writers.
 
 ``linear_recurrence`` steps x_{t+1} = C x_t + w_t in scalar Python floats,
 summing each component left to right from 0.0:
@@ -24,7 +24,10 @@ itself after 200 to 450 steps.
 
 ``joint_counts`` delegates to ``np.bincount``, which is integer-exact.
 
-``fan_out(task, count)`` returns ``[task(0), ..., task(count - 1)]``. It runs
+``fan_out(task, count)`` returns ``[task(0), ..., task(count - 1)]``. Its
+callers are ``infoflow.te_floor_matrix`` (a task per target row),
+``windows.evolve`` (per block of windows) and ``netout.emit_all`` (per
+result, which the task writes to its files). It runs
 the tasks on forked worker processes, one per CPU this process may run on
 (``os.sched_getaffinity``, so ``taskset`` limits them; ``os.cpu_count``
 where that call is missing), never more than ``count``. With one CPU, or

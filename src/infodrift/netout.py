@@ -10,25 +10,32 @@ The ``generated_at`` stamp honours SOURCE_DATE_EPOCH so archived runs can be
 reproduced byte for byte.
 
 Writers write to the open file as they go, never building the whole file:
-the windowed CSV one window at a time, the windowed SVG one pair row at a
-time, and JSON one key or flat list at a time.
+the windowed JSON and CSV one window at a time, the windowed SVG one pair row
+at a time, and other JSON one key or flat list at a time. A windowed result's
+JSON and CSV are written in one pass that formats each value once.
+
+``emit_all`` writes a run: ``config.json`` first, in-process, then each
+result, all of its files, as one ``kernels.fan_out`` task when two or more
+results are planned, so a run's results are written on every CPU.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import functools
 import io
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
 
 import numpy as np
 
 from .errors import DataValidationError, UnsupportedFormatForShape
 from .ingest import DEFAULT_SCHEMA, PriceSeries, write_csv
+from .kernels import fan_out
 from .kmdrift import DriftEstimate
 from .matrices import InteractionMatrix
 from .stats import StatsSummary
@@ -140,7 +147,8 @@ def _flat_encoder(inner: str):
 def _encode(obj, newline: str, write) -> None:
     """Write ``json.dumps(obj, indent=2)`` for ``obj`` at the indent that
     ``newline`` ends with, a piece at a time; a flat list of scalars is one
-    piece."""
+    piece. A callable ``obj`` is a part streamed by its writer, which is
+    called as ``obj(newline, write)``."""
     inner = newline + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -165,8 +173,33 @@ def _encode(obj, newline: str, write) -> None:
                 _encode(value, inner, write)
                 sep = "," + inner
             write(newline + "]")
+    elif callable(obj):
+        obj(newline, write)
     else:
         write(json.dumps(obj))
+
+
+def _json_list(texts, newline: str) -> str:
+    """``json.dumps(lst, indent=2)`` at the indent that ``newline`` ends with,
+    for a list whose items are given as their JSON ``texts``."""
+    if not texts:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(texts) + newline + "]"
+
+
+def _write_list(texts, newline: str, write) -> None:
+    """The ``_encode`` writer of a list given as its items' JSON ``texts``."""
+    write(_json_list(texts, newline))
+
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_texts(texts: list[str], values) -> list[str]:
+    """``texts``, the repr of each float of the float64 array ``values``, as
+    JSON writes them: ``NaN``, ``Infinity`` and ``-Infinity`` where not finite."""
+    return texts if np.isfinite(values).all() else [_JSON_NON_FINITE.get(t, t) for t in texts]
 
 
 def matrix_to_dict(m: InteractionMatrix, config: dict | None = None) -> dict:
@@ -177,33 +210,6 @@ def matrix_to_dict(m: InteractionMatrix, config: dict | None = None) -> dict:
         "asset_ids": list(m.asset_ids),
         "values": m.values.tolist(),
         "params": m.params,
-    }, config)
-
-
-def windowed_to_dict(w: WindowedResult, config: dict | None = None) -> dict:
-    first = w.entries[0][4]
-    return _document("windowed_result", {
-        "measure": w.measure,
-        "directed": first.directed,
-        "units": first.units,
-        "asset_ids": list(first.asset_ids),
-        "window_spec": w.spec.describe(),
-        "params": w.params,
-        "windows": [
-            {
-                "start": lo,
-                "end": hi,
-                "start_index": si,
-                "end_index": ei,
-                "values": matrix.values.tolist(),
-                **(
-                    {"bin_edges": matrix.params["bin_edges"]}
-                    if "bin_edges" in matrix.params
-                    else {}
-                ),
-            }
-            for lo, hi, si, ei, matrix in w.entries
-        ],
     }, config)
 
 
@@ -296,19 +302,90 @@ def _csv_row(*fields: str) -> str:
     return buf.getvalue()[: -len(_EOL)]
 
 
-def _windowed_csv(w: WindowedResult, fh, config: dict | None, threshold: float) -> None:
-    """Long format: every ordered pair of every window, self pairs included,
-    written a window at a time."""
-    ids = w.entries[0][4].asset_ids
-    pairs = list(_pairs(len(ids), directed=True, keep_self=True))
-    rows, cols = [i for _, _, i, _ in pairs], [j for _, _, _, j in pairs]
-    pair_prefixes = [_csv_row(ids[a], ids[b]) + "," for a, b, _, _ in pairs]
-    writer = _csv(fh, "windowed", config, measure=w.measure)
-    writer.writerow(["window_start", "window_end", "from_asset", "to_asset", "value"])
-    for lo, hi, _, _, matrix in w.entries:
-        window = _csv_row(lo, hi) + ","
-        values = matrix.values[rows, cols].tolist()
-        fh.write("".join([f"{window}{pair}{v!r}{_EOL}" for pair, v in zip(pair_prefixes, values)]))
+def _edge_texts(w: WindowedResult):
+    """Yield each window's bin edges as {asset: JSON texts}, or None for a
+    window without. Overlapping windows share most quantile edges, so each
+    distinct float64 bit pattern is formatted once (by bits, not by value:
+    -0.0 and 0.0 are two texts, and NaN equals no float)."""
+    tables = [matrix.params.get("bin_edges") for *_, matrix in w.entries]
+    rows = [row for table in tables if table is not None for row in table.values()]
+    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.float64)
+    distinct, where = np.unique(flat.view(np.int64), return_inverse=True)
+    distinct = distinct.view(np.float64)
+    texts = _json_texts(list(map(repr, distinct.tolist())), distinct)
+    found = map(texts.__getitem__, where.tolist())
+    for table in tables:
+        yield None if table is None else {
+            asset: list(itertools.islice(found, len(row))) for asset, row in table.items()
+        }
+
+
+def _windowed(w: WindowedResult, config: dict | None, json_fh=None, csv_fh=None) -> None:
+    """Write the windowed JSON to ``json_fh`` and the long CSV to ``csv_fh``,
+    either of them None, one window at a time, so no whole document is held.
+
+    Each value is formatted once, by repr: the JSON rows hold those texts
+    (``NaN``, ``Infinity`` and ``-Infinity`` for non-finite values) and the
+    CSV, every ordered pair of every window with self pairs included, holds
+    them in ``_pairs`` order. The JSON is ``json.dumps(doc, indent=2)`` of the
+    document with a ``windows`` list of {start, end, start_index, end_index,
+    values, bin_edges (where the window has them)}; its head and tail are
+    written by ``_encode``.
+    """
+    first = w.entries[0][4]
+    ids = first.asset_ids
+    n = len(ids)
+    if csv_fh is not None:
+        pairs = list(_pairs(n, directed=True, keep_self=True))
+        order = [i * n + j for _, _, i, j in pairs]
+        prefixes = [_csv_row(ids[a], ids[b]) + "," for a, b, _, _ in pairs]
+        writer = _csv(csv_fh, "windowed", config, measure=w.measure)
+        writer.writerow(["window_start", "window_end", "from_asset", "to_asset", "value"])
+
+    def texts():
+        """Yield each entry with the JSON texts of its values, row-major, after writing its CSV rows."""
+        for entry in w.entries:
+            values = entry[4].values.ravel()
+            found = list(map(repr, values.tolist()))
+            if csv_fh is not None:
+                window = _csv_row(entry[0], entry[1]) + ","
+                csv_fh.write("".join([f"{window}{pair}{found[k]}{_EOL}" for pair, k in zip(prefixes, order)]))
+            yield entry, _json_texts(found, values)
+
+    if json_fh is None:
+        for _ in texts():
+            pass
+        return
+
+    def windows(newline, write):
+        inner = newline + "  "
+        row = inner + "    "  # the indent of a row of a window's values
+        sep = "[" + inner
+        for ((lo, hi, si, ei, _), found), edges in zip(texts(), _edge_texts(w)):
+            rows = [_json_list(found[i * n : (i + 1) * n], row) for i in range(n)]
+            window = {
+                "start": lo,
+                "end": hi,
+                "start_index": si,
+                "end_index": ei,
+                "values": functools.partial(_write_list, rows),
+            }
+            if edges is not None:
+                window["bin_edges"] = {asset: functools.partial(_write_list, e) for asset, e in edges.items()}
+            write(sep)
+            _encode(window, inner, write)
+            sep = "," + inner
+        write(newline + "]")
+
+    _write_json(_document("windowed_result", {
+        "measure": w.measure,
+        "directed": first.directed,
+        "units": first.units,
+        "asset_ids": list(ids),
+        "window_spec": w.spec.describe(),
+        "params": w.params,
+        "windows": windows,
+    }, config), json_fh)
 
 
 def _graph_csv(g: InteractionGraph, fh, config: dict | None, threshold: float) -> None:
@@ -357,6 +434,13 @@ def graph_to_dot(g: InteractionGraph, config: dict | None = None) -> str:
 
 
 # ---------------------------------------------------------------- SVG
+
+def _escape(text: str) -> str:
+    """``text`` with ``&``, ``>`` and ``<`` written as entities, in the order
+    ``xml.sax.saxutils.escape`` replaces them; importing that module would
+    import ``urllib.request``, which no run needs."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
 
 _DIVERGING = ((33, 102, 172), (247, 247, 247), (178, 24, 43))
 _SEQUENTIAL = ((255, 255, 255), (8, 48, 107))
@@ -410,10 +494,10 @@ def _svg_open(fh, width: int, height: int, title: str, config: dict | None) -> N
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="monospace">\n'
-        f"<title>{escape(title)}</title>\n"
+        f"<title>{_escape(title)}</title>\n"
     )
     if config is not None:
-        fh.write(f"<metadata>{escape(json.dumps(config, sort_keys=True))}</metadata>\n")
+        fh.write(f"<metadata>{_escape(json.dumps(config, sort_keys=True))}</metadata>\n")
     fh.write(f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n')
 
 
@@ -436,16 +520,16 @@ def _matrix_svg(m: InteractionMatrix, fh, config: dict | None, threshold: float)
     fills = _colors(m.values, vmin, vmax, diverging)
 
     _svg_open(fh, width, height, f"{m.measure} ({m.units})", config)
-    fh.write(f'<text x="{left}" y="20" font-size="13">{escape(m.measure)} [{escape(m.units)}]</text>\n')
+    fh.write(f'<text x="{left}" y="20" font-size="13">{_escape(m.measure)} [{_escape(m.units)}]</text>\n')
     for j, asset in enumerate(m.asset_ids):
         fh.write(
             f'<text x="{left + j * cell + cell // 2}" y="{top - 8}" font-size="11" '
-            f'text-anchor="middle">{escape(asset[:9])}</text>\n'
+            f'text-anchor="middle">{_escape(asset[:9])}</text>\n'
         )
     for i, asset in enumerate(m.asset_ids):
         fh.write(
             f'<text x="{left - 6}" y="{top + i * cell + cell // 2 + 4}" font-size="11" '
-            f'text-anchor="end">{escape(asset[:11])}</text>\n'
+            f'text-anchor="end">{_escape(asset[:11])}</text>\n'
         )
         for j, (v, fill) in enumerate(zip(m.values[i].tolist(), fills[i].tolist())):
             x, y = left + j * cell, top + i * cell
@@ -474,7 +558,7 @@ def _windowed_svg(w: WindowedResult, fh, config: dict | None, threshold: float) 
     vmin, vmax, diverging = _scale(w.measure, pair_vals)
 
     _svg_open(fh, width, height, f"{w.measure} evolution", config)
-    fh.write(f'<text x="{left}" y="20" font-size="13">{escape(w.measure)} evolution</text>\n')
+    fh.write(f'<text x="{left}" y="20" font-size="13">{_escape(w.measure)} evolution</text>\n')
     xs = [left + t * cell for t in range(k)]
     fh.write("".join(
         f'<text x="{x + cell // 2}" y="{top - 8}" font-size="10" text-anchor="middle">w{t}</text>\n'
@@ -491,7 +575,7 @@ def _windowed_svg(w: WindowedResult, fh, config: dict | None, threshold: float) 
         label = f"{ids[a]}{arrow}{ids[b]}"
         fh.write(
             f'<text x="{left - 6}" y="{y + cell // 2 + 4}" font-size="10" '
-            f'text-anchor="end">{escape(label[:20])}</text>\n'
+            f'text-anchor="end">{_escape(label[:20])}</text>\n'
         )
         args = [y] * (2 * k)
         args[1::2] = _colors(pair_vals[r], vmin, vmax, diverging).tolist()
@@ -500,7 +584,7 @@ def _windowed_svg(w: WindowedResult, fh, config: dict | None, threshold: float) 
     last_hi = w.entries[-1][1]
     fh.write(
         f'<text x="{left}" y="{top + len(pairs) * cell + 16}" font-size="10">'
-        f"windows {escape(first_lo)} .. {escape(last_hi)}</text>\n"
+        f"windows {_escape(first_lo)} .. {_escape(last_hi)}</text>\n"
     )
     _legend(fh, left, top + len(pairs) * cell + 24, k * cell, vmin, vmax, diverging)
     fh.write("</svg>\n")
@@ -524,8 +608,8 @@ _WRITERS = {
     (InteractionGraph, "json"): _json(graph_to_dict),
     (InteractionGraph, "csv"): _graph_csv,
     (InteractionGraph, "dot"): lambda g, fh, config, threshold: fh.write(graph_to_dot(g, config)),
-    (WindowedResult, "json"): _json(windowed_to_dict),
-    (WindowedResult, "csv"): _windowed_csv,
+    (WindowedResult, "json"): lambda w, fh, config, threshold: _windowed(w, config, json_fh=fh),
+    (WindowedResult, "csv"): lambda w, fh, config, threshold: _windowed(w, config, csv_fh=fh),
     (WindowedResult, "svg_heatmap"): _windowed_svg,
     (DriftEstimate, "json"): _json(lambda est, config: _document("drift_estimate", est.to_dict(), config)),
     (StatsSummary, "json"): _json(_stats_to_dict),
@@ -535,51 +619,95 @@ _WRITERS = {
 }
 
 
+def _write(obj, files: dict, config: dict | None, threshold: float) -> list[str]:
+    """Write ``obj`` to each ``{fmt: path}`` of ``files``, formats its shape
+    has, and return the paths: a windowed result's JSON and CSV in one pass,
+    every other file by its writer. A failed write removes every file of
+    ``files`` that this call opened."""
+    opened = []
+    try:
+        with contextlib.ExitStack() as stack:
+            sinks = {}
+            for fmt, path in files.items():
+                sinks[fmt] = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+                opened.append(path)
+            if type(obj) is WindowedResult and {"json", "csv"} <= sinks.keys():
+                _windowed(obj, config, sinks.pop("json"), sinks.pop("csv"))
+            for fmt, fh in sinks.items():
+                _WRITERS[(type(obj), fmt)](obj, fh, config, threshold)
+    except BaseException:
+        for path in opened:
+            os.unlink(path)
+        raise
+    return list(files.values())
+
+
 def emit(obj, fmt: str, path, config: dict | None = None, threshold: float = 0.0) -> None:
     """Write ``obj``, of a shape in ``_WRITERS``, to ``path`` in ``fmt``. A
     write that fails removes the file."""
-    write = _WRITERS.get((type(obj), fmt))
-    if write is None:
+    if (type(obj), fmt) not in _WRITERS:
         raise UnsupportedFormatForShape(f"cannot write {type(obj).__name__} as {fmt!r}")
-    fh = open(path, "w", encoding="utf-8", newline="")
-    try:
-        with fh:
-            write(obj, fh, config, threshold)
-    except BaseException:
-        os.unlink(path)
-        raise
+    _write(obj, {fmt: path}, config, threshold)
 
 
 def emit_all(out_dir, results, config: dict | None = None, threshold: float = 0.0) -> list[str]:
     """Write a run: ``out_dir/config.json`` when ``config`` is given, then
-    each ``(stem, obj, formats)`` of ``results`` in order as
-    ``<stem>.<extension>`` in each of ``formats`` its shape has, skipping the
-    others; a format named twice for one result is written once. Return the
-    paths. An unknown format, or two results that map to the same file
-    name, is an error raised before any file is written. A
-    failed write removes every file this call wrote, so a run leaves all its
-    files or none."""
+    each ``(stem, obj, formats)`` of ``results`` as ``<stem>.<extension>`` in
+    each of ``formats`` its shape has, skipping the others; a format named
+    twice for one result is written once. Return the paths, in that order.
+    An unknown format, or two results that map to the same file name, is an
+    error raised before any file is written.
+
+    ``config.json`` is written in-process. Each result with a file to write,
+    all of its files, is one ``fan_out`` task when there are two or more,
+    and is written in-process otherwise. A failed write removes every file
+    this call wrote, in a worker or in-process, so a run leaves all its files
+    or none; files it did not write are left alone.
+    """
+    plan, names = [], set()  # (obj, {fmt: path}) of each result with a file to write
     if config is not None:
         results = [("config", config, ("json",)), *results]
-    plan = {}
     for stem, obj, formats in results:
+        files = {}
         for fmt in dict.fromkeys(formats):
             if fmt not in FORMATS:
                 raise UnsupportedFormatForShape(f"unknown format {fmt!r}; choose from {FORMATS}")
             if (type(obj), fmt) in _WRITERS:
                 name = f"{stem}.{_EXTENSIONS[fmt]}"
-                if name in plan:
+                if name in names:
                     raise DataValidationError(f"{stem}: two results would be written to {name}")
-                plan[name] = (obj, fmt)
-    written = []
+                names.add(name)
+                files[fmt] = os.path.join(out_dir, name)
+        if files:
+            plan.append((obj, files))
+    # A planned file that does not exist yet and exists after a failure is
+    # this call's, even one an interrupted fan_out returned no path for.
+    new = [path for _, files in plan for path in files.values() if not os.path.lexists(path)]
+    first = []  # config.json, written before the results
+    written = []  # every file this call wrote, removed if a write fails
     try:
-        for name, (obj, fmt) in plan.items():
-            path = os.path.join(out_dir, name)
-            emit(obj, fmt, path, config, threshold)
-            written.append(path)
+        if config is not None:
+            first = [plan.pop(0)[1]["json"]]
+            emit(config, "json", first[0], config, threshold)
+            written += first
+
+        def attempt(k):
+            """Result k's paths, or None when a write failed: fan_out raises the
+            first error and keeps no other task's paths, which this call needs."""
+            try:
+                return _write(*plan[k], config, threshold)
+            except Exception:  # written again in-process below, to raise it there
+                return None
+
+        done = fan_out(attempt, len(plan)) if len(plan) > 1 else [None] * len(plan)
+        written += [path for paths in done if paths for path in paths]
+        for k, paths in enumerate(done):
+            if paths is None:  # a lone result, or one whose write failed: the error is raised here
+                done[k] = _write(*plan[k], config, threshold)
+                written += done[k]
     except BaseException:
-        for path in written:
+        for path in {*written, *new}:
             if os.path.exists(path):
                 os.unlink(path)
         raise
-    return written
+    return first + [path for paths in done for path in paths]

@@ -506,6 +506,18 @@ def _run_cli(args, cwd, env_extra=None):
     )
 
 
+def test_cli_import_loads_no_network_module(tmp_path):
+    # only fetch needs urllib, which imports http.client, ssl and email
+    code = (
+        "import sys, infodrift.cli; "
+        "print([m for m in ('urllib.request', 'http.client', 'ssl', 'email') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=child_pythonpath())
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_rerun_from_embedded_config_reproduces_outputs(tmp_path):
     # a run's config.json alone must regenerate the exact same bytes
     proc = _run_cli(

@@ -1,14 +1,16 @@
 import io
 import json
+import multiprocessing
 import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from infodrift import evolve, gen_var1, matrix_to_graph
+from infodrift import evolve, gen_var1, kernels, matrix_to_graph
 from infodrift.errors import DataValidationError, UnsupportedFormatForShape
 from infodrift.kmdrift import drift_estimate
 from infodrift.matrices import InteractionMatrix
@@ -309,6 +311,153 @@ def test_emit_all_writes_config_first(tmp_path):
     assert (tmp_path / "config.json").read_text() == json.dumps({"seed": 7}, indent=2) + "\n"
 
 
+# ---------------------------------------------------------------- emit_all fan-out
+
+def fanned_results():
+    """A run of four results of three shapes, windowed ones among them."""
+    panel = gen_var1(np.array([[0.4, 0.1], [0.0, 0.3]]), sigma=1.0, steps=120, seed=8)
+    spec = WindowSpec(mode="sliding", length=60, stride=20)
+    return [
+        ("evolve_te", evolve(panel, spec, "te", bins=3), ["json", "csv", "svg_heatmap"]),
+        ("corr", corr2x2(0.3), ["csv", "dot", "json"]),
+        ("evolve_km", evolve(panel, spec, "km"), ["csv", "json"]),
+        ("drift", drift_estimate(panel, dt=1), ["json", "csv"]),
+    ]
+
+
+def _contents(path):
+    return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
+
+
+def test_emit_all_keeps_plan_order_on_every_cpu(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "946684800")
+    results = fanned_results()
+    found = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(kernels, "_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        out.mkdir()
+        written = emit_all(out, results, config={"seed": 7})
+        assert [os.path.relpath(p, out) for p in written] == [
+            "config.json",
+            "evolve_te.json", "evolve_te.csv", "evolve_te.svg",
+            "corr.csv", "corr.dot", "corr.json",
+            "evolve_km.csv", "evolve_km.json",
+            "drift.json",
+        ]
+        found[cpus] = _contents(out)
+    assert multiprocessing.active_children() == []
+    assert found[2] == found[1]
+    # each file is the bytes that emit writes on its own
+    for (stem, obj, _), fmt in [(results[0], "json"), (results[0], "csv"), (results[2], "json")]:
+        alone = tmp_path / f"alone.{fmt}"
+        emit(obj, fmt, alone, {"seed": 7})
+        assert alone.read_bytes() == found[2][f"{stem}.{fmt}"]
+
+
+def test_emit_all_fans_out_only_two_or_more_results(tmp_path, monkeypatch):
+    counts = []
+
+    def recorded(task, count):
+        counts.append(count)
+        return kernels.fan_out(task, count)
+
+    monkeypatch.setattr(netout, "fan_out", recorded)
+    te, corr, _, drift = fanned_results()
+    # config.json alone, one result, and one result next to one with no file
+    # in the formats asked: nothing to fan out
+    for k, results in enumerate([[], [te], [drift, ("g", matrix_to_graph(corr2x2()), ["svg_heatmap"])]]):
+        (tmp_path / str(k)).mkdir()
+        emit_all(tmp_path / str(k), results, config={"seed": 7})
+    assert counts == []
+    emit_all(tmp_path, [te, corr], config={"seed": 7})
+    assert counts == [2]
+
+
+def test_writer_failing_in_a_worker_removes_the_whole_run(tmp_path, monkeypatch):
+    # the writer fails in the worker and again in the calling process, whose
+    # error is raised; files of the run written by the other worker go too,
+    # one that replaced an older file among them
+    monkeypatch.setattr(kernels, "_cpus", lambda: 2)
+    caller = os.getpid()
+    seen = tmp_path / "seen"
+    seen.mkdir()
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "unrelated.txt").write_text("kept")
+    (out / "first.json").write_text("replaced")
+
+    def failing(obj, fh, config, threshold):
+        (seen / str(os.getpid())).touch()
+        fh.write("<svg")
+        raise OSError(f"disk full in {'the caller' if os.getpid() == caller else 'a worker'}")
+
+    monkeypatch.setitem(netout._WRITERS, (InteractionMatrix, "svg_heatmap"), failing)
+    results = [("first", corr2x2(0.1), ["json", "csv"]), ("second", corr2x2(0.2), ["json", "svg_heatmap"]),
+               ("third", corr2x2(0.3), ["json", "dot"])]
+    with pytest.raises(OSError, match="^disk full in the caller$"):
+        emit_all(out, results, config={"seed": 7})
+    assert os.listdir(out) == ["unrelated.txt"]
+    assert (out / "unrelated.txt").read_text() == "kept"
+    assert str(caller) in os.listdir(seen) and len(os.listdir(seen)) == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_failed_run_leaves_files_it_did_not_write(tmp_path, monkeypatch):
+    # config.json fails first, so no result is written: an older file of a
+    # result's name is not this run's
+    def failing(doc, fh, config, threshold):
+        raise OSError("disk full")
+
+    monkeypatch.setitem(netout._WRITERS, (dict, "json"), failing)
+    (tmp_path / "corr.json").write_text("older")
+    with pytest.raises(OSError, match="disk full"):
+        emit_all(tmp_path, fanned_results()[:2], config={"seed": 7})
+    assert os.listdir(tmp_path) == ["corr.json"]
+    assert (tmp_path / "corr.json").read_text() == "older"
+
+
+def test_interrupted_fan_out_removes_the_files_it_wrote(tmp_path, monkeypatch):
+    # an interrupt returns no paths from fan_out: the files that did not exist
+    # before the run are its own
+    def interrupted(task, count):
+        for k in range(count):
+            task(k)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(netout, "fan_out", interrupted)
+    (tmp_path / "unrelated.txt").write_text("kept")
+    with pytest.raises(KeyboardInterrupt):
+        emit_all(tmp_path, fanned_results()[:2], config={"seed": 7})
+    assert os.listdir(tmp_path) == ["unrelated.txt"]
+
+
+def test_worker_that_dies_has_its_result_written_in_process(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "946684800")
+    monkeypatch.setattr(kernels, "_cpus", lambda: 2)
+    results = fanned_results()
+    want = tmp_path / "want"
+    want.mkdir()
+    emit_all(want, results, config={"seed": 7})
+
+    caller = os.getpid()
+    csv_writer = netout._WRITERS[(InteractionMatrix, "csv")]
+
+    def dying(m, fh, config, threshold):
+        if os.getpid() != caller:
+            fh.write("asset,")
+            fh.flush()
+            os._exit(1)
+        csv_writer(m, fh, config, threshold)
+
+    monkeypatch.setitem(netout._WRITERS, (InteractionMatrix, "csv"), dying)
+    got = tmp_path / "got"
+    got.mkdir()
+    emit_all(got, results, config={"seed": 7})
+    assert _contents(got) == _contents(want)
+    assert multiprocessing.active_children() == []
+
+
 # ---------------------------------------------------------------- writer properties
 
 NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
@@ -372,10 +521,10 @@ def test_colors_equal_the_scalar_color(values, vmin, vmax, diverging):
     assert [f"#{c:06x}" for c in fills.tolist()] == [_color(v, vmin, vmax, diverging) for v in values]
 
 
-def _reference_windowed_csv(w, fh):
+def _reference_windowed_csv(w, fh, config=None):
     """The windowed CSV as one csv.writer row per pair and window."""
     ids = w.entries[0][4].asset_ids
-    writer = netout._csv(fh, "windowed", None, measure=w.measure)
+    writer = netout._csv(fh, "windowed", config, measure=w.measure)
     writer.writerow(["window_start", "window_end", "from_asset", "to_asset", "value"])
     for lo, hi, _, _, matrix in w.entries:
         for a in range(len(ids)):
@@ -406,6 +555,80 @@ def test_windowed_csv_equals_csv_writer_rows(ids, labels, data):
         measure="transfer_entropy", entries=entries, spec=WindowSpec(mode="segmented", segments=1),
     )
     got, want = io.StringIO(), io.StringIO()
-    netout._windowed_csv(w, got, None, 0.0)
+    netout._windowed(w, None, csv_fh=got)
     _reference_windowed_csv(w, want)
     assert got.getvalue() == want.getvalue()
+
+
+def windowed_to_dict(w, config=None):
+    """The whole windowed JSON document, as it was built before the writer
+    streamed it: the oracle."""
+    first = w.entries[0][4]
+    return netout._document("windowed_result", {
+        "measure": w.measure,
+        "directed": first.directed,
+        "units": first.units,
+        "asset_ids": list(first.asset_ids),
+        "window_spec": w.spec.describe(),
+        "params": w.params,
+        "windows": [
+            {
+                "start": lo,
+                "end": hi,
+                "start_index": si,
+                "end_index": ei,
+                "values": matrix.values.tolist(),
+                **({"bin_edges": matrix.params["bin_edges"]} if "bin_edges" in matrix.params else {}),
+            }
+            for lo, hi, si, ei, matrix in w.entries
+        ],
+    }, config)
+
+
+EDGES = st.sampled_from([0.0, -0.0, 0.5, -1.25, float("nan"), float("inf"), float("-inf")]) | st.floats()
+
+
+@st.composite
+def windowed_results(draw):
+    """A TE result whose windows may carry bin edges, or a km result without."""
+    ids = draw(st.lists(CSV_TEXT | st.text(max_size=3), min_size=1, max_size=3, unique=True))
+    n = len(ids)
+    binned = draw(st.booleans())
+    entries = []
+    for k, (lo, hi) in enumerate(draw(st.lists(st.tuples(CSV_TEXT, CSV_TEXT), min_size=1, max_size=3))):
+        params = {"bins": 2}
+        if binned and draw(st.booleans()):
+            params["bin_edges"] = {a: draw(st.lists(EDGES, min_size=1, max_size=4)) for a in ids}
+        values = np.array(draw(st.lists(FLOATS, min_size=n * n, max_size=n * n))).reshape(n, n)
+        entries.append((lo, hi, k, k + 1, InteractionMatrix(
+            asset_ids=tuple(ids), values=values, measure="transfer_entropy" if binned else "km_drift",
+            directed=True, units="bits" if binned else "per-step", params=params,
+        )))
+    return WindowedResult(
+        measure=entries[0][4].measure, entries=tuple(entries),
+        spec=WindowSpec(mode="sliding", length=2, stride=1), params={"bins": 2, "dt": 1},
+    )
+
+
+@given(windowed_results(), st.sampled_from([("json",), ("csv",), ("json", "csv")]),
+       st.none() | st.just({"seed": 7, "measures": ["te", "é"]}))
+@settings(max_examples=200, deadline=None)
+def test_streamed_windowed_json_and_csv_equal_the_oracles(w, formats, config):
+    sinks = {fmt: io.StringIO() for fmt in formats}
+    with mock.patch.dict(os.environ, {"SOURCE_DATE_EPOCH": "946684800"}):
+        netout._windowed(w, config, sinks.get("json"), sinks.get("csv"))
+        want = json.dumps(windowed_to_dict(w, config), indent=2) + "\n"
+    if "json" in sinks:
+        assert sinks["json"].getvalue() == want
+    if "csv" in sinks:
+        oracle = io.StringIO()
+        _reference_windowed_csv(w, oracle, config)
+        assert sinks["csv"].getvalue() == oracle.getvalue()
+
+
+def test_streamed_edges_keep_signed_zeros_apart():
+    # one text per float64 bit pattern: 0.0 and -0.0 are equal as floats
+    m = InteractionMatrix(asset_ids=("A", "B"), values=np.zeros((2, 2)), measure="transfer_entropy",
+                          directed=True, units="bits", params={"bin_edges": {"A": [-0.0, 0.0], "B": [0.0, -0.0]}})
+    w = WindowedResult("transfer_entropy", tuple((lo, lo, 0, 1, m) for lo in "ab"), WindowSpec("segmented", segments=2))
+    assert list(netout._edge_texts(w)) == [{"A": ["-0.0", "0.0"], "B": ["0.0", "-0.0"]}] * 2
