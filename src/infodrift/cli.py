@@ -226,7 +226,7 @@ def analyze(cfg: RunConfig, inputs, measures):
         returns = _load_panel(cfg)
         results = []
         seqs = None  # the first entropy measure's binned columns, counted by the later ones
-        for name in names:
+        for k, name in enumerate(names):
             try:
                 matrix, basis = evaluate(returns, name, cfg.bins, cfg.strategy, cfg.dt, seqs=seqs)
                 results.append((name, matrix, cfg.formats))
@@ -240,8 +240,9 @@ def analyze(cfg: RunConfig, inputs, measures):
                     results.append(("transfer_entropy_floor", floor, netout.TABLE_FORMATS))
             except (EstimatorError, TooFewSamples) as e:
                 raise type(e)(f"{name}: {e}") from e
-            if name in ENTROPY_MEASURES:
-                seqs = basis
+            if name in ENTROPY_MEASURES:  # held only while a later measure will count them
+                seqs = basis if any(later in ENTROPY_MEASURES for later in names[k + 1 :]) else None
+            basis = None
             log.info("measure %s done", name)
         return results
 

@@ -10,9 +10,14 @@ Equal-width binning is edge-based and right-closed: interior-edge ties go to
 the lower bin, the maximum goes to the top bin. Both rules are deterministic
 across platforms.
 
-``bin_windows`` bins many rows at once (every window of every column for a
-windowed run): quantile ranks come from one argsort, quantile edges from one
-``np.quantile`` and equal-width edges from one ``np.linspace`` call, each row
+``bin_windows`` bins many rows at once: every column of a full-sample run,
+every window of every column for a windowed one. It works through the rows
+in blocks of at most ``_BLOCK_VALUES`` values (or one row, when a row is
+longer), each made contiguous. A block's quantile ranks come from one
+argsort, its quantile edges from one ``np.quantile`` and its equal-width
+edges from one ``np.linspace`` call, and its symbols and edges go straight
+into the preallocated outputs, so memory beyond the (rows, length) symbols
+is a few blocks (or rows) however many rows there are. Each row is
 bit-identical to ``bin_series`` of that row, which is its one-row case.
 """
 
@@ -26,6 +31,11 @@ from .errors import DegenerateSeries, EmptyOverlap, LengthMismatch, TooFewSample
 from .kernels import joint_counts
 
 STRATEGIES = ("quantile", "equal_width")
+
+# Values binned at once by bin_windows: 256 KiB of float64. A longer row is
+# binned alone, with at most about four row-sized temporaries (its contiguous
+# copy, the sort order, the sorted values or the run indices, and the runs).
+_BLOCK_VALUES = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,66 +108,94 @@ def _check_bins(bins: int, strategy: str) -> None:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
 
 
-def _rank_bins(values: np.ndarray, bins: int) -> np.ndarray:
-    # bin of value v = floor(mid_rank(v) * bins / n) within its row, ties
-    # share their bin; integer arithmetic on doubled ranks keeps the floor
-    # exact. Tied values get one bin whatever their order, so any sort will do.
+def _rank_bins(values: np.ndarray, bins: int, out: np.ndarray) -> None:
+    # out[k] gets row k's bins: bin of value v = floor(mid_rank(v) * bins / n)
+    # within its row, ties share their bin; integer arithmetic on doubled
+    # ranks keeps the floor exact. Tied values get one bin whatever their
+    # order, so any sort will do.
     rows, n = values.shape
     order = np.argsort(values, axis=1)
     ordered = np.take_along_axis(values, order, axis=1)
     first = np.ones((rows, n), dtype=bool)  # first of its tie run
-    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first[:, 1:])
     del ordered
     first = first.ravel()
     starts = np.flatnonzero(first)  # every row starts a run
-    counts = np.diff(starts, append=first.size)
-    run_bins = ((2 * (starts % n) + counts - 1) * bins) // (2 * n)
-    symbols = np.empty((rows, n), dtype=np.int64)
-    np.put_along_axis(symbols, order, run_bins[np.cumsum(first) - 1].reshape(rows, n), axis=1)
-    return symbols
+    # run_bins = ((2 * (start % n) + run length - 1) * bins) // (2 * n), in place
+    run_bins = starts % n
+    run_bins *= 2
+    run_bins[:-1] += starts[1:]
+    run_bins[-1] += first.size
+    run_bins -= starts
+    del starts
+    run_bins -= 1
+    run_bins *= bins
+    run_bins //= 2 * n
+    run = first.astype(np.int64)
+    del first
+    np.cumsum(run, out=run)  # each value's run, counted from 1
+    run -= 1
+    # clip mode does not buffer ``out``; each index is read before its slot is written
+    np.take(run_bins, run, out=run, mode="clip")
+    np.put_along_axis(out, order, run.reshape(rows, n), axis=1)
 
 
 def bin_windows(values, bins: int, strategy: str = "quantile") -> tuple[np.ndarray, np.ndarray]:
     """Discretize each row of a (W, L) array as ``bin_series`` does one column.
 
     Returns the (W, L) int64 symbols and the (W, bins + 1) edges, row k being
-    ``bin_series(values[k])`` bit for bit: quantile rows are ranked by one
-    argsort and their edges come from one ``np.quantile`` call; equal-width
-    edges come from one ``np.linspace`` call. A row too short to bin raises
-    TooFewSamples; a constant row raises DegenerateSeries whose ``row`` is
-    the first such row.
+    ``bin_series(values[k])`` bit for bit. The rows are binned in blocks of
+    at most ``_BLOCK_VALUES`` values, or one row: each block is made
+    contiguous, its quantile rows ranked by one argsort and their edges taken
+    from one ``np.quantile`` call, its equal-width edges from one
+    ``np.linspace`` call, and its results written straight into the output.
+    A non-finite value anywhere raises ValueError; then a row too short to
+    bin raises TooFewSamples; then a constant row raises DegenerateSeries
+    whose ``row`` is the first such row of ``values``.
     """
     _check_bins(bins, strategy)
-    # min and max of a strided row can differ from those of a contiguous one
-    # in the sign of a zero, so every row is reduced from one contiguous layout
-    values = np.ascontiguousarray(values, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError("values must be two-dimensional")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("column must be finite")
     rows, n = values.shape
-    if n < 2 or (strategy == "quantile" and n < bins):
-        raise TooFewSamples(f"need at least {bins} samples for {strategy} binning, got {n}")
-    lo, hi = values.min(axis=1), values.max(axis=1)
-    flat = np.flatnonzero(lo == hi)
-    if flat.size:
-        raise DegenerateSeries("all values equal", row=int(flat[0]))
-
-    if strategy == "quantile":
-        edges = np.quantile(values, np.arange(bins + 1) / bins, axis=1).T
-        edges[:, 0], edges[:, -1] = lo, hi
-        return _rank_bins(values, bins), edges
-    edges = np.empty((rows, bins + 1))
-    # np.linspace takes another route when any step underflows to zero, so
-    # rows with such a (subnormal) span are spaced apart from the others
-    tiny = (hi - lo) / bins == 0
-    for part in (tiny, ~tiny):
-        if part.any():
-            edges[part] = np.linspace(lo[part], hi[part], bins + 1, axis=1)
-    # right-closed bins: interior-edge ties fall into the lower bin
+    short = n < 2 or (strategy == "quantile" and n < bins)
     symbols = np.empty((rows, n), dtype=np.int64)
-    for k in range(rows):
-        symbols[k] = np.searchsorted(edges[k, 1:bins], values[k], side="left")
+    edges = np.empty((rows, bins + 1))
+    flat_row = None  # the first constant row
+    per = max(1, _BLOCK_VALUES // max(n, 1))
+    for a in range(0, rows, per):
+        b = min(a + per, rows)
+        # min and max of a strided row can differ from those of a contiguous
+        # one in the sign of a zero, so every row is reduced from a contiguous block
+        block = np.ascontiguousarray(values[a:b])
+        if not np.isfinite(block).all():
+            raise ValueError("column must be finite")
+        if short or flat_row is not None:
+            continue  # a later block may still be non-finite
+        lo, hi = block.min(axis=1), block.max(axis=1)
+        flat = np.flatnonzero(lo == hi)
+        if flat.size:
+            flat_row = a + int(flat[0])
+            continue
+        out = edges[a:b]
+        if strategy == "quantile":
+            out[:] = np.quantile(block, np.arange(bins + 1) / bins, axis=1).T
+            out[:, 0], out[:, -1] = lo, hi
+            _rank_bins(block, bins, symbols[a:b])
+        else:
+            # np.linspace takes another route when any step underflows to zero, so
+            # rows with such a (subnormal) span are spaced apart from the others
+            tiny = (hi - lo) / bins == 0
+            for part in (tiny, ~tiny):
+                if part.any():
+                    out[part] = np.linspace(lo[part], hi[part], bins + 1, axis=1)
+            # right-closed bins: interior-edge ties fall into the lower bin
+            for k in range(b - a):
+                symbols[a + k] = np.searchsorted(out[k, 1:bins], block[k], side="left")
+    if short:
+        raise TooFewSamples(f"need at least {bins} samples for {strategy} binning, got {n}")
+    if flat_row is not None:
+        raise DegenerateSeries("all values equal", row=flat_row)
     return symbols, edges
 
 

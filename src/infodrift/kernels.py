@@ -14,7 +14,9 @@ and NaN propagate as through the plain sum. The coefficients come in as data;
 the generated source holds only names. The noise is walked in chunks of about
 2**14 values: each chunk becomes one flat list of floats, and its new states
 are copied into the output at once, so memory beyond the output stays under
-2 MiB however many steps there are.
+2 MiB however many steps there are. ``synth.gen_var1`` draws its noise one
+such chunk at a time and calls this once per chunk, from the last state of
+the one before, so a long path holds no whole noise array either.
 
 Compiling the loop costs time and memory that grow as N^2 (about 0.02 s at
 N=50, 0.15 s at N=200, and 6 s and 1.6 GB at N=1000); CPython's compiler

@@ -6,15 +6,21 @@ shuffles the binned columns, a second entropy measure counts the first one's
 binned columns, and the drift estimate is written beside its matrix.
 ``compute_matrix`` is its one-result form. Bin edges for the entropy
 measures are fitted on whatever sample the driver receives; ``with_bins``
-records them on the matrix. ``windows.evolve``, the windowed driver, records
-its batched windows' edges through it too.
+records them on the matrix. An entropy measure is the one-window case of
+``windows.evolve``: one ``bin_windows`` call bins every column into one
+(N, T) symbols array, ``mi_matrices`` or ``te_matrices`` count it without a
+copy, and the basis sequences are row views of it (a measure given those
+sequences stacks them once). ``evolve`` records its batched windows' edges
+through ``with_bins`` too.
 """
 
 from __future__ import annotations
 
-from .discretize import bin_series
+import numpy as np
+
+from .discretize import SymbolSequence, bin_windows
 from .errors import DegenerateSeries
-from .infoflow import mi_matrix, te_matrix
+from .infoflow import as_mi_matrix, as_te_matrix, mi_matrices, te_matrices
 from .kmdrift import drift_estimate, drift_matrix
 from .matrices import InteractionMatrix
 from .stats import ReturnsMatrix, correlation_matrix
@@ -74,16 +80,17 @@ def evaluate(
         return drift_matrix(est, returns.asset_ids), est
 
     if seqs is None:
-        seqs = []
-        for k, asset in enumerate(returns.asset_ids):
-            try:
-                seqs.append(bin_series(returns.values[:, k], bins, strategy))
-            except DegenerateSeries as e:
-                raise DegenerateSeries(f"{asset}: {e}") from e
-    if measure == "mutual_information":
-        m = mi_matrix(seqs, asset_ids=returns.asset_ids)
+        try:
+            symbols, edges = bin_windows(returns.values.T, bins, strategy)
+        except DegenerateSeries as e:  # bin_windows names the row, which is the column
+            raise DegenerateSeries(f"{returns.asset_ids[e.row]}: {e}") from e
+        seqs = [SymbolSequence(symbols=s, bins=bins, edges=e) for s, e in zip(symbols, edges)]
     else:
-        m = te_matrix(seqs, dt=dt, asset_ids=returns.asset_ids)
+        symbols = np.stack([seq.symbols for seq in seqs])
+    if measure == "mutual_information":
+        m = as_mi_matrix(mi_matrices(symbols[np.newaxis], bins)[0], returns.asset_ids)
+    else:
+        m = as_te_matrix(te_matrices(symbols[np.newaxis], bins, dt)[0], dt, returns.asset_ids)
     return with_bins(m, bins, strategy, [seq.edges.tolist() for seq in seqs]), seqs
 
 

@@ -10,6 +10,15 @@ transform of 53-bit uniforms:
 drawing one (u1, u2) pair per two normals and discarding the trailing z2 for
 odd counts. The transform is fixed so the panels can be reproduced from the
 raw uniform stream in any language.
+
+``gen_var1`` (and ``gen_ou`` through it) draws its noise and steps the
+recurrence one chunk of about 2**14 normals at a time, the recurrence's own
+chunk (``kernels._CHUNK_VALUES``), so the memory beyond the output path
+stays under 2 MiB however many steps there are. Every chunk but the last is
+an even number of steps, so each draw is made of whole Box-Muller pairs and
+reads the same uniforms in the same order as one draw of all steps * n
+normals: the path is bit-identical to stepping the whole noise array at
+once, and only the last draw may discard a trailing z2.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ import numpy as np
 
 from .discretize import SymbolSequence
 from .errors import UnstableSpec
-from .kernels import linear_recurrence
+from .kernels import _CHUNK_VALUES, linear_recurrence  # one recurrence chunk per draw
 from .stats import ReturnsMatrix
 
 BINARY_EDGES = np.array([-0.5, 0.5, 1.5])
@@ -82,9 +91,13 @@ def gen_var1(a_step, sigma: float, steps: int, seed: int = 0, asset_ids=None, x0
     """First-order vector autoregression x_{t+1} = a_step x_t + sigma xi_t.
 
     Starts from x_0 (default the origin; x_0 itself is not included in the
-    output). Requires spectral radius of a_step below 1.
+    output). Requires spectral radius of a_step below 1, and a finite sigma
+    and x_0. The noise is drawn one chunk of steps at a time from one
+    stream, as one draw of all steps * n normals would read it.
     """
     a_step = _check_step_matrix(a_step, "a_step")
+    if not np.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if steps < 1:
@@ -93,9 +106,17 @@ def gen_var1(a_step, sigma: float, steps: int, seed: int = 0, asset_ids=None, x0
     start = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64)
     if start.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},)")
+    if not np.isfinite(start).all():
+        raise ValueError(f"x0 must be finite, got {start[~np.isfinite(start)][0]}")
     rng = _rng(seed)
-    noise = sigma * standard_normals(rng, steps * n).reshape(steps, n)
-    path = linear_recurrence(np.ascontiguousarray(a_step), np.ascontiguousarray(noise), start)
+    a_step = np.ascontiguousarray(a_step)
+    path = np.empty((steps + 1, n))
+    path[0] = start
+    chunk = 2 * max(1, _CHUNK_VALUES // (2 * n))  # even: whole Box-Muller pairs
+    for a in range(0, steps, chunk):
+        b = min(a + chunk, steps)
+        noise = sigma * standard_normals(rng, (b - a) * n).reshape(b - a, n)
+        path[a : b + 1] = linear_recurrence(a_step, noise, path[a])
     ids = tuple(asset_ids) if asset_ids is not None else tuple(f"S{i + 1}" for i in range(n))
     return ReturnsMatrix(asset_ids=ids, values=path[1:], kind="log", dates=None)
 
@@ -104,12 +125,14 @@ def gen_ou(a_true, sigma: float, dt_sim: float, steps: int, seed: int = 0, asset
     """Euler-Maruyama path of dx = A x dt + sigma dW.
 
     x_{t+1} = x_t + dt_sim * A x_t + sigma * sqrt(dt_sim) * xi_t. All
-    eigenvalues of A must have negative real part and the per-step map
-    I + dt_sim * A must be stable.
+    eigenvalues of A must have negative real part, the per-step map
+    I + dt_sim * A must be stable, and dt_sim, sigma and x_0 finite.
     """
     a_true = np.asarray(a_true, dtype=np.float64)
     if a_true.ndim != 2 or a_true.shape[0] != a_true.shape[1]:
         raise ValueError("a_true must be square")
+    if not np.isfinite(dt_sim):
+        raise ValueError(f"dt_sim must be finite, got {dt_sim}")
     if dt_sim <= 0:
         raise ValueError("dt_sim must be positive")
     eigs = np.linalg.eigvals(a_true)

@@ -32,6 +32,30 @@ def make_panel(prices, start="2020-01-01", asset_ids=None):
     return AlignedPanel(asset_ids=ids, dates=dates, prices=prices)
 
 
+def scalar_recurrence(coeffs, noise, x0):
+    """The plain scalar loop, kept as the oracle of ``linear_recurrence``:
+    each row summed left to right from 0.0, the noise added last."""
+    steps, n = noise.shape
+    rows = [[float(coeffs[i, j]) for j in range(n)] for i in range(n)]
+    out = np.empty((steps + 1, n), dtype=np.float64)
+    x = [float(v) for v in x0]
+    out[0] = x
+    noise_rows = noise.tolist()
+    idx = range(n)
+    for t in range(steps):
+        w = noise_rows[t]
+        prev = x
+        x = []
+        for i in idx:
+            row = rows[i]
+            acc = 0.0
+            for j in idx:
+                acc = acc + row[j] * prev[j]
+            x.append(acc + w[i])
+        out[t + 1] = x
+    return out
+
+
 @pytest.fixture
 def csv_dir(tmp_path):
     def write(name, text):

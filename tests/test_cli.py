@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 import xml.etree.ElementTree as ET
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from infodrift import cli, infoflow, kmdrift, measures, netout
+from infodrift import cli, infoflow, kmdrift, measures, netout, synth
 from infodrift.cli import main
 from infodrift.matrices import InteractionMatrix
 from infodrift.measures import canonical_measure
@@ -136,14 +137,14 @@ def test_analyze_km_solves_drift_once(runner, tmp_path, monkeypatch):
 
 def test_analyze_surrogates_bin_each_column_once(runner, tmp_path, monkeypatch):
     # the TE surrogate floor shuffles the binned columns that TE was estimated from
-    calls = []
-    bin_series = measures.bin_series
+    rows = []
+    bin_windows = measures.bin_windows
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return bin_series(*args, **kwargs)
+    def counted(values, *args, **kwargs):
+        rows.extend(values)
+        return bin_windows(values, *args, **kwargs)
 
-    monkeypatch.setattr(measures, "bin_series", counted)
+    monkeypatch.setattr(measures, "bin_windows", counted)
     paths = write_panel(tmp_path, n_rows=120, ids=("AAA", "BBB", "CCC"))
     out = tmp_path / "out"
     result = runner.invoke(
@@ -151,20 +152,20 @@ def test_analyze_surrogates_bin_each_column_once(runner, tmp_path, monkeypatch):
                "analyze", "--measures", "te", *paths],
     )
     assert result.exit_code == 0, result.output
-    assert len(calls) == 3
+    assert len(rows) == 3
     assert (out / "transfer_entropy_floor.json").exists()
 
 
 def test_analyze_entropy_measures_bin_each_column_once(runner, tmp_path, monkeypatch):
     # TE counts the columns that MI binned; the values are those of separate runs
-    calls = []
-    bin_series = measures.bin_series
+    rows = []
+    bin_windows = measures.bin_windows
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return bin_series(*args, **kwargs)
+    def counted(values, *args, **kwargs):
+        rows.extend(values)
+        return bin_windows(values, *args, **kwargs)
 
-    monkeypatch.setattr(measures, "bin_series", counted)
+    monkeypatch.setattr(measures, "bin_windows", counted)
     paths = write_panel(tmp_path, n_rows=120, ids=("AAA", "BBB", "CCC"))
     docs = {}
     for measures_arg in ("mi,km,te", "mi", "te"):
@@ -172,11 +173,37 @@ def test_analyze_entropy_measures_bin_each_column_once(runner, tmp_path, monkeyp
         result = runner.invoke(main, ["--out", str(out), "--format", "json", "analyze", "--measures", measures_arg, *paths])
         assert result.exit_code == 0, result.output
         docs[measures_arg] = {f.name: json.loads(f.read_text()) for f in out.glob("*_*.json")}
-    assert len(calls) == 3 + 3 + 3
+    assert len(rows) == 3 + 3 + 3
     for name in ("mutual_information.json", "transfer_entropy.json"):
         single = docs["mi" if name.startswith("mutual") else "te"][name]
         assert docs["mi,km,te"][name]["values"] == single["values"]
         assert docs["mi,km,te"][name]["params"] == single["params"]
+
+
+def test_analyze_frees_the_binned_columns_that_no_later_measure_counts(runner, tmp_path, monkeypatch):
+    # the drift solve of "mi,te,km" runs after TE freed the binned columns;
+    # that of "mi,km,te" runs while they wait for TE
+    refs, alive = [], []
+    bin_windows, drift_estimate = measures.bin_windows, measures.drift_estimate
+
+    def binned(*args, **kwargs):
+        symbols, edges = bin_windows(*args, **kwargs)
+        refs.append(weakref.ref(symbols))
+        return symbols, edges
+
+    def drift(*args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        return drift_estimate(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "bin_windows", binned)
+    monkeypatch.setattr(measures, "drift_estimate", drift)
+    paths = write_panel(tmp_path, n_rows=120, ids=("AAA", "BBB", "CCC"))
+    for measures_arg in ("mi,te,km", "mi,km,te"):
+        refs.clear()
+        result = runner.invoke(main, ["--out", str(tmp_path / measures_arg), "--format", "json",
+                                      "analyze", "--measures", measures_arg, *paths])
+        assert result.exit_code == 0, result.output
+    assert alive == [[False], [True]]
 
 
 @pytest.mark.parametrize("command, driver, position", [
@@ -334,6 +361,22 @@ def test_simulate_unstable_exit_2(runner, tmp_path):
          "--steps", "100", "--matrix", "[[1.5]]"],
     )
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--kind", "var1", "--sigma", "nan", "--steps", "300000", "--matrix", "[[0.5]]"],
+     "error: sigma must be finite, got nan\n"),
+    (["--kind", "ou_euler", "--dt-sim", "nan", "--steps", "300", "--matrix", "[[-1.0, 0.0], [0.6, -1.0]]"],
+     "error: dt_sim must be finite, got nan\n"),
+], ids=["var1-sigma", "ou-dt-sim"])
+def test_simulate_non_finite_parameter_exit_2_before_any_draw(runner, tmp_path, monkeypatch, args, message):
+    drawn = []
+    monkeypatch.setattr(synth, "standard_normals", lambda *a: drawn.append(a))
+    out = tmp_path / "sim"
+    result = runner.invoke(main, ["--out", str(out), "simulate", *args])
+    assert result.exit_code == 2, result.output
+    assert result.output.endswith(message)
+    assert not drawn and not out.exists()
 
 
 @pytest.mark.parametrize("args, message", [

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from infodrift import bin_series, joint_histogram
+from infodrift import bin_series, discretize, joint_histogram
 from infodrift.discretize import SymbolSequence, bin_windows
 from infodrift.errors import DegenerateSeries, EmptyOverlap, LengthMismatch, TooFewSamples
 
@@ -105,9 +107,17 @@ def tied_rows(draw):
     return values
 
 
-@given(tied_rows(), st.integers(2, 8), st.sampled_from(["quantile", "equal_width"]))
+@given(tied_rows(), st.integers(2, 8), st.sampled_from(["quantile", "equal_width"]),
+       st.sampled_from([discretize._BLOCK_VALUES, 1, 7, 60, 130]))
 @settings(max_examples=150, deadline=None)
-def test_bin_windows_rows_equal_the_one_row_oracles(values, bins, strategy):
+def test_bin_windows_rows_equal_the_one_row_oracles(values, bins, strategy, block):
+    # blocks smaller than the rows put one row in each, larger ones several
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discretize, "_BLOCK_VALUES", block)
+        _check_rows_against_the_oracles(values, bins, strategy)
+
+
+def _check_rows_against_the_oracles(values, bins, strategy):
     lo, hi = values.min(axis=1), values.max(axis=1)
     if strategy == "quantile" and values.shape[1] < bins:
         with pytest.raises(TooFewSamples, match=f"need at least {bins} samples"):
@@ -131,6 +141,46 @@ def test_bin_windows_rows_equal_the_one_row_oracles(values, bins, strategy):
         assert np.array_equal(bits(edges[k]), bits(expected))
         one = bin_series(row, bins, strategy)
         assert np.array_equal(one.symbols, symbols[k]) and np.array_equal(bits(one.edges), bits(edges[k]))
+
+
+@pytest.mark.parametrize("strategy", ["quantile", "equal_width"])
+def test_bin_windows_errors_keep_their_order_across_row_blocks(monkeypatch, strategy):
+    monkeypatch.setattr(discretize, "_BLOCK_VALUES", 20)  # two rows of 10 per block
+    values = np.random.default_rng(3).normal(size=(7, 10))
+    values[5] = 0.25  # constant row 5, in the third block
+    with pytest.raises(DegenerateSeries) as err:
+        bin_windows(values, 4, strategy)
+    assert err.value.row == 5
+    values[6, 3] = np.nan  # a non-finite value in the last block beats it
+    with pytest.raises(ValueError, match="^column must be finite$"):
+        bin_windows(values, 4, strategy)
+    values[1] = 0.5  # and so it does a constant row in the first block
+    with pytest.raises(ValueError, match="^column must be finite$"):
+        bin_windows(values, 4, strategy)
+    with pytest.raises(ValueError, match="^column must be finite$"):  # and too few samples
+        bin_windows(values, 12, strategy)
+    values[6, 3] = 1.0
+    with pytest.raises(TooFewSamples):  # which beat a constant row
+        bin_windows(values, 12, "quantile")
+    with pytest.raises(DegenerateSeries) as err:
+        bin_windows(values, 4, strategy)
+    assert err.value.row == 1
+    with pytest.raises(TooFewSamples):  # rows too short to reduce are not reduced
+        bin_windows(np.empty((3, 0)), 4, strategy)
+
+
+def test_bin_series_memory_of_a_long_row():
+    column = np.random.default_rng(4).normal(size=200_000)
+    column[::5] = np.round(column[::5], 1)  # ties
+    bin_series(column[:100], 8)
+    tracemalloc.start()
+    try:
+        seq = bin_series(column, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seq.symbols.nbytes == column.nbytes
+    assert peak <= 6 * column.nbytes, peak / column.nbytes
 
 
 def test_equal_width_edges_of_a_subnormal_span_equal_scalar_linspace():

@@ -15,31 +15,9 @@ from hypothesis import strategies as st
 from infodrift import cli, discretize, infoflow, kernels, measures, stats, synth
 from infodrift.errors import MalformedRow
 
+from conftest import scalar_recurrence
+
 SPANS = Path(__file__).resolve().parents[1] / "pipebench" / "spans.py"
-
-
-def scalar_recurrence(coeffs, noise, x0):
-    """The plain scalar loop, kept as the oracle of ``linear_recurrence``:
-    each row summed left to right from 0.0, the noise added last."""
-    steps, n = noise.shape
-    rows = [[float(coeffs[i, j]) for j in range(n)] for i in range(n)]
-    out = np.empty((steps + 1, n), dtype=np.float64)
-    x = [float(v) for v in x0]
-    out[0] = x
-    noise_rows = noise.tolist()
-    idx = range(n)
-    for t in range(steps):
-        w = noise_rows[t]
-        prev = x
-        x = []
-        for i in idx:
-            row = rows[i]
-            acc = 0.0
-            for j in idx:
-                acc = acc + row[j] * prev[j]
-            x.append(acc + w[i])
-        out[t + 1] = x
-    return out
 
 
 def assert_same_bits(out, ref):
@@ -143,9 +121,9 @@ def test_benchmark_trace_targets_exist():
         for name in names:
             assert callable(getattr(module, name, None)), f"infodrift.{layer}.{name}"
     # the measure driver and the CLI call these by the names they import
-    assert measures.bin_series is discretize.bin_series
-    assert measures.te_matrix is infoflow.te_matrix
-    assert measures.mi_matrix is infoflow.mi_matrix
+    assert measures.bin_windows is discretize.bin_windows
+    assert measures.te_matrices is infoflow.te_matrices
+    assert measures.mi_matrices is infoflow.mi_matrices
     assert measures.correlation_matrix is stats.correlation_matrix
     assert cli.te_floor_matrix is infoflow.te_floor_matrix
     assert kernels.BACKEND == "python"

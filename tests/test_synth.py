@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from infodrift import compute_matrix, gen_coupled_binary, gen_ou, gen_var1, te_matrix
+from infodrift import compute_matrix, gen_coupled_binary, gen_ou, gen_var1, synth, te_matrix
 from infodrift.discretize import bin_series
 from infodrift.errors import UnstableSpec
 from infodrift.infoflow import surrogate_floor, transfer_entropy
 from infodrift.synth import binary_entropy, standard_normals
+
+from conftest import scalar_recurrence
 
 
 def test_coupled_binary_eps_zero_is_exact_shift():
@@ -70,6 +74,59 @@ def test_gen_var1_rejects_explosive_step_map():
         gen_var1(np.array([[1.01]]), sigma=0.1, steps=100)
     with pytest.raises(ValueError):
         gen_var1(np.array([[0.5]]), sigma=0.1, steps=0)
+
+
+def _chunk_steps(n):
+    """Steps per noise chunk of gen_var1 at n assets."""
+    return 2 * max(1, synth._CHUNK_VALUES // (2 * n))
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_gen_var1_equals_the_whole_noise_oracle_bit_for_bit(n):
+    # the chunked draw reads the stream as one draw of steps * n normals,
+    # odd steps * n (a dropped trailing z2) included
+    rng = np.random.default_rng(n)
+    a_step = np.tril(rng.uniform(-0.4, 0.4, size=(n, n)))
+    x0 = rng.normal(size=n)
+    chunk = _chunk_steps(n)
+    for steps in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 1):
+        out = gen_var1(a_step, sigma=0.7, steps=steps, seed=11, x0=x0)
+        noise = 0.7 * standard_normals(synth._rng(11), steps * n).reshape(steps, n)
+        ref = scalar_recurrence(a_step, noise, x0)
+        assert np.array_equal(out.values.view(np.int64), ref[1:].view(np.int64)), steps
+
+
+def test_gen_var1_memory_stays_near_the_output():
+    a_step = np.tril(np.full((4, 4), 0.2))
+    gen_var1(a_step, sigma=0.1, steps=10)  # compiles the n=4 step loop
+    tracemalloc.start()
+    try:
+        out = gen_var1(a_step, sigma=0.1, steps=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    path = out.values.base  # the output path, x_0 included
+    assert path.nbytes == 6_400_032  # 6.1 MiB
+    assert peak - path.nbytes < 2 * 2**20, peak
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gen_var1(np.array([[0.5]]), sigma=float("nan"), steps=10), "sigma must be finite, got nan"),
+    (lambda: gen_var1(np.array([[0.5]]), sigma=float("inf"), steps=10), "sigma must be finite, got inf"),
+    (lambda: gen_var1(np.eye(2) / 2, sigma=0.1, steps=10, x0=[0.0, float("-inf")]),
+     "x0 must be finite, got -inf"),
+    (lambda: gen_ou(np.array([[-1.0]]), sigma=0.1, dt_sim=float("nan"), steps=10), "dt_sim must be finite, got nan"),
+    (lambda: gen_ou(np.array([[-1.0]]), sigma=0.1, dt_sim=float("inf"), steps=10), "dt_sim must be finite, got inf"),
+    (lambda: gen_ou(np.array([[-1.0]]), sigma=float("nan"), dt_sim=0.01, steps=10), "sigma must be finite, got nan"),
+    (lambda: gen_ou(np.array([[-1.0]]), sigma=0.1, dt_sim=0.01, steps=10, x0=[float("nan")]),
+     "x0 must be finite, got nan"),
+], ids=["var1-sigma-nan", "var1-sigma-inf", "var1-x0", "ou-dt-nan", "ou-dt-inf", "ou-sigma", "ou-x0"])
+def test_non_finite_parameters_are_rejected_before_any_draw(monkeypatch, call, message):
+    drawn = []
+    monkeypatch.setattr(synth, "standard_normals", lambda *a: drawn.append(a))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+    assert not drawn
 
 
 def _lyapunov_cov(a, sigma):
