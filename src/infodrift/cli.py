@@ -3,9 +3,12 @@
 Every run is driven by a RunConfig assembled from an optional JSON config
 file plus flag overrides (flags win). The exact config is embedded in every
 output file and written to ``<out>/config.json``, so a run can be reproduced
-from its own artifacts. Exit codes: 0 success, 2 usage or validation
-failure, 3 runtime estimator or fetch failure. Logs go to stderr, data only
-to files.
+from its own artifacts. Each command computes all of its results first;
+``netout.emit_all`` then writes them and config.json and commits them to
+``--out`` together, so a failed run changes nothing there. Exit codes: 0
+success, 2 usage, validation or file failure (a bad SOURCE_DATE_EPOCH, or a
+lag that leaves no samples, among them), 3 runtime estimator or fetch
+failure. Logs go to stderr, data only to files.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import datetime as dt
 import json
 import logging
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -164,37 +166,15 @@ def _measure_names(cfg: RunConfig) -> list[str]:
         raise DataValidationError(f"measures: {e}") from None
 
 
-def _missing_dirs(path: str) -> list[str]:
-    """``path`` and those of its parents that do not exist, deepest first."""
-    missing = []
-    path = os.path.abspath(path)
-    while not os.path.exists(path):
-        missing.append(path)
-        path = os.path.dirname(path)
-    return missing
-
-
 def _run(compute, cfg: RunConfig, inputs=(), measures: str | None = None):
     """Apply the command's inputs and measures to ``cfg``, compute the run's results, then
-    create ``--out`` and write config.json and every result, or nothing; map errors to exit codes.
-    A failed write removes the directories this run created for ``--out``."""
+    write config.json and every result to ``--out``, or nothing; map errors to exit codes."""
     if inputs:
         cfg.inputs = list(inputs)
     if measures is not None:
         cfg.measures = [m.strip() for m in measures.split(",") if m.strip()]
     try:
-        results = compute()
-        created = _missing_dirs(cfg.out_dir)
-        try:
-            os.makedirs(cfg.out_dir, exist_ok=True)
-            written = netout.emit_all(cfg.out_dir, results, cfg.to_dict(), cfg.threshold)
-        except BaseException:
-            for path in created:
-                try:
-                    os.rmdir(path)
-                except OSError:  # not made, or holds a file emit_all could not remove
-                    pass
-            raise
+        written = netout.emit_all(cfg.out_dir, compute(), cfg.to_dict(), cfg.threshold)
         log.info("wrote %d files to %s", len(written), cfg.out_dir)
     except (DataValidationError, ValueError, OSError) as e:
         _fail(2, str(e))

@@ -87,8 +87,8 @@ class LengthMismatch(EstimatorError):
     pass
 
 
-class EmptyOverlap(EstimatorError):
-    pass
+class EmptyOverlap(TooFewSamples):
+    """A lag that leaves no samples to count."""
 
 
 # kmdrift

@@ -11,12 +11,13 @@ in a loop generated for each N and compiled on first use (``_step_loop``).
 It holds the state and the coefficients in local variables and computes one
 row per expression, keeping every term, zero coefficients too, so +-0.0, inf
 and NaN propagate as through the plain sum. The coefficients come in as data;
-the generated source holds only names. The noise is walked in chunks of about
-2**14 values: each chunk becomes one flat list of floats, and its new states
-are copied into the output at once, so memory beyond the output stays under
-2 MiB however many steps there are. ``synth.gen_var1`` draws its noise one
-such chunk at a time and calls this once per chunk, from the last state of
-the one before, so a long path holds no whole noise array either.
+the generated source holds only names. The noise becomes one flat list of
+floats and the new states another, copied into the output at once, so a call
+holds about 64 bytes per noise value beside its output. ``synth.gen_var1``
+therefore draws its noise one chunk of about ``_CHUNK_VALUES`` (2**14)
+values at a time and calls this once per chunk, from the last state of the
+one before, so a long path holds no whole noise array and memory beyond its
+output stays under 2 MiB however many steps there are.
 
 Compiling the loop costs time and memory that grow as N^2 (about 0.02 s at
 N=50, 0.15 s at N=200, and 6 s and 1.6 GB at N=1000); CPython's compiler
@@ -29,7 +30,7 @@ itself after 200 to 450 steps.
 ``fan_out(task, count)`` returns ``[task(0), ..., task(count - 1)]``. Its
 callers are ``infoflow.te_floor_matrix`` (a task per target row),
 ``windows.evolve`` (per block of windows) and ``netout.emit_all`` (per
-result, which the task writes to its files). It runs
+result, which the task writes to its staged files). It runs
 the tasks on forked worker processes, one per CPU this process may run on
 (``os.sched_getaffinity``, so ``taskset`` limits them; ``os.cpu_count``
 where that call is missing), never more than ``count``. With one CPU, or
@@ -60,7 +61,7 @@ _CHUNK_VALUES = 1 << 14
 def _step_source(n: int) -> str:
     """Source of ``loop(w, state, rows)``, which steps the n floats of ``state``
     through the flat noise list ``w`` with the coefficient rows ``rows`` and
-    returns the new states as one flat list, and the last state."""
+    returns the new states as one flat list."""
     p = "".join(f"p{j}, " for j in range(n))
     lines = ["def loop(w, state, rows):", f"    {p}= state"]
     lines += ["    " + "".join(f"c{i}_{j}, " for j in range(n)) + f"= rows[{i}]" for i in range(n)]
@@ -72,7 +73,7 @@ def _step_source(n: int) -> str:
         *("            0.0 + " + "".join(f"c{i}_{j} * p{j} + " for j in range(n)) + f"w{i}," for i in range(n)),
         "        )",
         "        put(x)",
-        f"    return buf, [{p}]",
+        "    return buf",
     ]
     return "\n".join(lines) + "\n"
 
@@ -88,15 +89,9 @@ def linear_recurrence(coeffs, noise, x0):
     """out[0] = x0; out[t+1][i] = sum_j coeffs[i][j]*out[t][j] + noise[t][i]."""
     steps, n = noise.shape
     out = np.empty((steps + 1, n), dtype=np.float64)
-    state = [float(v) for v in x0]
-    out[0] = state
-    loop = _step_loop(n)
+    out[0] = x0
     rows = np.asarray(coeffs, dtype=np.float64).tolist()
-    chunk = max(1, _CHUNK_VALUES // n)
-    for a in range(0, steps, chunk):
-        b = min(a + chunk, steps)
-        values, state = loop(noise[a:b].ravel().tolist(), state, rows)
-        out[a + 1 : b + 1].reshape(-1)[:] = values
+    out[1:].reshape(-1)[:] = _step_loop(n)(noise.ravel().tolist(), [float(v) for v in x0], rows)
     return out
 
 

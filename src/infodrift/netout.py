@@ -14,9 +14,16 @@ the windowed JSON and CSV one window at a time, the windowed SVG one pair row
 at a time, and other JSON one key or flat list at a time. A windowed result's
 JSON and CSV are written in one pass that formats each value once.
 
-``emit_all`` writes a run: ``config.json`` first, in-process, then each
-result, all of its files, as one ``kernels.fan_out`` task when two or more
-results are planned, so a run's results are written on every CPU.
+``emit_all`` writes a run: ``config.json`` in-process, then each result,
+all of its files, as one ``kernels.fan_out`` task, so a run's results are
+written on every CPU. ``emit`` and ``emit_all`` share one commit step
+(``_commit``): the files are written into a fresh hidden directory
+(``.infodrift-*``) in the output directory, or in its nearest existing
+parent, and are moved into the output directory with ``os.replace`` only
+when every one is written. A failed or interrupted write therefore leaves
+the output directory as it was, or never creates it. A file that is there
+already is replaced, not written through: a symlink is replaced by the new
+file, and the old file's mode is not kept.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ import io
 import itertools
 import json
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,10 +117,13 @@ def matrix_to_graph(m: InteractionMatrix, threshold: float = 0.0, keep_self: boo
 
 def _timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        when = dt.datetime.fromtimestamp(int(epoch), tz=dt.timezone.utc)
-    else:
+    if epoch is None:
         when = dt.datetime.now(tz=dt.timezone.utc)
+    else:
+        try:
+            when = dt.datetime.fromtimestamp(int(epoch), tz=dt.timezone.utc)
+        except (ValueError, OverflowError, OSError) as e:
+            raise DataValidationError(f"SOURCE_DATE_EPOCH: {e}") from None
     return when.replace(microsecond=0).isoformat()
 
 
@@ -619,35 +631,59 @@ _WRITERS = {
 }
 
 
-def _write(obj, files: dict, config: dict | None, threshold: float) -> list[str]:
+def _write(obj, files: dict, config: dict | None, threshold: float) -> None:
     """Write ``obj`` to each ``{fmt: path}`` of ``files``, formats its shape
-    has, and return the paths: a windowed result's JSON and CSV in one pass,
-    every other file by its writer. A failed write removes every file of
-    ``files`` that this call opened."""
-    opened = []
+    has: a windowed result's JSON and CSV in one pass, every other file by
+    its writer."""
+    with contextlib.ExitStack() as stack:
+        sinks = {fmt: stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+                 for fmt, path in files.items()}
+        if type(obj) is WindowedResult and {"json", "csv"} <= sinks.keys():
+            _windowed(obj, config, sinks.pop("json"), sinks.pop("csv"))
+        for fmt, fh in sinks.items():
+            _WRITERS[(type(obj), fmt)](obj, fh, config, threshold)
+
+
+def _commit(out_dir, plan, config: dict | None, threshold: float, in_process: int) -> list[str]:
+    """Write each ``(obj, {fmt: file name})`` of ``plan`` into a fresh hidden
+    directory, the first ``in_process`` in this process and each other one
+    as a ``fan_out`` task; then create ``out_dir`` and move every file into
+    it, in plan order, and return their paths. The hidden directory goes in
+    ``out_dir``, or in its nearest existing parent, and is always removed,
+    so a failed or interrupted write leaves ``out_dir`` as it was."""
+    names = [name for _, files in plan for name in files.values()]
+    paths = [os.path.join(out_dir, name) for name in names]
+    parent = os.path.abspath(out_dir)
+    while not os.path.isdir(parent):
+        parent = os.path.dirname(parent)
+    stage = tempfile.mkdtemp(prefix=".infodrift-", dir=parent)
     try:
-        with contextlib.ExitStack() as stack:
-            sinks = {}
-            for fmt, path in files.items():
-                sinks[fmt] = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
-                opened.append(path)
-            if type(obj) is WindowedResult and {"json", "csv"} <= sinks.keys():
-                _windowed(obj, config, sinks.pop("json"), sinks.pop("csv"))
-            for fmt, fh in sinks.items():
-                _WRITERS[(type(obj), fmt)](obj, fh, config, threshold)
-    except BaseException:
-        for path in opened:
-            os.unlink(path)
-        raise
-    return list(files.values())
+
+        def write(k):
+            obj, files = plan[k]
+            _write(obj, {fmt: os.path.join(stage, name) for fmt, name in files.items()}, config, threshold)
+
+        for k in range(in_process):
+            write(k)
+        fan_out(lambda k: write(in_process + k), len(plan) - in_process)
+        os.makedirs(out_dir, exist_ok=True)
+        for path in paths:
+            if os.path.isdir(path):
+                raise DataValidationError(f"{path}: is a directory")
+        for name, path in zip(names, paths):
+            os.replace(os.path.join(stage, name), path)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+    return paths
 
 
 def emit(obj, fmt: str, path, config: dict | None = None, threshold: float = 0.0) -> None:
-    """Write ``obj``, of a shape in ``_WRITERS``, to ``path`` in ``fmt``. A
-    write that fails removes the file."""
+    """Write ``obj``, of a shape in ``_WRITERS``, to ``path`` in ``fmt``,
+    creating its directory. A write that fails leaves ``path`` as it was."""
     if (type(obj), fmt) not in _WRITERS:
         raise UnsupportedFormatForShape(f"cannot write {type(obj).__name__} as {fmt!r}")
-    _write(obj, {fmt: path}, config, threshold)
+    out_dir, name = os.path.split(os.fspath(path))
+    _commit(out_dir or os.curdir, [(obj, {fmt: name})], config, threshold, 1)
 
 
 def emit_all(out_dir, results, config: dict | None = None, threshold: float = 0.0) -> list[str]:
@@ -658,13 +694,12 @@ def emit_all(out_dir, results, config: dict | None = None, threshold: float = 0.
     An unknown format, or two results that map to the same file name, is an
     error raised before any file is written.
 
-    ``config.json`` is written in-process. Each result with a file to write,
-    all of its files, is one ``fan_out`` task when there are two or more,
-    and is written in-process otherwise. A failed write removes every file
-    this call wrote, in a worker or in-process, so a run leaves all its files
-    or none; files it did not write are left alone.
+    ``config.json`` is written in-process and each result with a file to
+    write, all of its files, is one ``fan_out`` task, so a one-result run
+    forks nothing. The run is committed to ``out_dir`` only once every file
+    is written (``_commit``): a run leaves all its files or changes nothing.
     """
-    plan, names = [], set()  # (obj, {fmt: path}) of each result with a file to write
+    plan, names = [], set()  # (obj, {fmt: file name}) of each result with a file to write
     if config is not None:
         results = [("config", config, ("json",)), *results]
     for stem, obj, formats in results:
@@ -677,37 +712,7 @@ def emit_all(out_dir, results, config: dict | None = None, threshold: float = 0.
                 if name in names:
                     raise DataValidationError(f"{stem}: two results would be written to {name}")
                 names.add(name)
-                files[fmt] = os.path.join(out_dir, name)
+                files[fmt] = name
         if files:
             plan.append((obj, files))
-    # A planned file that does not exist yet and exists after a failure is
-    # this call's, even one an interrupted fan_out returned no path for.
-    new = [path for _, files in plan for path in files.values() if not os.path.lexists(path)]
-    first = []  # config.json, written before the results
-    written = []  # every file this call wrote, removed if a write fails
-    try:
-        if config is not None:
-            first = [plan.pop(0)[1]["json"]]
-            emit(config, "json", first[0], config, threshold)
-            written += first
-
-        def attempt(k):
-            """Result k's paths, or None when a write failed: fan_out raises the
-            first error and keeps no other task's paths, which this call needs."""
-            try:
-                return _write(*plan[k], config, threshold)
-            except Exception:  # written again in-process below, to raise it there
-                return None
-
-        done = fan_out(attempt, len(plan)) if len(plan) > 1 else [None] * len(plan)
-        written += [path for paths in done if paths for path in paths]
-        for k, paths in enumerate(done):
-            if paths is None:  # a lone result, or one whose write failed: the error is raised here
-                done[k] = _write(*plan[k], config, threshold)
-                written += done[k]
-    except BaseException:
-        for path in {*written, *new}:
-            if os.path.exists(path):
-                os.unlink(path)
-        raise
-    return first + [path for paths in done for path in paths]
+    return _commit(out_dir, plan, config, threshold, int(config is not None))

@@ -661,6 +661,11 @@ CORR_TE = ["analyze", "--measures", "corr,te"]
      "error: transfer_entropy: window 0 [0:12): need at least dt + 2 = 13 samples, got 12\n", "random"),
     (["--dt", "58", "analyze", "--measures", "te"], 2,
      "error: transfer_entropy: need at least dt + 2 = 60 samples, got 59\n", "random"),
+    (["--dt", "400", "analyze", "--measures", "te"], 2,
+     "error: transfer_entropy: no samples left after lag alignment (length 59, max lag 400)\n", "random"),
+    (["--windows", "segmented:5", "--dt", "30", "evolve", "--measures", "te"], 2,
+     "error: transfer_entropy: window 0 [0:12): no samples left after lag alignment (length 12, max lag 30)\n",
+     "random"),
     (["--windows", "segmented:5", "evolve", "--measures", "te"], 3,
      "error: transfer_entropy: window 2 [24:36): BBB: all values equal\n", "flat-window"),
     (["--windows", "segmented:5", "evolve", "--measures", "corr"], 3,
@@ -669,6 +674,7 @@ CORR_TE = ["analyze", "--measures", "corr,te"]
     (["analyze", "--measures", ","], 2, "error: measures: at least one measure required\n", "random"),
 ], ids=["bins", "dt", "strategy", "threshold", "windows", "format-empty", "analyze-km", "evolve-km",
         "evolve-short-window", "analyze-short-lag", "evolve-short-te-lag", "analyze-short-te-lag",
+        "analyze-te-lag-past-sample", "evolve-te-lag-past-window",
         "evolve-flat-window", "evolve-corr-flat-window",
         "analyze-flat", "no-measures"])
 def test_failed_run_writes_nothing(runner, tmp_path, args, code, message, panel):
@@ -751,6 +757,47 @@ def test_failed_write_removes_the_out_this_run_made(runner, tmp_path, monkeypatc
     assert "disk full" in result.output
     assert _files(out) == (["keep.txt"] if existed else [])
     assert (tmp_path / out_parts[0]).exists() == existed
+
+
+def _snapshot(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("epoch, message", [
+    ("abc", "error: SOURCE_DATE_EPOCH: invalid literal for int() with base 10: 'abc'\n"),
+    ("99999999999999999999", "error: SOURCE_DATE_EPOCH: "),
+], ids=["not-an-integer", "out-of-range"])
+def test_bad_source_date_epoch_exit_2_and_keeps_the_earlier_run(runner, tmp_path, monkeypatch, epoch, message):
+    # the stamp fails only when the first stamped file is written, after
+    # config.json: a re-run into the same --out changes none of its files
+    paths = write_panel(tmp_path)
+    out = tmp_path / "out"
+    args = ["--out", str(out), "analyze", "--measures", "corr,te", *paths]
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "946684800")
+    assert runner.invoke(main, args).exit_code == 0
+    earlier = _snapshot(out)
+    assert len(earlier) == 9
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert _snapshot(out) == earlier
+    result = runner.invoke(main, ["--out", str(tmp_path / "new"), *args[2:]])
+    assert result.exit_code == 2, result.output
+    assert not (tmp_path / "new").exists()
+    assert not list(tmp_path.rglob(".infodrift-*"))
+
+
+def test_directory_at_a_planned_name_exit_2_and_moves_no_file(runner, tmp_path):
+    paths = write_panel(tmp_path)
+    out = tmp_path / "out"
+    (out / "transfer_entropy.json").mkdir(parents=True)
+    (out / "config.json").write_text("older")
+    result = runner.invoke(main, ["--out", str(out), "analyze", "--measures", "corr,te", *paths])
+    assert result.exit_code == 2, result.output
+    assert f"error: {out / 'transfer_entropy.json'}: is a directory\n" in result.output
+    assert _files(out) == ["config.json", "transfer_entropy.json"]
+    assert (out / "config.json").read_text() == "older"
 
 
 @pytest.mark.parametrize("args, command", [

@@ -4,7 +4,6 @@ import math
 import multiprocessing
 import os
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -57,8 +56,8 @@ SPECIALS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
 
 @st.composite
 def recurrences(draw):
-    """Coefficients (of row sums at most 1 in size), ``x0`` and noise over 0
-    to 3 chunks of steps, with signed zeros and, in half the cases, a signed
+    """Coefficients (of row sums at most 1 in size), ``x0`` and noise of up to
+    three ``_CHUNK_VALUES`` values, with signed zeros and, in half the cases, a signed
     zero, an inf or a NaN put in each array at a drawn position."""
     n = draw(st.integers(1, 8))
     chunk = kernels._CHUNK_VALUES // n
@@ -81,7 +80,7 @@ def test_recurrence_equals_the_scalar_oracle_bit_for_bit(case):
 
 
 def test_recurrence_at_n50_equals_the_scalar_oracle():
-    coeffs, noise, x0 = _random_case(50, steps=700, n=50)  # three chunks of 327 steps
+    coeffs, noise, x0 = _random_case(50, steps=700, n=50)
     out = kernels.linear_recurrence(coeffs / 50, noise, x0)
     assert np.array_equal(out.view(np.int64), scalar_recurrence(coeffs / 50, noise, x0).view(np.int64))
 
@@ -90,19 +89,6 @@ def test_step_source_holds_names_not_coefficients():
     source = kernels._step_source(3)
     assert re.findall(r"\d+\.\d+", source) == ["0.0"] * 3
     assert "rows[2]" in source and "c2_2 * p2 + w2" in source
-
-
-def test_recurrence_memory_stays_near_the_output():
-    coeffs, noise, x0 = _random_case(7, steps=200_000, n=4)
-    kernels.linear_recurrence(coeffs, noise[:1], x0)  # compiles the n=4 step loop
-    tracemalloc.start()
-    try:
-        out = kernels.linear_recurrence(coeffs, noise, x0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.nbytes == 6_400_032  # 6.1 MiB
-    assert peak - out.nbytes < 2 * 2**20, peak
 
 
 def test_pure_counts_are_exact():

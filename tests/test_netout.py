@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import json
 import multiprocessing
@@ -356,28 +357,31 @@ def test_emit_all_keeps_plan_order_on_every_cpu(tmp_path, monkeypatch):
 
 
 def test_emit_all_fans_out_only_two_or_more_results(tmp_path, monkeypatch):
-    counts = []
+    pools = []
 
-    def recorded(task, count):
-        counts.append(count)
-        return kernels.fan_out(task, count)
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args[0])
+            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(netout, "fan_out", recorded)
+    monkeypatch.setattr(kernels, "_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
     te, corr, _, drift = fanned_results()
     # config.json alone, one result, and one result next to one with no file
-    # in the formats asked: nothing to fan out
+    # in the formats asked: nothing to fork
     for k, results in enumerate([[], [te], [drift, ("g", matrix_to_graph(corr2x2()), ["svg_heatmap"])]]):
         (tmp_path / str(k)).mkdir()
         emit_all(tmp_path / str(k), results, config={"seed": 7})
-    assert counts == []
+    emit(corr2x2(), "json", tmp_path / "m.json")
+    assert pools == []
     emit_all(tmp_path, [te, corr], config={"seed": 7})
-    assert counts == [2]
+    assert pools == [2]
 
 
 def test_writer_failing_in_a_worker_removes_the_whole_run(tmp_path, monkeypatch):
     # the writer fails in the worker and again in the calling process, whose
-    # error is raised; files of the run written by the other worker go too,
-    # one that replaced an older file among them
+    # error is raised; no file of the run reaches out, so the older file of a
+    # result's name stays as it was
     monkeypatch.setattr(kernels, "_cpus", lambda: 2)
     caller = os.getpid()
     seen = tmp_path / "seen"
@@ -397,15 +401,16 @@ def test_writer_failing_in_a_worker_removes_the_whole_run(tmp_path, monkeypatch)
                ("third", corr2x2(0.3), ["json", "dot"])]
     with pytest.raises(OSError, match="^disk full in the caller$"):
         emit_all(out, results, config={"seed": 7})
-    assert os.listdir(out) == ["unrelated.txt"]
+    assert sorted(os.listdir(out)) == ["first.json", "unrelated.txt"]
     assert (out / "unrelated.txt").read_text() == "kept"
+    assert (out / "first.json").read_text() == "replaced"
     assert str(caller) in os.listdir(seen) and len(os.listdir(seen)) == 2
     assert multiprocessing.active_children() == []
 
 
 def test_failed_run_leaves_files_it_did_not_write(tmp_path, monkeypatch):
-    # config.json fails first, so no result is written: an older file of a
-    # result's name is not this run's
+    # config.json fails first, so no result is written, and an older file of
+    # a result's name stays
     def failing(doc, fh, config, threshold):
         raise OSError("disk full")
 
@@ -418,8 +423,7 @@ def test_failed_run_leaves_files_it_did_not_write(tmp_path, monkeypatch):
 
 
 def test_interrupted_fan_out_removes_the_files_it_wrote(tmp_path, monkeypatch):
-    # an interrupt returns no paths from fan_out: the files that did not exist
-    # before the run are its own
+    # every result was written before the interrupt, but none reaches out
     def interrupted(task, count):
         for k in range(count):
             task(k)
@@ -456,6 +460,73 @@ def test_worker_that_dies_has_its_result_written_in_process(tmp_path, monkeypatc
     emit_all(got, results, config={"seed": 7})
     assert _contents(got) == _contents(want)
     assert multiprocessing.active_children() == []
+
+
+# ---------------------------------------------------------------- staged commit
+
+def _files_in(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+def _staged_dirs(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob(".infodrift-*"))
+
+
+@pytest.mark.parametrize("outcome", ["success", "failure", "interrupt"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+def test_no_staging_directory_is_left(tmp_path, monkeypatch, outcome, existing):
+    monkeypatch.setattr(kernels, "_cpus", lambda: 2)
+    out = tmp_path / "runs" / "out"
+    if existing:
+        out.mkdir(parents=True)
+        (out / "corr.csv").write_text("older")
+    if outcome == "failure":
+        def failing(m, fh, config, threshold):
+            raise OSError("disk full")
+
+        monkeypatch.setitem(netout._WRITERS, (InteractionMatrix, "dot"), failing)
+    elif outcome == "interrupt":
+        def interrupted(task, count):
+            for k in range(count):
+                task(k)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(netout, "fan_out", interrupted)
+    if outcome == "success":
+        emit_all(out, fanned_results()[:2], config={"seed": 7})
+        assert (out / "corr.csv").read_text() != "older"
+    else:
+        with pytest.raises(OSError if outcome == "failure" else KeyboardInterrupt):
+            emit_all(out, fanned_results()[:2], config={"seed": 7})
+        assert _files_in(tmp_path) == (["runs", "runs/out", "runs/out/corr.csv"] if existing else [])
+    assert _staged_dirs(tmp_path) == []
+
+
+def test_directory_at_a_planned_name_moves_no_file(tmp_path):
+    (tmp_path / "m.json").write_text("older")
+    (tmp_path / "m.csv").mkdir()
+    with pytest.raises(DataValidationError, match="m.csv: is a directory$"):
+        emit_all(tmp_path, [("m", corr2x2(), ["json", "csv"])], config={"seed": 7})
+    assert _files_in(tmp_path) == ["m.csv", "m.json"]
+    assert (tmp_path / "m.json").read_text() == "older"
+
+
+def test_failed_emit_leaves_an_existing_file_as_it_was(tmp_path, monkeypatch):
+    def half_written(obj, fh, config, threshold):
+        fh.write("<svg")
+        raise OSError("disk full")
+
+    monkeypatch.setitem(netout._WRITERS, (InteractionMatrix, "svg_heatmap"), half_written)
+    (tmp_path / "m.svg").write_text("older")
+    with pytest.raises(OSError, match="disk full"):
+        emit(corr2x2(), "svg_heatmap", tmp_path / "m.svg")
+    assert _files_in(tmp_path) == ["m.svg"]
+    assert (tmp_path / "m.svg").read_text() == "older"
+
+
+def test_emit_creates_the_missing_directory(tmp_path):
+    emit(corr2x2(), "csv", tmp_path / "new" / "nested" / "m.csv")
+    assert _files_in(tmp_path) == ["new", "new/nested", "new/nested/m.csv"]
 
 
 # ---------------------------------------------------------------- writer properties

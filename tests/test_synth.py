@@ -101,12 +101,12 @@ def test_gen_var1_memory_stays_near_the_output():
     gen_var1(a_step, sigma=0.1, steps=10)  # compiles the n=4 step loop
     tracemalloc.start()
     try:
-        out = gen_var1(a_step, sigma=0.1, steps=200_000)
+        out = gen_var1(a_step, sigma=0.1, steps=50_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     path = out.values.base  # the output path, x_0 included
-    assert path.nbytes == 6_400_032  # 6.1 MiB
+    assert path.nbytes == 1_600_032  # 1.5 MiB
     assert peak - path.nbytes < 2 * 2**20, peak
 
 
