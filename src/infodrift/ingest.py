@@ -335,7 +335,16 @@ def _payload_to_series(payload: bytes, asset_id: str, schema: dict) -> PriceSeri
         raise PayloadParseError(str(e)) from None
 
 
+def check_stem(stem: str) -> None:
+    """Refuse ``stem``, an asset id or result name that becomes a file name,
+    when it holds a path separator: its file would land outside its directory."""
+    for sep in filter(None, (os.sep, os.altsep)):
+        if sep in stem:
+            raise DataValidationError(f"{stem}: an asset id or result name cannot hold {sep!r}")
+
+
 def cache_path(cache_dir, asset_id: str, start: dt.date, end: dt.date) -> str:
+    check_stem(asset_id)
     return os.path.join(os.fspath(cache_dir), f"{asset_id}_{start.isoformat()}_{end.isoformat()}.csv")
 
 

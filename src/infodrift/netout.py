@@ -11,8 +11,8 @@ reproduced byte for byte.
 
 Writers write to the open file as they go, never building the whole file:
 the windowed JSON and CSV one window at a time, the windowed SVG one pair row
-at a time, and other JSON one key or flat list at a time. A windowed result's
-JSON and CSV are written in one pass that formats each value once.
+at a time, and other JSON by ``json.dump``. A windowed result's JSON and CSV
+are written in one pass that formats each value once.
 
 ``emit_all`` writes a run: ``config.json`` in-process, then each result,
 all of its files, as one ``kernels.fan_out`` task, so a run's results are
@@ -31,10 +31,10 @@ from __future__ import annotations
 import contextlib
 import csv
 import datetime as dt
-import functools
 import io
 import itertools
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataValidationError, UnsupportedFormatForShape
-from .ingest import DEFAULT_SCHEMA, PriceSeries, write_csv
+from .ingest import DEFAULT_SCHEMA, PriceSeries, check_stem, write_csv
 from .kernels import fan_out
 from .kmdrift import DriftEstimate
 from .matrices import InteractionMatrix
@@ -101,8 +101,8 @@ def matrix_to_graph(m: InteractionMatrix, threshold: float = 0.0, keep_self: boo
     values[i][j]); undirected matrices yield each unordered pair once.
     Self-loops are dropped unless ``keep_self``.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold: expected a finite number >= 0, got {threshold!r}")
     ids, values = m.asset_ids, m.values
     edges = []
     for a, b, i, j in _pairs(m.n, m.directed, keep_self):
@@ -139,56 +139,10 @@ def _document(kind: str, body: dict, config: dict | None, stamped: bool = True) 
     return doc
 
 
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
 def _write_json(doc, fh) -> None:
     """Write ``json.dumps(doc, indent=2)`` and a newline to ``fh``."""
-    _encode(doc, "\n", fh.write)
+    json.dump(doc, fh, indent=2)
     fh.write("\n")
-
-
-@functools.lru_cache(maxsize=None)
-def _flat_encoder(inner: str):
-    """``json.dumps(lst, separators=("," + inner, ": "))`` as one reused encoder:
-    the C encoder, which ``json.dumps`` only uses without indent. Building a
-    new one per call would cost about as much as encoding a row of floats."""
-    return json.JSONEncoder(separators=("," + inner, ": ")).encode
-
-
-def _encode(obj, newline: str, write) -> None:
-    """Write ``json.dumps(obj, indent=2)`` for ``obj`` at the indent that
-    ``newline`` ends with, a piece at a time; a flat list of scalars is one
-    piece. A callable ``obj`` is a part streamed by its writer, which is
-    called as ``obj(newline, write)``."""
-    inner = newline + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            write("{}")
-            return
-        sep = "{" + inner
-        for key, value in obj.items():
-            # a key that is no str is converted as json.dumps converts it
-            write(sep + (json.dumps(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]) + ": ")
-            _encode(value, inner, write)
-            sep = "," + inner
-        write(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            write("[]")
-        elif _SCALARS.issuperset(map(type, obj)):
-            write("[" + inner + _flat_encoder(inner)(obj)[1:-1] + newline + "]")
-        else:
-            sep = "[" + inner
-            for value in obj:
-                write(sep)
-                _encode(value, inner, write)
-                sep = "," + inner
-            write(newline + "]")
-    elif callable(obj):
-        obj(newline, write)
-    else:
-        write(json.dumps(obj))
 
 
 def _json_list(texts, newline: str) -> str:
@@ -200,9 +154,13 @@ def _json_list(texts, newline: str) -> str:
     return "[" + inner + ("," + inner).join(texts) + newline + "]"
 
 
-def _write_list(texts, newline: str, write) -> None:
-    """The ``_encode`` writer of a list given as its items' JSON ``texts``."""
-    write(_json_list(texts, newline))
+def _json_object(members: dict, newline: str) -> str:
+    """``json.dumps(obj, indent=2)`` at the indent that ``newline`` ends with,
+    for a dict given as {str key: the JSON text of its value}."""
+    if not members:
+        return "{}"
+    inner = newline + "  "
+    return "{" + inner + ("," + inner).join(f"{json.dumps(k)}: {v}" for k, v in members.items()) + newline + "}"
 
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -341,8 +299,8 @@ def _windowed(w: WindowedResult, config: dict | None, json_fh=None, csv_fh=None)
     CSV, every ordered pair of every window with self pairs included, holds
     them in ``_pairs`` order. The JSON is ``json.dumps(doc, indent=2)`` of the
     document with a ``windows`` list of {start, end, start_index, end_index,
-    values, bin_edges (where the window has them)}; its head and tail are
-    written by ``_encode``.
+    values, bin_edges (where the window has them)}; its other members are
+    ``json.dumps`` texts, and each window is assembled from its value texts.
     """
     first = w.entries[0][4]
     ids = first.asset_ids
@@ -353,51 +311,44 @@ def _windowed(w: WindowedResult, config: dict | None, json_fh=None, csv_fh=None)
         prefixes = [_csv_row(ids[a], ids[b]) + "," for a, b, _, _ in pairs]
         writer = _csv(csv_fh, "windowed", config, measure=w.measure)
         writer.writerow(["window_start", "window_end", "from_asset", "to_asset", "value"])
-
-    def texts():
-        """Yield each entry with the JSON texts of its values, row-major, after writing its CSV rows."""
-        for entry in w.entries:
-            values = entry[4].values.ravel()
-            found = list(map(repr, values.tolist()))
-            if csv_fh is not None:
-                window = _csv_row(entry[0], entry[1]) + ","
-                csv_fh.write("".join([f"{window}{pair}{found[k]}{_EOL}" for pair, k in zip(prefixes, order)]))
-            yield entry, _json_texts(found, values)
-
-    if json_fh is None:
-        for _ in texts():
-            pass
-        return
-
-    def windows(newline, write):
-        inner = newline + "  "
-        row = inner + "    "  # the indent of a row of a window's values
-        sep = "[" + inner
-        for ((lo, hi, si, ei, _), found), edges in zip(texts(), _edge_texts(w)):
-            rows = [_json_list(found[i * n : (i + 1) * n], row) for i in range(n)]
+    if json_fh is not None:
+        doc = _document("windowed_result", {
+            "measure": w.measure,
+            "directed": first.directed,
+            "units": first.units,
+            "asset_ids": list(ids),
+            "window_spec": w.spec.describe(),
+            "params": w.params,
+            "windows": None,
+        }, config)
+        # json.dumps escapes every newline and NUL in a string: a member's text
+        # moves one level in by its newlines, and the windows go where the NUL is
+        members = {key: json.dumps(value, indent=2).replace("\n", "\n  ") for key, value in doc.items()}
+        sep, tail = _json_object({**members, "windows": _json_list(["\x00"], "\n  ")}, "\n").split("\x00")
+    edge_texts = _edge_texts(w) if json_fh is not None else itertools.repeat(None)
+    for (lo, hi, si, ei, matrix), edges in zip(w.entries, edge_texts):
+        values = matrix.values.ravel()
+        found = list(map(repr, values.tolist()))
+        if csv_fh is not None:
+            label = _csv_row(lo, hi) + ","
+            csv_fh.write("".join([f"{label}{pair}{found[k]}{_EOL}" for pair, k in zip(prefixes, order)]))
+        if json_fh is not None:
+            found = _json_texts(found, values)
+            rows = [_json_list(found[i * n : (i + 1) * n], "\n        ") for i in range(n)]
             window = {
-                "start": lo,
-                "end": hi,
-                "start_index": si,
-                "end_index": ei,
-                "values": functools.partial(_write_list, rows),
+                "start": json.dumps(lo),
+                "end": json.dumps(hi),
+                "start_index": json.dumps(si),
+                "end_index": json.dumps(ei),
+                "values": _json_list(rows, "\n      "),
             }
             if edges is not None:
-                window["bin_edges"] = {asset: functools.partial(_write_list, e) for asset, e in edges.items()}
-            write(sep)
-            _encode(window, inner, write)
-            sep = "," + inner
-        write(newline + "]")
-
-    _write_json(_document("windowed_result", {
-        "measure": w.measure,
-        "directed": first.directed,
-        "units": first.units,
-        "asset_ids": list(ids),
-        "window_spec": w.spec.describe(),
-        "params": w.params,
-        "windows": windows,
-    }, config), json_fh)
+                edges = {asset: _json_list(e, "\n        ") for asset, e in edges.items()}
+                window["bin_edges"] = _json_object(edges, "\n      ")
+            json_fh.write(sep + _json_object(window, "\n    "))
+            sep = ",\n    "
+    if json_fh is not None:
+        json_fh.write(tail + "\n")
 
 
 def _graph_csv(g: InteractionGraph, fh, config: dict | None, threshold: float) -> None:
@@ -691,8 +642,9 @@ def emit_all(out_dir, results, config: dict | None = None, threshold: float = 0.
     each ``(stem, obj, formats)`` of ``results`` as ``<stem>.<extension>`` in
     each of ``formats`` its shape has, skipping the others; a format named
     twice for one result is written once. Return the paths, in that order.
-    An unknown format, or two results that map to the same file name, is an
-    error raised before any file is written.
+    An unknown format, a stem that holds a path separator, or two results
+    that map to the same file name, is an error raised before any file is
+    written.
 
     ``config.json`` is written in-process and each result with a file to
     write, all of its files, is one ``fan_out`` task, so a one-result run
@@ -703,6 +655,7 @@ def emit_all(out_dir, results, config: dict | None = None, threshold: float = 0.
     if config is not None:
         results = [("config", config, ("json",)), *results]
     for stem, obj, formats in results:
+        check_stem(stem)
         files = {}
         for fmt in dict.fromkeys(formats):
             if fmt not in FORMATS:

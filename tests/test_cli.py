@@ -77,6 +77,17 @@ def test_dot_asset_id_ending_in_a_backslash_exit_2_before_out(runner, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("asset", ["../escaped", "a/b"])
+def test_asset_id_holding_a_path_separator_exit_2_writes_nothing(runner, tmp_path, asset):
+    out = tmp_path / "esc" / "run"
+    out.parent.mkdir()
+    result = runner.invoke(main, ["--out", str(out), "simulate", "--kind", "coupled_binary", "--steps", "50",
+                                  "--assets", f"{asset},Y"])
+    assert result.exit_code == 2, result.output
+    assert result.output.endswith(f"error: {asset}: an asset id or result name cannot hold '/'\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["esc"]
+
+
 def test_stats_no_inputs_exit_2(runner, tmp_path):
     result = runner.invoke(main, ["--out", str(tmp_path / "o"), "stats"])
     assert result.exit_code == 2

@@ -4,6 +4,7 @@ import datetime as dt
 import json
 import math
 import threading
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -18,6 +19,7 @@ from infodrift.ingest import AlignedPanel, PriceSeries
 from infodrift.kmdrift import drift_estimate
 from infodrift.stats import compute_returns, correlation_matrix
 from infodrift.errors import (
+    DataValidationError,
     DuplicateAssetId,
     DuplicateDate,
     EmptyFile,
@@ -313,6 +315,18 @@ def test_fetch_remote_caches_only_parsed_payloads(http_server, tmp_path):
     series = fetch_remote(*args, schema=SIMPLE, cache_dir=tmp_path)
     assert cache_file.read_bytes() == CSV_BODY
     assert list(series.prices) == [100.0, 101.0, 102.0]
+
+
+def test_fetch_remote_refuses_a_cache_file_outside_the_cache_dir(tmp_path, monkeypatch):
+    def urlopen(*args, **kwargs):
+        pytest.fail("urlopen called for an asset id that holds a path separator")
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    cache = tmp_path / "cache"
+    with pytest.raises(DataValidationError, match=r"^\.\./outside: an asset id or result name cannot hold '/'$"):
+        fetch_remote("http://localhost/q/{asset}/{start}/{end}", "../outside",
+                     (dt.date(2020, 1, 1), dt.date(2020, 1, 31)), cache_dir=cache)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fetch_cli_failed_asset_writes_nothing(http_server, tmp_path):

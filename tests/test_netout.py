@@ -76,6 +76,12 @@ def test_keep_self_adds_diagonal():
     assert ("A", "A", 1.5) in g.edges
 
 
+@pytest.mark.parametrize("threshold", [-0.1, float("nan"), float("inf")])
+def test_threshold_not_a_finite_number_at_least_zero_is_refused(threshold):
+    with pytest.raises(ValueError, match="threshold: expected a finite number >= 0"):
+        matrix_to_graph(corr2x2(0.5), threshold=threshold)
+
+
 def test_negative_weights_pass_absolute_threshold():
     m = InteractionMatrix(
         asset_ids=("A", "B"),
@@ -681,8 +687,32 @@ def windowed_results(draw):
     )
 
 
+def _example_result(ids, labels, binned=()):
+    """A TE result with a window per (start, end) label; the windows numbered in ``binned`` carry bin edges."""
+    n = len(ids)
+    entries = tuple(
+        (lo, hi, k, k + 1, InteractionMatrix(
+            asset_ids=tuple(ids), values=np.arange(n * n, dtype=np.float64).reshape(n, n) / 8,
+            measure="transfer_entropy", directed=True, units="bits",
+            params={"bins": 2, **({"bin_edges": {a: [-0.5, 0.0, float("nan")] for a in ids}} if k in binned else {})},
+        ))
+        for k, (lo, hi) in enumerate(labels)
+    )
+    return WindowedResult(measure="transfer_entropy", entries=entries,
+                          spec=WindowSpec(mode="sliding", length=2, stride=1), params={"bins": 2, "dt": 1})
+
+
+# texts that could end the head or start the tail of the windowed JSON early
+_MARKERS = ["\x00", '"windows": null', "]", "\n"]
+
+
 @given(windowed_results(), st.sampled_from([("json",), ("csv",), ("json", "csv")]),
        st.none() | st.just({"seed": 7, "measures": ["te", "é"]}))
+@example(_example_result(_MARKERS, [(a, b) for a in _MARKERS for b in _MARKERS[:2]], binned={1}),
+         ("json", "csv"), {"seed": 7, "measures": _MARKERS, "\x00": "\x00"})
+@example(_example_result(["A", "B"], [("a", "b"), ("c", "d"), ("e", "f")], binned={0, 2}), ("json", "csv"), None)
+@example(_example_result(["A", "B"], [("a", "b")]), ("json", "csv"), {"seed": 7})
+@example(_example_result(["A"], [("a", "b")], binned={0}), ("json",), None)
 @settings(max_examples=200, deadline=None)
 def test_streamed_windowed_json_and_csv_equal_the_oracles(w, formats, config):
     sinks = {fmt: io.StringIO() for fmt in formats}
