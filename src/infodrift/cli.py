@@ -25,7 +25,7 @@ import click
 import numpy as np
 
 from . import ingest, netout, synth
-from .discretize import STRATEGIES
+from .discretize import STRATEGIES, SymbolSequence
 from .errors import DataValidationError, EstimatorError, InfodriftError, TooFewSamples
 from .infoflow import te_floor_matrix
 from .measures import ENTROPY_MEASURES, canonical_measure, evaluate
@@ -205,23 +205,23 @@ def analyze(cfg: RunConfig, inputs, measures):
         names = _measure_names(cfg)
         returns = _load_panel(cfg)
         results = []
-        seqs = None  # the first entropy measure's binned columns, counted by the later ones
+        binned = None  # the first entropy measure's (symbols, edges), counted by the later ones
         for k, name in enumerate(names):
             try:
-                matrix, basis = evaluate(returns, name, cfg.bins, cfg.strategy, cfg.dt, seqs=seqs)
+                matrix, basis = evaluate(returns, name, cfg.bins, cfg.strategy, cfg.dt, basis=binned)
                 results.append((name, matrix, cfg.formats))
                 if name == "km_drift":
                     results.append(("km_drift_estimate", basis, cfg.formats))
                 if name == "transfer_entropy" and cfg.surrogates > 0:
                     floor = te_floor_matrix(
-                        basis, dt=cfg.dt, shuffles=cfg.surrogates,
-                        seed=cfg.seed, asset_ids=returns.asset_ids,
+                        [SymbolSequence(s, cfg.bins, e) for s, e in zip(*basis)],
+                        dt=cfg.dt, shuffles=cfg.surrogates, seed=cfg.seed, asset_ids=returns.asset_ids,
                     )
                     results.append(("transfer_entropy_floor", floor, netout.TABLE_FORMATS))
             except (EstimatorError, TooFewSamples) as e:
                 raise type(e)(f"{name}: {e}") from e
             if name in ENTROPY_MEASURES:  # held only while a later measure will count them
-                seqs = basis if any(later in ENTROPY_MEASURES for later in names[k + 1 :]) else None
+                binned = basis if any(later in ENTROPY_MEASURES for later in names[k + 1 :]) else None
             basis = None
             log.info("measure %s done", name)
         return results
@@ -327,9 +327,12 @@ def fetch(cfg: RunConfig, endpoint, assets, start, end, cache_dir):
         except ValueError as e:
             raise DataValidationError(f"date: {e}") from None
         schema = {"date": cfg.date_column, "price": cfg.price_column}
+        ids = [a.strip() for a in assets.split(",")]
+        for a in ids:  # every id is checked before the first request
+            ingest.check_stem(a)
         results = []
-        for a in assets.split(","):
-            series = ingest.fetch_remote(endpoint, a.strip(), (d0, d1), schema=schema, cache_dir=cache_dir)
+        for a in ids:
+            series = ingest.fetch_remote(endpoint, a, (d0, d1), schema=schema, cache_dir=cache_dir)
             log.info("fetched %s (%d observations)", series.asset_id, len(series))
             results.append((series.asset_id, series, ("csv",)))
         return results

@@ -337,14 +337,16 @@ def _payload_to_series(payload: bytes, asset_id: str, schema: dict) -> PriceSeri
 
 def check_stem(stem: str) -> None:
     """Refuse ``stem``, an asset id or result name that becomes a file name,
-    when it holds a path separator: its file would land outside its directory."""
+    when it is empty (a hidden ``.csv``) or holds a path separator: its file
+    would land outside its directory."""
+    if not stem:
+        raise DataValidationError(f"{stem!r}: an asset id or result name cannot be empty")
     for sep in filter(None, (os.sep, os.altsep)):
         if sep in stem:
             raise DataValidationError(f"{stem}: an asset id or result name cannot hold {sep!r}")
 
 
 def cache_path(cache_dir, asset_id: str, start: dt.date, end: dt.date) -> str:
-    check_stem(asset_id)
     return os.path.join(os.fspath(cache_dir), f"{asset_id}_{start.isoformat()}_{end.isoformat()}.csv")
 
 
@@ -363,8 +365,10 @@ def fetch_remote(
     ``{asset}_{start}_{end}.csv`` and reused on later calls, but only once
     they have parsed, so a bad payload is never replayed; cache writes are
     atomic so concurrent readers never see partial files. Validation is that
-    of load_csv, and a payload that fails it raises PayloadParseError.
+    of load_csv, and a payload that fails it raises PayloadParseError. An
+    asset id that ``check_stem`` refuses is refused before any request.
     """
+    check_stem(asset_id)
     schema = schema or DEFAULT_SCHEMA
     start, end = date_range
     cached = cache_path(cache_dir, asset_id, start, end) if cache_dir is not None else None

@@ -44,6 +44,10 @@ class InteractionMatrix:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
+    def __reduce__(self):
+        # rebuilt through __init__, so a matrix from a fan_out worker is checked and read-only too
+        return InteractionMatrix, (self.asset_ids, self.values, self.measure, self.directed, self.units, self.params)
+
     @property
     def n(self) -> int:
         return len(self.asset_ids)

@@ -4,21 +4,18 @@
 basis it was estimated from, which ``analyze`` reuses: the TE surrogate floor
 shuffles the binned columns, a second entropy measure counts the first one's
 binned columns, and the drift estimate is written beside its matrix.
-``compute_matrix`` is its one-result form. Bin edges for the entropy
-measures are fitted on whatever sample the driver receives; ``with_bins``
-records them on the matrix. An entropy measure is the one-window case of
-``windows.evolve``: one ``bin_windows`` call bins every column into one
-(N, T) symbols array, ``mi_matrices`` or ``te_matrices`` count it without a
-copy, and the basis sequences are row views of it (a measure given those
-sequences stacks them once). ``evolve`` records its batched windows' edges
-through ``with_bins`` too.
+``compute_matrix`` is its one-result form.
+
+``binned_matrices`` is the one estimator of MI and TE, on the full sample as
+one window (from ``evaluate``) and on each block of windows (from
+``windows.evolve``): it bins a window-major stack of columns, fitting bin
+edges on each window, counts the symbols without a copy and records each
+window's binning on its matrix.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .discretize import SymbolSequence, bin_windows
+from .discretize import bin_windows
 from .errors import DegenerateSeries
 from .infoflow import as_mi_matrix, as_te_matrix, mi_matrices, te_matrices
 from .kmdrift import drift_estimate, drift_matrix
@@ -47,12 +44,31 @@ def canonical_measure(name: str) -> str:
         raise ValueError(f"unknown measure {name!r}; choose from {sorted(set(ALIASES.values()))}") from None
 
 
-def with_bins(matrix: InteractionMatrix, bins: int, strategy: str, edges) -> InteractionMatrix:
-    """Record the binning of an entropy matrix; ``edges`` holds one list per asset."""
-    matrix.params.update(
-        {"bins": bins, "strategy": strategy, "bin_edges": dict(zip(matrix.asset_ids, edges))}
-    )
-    return matrix
+def binned_matrices(x, measure: str, bins: int, strategy: str, dt: int, asset_ids, basis=None):
+    """(matrices, basis) of an entropy measure on the windows whose columns
+    are the rows of the window-major (windows * N, T) stack ``x``.
+
+    ``basis`` is the (symbols, edges) of ``bin_windows`` that were counted;
+    given that of an earlier call on the same stack, bins and strategy, it
+    bins nothing. A constant row raises DegenerateSeries naming its asset
+    and keeping its ``row``.
+    """
+    n = len(asset_ids)
+    if basis is None:
+        try:
+            basis = bin_windows(x, bins, strategy)
+        except DegenerateSeries as e:  # bin_windows names the row, which is window-major
+            raise DegenerateSeries(f"{asset_ids[e.row % n]}: {e}", row=e.row) from e
+    symbols, edges = basis
+    windows = symbols.reshape(-1, n, symbols.shape[1])
+    if measure == "mutual_information":
+        matrices = [as_mi_matrix(v, asset_ids) for v in mi_matrices(windows, bins)]
+    else:
+        matrices = [as_te_matrix(v, dt, asset_ids) for v in te_matrices(windows, bins, dt)]
+    edges = edges.tolist()
+    for w, m in enumerate(matrices):
+        m.params.update(bins=bins, strategy=strategy, bin_edges=dict(zip(asset_ids, edges[w * n : (w + 1) * n])))
+    return matrices, basis
 
 
 def evaluate(
@@ -63,35 +79,22 @@ def evaluate(
     dt: int,
     step_duration: float = 1.0,
     ridge: float = 0.0,
-    seqs=None,
+    basis=None,
 ) -> tuple[InteractionMatrix, object]:
     """(matrix, basis) of one canonical measure on the given sample.
 
-    ``basis`` is what the matrix was estimated from: one SymbolSequence per
-    asset column, in asset order, for MI and TE; the DriftEstimate for
-    km_drift; None for correlation. An MI or TE call given ``seqs``, the
-    basis of an entropy measure on the same sample, bins, and strategy,
-    counts those instead of binning the columns again.
+    ``basis`` is what the matrix was estimated from: the (symbols, edges) of
+    ``binned_matrices`` for MI and TE, which an MI or TE call on the same
+    sample, bins and strategy counts again when given them; the
+    DriftEstimate for km_drift; None for correlation.
     """
     if measure == "correlation":
         return correlation_matrix(returns), None
     if measure == "km_drift":
         est = drift_estimate(returns, dt=dt, step_duration=step_duration, ridge=ridge)
         return drift_matrix(est, returns.asset_ids), est
-
-    if seqs is None:
-        try:
-            symbols, edges = bin_windows(returns.values.T, bins, strategy)
-        except DegenerateSeries as e:  # bin_windows names the row, which is the column
-            raise DegenerateSeries(f"{returns.asset_ids[e.row]}: {e}") from e
-        seqs = [SymbolSequence(symbols=s, bins=bins, edges=e) for s, e in zip(symbols, edges)]
-    else:
-        symbols = np.stack([seq.symbols for seq in seqs])
-    if measure == "mutual_information":
-        m = as_mi_matrix(mi_matrices(symbols[np.newaxis], bins)[0], returns.asset_ids)
-    else:
-        m = as_te_matrix(te_matrices(symbols[np.newaxis], bins, dt)[0], dt, returns.asset_ids)
-    return with_bins(m, bins, strategy, [seq.edges.tolist() for seq in seqs]), seqs
+    (matrix,), basis = binned_matrices(returns.values.T, measure, bins, strategy, dt, returns.asset_ids, basis)
+    return matrix, basis
 
 
 def compute_matrix(

@@ -8,14 +8,13 @@ data. Quantile bin edges are re-fitted inside each window because the series
 cannot be assumed stationary; the choice is recorded in the result metadata.
 
 ``evolve`` is the windowed driver. Correlation and km_drift bin nothing, so
-it calls ``compute_matrix`` once per window. For MI and TE it rank-bins
-every window of every column with one ``bin_windows`` call per block of
-windows and counts all their rows through ``mi_matrices``/``te_matrices``.
+it calls ``compute_matrix`` once per window. For MI and TE it stacks each
+block of windows window-major and hands it to ``measures.binned_matrices``,
+the path that ``compute_matrix`` takes on the full sample as one window.
 The blocks are independent, so each is one ``kernels.fan_out`` task, run on
-every CPU the process may run on: a task returns its windows' values and
-bin edges, and the calling process makes the matrices. Each window's matrix
-is bit-identical to ``compute_matrix`` on that window, which a
-single-window evolve therefore equals too, however many workers there are.
+every CPU the process may run on, which returns its windows' matrices. Each
+window's matrix is therefore bit-identical to ``compute_matrix`` on that
+window, however many workers there are.
 """
 
 from __future__ import annotations
@@ -24,11 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import bin_windows
 from .errors import DegenerateSeries, EstimatorError, TooFewSamples, WindowTooLarge
-from .infoflow import as_mi_matrix, as_te_matrix, mi_matrices, te_matrices
 from .kernels import fan_out
-from .measures import ENTROPY_MEASURES, canonical_measure, compute_matrix, with_bins
+from .measures import ENTROPY_MEASURES, binned_matrices, canonical_measure, compute_matrix
 from .stats import ReturnsMatrix
 
 # Symbols binned at once by evolve: 256 KiB of int64, six windows at the
@@ -169,38 +166,24 @@ def evolve(
     else:
         blocks = list(_blocks(windows, n))
 
-        def count(x):
-            """Values and bin edges of the windows whose columns are the rows of x, window-major."""
-            symbols, edges = bin_windows(x, bins, strategy)
-            symbols = symbols.reshape(-1, n, x.shape[1])
-            if measure == "mutual_information":
-                return mi_matrices(symbols, bins), edges
-            return te_matrices(symbols, bins, dt=dt), edges
-
         def estimate(b):
-            """count of block b, its first error named as the per-window loop met it."""
+            """Matrices of block b's windows, its first error named as the per-window loop met it."""
             block = blocks[b]
             _, start, end = window = block[0]
             x = np.stack([returns.values[s:e].T for _, s, e in block]).reshape(len(block) * n, end - start)
             try:
                 try:
-                    return count(x)
-                except DegenerateSeries as e:  # from bin_windows, which names the row
-                    w, k = divmod(e.row, n)
+                    return binned_matrices(x, measure, bins, strategy, dt, returns.asset_ids)[0]
+                except DegenerateSeries as e:  # binned_matrices named its asset and kept its row
+                    w = e.row // n
                     if w:  # the per-window loop estimated the block's first window before binning this one
-                        count(x[:n])
+                        binned_matrices(x[:n], measure, bins, strategy, dt, returns.asset_ids)
                     window = block[w]
-                    raise DegenerateSeries(f"{returns.asset_ids[k]}: {e}") from e
+                    raise
             except (EstimatorError, TooFewSamples) as e:
                 raise _in_window(e, measure, window) from e
 
-        ids = returns.asset_ids
-        matrices = []
-        for values, edges in fan_out(estimate, len(blocks)):
-            edges = edges.tolist()
-            for w, v in enumerate(values):
-                m = as_mi_matrix(v, ids) if measure == "mutual_information" else as_te_matrix(v, dt, ids)
-                matrices.append(with_bins(m, bins, strategy, edges[w * n : (w + 1) * n]))
+        matrices = [m for block in fan_out(estimate, len(blocks)) for m in block]
     entries = tuple(
         (*_labels(returns, start, end), start, end, matrix)
         for (start, end), matrix in zip(windows, matrices)

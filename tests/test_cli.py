@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import urllib.request
 import weakref
 import xml.etree.ElementTree as ET
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -392,6 +393,7 @@ def test_simulate_non_finite_parameter_exit_2_before_any_draw(runner, tmp_path, 
 
 @pytest.mark.parametrize("args, message", [
     (["--kind", "coupled_binary", "--assets", "X,X"], "error: X: two results would be written to X.csv\n"),
+    (["--kind", "coupled_binary", "--assets", "X,"], "error: '': an asset id or result name cannot be empty\n"),
     (["--kind", "var1", "--assets", "A", "--matrix", "[[0.5, 0.0], [0.1, 0.4]]"],
      "error: assets: var1 emits exactly 2 series\n"),
     (["--kind", "ou_euler", "--assets", "A,B,C", "--matrix", "[[-0.5, 0.0], [0.1, -0.4]]"],
@@ -405,7 +407,7 @@ def test_simulate_non_finite_parameter_exit_2_before_any_draw(runner, tmp_path, 
     (["--kind", "coupled_binary", "--assets", "A,B,C"], "error: assets: coupled_binary emits exactly 2 series\n"),
     (["--kind", "var1"], "error: matrix: --matrix is required for var1/ou_euler\n"),
     (["--kind", "var1", "--matrix", "[[0.5"], "error: matrix: Expecting ',' delimiter: line 1 column 6 (char 5)\n"),
-], ids=["duplicate-assets", "var1-assets", "ou-assets", "nan", "minus-infinity", "overflow",
+], ids=["duplicate-assets", "empty-asset", "var1-assets", "ou-assets", "nan", "minus-infinity", "overflow",
         "var1-not-square", "ou-not-square", "binary-assets", "no-matrix", "matrix-not-json"])
 def test_simulate_bad_names_or_matrix_exit_2_before_out(runner, tmp_path, args, message):
     out = tmp_path / "sim"
@@ -422,6 +424,23 @@ def test_fetch_duplicate_assets_exit_2_before_out(runner, tmp_path, served):
     assert result.exit_code == 2, result.output
     assert result.output.endswith("error: GLD: two results would be written to GLD.csv\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("assets, message", [
+    ("GOOD,../bad", "error: ../bad: an asset id or result name cannot hold '/'\n"),
+    ("A,,B", "error: '': an asset id or result name cannot be empty\n"),
+], ids=["path-separator", "empty"])
+def test_fetch_refuses_every_bad_asset_id_before_the_first_request(runner, tmp_path, monkeypatch, assets, message):
+    def urlopen(*args, **kwargs):
+        pytest.fail("urlopen called before every asset id was checked")
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    out = tmp_path / "fetched"
+    result = runner.invoke(main, ["--out", str(out), "fetch", "--endpoint", "http://localhost/q/{asset}/{start}/{end}",
+                                  "--assets", assets, "--start", "2020-01-01", "--end", "2020-01-31"])
+    assert result.exit_code == 2, result.output
+    assert result.output.endswith(message)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -698,6 +717,13 @@ def test_failed_run_writes_nothing(runner, tmp_path, args, code, message, panel)
     assert result.exit_code == code, result.output
     assert message in result.output
     assert not out.exists()
+    if panel == "flat":  # a one-window evolve names the asset that analyze names, for MI and for TE
+        for name in ("mutual_information", "transfer_entropy"):
+            for command, window in ((["analyze"], ""), (["--windows", "segmented:1", "evolve"], "window 0 [0:59): ")):
+                result = runner.invoke(main, ["--out", str(out), *command, "--measures", name, *paths])
+                assert result.exit_code == 3, result.output
+                assert result.output.endswith(f"error: {name}: {window}BBB: all values equal\n")
+                assert not out.exists()
 
 
 def test_estimator_allocation_failure_exit_3_writes_nothing(runner, tmp_path, monkeypatch):

@@ -329,6 +329,15 @@ def test_fetch_remote_refuses_a_cache_file_outside_the_cache_dir(tmp_path, monke
     assert list(tmp_path.iterdir()) == []
 
 
+def test_fetch_remote_without_a_cache_refuses_a_path_separator_before_any_request(monkeypatch):
+    def urlopen(*args, **kwargs):
+        pytest.fail("urlopen called for an asset id that holds a path separator")
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    with pytest.raises(DataValidationError, match=r"^\.\./outside: an asset id or result name cannot hold '/'$"):
+        fetch_remote("http://localhost/q/{asset}/{start}/{end}", "../outside", (dt.date(2020, 1, 1), dt.date(2020, 1, 31)))
+
+
 def test_fetch_cli_failed_asset_writes_nothing(http_server, tmp_path):
     _Handler.responses["/q/GLD/2020-01-01/2020-01-31"] = (200, b"Date,Adj Close\n2020-01-01,100\n2020-01-02,101\n")
     _Handler.responses["/q/BAD/2020-01-01/2020-01-31"] = (500, b"boom")

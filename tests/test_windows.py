@@ -84,6 +84,13 @@ def test_single_segment_equals_full_sample_bitwise():
         windowed = evolve(panel, WindowSpec(mode="segmented", segments=1), measure, bins=4)
         assert len(windowed.entries) == 1
         assert np.array_equal(windowed.entries[0][4].values, full.values)
+        params = windowed.entries[0][4].params
+        assert params == full.params
+        if "bin_edges" in full.params:
+            assert (params["bins"], params["strategy"]) == (4, "quantile")
+            assert list(params["bin_edges"]) == list(full.params["bin_edges"]) == list(panel.asset_ids)
+            edges = [list(p["bin_edges"].values()) for p in (params, full.params)]
+            assert np.array_equal(bits(edges[0]), bits(edges[1]))
 
 
 def test_window_labels_use_dates_when_present(csv_dir):
