@@ -14,11 +14,19 @@ across platforms.
 every window of every column for a windowed one. It works through the rows
 in blocks of at most ``_BLOCK_VALUES`` values (or one row, when a row is
 longer), each made contiguous. A block's quantile ranks come from one
-argsort, its quantile edges from one ``np.quantile`` and its equal-width
-edges from one ``np.linspace`` call, and its symbols and edges go straight
-into the preallocated outputs, so memory beyond the (rows, length) symbols
-is a few blocks (or rows) however many rows there are. Each row is
-bit-identical to ``bin_series`` of that row, which is its one-row case.
+``np.sort``: bin b starts at the rank ceil(b * n / bins), a value's bin is
+the number of those starts whose sorted value it reaches (bins - 1
+vectorised compares), and a tie run that spans a start is then given its
+midpoint bin, one start at a time through boolean masks. Its quantile edges
+come from one ``np.quantile`` call, on the sorted copy, where partitioning
+is cheap, unless the block holds zeros of both signs: ``np.sort`` may write
+a zero with the sign of another zero it compares equal to, and the quantile
+of such a copy can then be -0.0 where that of the block is 0.0. Min and max
+come from the block. Its equal-width edges come from one ``np.linspace``
+call, and its symbols and edges go straight into the preallocated outputs,
+so memory beyond the (rows, length) symbols is a few blocks (or rows)
+however many rows there are. Each row is bit-identical to ``bin_series`` of
+that row, which is its one-row case.
 """
 
 from __future__ import annotations
@@ -33,8 +41,8 @@ from .kernels import joint_counts
 STRATEGIES = ("quantile", "equal_width")
 
 # Values binned at once by bin_windows: 256 KiB of float64. A longer row is
-# binned alone, with at most about four row-sized temporaries (its contiguous
-# copy, the sort order, the sorted values or the run indices, and the runs).
+# binned alone, with two row-sized temporaries (its contiguous copy, where
+# the row is strided, and its sorted copy) and a boolean mask.
 _BLOCK_VALUES = 2**15
 
 
@@ -108,36 +116,28 @@ def _check_bins(bins: int, strategy: str) -> None:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
 
 
-def _rank_bins(values: np.ndarray, bins: int, out: np.ndarray) -> None:
-    # out[k] gets row k's bins: bin of value v = floor(mid_rank(v) * bins / n)
-    # within its row, ties share their bin; integer arithmetic on doubled
-    # ranks keeps the floor exact. Tied values get one bin whatever their
-    # order, so any sort will do.
-    rows, n = values.shape
-    order = np.argsort(values, axis=1)
-    ordered = np.take_along_axis(values, order, axis=1)
-    first = np.ones((rows, n), dtype=bool)  # first of its tie run
-    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first[:, 1:])
-    del ordered
-    first = first.ravel()
-    starts = np.flatnonzero(first)  # every row starts a run
-    # run_bins = ((2 * (start % n) + run length - 1) * bins) // (2 * n), in place
-    run_bins = starts % n
-    run_bins *= 2
-    run_bins[:-1] += starts[1:]
-    run_bins[-1] += first.size
-    run_bins -= starts
-    del starts
-    run_bins -= 1
-    run_bins *= bins
-    run_bins //= 2 * n
-    run = first.astype(np.int64)
-    del first
-    np.cumsum(run, out=run)  # each value's run, counted from 1
-    run -= 1
-    # clip mode does not buffer ``out``; each index is read before its slot is written
-    np.take(run_bins, run, out=run, mode="clip")
-    np.put_along_axis(out, order, run.reshape(rows, n), axis=1)
+def _rank_bins(values: np.ndarray, ordered: np.ndarray, bins: int, out: np.ndarray) -> None:
+    # out[k] gets row k's bins: bin of value v = floor((2s + L - 1) * bins / 2n),
+    # s values of its row below v and L equal to it, so ties share their bin.
+    # Bin b starts at rank r_b = ceil(b * n / bins); a value outside a tie run
+    # that spans a start has bin #{b >= 1 : ordered[r_b] <= v}, and each such
+    # run (ordered[r_b - 1] == ordered[r_b]) is given its own bin afterwards.
+    n = values.shape[1]
+    starts = -(-np.arange(1, bins) * n // bins)
+    firsts = ordered[:, starts]  # (rows, bins - 1)
+    out[:] = 0
+    mask = np.empty(values.shape, dtype=bool)
+    for b in range(bins - 1):
+        np.greater_equal(values, firsts[:, b, np.newaxis], out=mask)
+        out += mask
+    tied = ordered[:, starts - 1] == firsts
+    for b in np.flatnonzero(tied.any(axis=0)):
+        # NaN equals nothing, so rows without a run across this start keep their bins
+        v = np.where(tied[:, b], firsts[:, b], np.nan)[:, np.newaxis]
+        below = np.count_nonzero(np.less(values, v, out=mask), axis=1)
+        np.equal(values, v, out=mask)
+        run_bins = (2 * below + np.count_nonzero(mask, axis=1) - 1) * bins // (2 * n)
+        np.copyto(out, run_bins[:, np.newaxis], where=mask)
 
 
 def bin_windows(values, bins: int, strategy: str = "quantile") -> tuple[np.ndarray, np.ndarray]:
@@ -146,8 +146,8 @@ def bin_windows(values, bins: int, strategy: str = "quantile") -> tuple[np.ndarr
     Returns the (W, L) int64 symbols and the (W, bins + 1) edges, row k being
     ``bin_series(values[k])`` bit for bit. The rows are binned in blocks of
     at most ``_BLOCK_VALUES`` values, or one row: each block is made
-    contiguous, its quantile rows ranked by one argsort and their edges taken
-    from one ``np.quantile`` call, its equal-width edges from one
+    contiguous, its quantile rows ranked from one ``np.sort`` and their edges
+    taken from one ``np.quantile`` call, its equal-width edges from one
     ``np.linspace`` call, and its results written straight into the output.
     A non-finite value anywhere raises ValueError; then a row too short to
     bin raises TooFewSamples; then a constant row raises DegenerateSeries
@@ -179,9 +179,14 @@ def bin_windows(values, bins: int, strategy: str = "quantile") -> tuple[np.ndarr
             continue
         out = edges[a:b]
         if strategy == "quantile":
-            out[:] = np.quantile(block, np.arange(bins + 1) / bins, axis=1).T
+            ordered = np.sort(block, axis=1)
+            # np.sort may write a zero with the sign of another zero it equals,
+            # so the quantiles come from the sorted copy only where that cannot show
+            zero_signs = np.signbit(block[block == 0])
+            mixed = zero_signs.any() and not zero_signs.all()
+            out[:] = np.quantile(block if mixed else ordered, np.arange(bins + 1) / bins, axis=1).T
             out[:, 0], out[:, -1] = lo, hi
-            _rank_bins(block, bins, symbols[a:b])
+            _rank_bins(block, ordered, bins, symbols[a:b])
         else:
             # np.linspace takes another route when any step underflows to zero, so
             # rows with such a (subnormal) span are spaced apart from the others

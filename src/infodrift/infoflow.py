@@ -499,8 +499,7 @@ def te_floor_matrix(
         for source in seqs[1:]:
             _check_te(source, seqs[0], dt)
         sym = np.stack([s.symbols for s in seqs])
-        length = sym.shape[1]
-        eff = length - dt
+        eff = sym.shape[1] - dt
         per = min(_per_count(eff, bins**3), shuffles)
         tables = _te_cells(per, bins)
         pair, c_p = _target_counts(sym, dt, bins)
@@ -510,15 +509,17 @@ def te_floor_matrix(
             row = np.zeros(n)
             for j in range(n):
                 if i != j:
-                    # surrogate_floor's stream and order: one permutation per shuffle
+                    # surrogate_floor's stream and order: shuffling a row in place draws
+                    # what rng.permutation draws, one shuffle per row in row order
                     ss = np.random.SeedSequence(entropy=seed, spawn_key=(i, j))
                     rng = np.random.Generator(np.random.PCG64(ss))
                     acc = 0.0
                     for r in range(0, shuffles, per):
                         k = min(per, shuffles - r)
-                        perms = np.array([rng.permutation(length)[:eff] for _ in range(k)])
+                        src = np.tile(sym[j], (k, 1))
+                        rng.permuted(src, axis=1, out=src)
                         rows = np.full(k, i)
-                        parts = [(sym, rows, (dt, 0)), (sym[j][perms], slice(None), (0,))]
+                        parts = [(sym, rows, (dt, 0)), (src, slice(None), (0,))]
                         counts = _count(parts, eff, bins)
                         for te in _te_sums(counts, pair[rows], c_p[rows], eff, bins, tables):
                             acc += te

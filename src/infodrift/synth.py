@@ -77,10 +77,15 @@ def binary_entropy(eps: float) -> float:
     return float(-eps * np.log2(eps) - (1 - eps) * np.log2(1 - eps))
 
 
+def _square(a, label: str) -> np.ndarray:
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"{label} must be square and non-empty, got shape {a.shape}")
+    return a
+
+
 def _check_step_matrix(a_step: np.ndarray, label: str) -> np.ndarray:
-    a_step = np.asarray(a_step, dtype=np.float64)
-    if a_step.ndim != 2 or a_step.shape[0] != a_step.shape[1]:
-        raise ValueError(f"{label} must be square")
+    a_step = _square(a_step, label)
     radius = float(np.abs(np.linalg.eigvals(a_step)).max())
     if radius >= 1.0:
         raise UnstableSpec(f"{label} spectral radius {radius:.4f} >= 1")
@@ -128,9 +133,7 @@ def gen_ou(a_true, sigma: float, dt_sim: float, steps: int, seed: int = 0, asset
     eigenvalues of A must have negative real part, the per-step map
     I + dt_sim * A must be stable, and dt_sim, sigma and x_0 finite.
     """
-    a_true = np.asarray(a_true, dtype=np.float64)
-    if a_true.ndim != 2 or a_true.shape[0] != a_true.shape[1]:
-        raise ValueError("a_true must be square")
+    a_true = _square(a_true, "a_true")
     if not np.isfinite(dt_sim):
         raise ValueError(f"dt_sim must be finite, got {dt_sim}")
     if dt_sim <= 0:

@@ -143,6 +143,27 @@ def _check_rows_against_the_oracles(values, bins, strategy):
         assert np.array_equal(one.symbols, symbols[k]) and np.array_equal(bits(one.edges), bits(edges[k]))
 
 
+@pytest.mark.parametrize("zeros", ["positive", "negative", "mixed"])
+@pytest.mark.parametrize("shape", ["block", "long-row"])
+def test_tie_runs_across_bin_starts_and_signed_zeros_equal_the_oracles(monkeypatch, shape, zeros):
+    # values drawn from {0, 1, 2}: each tie run spans two or more bin starts,
+    # and a run of zeros holds +0.0, -0.0 or both, which np.sort may not keep apart
+    rng = np.random.default_rng(6)
+    if shape == "block":  # six rows of 40 in one block
+        values = rng.permuted(np.tile(np.repeat([0.0, 1.0, 2.0], [14, 13, 13]), (6, 1)), axis=1)
+    else:  # one row of 10**6, in a block of its own
+        monkeypatch.setattr(discretize, "_BLOCK_VALUES", 1)
+        values = rng.integers(0, 3, size=(1, 10**6)).astype(np.float64)
+    zero = values == 0
+    if zeros == "negative":
+        values[zero] = -0.0
+    elif zeros == "mixed":
+        values[zero & (rng.random(values.shape) < 0.5)] = -0.0
+    n = values.shape[1]
+    assert all(np.unique(row, return_counts=True)[1].min() > 2 * n // 8 for row in values)
+    _check_rows_against_the_oracles(values, 8, "quantile")
+
+
 @pytest.mark.parametrize("strategy", ["quantile", "equal_width"])
 def test_bin_windows_errors_keep_their_order_across_row_blocks(monkeypatch, strategy):
     monkeypatch.setattr(discretize, "_BLOCK_VALUES", 20)  # two rows of 10 per block

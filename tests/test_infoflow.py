@@ -370,6 +370,16 @@ def test_batched_counts_stay_under_the_code_cap(code_counts):
     assert code_counts and max(code_counts) <= infoflow._MAX_CODES
 
 
+def test_floor_drawn_over_several_counts_equals_the_per_pair_oracle(code_counts):
+    # 32 shuffles of a 250-sample row fill one count at B=8, so 70 take three;
+    # each count's shuffles are drawn in place, one row after another
+    rng = np.random.default_rng(23)
+    seqs = [seq_of(rng.integers(0, 8, size=250), 8) for _ in range(3)]
+    floor = te_floor_matrix(seqs, shuffles=70, seed=5).values
+    assert_bits_equal(floor, pairwise_floor(seqs, 1, 70, seed=5))
+    assert len(code_counts) > 6 and max(code_counts) <= infoflow._MAX_CODES
+
+
 def test_window_te_matrix_shares_counts_across_targets(code_counts):
     # an N=20 window of 250 samples at B=8: the 20 targets' (future, past)
     # counts in one count, which also give every TE row its target marginals,

@@ -86,9 +86,63 @@ def test_recurrence_at_n50_equals_the_scalar_oracle():
 
 
 def test_step_source_holds_names_not_coefficients():
-    source = kernels._step_source(3)
+    # row 0 has no nonzero coefficient, row 1 two, row 2 one
+    source = kernels._step_source(((), (0, 2), (1,)))
     assert re.findall(r"\d+\.\d+", source) == ["0.0"] * 3
-    assert "rows[2]" in source and "c2_2 * p2 + w2" in source
+    assert "rows[0]" not in source and "c1_0, c1_2, = rows[1]" in source and "c2_1, = rows[2]" in source
+    assert "0.0 + w0," in source and "0.0 + c1_0 * p0 + c1_2 * p2 + w1," in source
+    assert "c1_1" not in source and "c2_0" not in source and "c2_2" not in source  # zero terms are absent
+
+
+@pytest.mark.parametrize("where, dense_chunks", [
+    ("finite", []),
+    ("x0-inf", [0, 1, 2, 3]),
+    ("noise-nan", [2, 3]),
+    ("noise-inf", [3]),
+], ids=["finite", "x0-inf", "noise-nan", "noise-inf"])
+def test_chain_recurrence_steps_densely_only_chunks_that_are_not_finite(monkeypatch, where, dense_chunks):
+    # the simulate-long step map (0.99 on the diagonal, 0.006 below it) with a
+    # -0.0 coefficient: 7 of 16 are nonzero; a chunk whose start or states are
+    # not all finite is stepped again with every term
+    n = 4
+    coeffs = np.eye(n) * 0.99 + np.eye(n, k=-1) * 0.006
+    coeffs[0, 3] = -0.0
+    per = kernels._CHUNK_VALUES // n
+    rng = np.random.default_rng(8)
+    noise = rng.normal(size=(3 * per + 5, n)) * 0.1
+    x0 = rng.normal(size=n)
+    if where == "x0-inf":
+        x0[0] = math.inf
+    elif where == "noise-nan":
+        noise[2 * per + 7, 1] = math.nan
+    elif where == "noise-inf":
+        noise[-1, 3] = -math.inf
+    dense = (tuple(range(n)),) * n
+    loops = []
+    step_loop = kernels._step_loop
+    monkeypatch.setattr(kernels, "_step_loop", lambda cols: loops.append(cols) or step_loop(cols))
+    assert_same_bits(kernels.linear_recurrence(coeffs, noise, x0), scalar_recurrence(coeffs, noise, x0))
+    sparse = ((0,), (0, 1), (1, 2), (2, 3))
+    expected = []
+    for chunk in range(4):
+        expected += [sparse, dense] if chunk in dense_chunks else [sparse]
+    assert loops == expected
+
+
+@pytest.mark.parametrize("coeffs, noise, x0", [
+    (np.zeros((0, 0)), np.zeros((5, 0)), np.zeros(0)),
+    (np.eye(2), np.zeros((5, 3)), np.zeros(2)),
+    (np.eye(2), np.zeros(5), np.zeros(2)),
+    (np.eye(2), np.zeros((5, 2)), np.zeros(3)),
+    (np.ones((2, 3)), np.zeros((5, 2)), np.zeros(2)),
+], ids=["n0", "noise-wider", "noise-1d", "x0-longer", "coeffs-not-square"])
+def test_recurrence_refuses_shapes_it_cannot_step(coeffs, noise, x0):
+    message = (
+        f"cannot step coefficients of shape {coeffs.shape} from x0 of shape {x0.shape} "
+        f"with noise of shape {noise.shape}: they must be (N, N), (N,) and (steps, N), N >= 1"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        kernels.linear_recurrence(coeffs, noise, x0)
 
 
 def test_pure_counts_are_exact():

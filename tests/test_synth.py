@@ -76,6 +76,15 @@ def test_gen_var1_rejects_explosive_step_map():
         gen_var1(np.array([[0.5]]), sigma=0.1, steps=0)
 
 
+def test_generators_refuse_an_empty_matrix():
+    with pytest.raises(ValueError, match=r"^a_step must be square and non-empty, got shape \(0, 0\)$"):
+        gen_var1(np.zeros((0, 0)), sigma=0.1, steps=10)
+    with pytest.raises(ValueError, match=r"^a_true must be square and non-empty, got shape \(0, 0\)$"):
+        gen_ou(np.zeros((0, 0)), sigma=0.1, dt_sim=0.01, steps=10)
+    with pytest.raises(ValueError, match=r"^a_step must be square and non-empty, got shape \(1, 2\)$"):
+        gen_var1(np.zeros((1, 2)), sigma=0.1, steps=10)
+
+
 def _chunk_steps(n):
     """Steps per noise chunk of gen_var1 at n assets."""
     return 2 * max(1, synth._CHUNK_VALUES // (2 * n))
