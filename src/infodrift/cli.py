@@ -62,7 +62,9 @@ class RunConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         doc = dict(doc)
-        doc.pop("config_version", None)
+        version = doc.pop("config_version", CONFIG_VERSION)
+        if type(version) is not int or version != CONFIG_VERSION:  # True == 1, and 1.0 == 1
+            raise DataValidationError(f"config_version: expected {CONFIG_VERSION}, got {version!r}")
         defaults = dataclasses.asdict(cls())
         unknown = set(doc) - set(defaults)
         if unknown:
@@ -105,6 +107,8 @@ def _load_config(path: str | None) -> RunConfig:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise DataValidationError(f"config {path}: {e}") from None
+    if not isinstance(doc, dict):
+        raise DataValidationError(f"config {path}: expected a JSON object, got {type(doc).__name__}")
     return RunConfig.from_dict(doc)
 
 
@@ -304,8 +308,8 @@ def simulate(cfg: RunConfig, kind, steps, eps, matrix_json, sigma, dt_sim, asset
         with np.errstate(over="ignore"):  # an overflow to inf fails the price check below
             prices = start_price * np.exp(np.cumsum(values, axis=0))
         base = dt.date(2000, 1, 3).toordinal()
-        dates = tuple(dt.date.fromordinal(base + t) for t in range(prices.shape[0]))
-        series = [ingest.PriceSeries(asset_id=a, dates=dates, prices=prices[:, k]) for k, a in enumerate(ids)]
+        days = np.arange(base, base + prices.shape[0])
+        series = [ingest.PriceSeries(asset_id=a, days=days, prices=prices[:, k]) for k, a in enumerate(ids)]
         return [(s.asset_id, s, ("csv",)) for s in series]
 
     _run(compute, cfg)

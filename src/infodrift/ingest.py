@@ -7,10 +7,12 @@ days common to every series; no interpolation or fill is ever applied.
 
 A CSV is read as columns: its lines are split once, and the date column,
 the price column and the price checks each take one pass over the whole
-file. Dates are sorted and checked for repeats as one array of ordinals, and
-``align`` intersects those arrays. Errors are located only on failure: when a
-pass fails, one helper walks the rows in file order to name the first faulty
-line, with the exception, line and message a row-by-row reader would give.
+file. A series holds its dates as one int64 array of proleptic Gregorian
+ordinals, taken as the date column is parsed; it is sorted and checked for
+repeats as that array, and ``align`` intersects those arrays. Errors are
+located only on failure: when a pass fails, one helper walks the rows in file
+order to name the first faulty line, with the exception, line and message a
+row-by-row reader would give.
 """
 
 from __future__ import annotations
@@ -44,46 +46,63 @@ from .errors import (
 DEFAULT_SCHEMA = {"date": "Date", "price": "Adj Close"}
 
 
-def _check_prices(asset_ids, dates, prices: np.ndarray) -> None:
+def _check_prices(asset_ids, date_of, prices: np.ndarray) -> None:
     """Raise NonPositivePrice naming the asset and date of the first (T, N)
-    price that is not finite and positive."""
+    price that is not finite and positive; ``date_of(t)`` is row t's date."""
     bad = np.argwhere(~(np.isfinite(prices) & (prices > 0)))
     if len(bad):
         t, k = bad[0]
-        raise NonPositivePrice(-1, float(prices[t, k]), where=f"{asset_ids[k]} on {dates[t]}")
+        raise NonPositivePrice(-1, float(prices[t, k]), where=f"{asset_ids[k]} on {date_of(t)}")
 
 
-def _ordinals(dates) -> np.ndarray:
-    """The dates' proleptic Gregorian ordinals, as int64."""
-    return np.fromiter(map(dt.date.toordinal, dates), np.int64, len(dates))
+def _date(ordinal) -> dt.date:
+    """The date of a proleptic Gregorian ordinal, for a message."""
+    return dt.date.fromordinal(int(ordinal))
+
+
+_LAST_ORDINAL = dt.date.max.toordinal()
 
 
 @dataclass(frozen=True, eq=False)
 class PriceSeries:
-    """Dated price observations for one asset, sorted by calendar day."""
+    """Dated price observations for one asset, sorted by calendar day.
+
+    ``days`` holds the dates as a read-only 1-D int64 array of proleptic
+    Gregorian ordinals (``date.toordinal()``); ``dates`` builds them as
+    ``datetime.date`` objects on each read.
+    """
 
     asset_id: str
-    dates: tuple[dt.date, ...]
+    days: np.ndarray
     prices: np.ndarray
 
     def __post_init__(self):
-        if len(self.dates) != len(self.prices):
-            raise ValueError("dates and prices differ in length")
-        if len(self.dates) < 2:
-            raise TooFewSamples(
-                f"{self.asset_id}: need at least 2 observations, got {len(self.dates)}"
-            )
-        ordinals = _ordinals(self.dates)
-        bad = np.flatnonzero(ordinals[1:] <= ordinals[:-1])
+        days = np.asarray(self.days)
+        if days.ndim != 1 or days.dtype.kind not in "iu":
+            raise ValueError(f"days must be a 1-D integer array of ordinals, got {days.dtype} of shape {days.shape}")
+        days = days.astype(np.int64, copy=False).view()  # a view: the caller's array keeps its flags
+        if len(days) != len(self.prices):
+            raise ValueError("days and prices differ in length")
+        if len(days) < 2:
+            raise TooFewSamples(f"{self.asset_id}: need at least 2 observations, got {len(days)}")
+        if days.min() < 1 or days.max() > _LAST_ORDINAL:  # uint64 past 2**63 wraps below 1
+            raise ValueError(f"days must be ordinals from 1 to {_LAST_ORDINAL}, got {days.min()} to {days.max()}")
+        bad = np.flatnonzero(days[1:] <= days[:-1])
         if len(bad):
-            raise DuplicateDate(f"{self.asset_id}: dates not strictly increasing at {self.dates[bad[0] + 1]}")
-        prices = np.asarray(self.prices, dtype=np.float64)
-        _check_prices((self.asset_id,), self.dates, prices[:, np.newaxis])
+            raise DuplicateDate(f"{self.asset_id}: dates not strictly increasing at {_date(days[bad[0] + 1])}")
+        prices = np.asarray(self.prices, dtype=np.float64).view()
+        _check_prices((self.asset_id,), lambda t: _date(days[t]), prices[:, np.newaxis])
+        days.flags.writeable = False
         prices.flags.writeable = False
+        object.__setattr__(self, "days", days)
         object.__setattr__(self, "prices", prices)
 
+    @property
+    def dates(self) -> tuple[dt.date, ...]:
+        return tuple(map(dt.date.fromordinal, self.days.tolist()))
+
     def __len__(self) -> int:
-        return len(self.dates)
+        return len(self.days)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +120,7 @@ class AlignedPanel:
             raise ValueError("column count does not match asset_ids")
         if t != len(self.dates) or t < 3:
             raise InsufficientOverlap(f"panel needs at least 3 common dates, got {t}")
-        _check_prices(self.asset_ids, self.dates, prices)
+        _check_prices(self.asset_ids, self.dates.__getitem__, prices)
         prices.flags.writeable = False
         object.__setattr__(self, "prices", prices)
 
@@ -153,8 +172,9 @@ def _quoted_fields(line: str, lineno: int, origin: str) -> list[str]:
         raise MalformedRow(lineno, f"{origin}: {e}") from None
 
 
-def _parse_csv(text: str, schema: dict, origin: str) -> tuple[list[int], list[dt.date], np.ndarray]:
-    """The line numbers, dates and prices of a CSV text's data rows, in file order.
+def _parse_csv(text: str, schema: dict, origin: str) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The line numbers, date ordinals and prices of a CSV text's data rows, in
+    file order.
 
     Blank and ``#`` lines are skipped; the first other line is the header.
     Each column is parsed in one pass, and the rows are looked at one by one
@@ -183,7 +203,10 @@ def _parse_csv(text: str, schema: dict, origin: str) -> tuple[list[int], list[dt
         raise EmptyFile(f"{origin}: header only, no data rows")
 
     try:
-        days = list(map(dt.date.fromisoformat, [r[date_idx].strip() for r in rows]))
+        days = np.fromiter(
+            map(dt.date.toordinal, map(dt.date.fromisoformat, [r[date_idx].strip() for r in rows])),
+            np.int64, len(rows),
+        )
         prices = np.fromiter(map(float, [r[price_idx] for r in rows]), np.float64, len(rows))
     except (IndexError, ValueError):  # a short row, a bad date or a bad price
         prices = None
@@ -193,23 +216,21 @@ def _parse_csv(text: str, schema: dict, origin: str) -> tuple[list[int], list[dt
 
 
 def _build_series(
-    asset_id: str, positions, days: list[dt.date], prices: np.ndarray, unit: str = "lines"
+    asset_id: str, positions, days: np.ndarray, prices: np.ndarray, unit: str = "lines"
 ) -> PriceSeries:
-    """A PriceSeries from dates and prices in input order. ``positions`` number
-    the observations in messages, as ``unit`` ("lines" of a CSV, JSON
+    """A PriceSeries from date ordinals and prices in input order. ``positions``
+    number the observations in messages, as ``unit`` ("lines" of a CSV, JSON
     "indices"); a repeated date names its first repeat in input order."""
-    ords = _ordinals(days)
-    if not (ords[1:] > ords[:-1]).all():
-        order = np.argsort(ords, kind="stable")
-        sorted_ords = ords[order]
-        repeats = order[1:][sorted_ords[1:] == sorted_ords[:-1]]
+    if not (days[1:] > days[:-1]).all():
+        order = np.argsort(days, kind="stable")
+        sorted_days = days[order]
+        repeats = order[1:][sorted_days[1:] == sorted_days[:-1]]
         if len(repeats):
             j = int(repeats.min())
-            i = int(order[np.searchsorted(sorted_ords, ords[j])])
-            raise DuplicateDate(f"{asset_id}: date {days[j]} on {unit} {positions[i]} and {positions[j]}")
-        days = [days[k] for k in order.tolist()]
-        prices = prices[order]
-    return PriceSeries(asset_id=asset_id, dates=tuple(days), prices=prices)
+            i = int(order[np.searchsorted(sorted_days, days[j])])
+            raise DuplicateDate(f"{asset_id}: date {_date(days[j])} on {unit} {positions[i]} and {positions[j]}")
+        days, prices = sorted_days, prices[order]
+    return PriceSeries(asset_id=asset_id, days=days, prices=prices)
 
 
 def load_csv(path, schema: dict | None = None, asset_id: str | None = None) -> PriceSeries:
@@ -244,8 +265,8 @@ def write_csv(series: PriceSeries, path, schema: dict | None = None, header_comm
             path.write(f"# {line}\n")
     writer = csv.writer(path)
     writer.writerow([schema["date"], schema["price"]])
-    for day, price in zip(series.dates, series.prices):
-        writer.writerow([day.isoformat(), repr(float(price))])
+    for day, price in zip(map(dt.date.fromordinal, series.days.tolist()), series.prices.tolist()):
+        writer.writerow([day.isoformat(), repr(price)])
 
 
 def align(series_list: list[PriceSeries]) -> AlignedPanel:
@@ -261,10 +282,9 @@ def align(series_list: list[PriceSeries]) -> AlignedPanel:
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise DuplicateAssetId(f"duplicate asset ids: {dupes}")
 
-    ords = [_ordinals(s.dates) for s in series_list]
-    common = ords[0]
-    for o in ords[1:]:
-        common = np.intersect1d(common, o, assume_unique=True)
+    common = series_list[0].days
+    for s in series_list[1:]:
+        common = np.intersect1d(common, s.days, assume_unique=True)
     if len(common) < 3:
         raise InsufficientOverlap(
             f"only {len(common)} dates common to all {len(series_list)} series"
@@ -272,12 +292,12 @@ def align(series_list: list[PriceSeries]) -> AlignedPanel:
     dates = tuple(map(dt.date.fromordinal, common.tolist()))
     # (N, T) transposed, not a C-ordered (T, N) copy: reductions over the panel
     # follow its memory order, and the output bytes depend on it
-    prices = np.stack([s.prices[np.searchsorted(o, common)] for s, o in zip(series_list, ords)]).T
+    prices = np.stack([s.prices[np.searchsorted(s.days, common)] for s in series_list]).T
     return AlignedPanel(asset_ids=tuple(ids), dates=dates, prices=prices)
 
 
-def _parse_json_payload(text: str, asset_id: str) -> tuple[range, list[dt.date], np.ndarray]:
-    """The indices, dates and prices of a ``{"timestamps": [...], "closes": [...]}``
+def _parse_json_payload(text: str, asset_id: str) -> tuple[range, np.ndarray, np.ndarray]:
+    """The indices, date ordinals and prices of a ``{"timestamps": [...], "closes": [...]}``
     payload. A timestamp is an ISO date or epoch seconds (UTC)."""
     try:
         doc = json.loads(text)
@@ -295,19 +315,19 @@ def _parse_json_payload(text: str, asset_id: str) -> tuple[range, list[dt.date],
         )
     if not stamps:
         raise PayloadParseError(f"{asset_id}: empty payload")
-    days = []
+    days = np.empty(len(stamps), dtype=np.int64)
     prices = np.empty(len(closes))
     for i, (ts, close) in enumerate(zip(stamps, closes)):
         if close is None:
             raise PayloadParseError(f"{asset_id}: null close at index {i}")
         if isinstance(ts, str):
             try:
-                days.append(dt.date.fromisoformat(ts))
+                days[i] = dt.date.fromisoformat(ts).toordinal()
             except ValueError:
                 raise PayloadParseError(f"{asset_id}: bad date {ts!r} at index {i}") from None
         elif isinstance(ts, (int, float)) and not isinstance(ts, bool):
             try:
-                days.append(dt.datetime.fromtimestamp(ts, tz=dt.timezone.utc).date())
+                days[i] = dt.datetime.fromtimestamp(ts, tz=dt.timezone.utc).date().toordinal()
             except (OverflowError, OSError, ValueError):  # out of range, or NaN
                 raise PayloadParseError(f"{asset_id}: bad timestamp {ts!r} at index {i}") from None
         else:

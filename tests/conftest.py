@@ -19,8 +19,8 @@ def child_pythonpath() -> str:
 
 def make_series(asset_id, start, prices):
     base = dt.date.fromisoformat(start).toordinal()
-    dates = tuple(dt.date.fromordinal(base + i) for i in range(len(prices)))
-    return PriceSeries(asset_id=asset_id, dates=dates, prices=np.asarray(prices, dtype=float))
+    return PriceSeries(asset_id=asset_id, days=np.arange(base, base + len(prices)),
+                       prices=np.asarray(prices, dtype=float))
 
 
 def make_panel(prices, start="2020-01-01", asset_ids=None):

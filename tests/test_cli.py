@@ -512,9 +512,15 @@ def test_config_unknown_field_exit_2(runner, tmp_path):
      "error: config {tmp}/none.json: [Errno 2] No such file or directory: '{tmp}/none.json'\n"),
     (["fetch", "--endpoint", "http://127.0.0.1:1/{asset}", "--assets", "GLD",
       "--start", "2020-13-01", "--end", "2020-12-31"], "error: date: month must be in 1..12\n"),
-], ids=["config-not-json", "config-missing", "fetch-bad-date"])
+    (["--config", "{tmp}/list.json", "analyze"], "error: config {tmp}/list.json: expected a JSON object, got list\n"),
+    (["--config", "{tmp}/null.json", "analyze"], "error: config {tmp}/null.json: expected a JSON object, got NoneType\n"),
+    (["--config", "{tmp}/text.json", "analyze"], "error: config {tmp}/text.json: expected a JSON object, got str\n"),
+], ids=["config-not-json", "config-missing", "fetch-bad-date", "config-list", "config-null", "config-string"])
 def test_unreadable_config_or_bad_date_exit_2_before_out(runner, tmp_path, args, message):
     (tmp_path / "run.json").write_text("{not json")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "null.json").write_text("null")
+    (tmp_path / "text.json").write_text('"text"')
     out = tmp_path / "out"
     result = runner.invoke(main, ["--out", str(out), *(a.replace("{tmp}", str(tmp_path)) for a in args)])
     assert result.exit_code == 2, result.output
@@ -852,6 +858,18 @@ def test_negative_surrogates_exit_2_before_out(runner, tmp_path, args, command):
     result = runner.invoke(main, [*args, "--out", str(out), *command, *paths])
     assert result.exit_code == 2, result.output
     assert "surrogates must be >= 0" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("version", [99, 0, True, 1.0, "1", None])
+def test_config_version_other_than_1_exit_2_before_out(runner, tmp_path, version):
+    paths = write_panel(tmp_path)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"config_version": version}))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["--config", str(cfg_path), "--out", str(out), "analyze", *paths])
+    assert result.exit_code == 2, result.output
+    assert result.output.endswith(f"error: config_version: expected 1, got {version!r}\n")
     assert not out.exists()
 
 

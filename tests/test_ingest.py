@@ -4,6 +4,7 @@ import datetime as dt
 import json
 import math
 import threading
+import tracemalloc
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -156,16 +157,16 @@ def series_family(draw):
     for k in range(n_series):
         offsets = draw(st.sets(st.integers(0, 15), min_size=4, max_size=12))
         base = dt.date(2020, 1, 1).toordinal()
-        dates = tuple(dt.date.fromordinal(base + o) for o in sorted(offsets))
-        prices = np.arange(1.0, len(dates) + 1.0) + k
-        out.append((f"s{k}", dates, prices))
+        days = np.array([base + o for o in sorted(offsets)])
+        prices = np.arange(1.0, len(days) + 1.0) + k
+        out.append((f"s{k}", days, prices))
     return out
 
 
 @given(series_family())
 @settings(max_examples=40, deadline=None)
 def test_align_dates_are_set_intersection(family):
-    series = [PriceSeries(asset_id=i, dates=d, prices=p) for i, d, p in family]
+    series = [PriceSeries(asset_id=i, days=d, prices=p) for i, d, p in family]
     expected = set(series[0].dates)
     for s in series[1:]:
         expected &= set(s.dates)
@@ -183,10 +184,10 @@ def test_align_dates_are_set_intersection(family):
 def test_align_row_order_invariant(perm):
     # shuffling observation rows within the CSV never changes the panel
     base = dt.date(2020, 1, 1).toordinal()
-    dates = [dt.date.fromordinal(base + i) for i in range(5)]
+    days = [base + i for i in range(5)]
     prices = [10.0, 11.0, 12.0, 13.0, 14.0]
-    shuffled = sorted((dates[i], prices[i]) for i in perm)
-    s1 = PriceSeries(asset_id="a", dates=tuple(d for d, _ in shuffled),
+    shuffled = sorted((days[i], prices[i]) for i in perm)
+    s1 = PriceSeries(asset_id="a", days=[d for d, _ in shuffled],
                      prices=np.array([p for _, p in shuffled]))
     s2 = make_series("b", "2020-01-01", [5, 6, 7, 8, 9])
     panel = align([s1, s2])
@@ -403,8 +404,50 @@ def test_fetch_cli_payload_fault_exit_3_names_asset(http_server, tmp_path, body,
 def test_price_series_names_first_date_out_of_order():
     days = [dt.date(2020, 1, d) for d in (1, 3, 3, 2)]
     with pytest.raises(DuplicateDate) as err:
-        PriceSeries(asset_id="a", dates=tuple(days), prices=np.ones(4))
+        PriceSeries(asset_id="a", days=[d.toordinal() for d in days], prices=np.ones(4))
     assert str(err.value) == "a: dates not strictly increasing at 2020-01-03"
+
+
+@pytest.mark.parametrize("days, message", [
+    (np.array([737425.0, 737426.0, 737427.0]), "days must be a 1-D integer array of ordinals, got float64 of shape (3,)"),
+    (np.array([[737425, 737426, 737427]]), "days must be a 1-D integer array of ordinals, got int64 of shape (1, 3)"),
+    (tuple(dt.date(2020, 1, d) for d in (1, 2, 3)), "days must be a 1-D integer array of ordinals, got object of shape (3,)"),
+    (np.array([0, 1, 2]), "days must be ordinals from 1 to 3652059, got 0 to 2"),
+    (np.array([1, 2, 2**63], dtype=np.uint64), "days must be ordinals from 1 to 3652059, got -9223372036854775808 to 2"),
+], ids=["float", "2-D", "date-objects", "before-year-1", "past-int64"])
+def test_price_series_refuses_days_that_are_not_1d_integer_ordinals(days, message):
+    with pytest.raises(ValueError) as err:
+        PriceSeries(asset_id="a", days=days, prices=np.ones(3))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_price_series_holds_read_only_int64_days_and_builds_dates_on_read(dtype):
+    days, prices = np.array([737425, 737427], dtype=dtype), np.array([1.0, 2.0])
+    series = PriceSeries(asset_id="a", days=days, prices=prices)
+    assert series.days.dtype == np.int64 and series.days.ndim == 1
+    assert not series.days.flags.writeable and not series.prices.flags.writeable
+    assert days.flags.writeable and prices.flags.writeable  # the caller's arrays are left as they were
+    assert series.dates == (dt.date(2020, 1, 1), dt.date(2020, 1, 3))
+    assert len(series) == 2
+
+
+def test_load_csv_retains_at_most_24_bytes_per_row(tmp_path):
+    # the series holds 8 bytes of ordinal and 8 of price per row; a tuple of
+    # datetime.date objects would add about 32 more
+    rows = 100_000
+    base = dt.date(1800, 1, 1).toordinal()
+    path = tmp_path / "long.csv"
+    path.write_text("Date,Adj Close\n" + "".join(
+        f"{dt.date.fromordinal(base + i)},{100 + i % 997}.25\n" for i in range(rows)))
+    tracemalloc.start()
+    try:
+        series = load_csv(path)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(series) == rows
+    assert retained / rows <= 24, f"{retained / rows:.1f} bytes per row"
 
 
 def test_load_csv_undecodable_byte_names_path_and_line(tmp_path):
@@ -513,7 +556,7 @@ def _oracle_build_series(asset_id, rows, positions="lines"):
     rows = sorted(rows, key=lambda r: r[1])
     return PriceSeries(
         asset_id=asset_id,
-        dates=tuple(r[1] for r in rows),
+        days=[r[1].toordinal() for r in rows],
         prices=np.array([r[2] for r in rows], dtype=np.float64),
     )
 
@@ -598,7 +641,7 @@ def test_align_keeps_transposed_layout_and_its_bits():
     for k in range(12):
         days = np.sort(rng.choice(700, size=640, replace=False))
         prices = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, len(days))))
-        series.append(PriceSeries(f"s{k}", tuple(dt.date.fromordinal(base + int(d)) for d in days), prices))
+        series.append(PriceSeries(f"s{k}", base + days, prices))
     panel = align(series)
 
     common = sorted(set.intersection(*(set(s.dates) for s in series)))
