@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import DegenerateSeries, EmptyOverlap, LengthMismatch, TooFewSamples
 from .kernels import joint_counts
+from .matrices import freeze
 
 STRATEGIES = ("quantile", "equal_width")
 
@@ -55,8 +56,8 @@ class SymbolSequence:
     edges: np.ndarray
 
     def __post_init__(self):
-        symbols = np.asarray(self.symbols, dtype=np.int64)
-        edges = np.asarray(self.edges, dtype=np.float64)
+        symbols = freeze(self, "symbols", np.int64)
+        edges = freeze(self, "edges")
         if self.bins < 1:
             raise ValueError("bins must be >= 1")
         if len(edges) != self.bins + 1:
@@ -65,10 +66,6 @@ class SymbolSequence:
             raise ValueError("edges must be non-decreasing")
         if symbols.size and (symbols.min() < 0 or symbols.max() >= self.bins):
             raise ValueError("symbols out of range")
-        symbols.flags.writeable = False
-        edges.flags.writeable = False
-        object.__setattr__(self, "symbols", symbols)
-        object.__setattr__(self, "edges", edges)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -83,15 +80,13 @@ class JointHistogram:
     total: int
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = freeze(self, "counts", np.int64)
         if counts.shape != self.dims:
             raise ValueError(f"counts shape {counts.shape} != dims {self.dims}")
         if self.total <= 0:
             raise ValueError("total must be positive")
         if counts.sum() != self.total:
             raise ValueError("counts do not sum to total")
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
 
     def probabilities(self) -> np.ndarray:
         return self.counts / float(self.total)

@@ -42,6 +42,7 @@ from .errors import (
     PayloadParseError,
     TooFewSamples,
 )
+from .matrices import freeze
 
 DEFAULT_SCHEMA = {"date": "Date", "price": "Adj Close"}
 
@@ -80,7 +81,7 @@ class PriceSeries:
         days = np.asarray(self.days)
         if days.ndim != 1 or days.dtype.kind not in "iu":
             raise ValueError(f"days must be a 1-D integer array of ordinals, got {days.dtype} of shape {days.shape}")
-        days = days.astype(np.int64, copy=False).view()  # a view: the caller's array keeps its flags
+        days = freeze(self, "days", np.int64)
         if len(days) != len(self.prices):
             raise ValueError("days and prices differ in length")
         if len(days) < 2:
@@ -90,12 +91,8 @@ class PriceSeries:
         bad = np.flatnonzero(days[1:] <= days[:-1])
         if len(bad):
             raise DuplicateDate(f"{self.asset_id}: dates not strictly increasing at {_date(days[bad[0] + 1])}")
-        prices = np.asarray(self.prices, dtype=np.float64).view()
+        prices = freeze(self, "prices")
         _check_prices((self.asset_id,), lambda t: _date(days[t]), prices[:, np.newaxis])
-        days.flags.writeable = False
-        prices.flags.writeable = False
-        object.__setattr__(self, "days", days)
-        object.__setattr__(self, "prices", prices)
 
     @property
     def dates(self) -> tuple[dt.date, ...]:
@@ -114,15 +111,13 @@ class AlignedPanel:
     prices: np.ndarray  # (T, N)
 
     def __post_init__(self):
-        prices = np.asarray(self.prices, dtype=np.float64)
+        prices = freeze(self, "prices")
         t, n = prices.shape
         if n != len(self.asset_ids):
             raise ValueError("column count does not match asset_ids")
         if t != len(self.dates) or t < 3:
             raise InsufficientOverlap(f"panel needs at least 3 common dates, got {t}")
         _check_prices(self.asset_ids, self.dates.__getitem__, prices)
-        prices.flags.writeable = False
-        object.__setattr__(self, "prices", prices)
 
     @property
     def n_assets(self) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularMomentMatrix, TooFewSamples
-from .matrices import ORIENTATION, InteractionMatrix
+from .matrices import ORIENTATION, InteractionMatrix, freeze
 from .stats import ReturnsMatrix
 
 COND_LIMIT = 1e12
@@ -35,9 +35,7 @@ class DriftEstimate:
 
     def __post_init__(self):
         for name in ("psi", "A", "moment_matrix"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            freeze(self, name)
 
     def to_dict(self) -> dict:
         return {

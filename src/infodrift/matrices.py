@@ -3,6 +3,10 @@
 Orientation convention for directed measures: ``values[i][j]`` is the effect
 of (or flow from) asset ``j`` on asset ``i``. The convention is recorded in
 ``params["orientation"]`` of every directed matrix.
+
+Every frozen value type stores its arrays through ``freeze``, as read-only
+views: a caller's array is neither copied nor frozen, and a later write to
+it shows through the object.
 """
 
 from __future__ import annotations
@@ -17,6 +21,15 @@ UNITS = ("bits", "dimensionless", "per-step")
 ORIENTATION = "values[i][j] = flow from asset j into asset i"
 
 
+def freeze(obj, name: str, dtype=np.float64) -> np.ndarray:
+    """Set field ``name`` of the frozen dataclass ``obj`` to a read-only
+    ``dtype`` view of its value, converted only if of another dtype."""
+    view = np.asarray(getattr(obj, name), dtype=dtype).view()
+    view.flags.writeable = False
+    object.__setattr__(obj, name, view)
+    return view
+
+
 @dataclass(frozen=True, eq=False)
 class InteractionMatrix:
     asset_ids: tuple[str, ...]
@@ -27,7 +40,7 @@ class InteractionMatrix:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = freeze(self, "values")
         n = len(self.asset_ids)
         if values.shape != (n, n):
             raise ValueError(f"values must be {n}x{n}, got {values.shape}")
@@ -41,8 +54,6 @@ class InteractionMatrix:
             off = ~np.eye(n, dtype=bool)
             if np.any(values[off] < 0):
                 raise ValueError("mutual information off-diagonals must be >= 0")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
 
     def __reduce__(self):
         # rebuilt through __init__, so a matrix from a fan_out worker is checked and read-only too

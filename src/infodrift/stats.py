@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateSeries, TooFewSamples
 from .ingest import AlignedPanel
-from .matrices import InteractionMatrix
+from .matrices import InteractionMatrix, freeze
 
 RETURN_KINDS = ("log", "simple")
 
@@ -32,7 +32,7 @@ class ReturnsMatrix:
     dates: tuple[dt.date, ...] | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = freeze(self, "values")
         if values.ndim != 2 or values.shape[1] != len(self.asset_ids):
             raise ValueError("values must be (T-1) x N")
         if self.kind not in RETURN_KINDS:
@@ -41,8 +41,6 @@ class ReturnsMatrix:
             raise ValueError("dates length must match row count")
         if not np.all(np.isfinite(values)):
             raise ValueError("returns must be finite")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
 
     @property
     def n_samples(self) -> int:
