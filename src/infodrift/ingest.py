@@ -128,13 +128,20 @@ class AlignedPanel:
         return len(self.dates)
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of ``text``, split at ``\\r\\n``, ``\\r`` and ``\\n`` only, as
+    ``csv`` and text-mode files split them; ``str.splitlines`` also splits at
+    form feeds and other Unicode line boundaries."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _decode(data: bytes, origin: str) -> str:
     """``data`` as UTF-8 text, without a leading byte-order mark; an
     undecodable byte raises MalformedRow naming its line."""
     try:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as e:  # e.object and e.start are past the mark
-        line = len((e.object[: e.start].decode("utf-8") + "x").splitlines())
+        line = len(_lines(e.object[: e.start].decode("utf-8")))
         raise MalformedRow(line, f"{origin}: not UTF-8: byte 0x{e.object[e.start]:02x} ({e.reason})") from None
 
 
@@ -175,7 +182,7 @@ def _parse_csv(text: str, schema: dict, origin: str) -> tuple[list[int], np.ndar
     Each column is parsed in one pass, and the rows are looked at one by one
     only to name the first faulty one.
     """
-    lines = text.splitlines()
+    lines = _lines(text)
     numbers = [n for n, s in enumerate(map(str.lstrip, lines), start=1) if s and s[0] != "#"]
     if not numbers:
         raise EmptyFile(f"{origin}: no rows")

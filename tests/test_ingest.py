@@ -3,6 +3,7 @@ import csv
 import datetime as dt
 import json
 import math
+import re
 import threading
 import tracemalloc
 import urllib.request
@@ -463,6 +464,24 @@ def test_load_csv_undecodable_byte_names_path_and_line(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("boundary", ["\x0c", "\x0b", "\x1c", "\x85", "\u2028"],
+                         ids=["form-feed", "vertical-tab", "file-separator", "next-line", "line-separator"])
+def test_load_csv_counts_only_physical_lines(tmp_path, boundary):
+    # str.splitlines would split line 2 at the boundary, and every later line
+    # number would be one too high
+    path = tmp_path / "A.csv"
+    head = f"Date,Adj Close\n# page{boundary}break\n2020-01-01,1.0\n".encode()
+    tail = b"".join(b"2020-01-0%d,%d.0\n" % (day, day) for day in range(3, 7))
+    path.write_bytes(head + b"2020-01-02,2.0\n" + tail)
+    assert len(load_csv(path)) == 6
+    result = CliRunner().invoke(main, ["--out", str(tmp_path / "out"), "stats", str(path)])
+    assert result.exit_code == 0, result.output
+    path.write_bytes(head + b"2020-01-02,1\xff1\n" + tail)
+    with pytest.raises(MalformedRow) as err:
+        load_csv(path)
+    assert str(err.value) == f"line 4: {path}: not UTF-8: byte 0xff (invalid start byte)"
+
+
 def test_load_csv_skips_a_byte_order_mark(tmp_path):
     text = b"Date,Adj Close\r\n2020-01-01,100\r\n2020-01-02,101\r\n2020-01-03,102\r\n"
     plain, marked, bad = tmp_path / "plain.csv", tmp_path / "marked.csv", tmp_path / "bad.csv"
@@ -503,7 +522,7 @@ def test_load_csv_names_first_repeat_in_file_order(csv_dir):
 
 
 def _oracle_data_lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split("\r\n|\r|\n", text), start=1):
         if not raw.strip() or raw.lstrip().startswith("#"):
             continue
         yield lineno, raw
@@ -616,7 +635,7 @@ def csv_texts(draw):
     header = ["Date", "Open", "Adj Close"] if extra else ["Date", "Adj Close"]
     lines = [draw(st.sampled_from([",".join(header), ",".join(f'"{h}"' for h in header), " , ".join(header)]))]
     lines += [render(r) for r in rows]
-    noise = st.sampled_from(["", "   ", "\t", "# note", "  # a, comment"])
+    noise = st.sampled_from(["", "   ", "\t", "# note", "  # a, comment", "# page\x0cbreak"])
     text_lines = []
     for line in lines:
         text_lines += draw(st.lists(noise, max_size=2)) + [line]
