@@ -36,6 +36,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import tempfile
 from dataclasses import dataclass, field
@@ -398,10 +399,19 @@ def graph_to_dot(g: InteractionGraph, config: dict | None = None) -> str:
 
 # ---------------------------------------------------------------- SVG
 
+# Code points outside the XML 1.0 Char production, which no escape can write:
+# C0 controls but tab, LF and CR, surrogates, U+FFFE and U+FFFF.
+_NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _escape(text: str) -> str:
     """``text`` with ``&``, ``>`` and ``<`` written as entities, in the order
     ``xml.sax.saxutils.escape`` replaces them; importing that module would
-    import ``urllib.request``, which no run needs."""
+    import ``urllib.request``, which no run needs. Text that holds a code
+    point XML cannot hold is refused."""
+    bad = _NOT_XML_CHAR.search(text)
+    if bad:
+        raise UnsupportedFormatForShape(f"{text!r}: SVG text cannot hold {bad.group()!r}")
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 

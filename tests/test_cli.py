@@ -78,6 +78,18 @@ def test_dot_asset_id_ending_in_a_backslash_exit_2_before_out(runner, tmp_path):
     assert not out.exists()
 
 
+def test_svg_asset_id_holding_a_control_character_exit_2_before_out(runner, tmp_path):
+    paths = write_panel(tmp_path, ids=("A\x1fB", "C"))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["--out", str(out), "--format", "svg", "analyze", "--measures", "corr", *paths])
+    assert result.exit_code == 2, result.output
+    assert result.output.endswith("error: 'A\\x1fB': SVG text cannot hold '\\x1f'\n")
+    assert not out.exists()
+    result = runner.invoke(main, ["--out", str(out), "--format", "json,csv", "analyze", "--measures", "corr", *paths])
+    assert result.exit_code == 0, result.output
+    assert json.loads((out / "correlation.json").read_text())["asset_ids"] == ["A\x1fB", "C"]
+
+
 @pytest.mark.parametrize("asset", ["../escaped", "a/b"])
 def test_asset_id_holding_a_path_separator_exit_2_writes_nothing(runner, tmp_path, asset):
     out = tmp_path / "esc" / "run"

@@ -3,6 +3,7 @@ import io
 import json
 import multiprocessing
 import os
+import xml.dom.minidom
 from pathlib import Path
 from unittest import mock
 
@@ -165,6 +166,29 @@ def test_dot_refuses_an_asset_id_ending_in_a_backslash():
     )
     with pytest.raises(UnsupportedFormatForShape, match=r"^A\\: a DOT ID cannot end in a backslash$"):
         graph_to_dot(matrix_to_graph(m, threshold=0.4))
+
+
+@pytest.mark.parametrize("char", ["\x00", "\x08", "\x0b", "\x0c", "\x1f", "\ud800", "\ufffe", "\uffff"])
+def test_svg_refuses_a_code_point_outside_xml_chars(tmp_path, char):
+    # no entity or character reference can write these in XML 1.0
+    m = InteractionMatrix(
+        asset_ids=(f"A{char}B", "C"), values=np.array([[1.0, 0.5], [0.5, 1.0]]),
+        measure="correlation", directed=False, units="dimensionless",
+    )
+    path = tmp_path / "m.svg"
+    with pytest.raises(UnsupportedFormatForShape) as err:
+        emit(m, "svg_heatmap", path)
+    assert str(err.value) == f"{f'A{char}B'!r}: SVG text cannot hold {char!r}"
+    assert not path.exists()
+
+
+def test_svg_writes_tab_lf_and_cr_in_an_asset_id(tmp_path):
+    ids = ("A\tB", "C\nD", "E\rF")
+    m = InteractionMatrix(asset_ids=ids, values=np.eye(3), measure="correlation", directed=False,
+                          units="dimensionless")
+    emit(m, "svg_heatmap", tmp_path / "m.svg")
+    texts = xml.dom.minidom.parse(str(tmp_path / "m.svg")).getElementsByTagName("text")
+    assert {"A\tB", "C\nD", "E\nF"} <= {t.firstChild.data for t in texts}  # XML reads a CR as LF
 
 
 def test_dot_node_order_is_input_order():
