@@ -23,16 +23,20 @@ axis at a time by gathering those rows, with no per-row Python slice; the
 and gathered for its sources. The diagonals (self conditional entropy, own
 entropy) are rows of the same core.
 
-A TE row visits only its nonzero (future, target past, source past) cells,
-about 197 of 512 at 8 bins and 250 samples. The target's marginals c_fp
-(future, past) and c_p (past) do not depend on the source: they come from
-the target's own (future, past) count, the one its diagonal is computed
-from, and each nonzero cell gathers them through lookup tables that map a
-flat cell of the count to its (row, future, past) and (row, past, source)
-cells; c_ps is one reduction per count over the future axis. The builders
-then form the same int64 products (c * c_p and c_ps * c_fp), the same
-``p * log2(num / den)`` terms in row-major cell order and the same
-contiguous pairwise sum and clamp per row as the per-pair functions.
+TE, MI and the floor are one conditional-MI sum, I(future; source | past):
+TE(j -> i) takes i_{t+dt} as the future and i_t as the past, and MI(x; y)
+is the empty-past case, x taking the future's place. A row visits only its
+nonzero (future, past, source) cells, about 197 of 512 at 8 bins and 250
+samples for TE. The target's marginals c_fp (future, past) and c_p (past;
+with an empty past, the length) do not depend on the source: they come
+from the target's own count, the one its diagonal is computed from, and
+each nonzero cell gathers them through lookup tables that map a flat cell
+of the count to its (row, future, past) and (row, past, source) cells;
+c_ps is one reduction per count over the future axis. The builders then
+form c * c_p and c_ps * c_fp as int64 products, which convert to the
+floats the per-pair functions form, the same ``p * log2(num / den)`` terms
+in row-major cell order and the same contiguous pairwise sum and clamp per
+row as the per-pair functions.
 ``te_matrix`` and ``mi_matrix`` are the one-window case of ``te_matrices``
 and ``mi_matrices``, which return (windows, n, n) values that
 ``as_te_matrix`` and ``as_mi_matrix`` make into matrices;
@@ -282,28 +286,30 @@ def _cond_entropies(pair: np.ndarray, eff: int, bins: int) -> list[float]:
     return [_clamp(a - b) for a, b in zip(_entropies(pair, eff), _entropies(past, eff))]
 
 
-def _target_counts(sym: np.ndarray, dt: int, bins: int):
-    """Each row's (future, past) counts and past counts as a target, the
-    latter repeated over the future axis so that both are indexed alike."""
+def _target_counts(sym: np.ndarray, lags, bins: int):
+    """Each row's counts as a target at ``lags``, (future, past) or (future,)
+    alone, and its past counts, repeated over the future axis so that both
+    are indexed alike. With an empty past every past count is the length."""
     rows = np.arange(len(sym))
-    pair = _count_rows([(sym, rows, (dt, 0))], sym.shape[1] - dt, bins)
-    return pair, np.tile(pair.reshape(len(sym), bins, bins).sum(axis=1), bins)
+    own = _count_rows([(sym, rows, lags)], sym.shape[1] - lags[0], bins)
+    return own, np.tile(own.reshape(len(sym), bins, -1).sum(axis=1), bins)
 
 
-def _te_cells(k: int, bins: int):
-    """For each flat cell of k (future, past, source) count rows, its flat cell
-    in the rows' (future, past) and (past, source) counts."""
-    with _fits(bins, k * bins**3):
-        cells = np.arange(k * bins**3)
-        return cells // bins, cells // bins**3 * bins**2 + cells % bins**2
+def _cmi_cells(k: int, bins: int, cells: int):
+    """For each flat cell of k (future, past, source) count rows of ``cells``
+    cells, its flat cell in the rows' (future, past) and (past, source) counts."""
+    with _fits(bins, k * cells):
+        flat = np.arange(k * cells)
+        return flat // bins, flat // cells * (cells // bins) + flat % (cells // bins)
 
 
-def _te_sums(counts, c_fp, c_p, eff: int, bins: int, tables) -> list[float]:
-    """TE of each row of (k, bins**3) counts, as transfer_entropy_from_joint
-    computes it from (future, target past, source past) counts.
+def _cmi_sums(counts, c_fp, c_p, eff: int, bins: int, tables) -> list[float]:
+    """I(future; source | past) of each row of (future, past, source) counts,
+    as transfer_entropy_from_joint computes it from (k, bins**3) counts and,
+    with an empty past, mutual_information_from_joint from (k, bins**2).
 
     ``c_fp`` and ``c_p`` are the rows' target counts from _target_counts and
-    ``tables`` are _te_cells of at least k rows. Only the nonzero cells are
+    ``tables`` are _cmi_cells of at least k rows. Only the nonzero cells are
     visited, in row-major order, so each row's terms are one contiguous run.
     """
     k, cells = counts.shape
@@ -311,26 +317,11 @@ def _te_sums(counts, c_fp, c_p, eff: int, bins: int, tables) -> list[float]:
     idx = np.flatnonzero(flat > 0)
     c = flat[idx]
     fp, ps = (table[idx] for table in tables)
-    c_ps = counts.reshape(k, bins, bins * bins).sum(axis=1).ravel()  # (row, target past, source past)
+    c_ps = counts.reshape(k, bins, -1).sum(axis=1).ravel()  # (row, past, source)
     num = (c * c_p.ravel()[fp]).astype(np.float64)
     den = (c_ps[ps] * c_fp.ravel()[fp]).astype(np.float64)
     terms = c / float(eff) * np.log2(num / den)
     return [_clamp(s) for s in _row_sums(terms, idx, k, cells)]
-
-
-def _mi_sums(counts, eff: int, bins: int) -> list[float]:
-    """MI of each row of (k, bins**2) counts, as mutual_information_from_joint
-    computes it from (x, y) counts."""
-    k = len(counts)
-    c2 = counts.reshape(k, bins, bins)
-    c_x = c2.sum(axis=2)  # (row, x)
-    c_y = c2.sum(axis=1)  # (row, y)
-    idx = np.flatnonzero(counts > 0)
-    c = counts.ravel()[idx]
-    num = c.astype(np.float64) * float(eff)
-    den = (c_x[:, :, np.newaxis] * c_y[:, np.newaxis, :]).ravel()[idx].astype(np.float64)
-    terms = c / float(eff) * np.log2(num / den)
-    return [_clamp(s) for s in _row_sums(terms, idx, k, bins**2)]
 
 
 def te_matrices(windows, bins: int, dt: int = 1) -> np.ndarray:
@@ -358,13 +349,13 @@ def te_matrices(windows, bins: int, dt: int = 1) -> np.ndarray:
         first_rows = np.arange(0, len(sym), n)[:, np.newaxis]
         ti, si = (first_rows + i).ravel(), (first_rows + j).ravel()
         # the tables first: bins too many to count fail before any count is held
-        tables = _te_cells(min(_per_count(eff, bins**3), len(ti)), bins)
-        pair, c_p = _target_counts(sym, dt, bins)
+        tables = _cmi_cells(min(_per_count(eff, bins**3), len(ti)), bins, bins**3)
+        pair, c_p = _target_counts(sym, (dt, 0), bins)
         values[:, np.arange(n), np.arange(n)] = np.reshape(_cond_entropies(pair, eff, bins), (-1, n))
         te = []
         for r, counts in _chunks([(sym, ti, (dt, 0)), (sym, si, (0,))], eff, bins):
             rows = ti[r : r + len(counts)]
-            te += _te_sums(counts, pair[rows], c_p[rows], eff, bins, tables)
+            te += _cmi_sums(counts, pair[rows], c_p[rows], eff, bins, tables)
         values[:, off] = np.reshape(te, (len(windows), -1))
     return values
 
@@ -403,16 +394,18 @@ def mi_matrices(windows, bins: int) -> np.ndarray:
         for y in first[1:]:
             _check_mi(first[0], y)
         sym = np.asarray(windows, dtype=np.int64).reshape(len(windows) * n, length)
-        own = _entropies(_count_rows([(sym, np.arange(len(sym)), (0,))], length, bins), length)
-        values[:, np.arange(n), np.arange(n)] = np.reshape(own, (-1, n))
+        own, c_p = _target_counts(sym, (0,), bins)
+        values[:, np.arange(n), np.arange(n)] = np.reshape(_entropies(own, length), (-1, n))
         # every pair i < j, window by window, row-major
         upper = np.triu(np.ones((n, n), dtype=bool), 1)
         i, j = np.nonzero(upper)
         first_rows = np.arange(0, len(sym), n)[:, np.newaxis]
         ti, si = (first_rows + i).ravel(), (first_rows + j).ravel()
+        tables = _cmi_cells(min(_per_count(length, bins**2), len(ti)), bins, bins**2)
         pairs = []
-        for _, counts in _chunks([(sym, ti, (0,)), (sym, si, (0,))], length, bins):
-            pairs += _mi_sums(counts, length, bins)
+        for r, counts in _chunks([(sym, ti, (0,)), (sym, si, (0,))], length, bins):
+            rows = ti[r : r + len(counts)]
+            pairs += _cmi_sums(counts, own[rows], c_p[rows], length, bins, tables)
         pairs = np.reshape(pairs, (len(windows), -1))
         values[:, upper] = pairs
         values.transpose(0, 2, 1)[:, upper] = pairs
@@ -502,8 +495,8 @@ def te_floor_matrix(
         sym = np.stack([s.symbols for s in seqs])
         eff = sym.shape[1] - dt
         per = min(_per_count(eff, bins**3), shuffles)
-        tables = _te_cells(per, bins)
-        pair, c_p = _target_counts(sym, dt, bins)
+        tables = _cmi_cells(per, bins, bins**3)
+        pair, c_p = _target_counts(sym, (dt, 0), bins)
 
         def floor_row(i):
             """Row i: the floor of every source into target i."""
@@ -522,7 +515,7 @@ def te_floor_matrix(
                         rows = np.full(k, i)
                         parts = [(sym, rows, (dt, 0)), (src, slice(None), (0,))]
                         counts = _count(parts, eff, bins)
-                        for te in _te_sums(counts, pair[rows], c_p[rows], eff, bins, tables):
+                        for te in _cmi_sums(counts, pair[rows], c_p[rows], eff, bins, tables):
                             acc += te
                     row[j] = acc / shuffles
             return row

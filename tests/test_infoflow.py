@@ -299,6 +299,22 @@ def test_window_te_matrices_equal_per_pair_oracles_bit_for_bit(data):
         assert_bits_equal(values, pairwise_te([seq_of(s, bins) for s in win], dt))
 
 
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_window_mi_matrices_equal_per_pair_oracles_bit_for_bit(data):
+    # 12-16 bins give an MI row up to 256 cells, so many rows have more
+    # than the 128 nonzero cells at which numpy's pairwise sum splits in two
+    bins = data.draw(st.integers(12, 16), label="bins")
+    length = data.draw(st.integers(300, 600), label="length")
+    n = data.draw(st.integers(2, 4), label="n")
+    windows = data.draw(st.integers(2, 4), label="windows")
+    used = data.draw(st.integers(bins - 1, bins), label="used")  # an unused bin leaves empty cells
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    symbols = rng.integers(0, used, size=(windows, n, length))
+    for win, values in zip(symbols, infoflow.mi_matrices(symbols, bins)):
+        assert_bits_equal(values, pairwise_mi([seq_of(s, bins) for s in win]))
+
+
 def _seqs(*lengths):
     rng = np.random.default_rng(16)
     return [seq_of(rng.integers(0, 3, size=t), 3) for t in lengths]
