@@ -238,18 +238,16 @@ def _matrix_csv(m: InteractionMatrix, fh, config: dict | None, threshold: float)
 
 def load_matrix_csv(path) -> InteractionMatrix:
     meta = {"measure": "correlation", "directed": "false", "units": "dimensionless"}
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, _, value = body.partition(":")
-                    meta[key.strip()] = value.strip()
-                continue
-            if line.strip():
-                rows.append(next(csv.reader([line])))
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        # the leading "#" lines are the header; a row's quoted id may start
+        # with "#" or hold a line break, which only csv.reader reads back
+        line = fh.readline()
+        while line.startswith("#"):
+            key, colon, value = line[1:].partition(":")
+            if colon:
+                meta[key.strip()] = value.strip()
+            line = fh.readline()
+        rows = [row for row in csv.reader(itertools.chain([line], fh)) if row]
     if not rows:
         raise ValueError(f"{path}: empty matrix csv")
     ids = tuple(rows[0][1:])

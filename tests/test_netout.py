@@ -122,6 +122,26 @@ def test_csv_round_trip_exact(tmp_path):
     assert again.measure == "correlation"
 
 
+@pytest.mark.parametrize("directed, measure, units", [
+    (True, "transfer_entropy", "bits"),
+    (False, "correlation", "dimensionless"),
+], ids=["directed", "undirected"])
+@pytest.mark.parametrize("ids", [
+    ("A\nB", "C"), ("A\rB", "C"), ("A\r\nB", "C"), ("#A", "B"), ("A,1", 'B"q'),
+], ids=["lf", "cr", "crlf", "hash", "comma-quote"])
+def test_csv_round_trip_of_quoted_asset_ids(tmp_path, ids, directed, measure, units):
+    # csv.writer quotes an id holding a line break, a comma or a quote, and
+    # an id starting with "#" begins a row: the reader takes all of them back
+    values = np.array([[0.25, -0.0], [1e-300, 0.1 + 0.2]])
+    m = InteractionMatrix(asset_ids=ids, values=values, measure=measure, directed=directed, units=units)
+    path = tmp_path / "m.csv"
+    emit(m, "csv", path, config={"note": "a, b\nc"})
+    again = load_matrix_csv(path)
+    assert again.asset_ids == ids
+    assert np.array_equal(again.values.view(np.int64), values.view(np.int64))
+    assert (again.measure, again.directed, again.units) == (measure, directed, units)
+
+
 def test_csv_single_asset(tmp_path):
     m = InteractionMatrix(
         asset_ids=("solo",), values=np.array([[2.25]]),
