@@ -52,7 +52,11 @@ the serial path's exception, with its type, message and ``__cause__``, and
 no exception has to be pickled. Every worker has exited when ``fan_out``
 returns or raises. Spans and counters that a tracer records inside a worker
 stay in that worker. Python 3.12 and later warn when forking a process
-that runs threads, such as an OpenBLAS thread pool.
+that runs threads, such as an OpenBLAS thread pool. On CPython 3.12.1 and
+3.13.0, forking beside a running thread under an ``error`` filter clears
+that DeprecationWarning and returns normally (``catch_warnings(record=True)``
+records nothing), under ``always`` the warning is recorded, and a
+fork-context ``ProcessPoolExecutor`` under the default filters shows nothing.
 """
 
 import functools
