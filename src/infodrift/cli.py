@@ -250,7 +250,7 @@ def evolve_cmd(cfg: RunConfig, inputs, measures):
                 returns, spec, name, bins=cfg.bins, strategy=cfg.strategy, dt=cfg.dt,
             )
             results.append((f"evolve_{name}", result, cfg.formats))
-            log.info("evolve %s over %d windows done", name, len(result.entries))
+            log.info("evolve %s over %d windows done", name, len(result.values))
         return results
 
     _run(compute, cfg, inputs, measures)

@@ -44,10 +44,10 @@ where that call is missing), never more than ``count``. With one CPU, or
 where the ``fork`` start method is not offered, it runs them in-process,
 which is the only serial path. Workers are forked, so a task may be a
 closure over arrays built before the call; only ``k`` and the task's
-result cross between processes. An unpickled array comes back writeable, so
-a task returns plain arrays, numbers or lists, or objects that unpickle
-through their checks, as ``InteractionMatrix`` does. A task that
-fails in a worker is run again in the calling process, so the caller sees
+result cross between processes. A task returns plain arrays, numbers or
+lists: ``evolve``'s tasks return each block's (values, edges) arrays, which
+it concatenates into a ``WindowedResult`` that stores them read-only, since
+an unpickled array comes back writeable. A task that fails in a worker is run again in the calling process, so the caller sees
 the serial path's exception, with its type, message and ``__cause__``, and
 no exception has to be pickled. Every worker has exited when ``fan_out``
 returns or raises. Spans and counters that a tracer records inside a worker

@@ -30,6 +30,23 @@ def freeze(obj, name: str, dtype=np.float64) -> np.ndarray:
     return view
 
 
+def check_values(values: np.ndarray, shape: tuple, measure: str, directed: bool, units: str) -> None:
+    """Refuse ``values`` unless it has ``shape``, whose last two axes are n by
+    n, and holds matrices of a known measure and units: symmetric when
+    undirected, and MI off-diagonals at least 0. A stack of matrices along
+    the first axes is checked as each of them would be on its own."""
+    if values.shape != shape:
+        raise ValueError(f"values must be {'x'.join(map(str, shape))}, got {values.shape}")
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}")
+    if units not in UNITS:
+        raise ValueError(f"unknown units {units!r}")
+    if not directed and not np.allclose(values, values.swapaxes(-1, -2), atol=1e-12, rtol=0.0):
+        raise ValueError("undirected matrix is not symmetric")
+    if measure == "mutual_information" and np.any(values[..., ~np.eye(shape[-1], dtype=bool)] < 0):
+        raise ValueError("mutual information off-diagonals must be >= 0")
+
+
 @dataclass(frozen=True, eq=False)
 class InteractionMatrix:
     asset_ids: tuple[str, ...]
@@ -40,24 +57,8 @@ class InteractionMatrix:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        values = freeze(self, "values")
         n = len(self.asset_ids)
-        if values.shape != (n, n):
-            raise ValueError(f"values must be {n}x{n}, got {values.shape}")
-        if self.measure not in MEASURES:
-            raise ValueError(f"unknown measure {self.measure!r}")
-        if self.units not in UNITS:
-            raise ValueError(f"unknown units {self.units!r}")
-        if not self.directed and not np.allclose(values, values.T, atol=1e-12, rtol=0.0):
-            raise ValueError("undirected matrix is not symmetric")
-        if self.measure == "mutual_information":
-            off = ~np.eye(n, dtype=bool)
-            if np.any(values[off] < 0):
-                raise ValueError("mutual information off-diagonals must be >= 0")
-
-    def __reduce__(self):
-        # rebuilt through __init__, so a matrix from a fan_out worker is checked and read-only too
-        return InteractionMatrix, (self.asset_ids, self.values, self.measure, self.directed, self.units, self.params)
+        check_values(freeze(self, "values"), (n, n), self.measure, self.directed, self.units)
 
     @property
     def n(self) -> int:

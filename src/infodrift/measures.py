@@ -9,8 +9,9 @@ binned columns, and the drift estimate is written beside its matrix.
 ``binned_matrices`` is the one estimator of MI and TE, on the full sample as
 one window (from ``evaluate``) and on each block of windows (from
 ``windows.evolve``): it bins a window-major stack of columns, fitting bin
-edges on each window, counts the symbols without a copy and records each
-window's binning on its matrix.
+edges on each window, and counts the symbols without a copy. It returns
+plain arrays, each window's values and the edges it binned with; only
+``evaluate`` makes the one window's matrix and records its binning there.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ def canonical_measure(name: str) -> str:
 
 
 def binned_matrices(x, measure: str, bins: int, strategy: str, dt: int, asset_ids, basis=None):
-    """(matrices, basis) of an entropy measure on the windows whose columns
-    are the rows of the window-major (windows * N, T) stack ``x``.
+    """(values, basis) of an entropy measure on the windows whose columns
+    are the rows of the window-major (windows * N, T) stack ``x``: the
+    (windows, N, N) values of each window's matrix.
 
     ``basis`` is the (symbols, edges) of ``bin_windows`` that were counted;
     given that of an earlier call on the same stack, bins and strategy, it
@@ -59,16 +61,11 @@ def binned_matrices(x, measure: str, bins: int, strategy: str, dt: int, asset_id
             basis = bin_windows(x, bins, strategy)
         except DegenerateSeries as e:  # bin_windows names the row, which is window-major
             raise DegenerateSeries(f"{asset_ids[e.row % n]}: {e}", row=e.row) from e
-    symbols, edges = basis
+    symbols = basis[0]
     windows = symbols.reshape(-1, n, symbols.shape[1])
     if measure == "mutual_information":
-        matrices = [as_mi_matrix(v, asset_ids) for v in mi_matrices(windows, bins)]
-    else:
-        matrices = [as_te_matrix(v, dt, asset_ids) for v in te_matrices(windows, bins, dt)]
-    edges = edges.tolist()
-    for w, m in enumerate(matrices):
-        m.params.update(bins=bins, strategy=strategy, bin_edges=dict(zip(asset_ids, edges[w * n : (w + 1) * n])))
-    return matrices, basis
+        return mi_matrices(windows, bins), basis
+    return te_matrices(windows, bins, dt), basis
 
 
 def evaluate(
@@ -93,7 +90,10 @@ def evaluate(
     if measure == "km_drift":
         est = drift_estimate(returns, dt=dt, step_duration=step_duration, ridge=ridge)
         return drift_matrix(est, returns.asset_ids), est
-    (matrix,), basis = binned_matrices(returns.values.T, measure, bins, strategy, dt, returns.asset_ids, basis)
+    ids = returns.asset_ids
+    (values,), basis = binned_matrices(returns.values.T, measure, bins, strategy, dt, ids, basis)
+    matrix = as_mi_matrix(values, ids) if measure == "mutual_information" else as_te_matrix(values, dt, ids)
+    matrix.params.update(bins=bins, strategy=strategy, bin_edges=dict(zip(ids, basis[1].tolist())))
     return matrix, basis
 
 

@@ -272,21 +272,17 @@ def _csv_row(*fields: str) -> str:
 
 
 def _edge_texts(w: WindowedResult):
-    """Yield each window's bin edges as {asset: JSON texts}, or None for a
-    window without. Overlapping windows share most quantile edges, so each
-    distinct float64 bit pattern is formatted once (by bits, not by value:
-    -0.0 and 0.0 are two texts, and NaN equals no float)."""
-    tables = [matrix.params.get("bin_edges") for *_, matrix in w.entries]
-    rows = [row for table in tables if table is not None for row in table.values()]
-    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.float64)
-    distinct, where = np.unique(flat.view(np.int64), return_inverse=True)
+    """Yield each window's bin edges as one list of JSON texts per asset.
+    Overlapping windows share most quantile edges, so each distinct float64
+    bit pattern is formatted once (by bits, not by value: -0.0 and 0.0 are
+    two texts, and NaN equals no float)."""
+    distinct, where = np.unique(w.edges.view(np.int64), return_inverse=True)
     distinct = distinct.view(np.float64)
     texts = _json_texts(list(map(repr, distinct.tolist())), distinct)
-    found = map(texts.__getitem__, where.tolist())
-    for table in tables:
-        yield None if table is None else {
-            asset: list(itertools.islice(found, len(row))) for asset, row in table.items()
-        }
+    found = map(texts.__getitem__, where.ravel().tolist())
+    _, n, per = w.edges.shape
+    for _ in range(len(w.edges)):
+        yield [list(itertools.islice(found, per)) for _ in range(n)]
 
 
 def _windowed(w: WindowedResult, config: dict | None, json_fh=None, csv_fh=None) -> None:
@@ -298,11 +294,10 @@ def _windowed(w: WindowedResult, config: dict | None, json_fh=None, csv_fh=None)
     CSV, every ordered pair of every window with self pairs included, holds
     them in ``_pairs`` order. The JSON is ``json.dumps(doc, indent=2)`` of the
     document with a ``windows`` list of {start, end, start_index, end_index,
-    values, bin_edges (where the window has them)}; its other members are
+    values, bin_edges (where the result has them)}; its other members are
     ``json.dumps`` texts, and each window is assembled from its value texts.
     """
-    first = w.entries[0][4]
-    ids = first.asset_ids
+    ids = w.asset_ids
     n = len(ids)
     if csv_fh is not None:
         pairs = list(_pairs(n, directed=True, keep_self=True))
@@ -313,8 +308,8 @@ def _windowed(w: WindowedResult, config: dict | None, json_fh=None, csv_fh=None)
     if json_fh is not None:
         doc = _document("windowed_result", {
             "measure": w.measure,
-            "directed": first.directed,
-            "units": first.units,
+            "directed": w.directed,
+            "units": w.units,
             "asset_ids": list(ids),
             "window_spec": w.spec.describe(),
             "params": w.params,
@@ -324,9 +319,9 @@ def _windowed(w: WindowedResult, config: dict | None, json_fh=None, csv_fh=None)
         # moves one level in by its newlines, and the windows go where the NUL is
         members = {key: json.dumps(value, indent=2).replace("\n", "\n  ") for key, value in doc.items()}
         sep, tail = _json_object({**members, "windows": _json_list(["\x00"], "\n  ")}, "\n").split("\x00")
-    edge_texts = _edge_texts(w) if json_fh is not None else itertools.repeat(None)
-    for (lo, hi, si, ei, matrix), edges in zip(w.entries, edge_texts):
-        values = matrix.values.ravel()
+    edge_texts = _edge_texts(w) if json_fh is not None and w.edges is not None else itertools.repeat(None)
+    for (lo, hi), (si, ei), values, edges in zip(w.labels, w.bounds.tolist(), w.values, edge_texts):
+        values = values.ravel()
         found = list(map(repr, values.tolist()))
         if csv_fh is not None:
             label = _csv_row(lo, hi) + ","
@@ -342,7 +337,7 @@ def _windowed(w: WindowedResult, config: dict | None, json_fh=None, csv_fh=None)
                 "values": _json_list(rows, "\n      "),
             }
             if edges is not None:
-                edges = {asset: _json_list(e, "\n        ") for asset, e in edges.items()}
+                edges = {asset: _json_list(e, "\n        ") for asset, e in zip(ids, edges)}
                 window["bin_edges"] = _json_object(edges, "\n      ")
             json_fh.write(sep + _json_object(window, "\n    "))
             sep = ",\n    "
@@ -517,15 +512,14 @@ def _matrix_svg(m: InteractionMatrix, fh, config: dict | None, threshold: float)
 def _windowed_svg(w: WindowedResult, fh, config: dict | None, threshold: float) -> None:
     """Pairs-by-windows heatmap: one row per ordered (or unordered) pair,
     written a row at a time."""
-    first = w.entries[0][4]
-    ids, arrow = first.asset_ids, "->" if first.directed else "--"
-    pairs = list(_pairs(first.n, first.directed))
-    k = len(w.entries)
+    ids, arrow = w.asset_ids, "->" if w.directed else "--"
+    pairs = list(_pairs(len(ids), w.directed))
+    k = len(w.values)
     cell, left, top = 40, 150, 46
     width = left + k * cell + 24
     height = top + len(pairs) * cell + 56
     rows, cols = [i for _, _, i, _ in pairs], [j for _, _, _, j in pairs]
-    pair_vals = np.stack([e[4].values for e in w.entries])[:, rows, cols].T
+    pair_vals = w.values[:, rows, cols].T
     vmin, vmax, diverging = _scale(w.measure, pair_vals)
 
     _svg_open(fh, width, height, f"{w.measure} evolution", config)
@@ -551,11 +545,9 @@ def _windowed_svg(w: WindowedResult, fh, config: dict | None, threshold: float) 
         args = [y] * (2 * k)
         args[1::2] = _colors(pair_vals[r], vmin, vmax, diverging).tolist()
         fh.write(row % tuple(args))
-    first_lo = w.entries[0][0]
-    last_hi = w.entries[-1][1]
     fh.write(
         f'<text x="{left}" y="{top + len(pairs) * cell + 16}" font-size="10">'
-        f"windows {_escape(first_lo)} .. {_escape(last_hi)}</text>\n"
+        f"windows {_escape(w.labels[0][0])} .. {_escape(w.labels[-1][1])}</text>\n"
     )
     _legend(fh, left, top + len(pairs) * cell + 24, k * cell, vmin, vmax, diverging)
     fh.write("</svg>\n")

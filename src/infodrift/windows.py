@@ -7,14 +7,18 @@ Window boundaries depend only on the sample count and the spec, never on the
 data. Quantile bin edges are re-fitted inside each window because the series
 cannot be assumed stationary; the choice is recorded in the result metadata.
 
-``evolve`` is the windowed driver. Correlation and km_drift bin nothing, so
-it calls ``compute_matrix`` once per window. For MI and TE it stacks each
-block of windows window-major and hands it to ``measures.binned_matrices``,
-the path that ``compute_matrix`` takes on the full sample as one window.
-The blocks are independent, so each is one ``kernels.fan_out`` task, run on
-every CPU the process may run on, which returns its windows' matrices. Each
-window's matrix is therefore bit-identical to ``compute_matrix`` on that
-window, however many workers there are.
+``evolve`` is the windowed driver and returns a ``WindowedResult``: every
+window's values as one (W, N, N) array, beside the windows' bounds, labels
+and, for MI and TE, bin edges. Correlation and km_drift bin nothing, so it
+calls ``compute_matrix`` once per window and stacks the values. For MI and
+TE it stacks each block of windows window-major and hands it to
+``measures.binned_matrices``, the path that ``compute_matrix`` takes on the
+full sample as one window. The blocks are independent, so each is one
+``kernels.fan_out`` task, run on every CPU the process may run on, which
+returns its windows' values and edges as plain arrays; they are
+concatenated in block order. Each window's values are therefore
+bit-identical to ``compute_matrix`` on that window, however many workers
+there are.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import numpy as np
 
 from .errors import DegenerateSeries, EstimatorError, TooFewSamples, WindowTooLarge
 from .kernels import fan_out
+from .matrices import check_values, freeze
 from .measures import ENTROPY_MEASURES, binned_matrices, canonical_measure, compute_matrix
 from .stats import ReturnsMatrix
 
@@ -75,16 +80,44 @@ class WindowSpec:
 
 @dataclass(frozen=True, eq=False)
 class WindowedResult:
-    """Ordered per-window matrices for one measure."""
+    """One measure's matrix of each window, stacked in window order.
+
+    ``values`` is (W, N, N) float64, each window's matrix as the measure's
+    ``InteractionMatrix`` would hold it; ``bounds`` is (W, 2) int64, each
+    window's [start, end) sample indices; ``labels`` holds each window's
+    (first, last) date, or sample index where the panel has no dates.
+    ``edges`` is the (W, N, bins + 1) bin edges fitted in each window for MI
+    and TE, and None for a measure that bins nothing. The arrays are stored
+    as read-only views and checked as each window's matrix would be.
+    """
 
     measure: str
-    entries: tuple  # ((start_label, end_label, start_idx, end_idx, InteractionMatrix), ...)
+    asset_ids: tuple[str, ...]
+    values: np.ndarray
+    bounds: np.ndarray
+    labels: tuple  # ((start_label, end_label), ...)
+    directed: bool
+    units: str
     spec: WindowSpec
     params: dict = field(default_factory=dict)
+    edges: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.entries:
+        values = freeze(self, "values")
+        count = len(values) if values.ndim else 0
+        if not count:
             raise ValueError("windowed result cannot be empty")
+        n = len(self.asset_ids)
+        check_values(values, (count, n, n), self.measure, self.directed, self.units)
+        bounds = freeze(self, "bounds", np.int64)
+        if bounds.shape != (count, 2):
+            raise ValueError(f"bounds must be {count}x2, got {bounds.shape}")
+        if len(self.labels) != count:
+            raise ValueError(f"labels must hold {count} windows, got {len(self.labels)}")
+        if self.edges is not None:
+            edges = freeze(self, "edges")
+            if edges.ndim != 3 or edges.shape[:2] != (count, n):
+                raise ValueError(f"edges must be {count}x{n}x(bins + 1), got {edges.shape}")
 
 
 def make_windows(t: int, spec: WindowSpec) -> list[tuple[int, int]]:
@@ -144,8 +177,9 @@ def evolve(
 ) -> WindowedResult:
     """Apply one estimator per window; estimator parameters stay fixed.
 
-    Each window's matrix equals ``compute_matrix`` on
-    ``returns.window(start, end)`` bit for bit. An estimator failure or
+    ``values[w]`` equals the values of ``compute_matrix`` on
+    ``returns.window(start, end)`` bit for bit, and for MI and TE ``edges[w]``
+    its ``bin_edges``, asset by asset. An estimator failure or
     too-short window is the first error the per-window loop met, re-raised
     naming the measure and the window (and, for a constant column, the asset).
     """
@@ -163,17 +197,20 @@ def evolve(
                 ))
             except (EstimatorError, TooFewSamples) as e:
                 raise _in_window(e, measure, (idx, start, end)) from e
+        values, edges = np.stack([m.values for m in matrices]), None
+        directed, units = matrices[0].directed, matrices[0].units
     else:
         blocks = list(_blocks(windows, n))
 
         def estimate(b):
-            """Matrices of block b's windows, its first error named as the per-window loop met it."""
+            """(values, edges) of block b's windows, its first error named as the per-window loop met it."""
             block = blocks[b]
             _, start, end = window = block[0]
             x = np.stack([returns.values[s:e].T for _, s, e in block]).reshape(len(block) * n, end - start)
             try:
                 try:
-                    return binned_matrices(x, measure, bins, strategy, dt, returns.asset_ids)[0]
+                    values, (_, edges) = binned_matrices(x, measure, bins, strategy, dt, returns.asset_ids)
+                    return values, edges.reshape(len(block), n, bins + 1)
                 except DegenerateSeries as e:  # binned_matrices named its asset and kept its row
                     w = e.row // n
                     if w:  # the per-window loop estimated the block's first window before binning this one
@@ -183,14 +220,18 @@ def evolve(
             except (EstimatorError, TooFewSamples) as e:
                 raise _in_window(e, measure, window) from e
 
-        matrices = [m for block in fan_out(estimate, len(blocks)) for m in block]
-    entries = tuple(
-        (*_labels(returns, start, end), start, end, matrix)
-        for (start, end), matrix in zip(windows, matrices)
-    )
+        found = fan_out(estimate, len(blocks))
+        values = np.concatenate([v for v, _ in found])
+        edges = np.concatenate([e for _, e in found])
+        directed, units = measure == "transfer_entropy", "bits"
     return WindowedResult(
         measure=measure,
-        entries=entries,
+        asset_ids=returns.asset_ids,
+        values=values,
+        bounds=np.array(windows, dtype=np.int64),
+        labels=tuple(_labels(returns, start, end) for start, end in windows),
+        directed=directed,
+        units=units,
         spec=spec,
         params={
             "bins": bins,
@@ -199,4 +240,5 @@ def evolve(
             "step_duration": step_duration,
             "bins_refit_per_window": True,
         },
+        edges=edges,
     )

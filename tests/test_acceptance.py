@@ -156,7 +156,7 @@ def test_criterion_6_regime_shift_detection():
     panel = ReturnsMatrix(asset_ids=("X", "Y"), values=values, kind="log")
     result = evolve(panel, WindowSpec(mode="segmented", segments=10), "transfer_entropy", bins=2)
     mask = ~np.eye(2, dtype=bool)
-    means = np.array([entry[4].values[mask].mean() for entry in result.entries])
+    means = np.array([values[mask].mean() for values in result.values])
     pre, post = means[:5].mean(), means[5:].mean()
     ok = post >= 1.30 * pre
     _report(

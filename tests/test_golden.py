@@ -56,14 +56,15 @@ def _te():
 
 
 def write_windowed(out: Path) -> list[str]:
-    entries = (
-        ("2020-01-01", "2020-01-10", 0, 10, _corr(0.5, -0.25, 0.125)),
-        ("2020-01-11", "2020-01-20", 10, 20, _corr(-0.75, 0.375, 0.0)),
-        ("2020-01-21", "2020-01-30", 20, 30, _corr(0.875, -0.5, -0.0625)),
-    )
     result = WindowedResult(
         measure="correlation",
-        entries=entries,
+        asset_ids=("A", "B", "C"),
+        values=np.array([_corr(0.5, -0.25, 0.125).values, _corr(-0.75, 0.375, 0.0).values,
+                         _corr(0.875, -0.5, -0.0625).values]),
+        bounds=np.array([[0, 10], [10, 20], [20, 30]]),
+        labels=(("2020-01-01", "2020-01-10"), ("2020-01-11", "2020-01-20"), ("2020-01-21", "2020-01-30")),
+        directed=False,
+        units="dimensionless",
         spec=WindowSpec(mode="segmented", segments=3),
         params={"bins": 8, "strategy": "quantile", "dt": 1},
     )
@@ -77,13 +78,6 @@ IDS = ("A,1", "B&C", "D")
 NAN, INF = float("nan"), float("inf")
 
 
-def _directed(measure, units, values, params):
-    return InteractionMatrix(
-        asset_ids=IDS, values=np.array(values), measure=measure, directed=True,
-        units=units, params={"orientation": ORIENTATION, **params},
-    )
-
-
 def _write_all(result, out: Path, stem: str) -> list[str]:
     names = [f"{stem}.json", f"{stem}.csv", f"{stem}.svg"]
     for name, fmt in zip(names, ("json", "csv", "svg_heatmap")):
@@ -95,28 +89,24 @@ def write_windowed_te(out: Path) -> list[str]:
     """Sequential scale over the off-diagonal cells 0 .. 2, where 1.0 gives
     t = 0.5 and red 131.5, green 151.5; the non-finite values sit on the
     diagonal, which the CSV and JSON write and the heatmap leaves out."""
-    def te(values, edges):
-        return _directed("transfer_entropy", "bits", values, {
-            "bins": 2, "strategy": "quantile",
-            "bin_edges": {asset: edge for asset, edge in zip(IDS, edges)},
-        })
-
-    entries = (
-        ("2020-01-01", "2020-01-10", 0, 10, te(
-            [[NAN, 0.25, 2.0], [1.0, INF, -0.0], [0.5, 0.125, -INF]],
-            [[-0.5, 0.0, 0.5], [-1.0, 0.25, 1.0], [-0.0, 0.125, 4.0]],
-        )),
-        ("2020-01-06", "2020-01-15", 5, 15, te(
-            [[-0.0, 0.0625, 0.75], [1.5, 0.375, 0.0], [1.25, 0.875, 1.0]],
-            [[-0.25, 0.0, 0.75], [-2.0, -0.5, 1.5], [-1.0, 0.0, 1.0]],
-        )),
-    )
     result = WindowedResult(
         measure="transfer_entropy",
-        entries=entries,
+        asset_ids=IDS,
+        values=np.array([
+            [[NAN, 0.25, 2.0], [1.0, INF, -0.0], [0.5, 0.125, -INF]],
+            [[-0.0, 0.0625, 0.75], [1.5, 0.375, 0.0], [1.25, 0.875, 1.0]],
+        ]),
+        bounds=np.array([[0, 10], [5, 15]]),
+        labels=(("2020-01-01", "2020-01-10"), ("2020-01-06", "2020-01-15")),
+        directed=True,
+        units="bits",
         spec=WindowSpec(mode="sliding", length=10, stride=5),
         params={"bins": 2, "strategy": "quantile", "dt": 1, "step_duration": 1.0,
                 "bins_refit_per_window": True},
+        edges=np.array([
+            [[-0.5, 0.0, 0.5], [-1.0, 0.25, 1.0], [-0.0, 0.125, 4.0]],
+            [[-0.25, 0.0, 0.75], [-2.0, -0.5, 1.5], [-1.0, 0.0, 1.0]],
+        ]),
     )
     return _write_all(result, out, "windowed_transfer_entropy")
 
@@ -124,20 +114,18 @@ def write_windowed_te(out: Path) -> list[str]:
 def write_windowed_km(out: Path) -> list[str]:
     """Diverging scale with limit 2: 1.0 and -1.0 give |t| = 0.5, whose
     channels 212.5, 135.5, 174.5 and 209.5 round half to even both ways."""
-    def km(values):
-        return _directed("km_drift", "per-step", values, {"dt": 1, "cond": 3.5})
-
-    entries = (
-        ("2020-01-01", "2020-01-05", 0, 5,
-         km([[-0.5, 1.0, -1.0], [2.0, -0.25, 0.0], [-0.125, -2.0, -0.75]])),
-        ("2020-01-06", "2020-01-10", 5, 10,
-         km([[-0.375, -0.0, 0.5], [-1.5, -0.625, 0.25], [1.25, -0.0625, -1.0]])),
-        ("2020-01-11", "2020-01-15", 10, 15,
-         km([[-1.0, 0.75, -0.25], [0.125, -0.5, -1.75], [0.0, 0.375, -0.875]])),
-    )
     result = WindowedResult(
         measure="km_drift",
-        entries=entries,
+        asset_ids=IDS,
+        values=np.array([
+            [[-0.5, 1.0, -1.0], [2.0, -0.25, 0.0], [-0.125, -2.0, -0.75]],
+            [[-0.375, -0.0, 0.5], [-1.5, -0.625, 0.25], [1.25, -0.0625, -1.0]],
+            [[-1.0, 0.75, -0.25], [0.125, -0.5, -1.75], [0.0, 0.375, -0.875]],
+        ]),
+        bounds=np.array([[0, 5], [5, 10], [10, 15]]),
+        labels=(("2020-01-01", "2020-01-05"), ("2020-01-06", "2020-01-10"), ("2020-01-11", "2020-01-15")),
+        directed=True,
+        units="per-step",
         spec=WindowSpec(mode="segmented", segments=3),
         params={"bins": 8, "strategy": "quantile", "dt": 1, "step_duration": 1.0,
                 "bins_refit_per_window": True},

@@ -8,8 +8,15 @@ from infodrift.ingest import AlignedPanel, PriceSeries
 from infodrift.kmdrift import DriftEstimate
 from infodrift.matrices import InteractionMatrix
 from infodrift.stats import ReturnsMatrix
+from infodrift.windows import WindowedResult, WindowSpec
 
 DAYS = (737425, 737426, 737427)
+
+
+def windowed(values=np.ones((1, 2, 2)), bounds=np.array([[0, 3]]), edges=None):
+    return WindowedResult("mutual_information", ("A", "B"), values, bounds, (("a", "b"),), False, "bits",
+                          WindowSpec("segmented", segments=1), edges=edges)
+
 
 # Each value type's array fields: the field, its stored dtype, a valid value,
 # and a builder that puts the value given into that field.
@@ -36,6 +43,9 @@ CASES = {
                         lambda a: DriftEstimate(np.eye(2), a, 1.0, np.eye(2), 1.0)),
     "DriftEstimate.moment_matrix": ("moment_matrix", np.float64, np.eye(2),
                                     lambda a: DriftEstimate(np.eye(2), np.eye(2), 1.0, a, 1.0)),
+    "WindowedResult.values": ("values", np.float64, np.ones((1, 2, 2)), lambda a: windowed(values=a)),
+    "WindowedResult.bounds": ("bounds", np.int64, np.array([[0, 3]]), lambda a: windowed(bounds=a)),
+    "WindowedResult.edges": ("edges", np.float64, np.zeros((1, 2, 3)), lambda a: windowed(edges=a)),
 }
 
 

@@ -244,7 +244,7 @@ def test_windowed_outputs(tmp_path):
     assert doc["kind"] == "windowed_result"
     assert len(doc["windows"]) == 4
     stored = np.array(doc["windows"][2]["values"])
-    assert np.array_equal(stored, result.entries[2][4].values)
+    assert np.array_equal(stored, result.values[2])
 
     lines = [l for l in cpath.read_text().splitlines() if not l.startswith("#")]
     assert lines[0] == "window_start,window_end,from_asset,to_asset,value"
@@ -644,16 +644,26 @@ def test_colors_equal_the_scalar_color(values, vmin, vmax, diverging):
 
 def _reference_windowed_csv(w, fh, config=None):
     """The windowed CSV as one csv.writer row per pair and window."""
-    ids = w.entries[0][4].asset_ids
+    ids = w.asset_ids
     writer = netout._csv(fh, "windowed", config, measure=w.measure)
     writer.writerow(["window_start", "window_end", "from_asset", "to_asset", "value"])
-    for lo, hi, _, _, matrix in w.entries:
+    for (lo, hi), values in zip(w.labels, w.values):
         for a in range(len(ids)):
             for b in range(len(ids)):
-                writer.writerow([lo, hi, ids[a], ids[b], repr(float(matrix.values[b, a]))])
+                writer.writerow([lo, hi, ids[a], ids[b], repr(float(values[b, a]))])
 
 
 CSV_TEXT = st.text(st.sampled_from([",", '"', "\n", "\r", " ", "%", "a", "\u00e9"]), max_size=4)
+
+
+def _result(ids, labels, values, measure="transfer_entropy", units="bits", edges=None, params=None):
+    """A directed result of one window per (start, end) label, the k-th of [k, k + 1)."""
+    return WindowedResult(
+        measure=measure, asset_ids=tuple(ids), values=values,
+        bounds=np.array([(k, k + 1) for k in range(len(labels))]).reshape(-1, 2), labels=tuple(labels),
+        directed=True, units=units, spec=WindowSpec(mode="sliding", length=2, stride=1),
+        params={"bins": 2, "dt": 1} if params is None else params, edges=edges,
+    )
 
 
 @given(
@@ -663,18 +673,9 @@ CSV_TEXT = st.text(st.sampled_from([",", '"', "\n", "\r", " ", "%", "a", "\u00e9
 )
 @settings(max_examples=100, deadline=None)
 def test_windowed_csv_equals_csv_writer_rows(ids, labels, data):
-    n = len(ids)
-    entries = tuple(
-        (lo, hi, k, k + 1, InteractionMatrix(
-            asset_ids=tuple(ids),
-            values=np.array(data.draw(st.lists(FLOATS, min_size=n * n, max_size=n * n))).reshape(n, n),
-            measure="transfer_entropy", directed=True, units="bits",
-        ))
-        for k, (lo, hi) in enumerate(labels)
-    )
-    w = WindowedResult(
-        measure="transfer_entropy", entries=entries, spec=WindowSpec(mode="segmented", segments=1),
-    )
+    n, k = len(ids), len(labels)
+    values = np.array(data.draw(st.lists(FLOATS, min_size=k * n * n, max_size=k * n * n))).reshape(k, n, n)
+    w = _result(ids, labels, values, params={})
     got, want = io.StringIO(), io.StringIO()
     netout._windowed(w, None, csv_fh=got)
     _reference_windowed_csv(w, want)
@@ -684,12 +685,11 @@ def test_windowed_csv_equals_csv_writer_rows(ids, labels, data):
 def windowed_to_dict(w, config=None):
     """The whole windowed JSON document, as it was built before the writer
     streamed it: the oracle."""
-    first = w.entries[0][4]
     return netout._document("windowed_result", {
         "measure": w.measure,
-        "directed": first.directed,
-        "units": first.units,
-        "asset_ids": list(first.asset_ids),
+        "directed": w.directed,
+        "units": w.units,
+        "asset_ids": list(w.asset_ids),
         "window_spec": w.spec.describe(),
         "params": w.params,
         "windows": [
@@ -698,10 +698,10 @@ def windowed_to_dict(w, config=None):
                 "end": hi,
                 "start_index": si,
                 "end_index": ei,
-                "values": matrix.values.tolist(),
-                **({"bin_edges": matrix.params["bin_edges"]} if "bin_edges" in matrix.params else {}),
+                "values": w.values[k].tolist(),
+                **({} if w.edges is None else {"bin_edges": dict(zip(w.asset_ids, w.edges[k].tolist()))}),
             }
-            for lo, hi, si, ei, matrix in w.entries
+            for k, ((lo, hi), (si, ei)) in enumerate(zip(w.labels, w.bounds.tolist()))
         ],
     }, config)
 
@@ -711,39 +711,24 @@ EDGES = st.sampled_from([0.0, -0.0, 0.5, -1.25, float("nan"), float("inf"), floa
 
 @st.composite
 def windowed_results(draw):
-    """A TE result whose windows may carry bin edges, or a km result without."""
+    """A TE result with a (W, N, bins + 1) stack of bin edges, or a km result without."""
     ids = draw(st.lists(CSV_TEXT | st.text(max_size=3), min_size=1, max_size=3, unique=True))
-    n = len(ids)
-    binned = draw(st.booleans())
-    entries = []
-    for k, (lo, hi) in enumerate(draw(st.lists(st.tuples(CSV_TEXT, CSV_TEXT), min_size=1, max_size=3))):
-        params = {"bins": 2}
-        if binned and draw(st.booleans()):
-            params["bin_edges"] = {a: draw(st.lists(EDGES, min_size=1, max_size=4)) for a in ids}
-        values = np.array(draw(st.lists(FLOATS, min_size=n * n, max_size=n * n))).reshape(n, n)
-        entries.append((lo, hi, k, k + 1, InteractionMatrix(
-            asset_ids=tuple(ids), values=values, measure="transfer_entropy" if binned else "km_drift",
-            directed=True, units="bits" if binned else "per-step", params=params,
-        )))
-    return WindowedResult(
-        measure=entries[0][4].measure, entries=tuple(entries),
-        spec=WindowSpec(mode="sliding", length=2, stride=1), params={"bins": 2, "dt": 1},
-    )
+    labels = draw(st.lists(st.tuples(CSV_TEXT, CSV_TEXT), min_size=1, max_size=3))
+    n, k = len(ids), len(labels)
+    values = np.array(draw(st.lists(FLOATS, min_size=k * n * n, max_size=k * n * n))).reshape(k, n, n)
+    if not draw(st.booleans()):
+        return _result(ids, labels, values, "km_drift", "per-step")
+    per = draw(st.integers(1, 4))
+    edges = np.array(draw(st.lists(EDGES, min_size=k * n * per, max_size=k * n * per))).reshape(k, n, per)
+    return _result(ids, labels, values, edges=edges)
 
 
-def _example_result(ids, labels, binned=()):
-    """A TE result with a window per (start, end) label; the windows numbered in ``binned`` carry bin edges."""
-    n = len(ids)
-    entries = tuple(
-        (lo, hi, k, k + 1, InteractionMatrix(
-            asset_ids=tuple(ids), values=np.arange(n * n, dtype=np.float64).reshape(n, n) / 8,
-            measure="transfer_entropy", directed=True, units="bits",
-            params={"bins": 2, **({"bin_edges": {a: [-0.5, 0.0, float("nan")] for a in ids}} if k in binned else {})},
-        ))
-        for k, (lo, hi) in enumerate(labels)
-    )
-    return WindowedResult(measure="transfer_entropy", entries=entries,
-                          spec=WindowSpec(mode="sliding", length=2, stride=1), params={"bins": 2, "dt": 1})
+def _example_result(ids, labels, binned=False):
+    """A TE result with a window per (start, end) label, with bin edges when ``binned``."""
+    n, k = len(ids), len(labels)
+    values = np.tile(np.arange(n * n, dtype=np.float64).reshape(n, n) / 8, (k, 1, 1))
+    edges = np.tile([-0.5, 0.0, float("nan")], (k, n, 1)) if binned else None
+    return _result(ids, labels, values, edges=edges)
 
 
 # texts that could end the head or start the tail of the windowed JSON early
@@ -752,11 +737,11 @@ _MARKERS = ["\x00", '"windows": null', "]", "\n"]
 
 @given(windowed_results(), st.sampled_from([("json",), ("csv",), ("json", "csv")]),
        st.none() | st.just({"seed": 7, "measures": ["te", "é"]}))
-@example(_example_result(_MARKERS, [(a, b) for a in _MARKERS for b in _MARKERS[:2]], binned={1}),
+@example(_example_result(_MARKERS, [(a, b) for a in _MARKERS for b in _MARKERS[:2]], binned=True),
          ("json", "csv"), {"seed": 7, "measures": _MARKERS, "\x00": "\x00"})
-@example(_example_result(["A", "B"], [("a", "b"), ("c", "d"), ("e", "f")], binned={0, 2}), ("json", "csv"), None)
+@example(_example_result(["A", "B"], [("a", "b"), ("c", "d"), ("e", "f")], binned=True), ("json", "csv"), None)
 @example(_example_result(["A", "B"], [("a", "b")]), ("json", "csv"), {"seed": 7})
-@example(_example_result(["A"], [("a", "b")], binned={0}), ("json",), None)
+@example(_example_result(["A"], [("a", "b")], binned=True), ("json",), None)
 @settings(max_examples=200, deadline=None)
 def test_streamed_windowed_json_and_csv_equal_the_oracles(w, formats, config):
     sinks = {fmt: io.StringIO() for fmt in formats}
@@ -773,7 +758,5 @@ def test_streamed_windowed_json_and_csv_equal_the_oracles(w, formats, config):
 
 def test_streamed_edges_keep_signed_zeros_apart():
     # one text per float64 bit pattern: 0.0 and -0.0 are equal as floats
-    m = InteractionMatrix(asset_ids=("A", "B"), values=np.zeros((2, 2)), measure="transfer_entropy",
-                          directed=True, units="bits", params={"bin_edges": {"A": [-0.0, 0.0], "B": [0.0, -0.0]}})
-    w = WindowedResult("transfer_entropy", tuple((lo, lo, 0, 1, m) for lo in "ab"), WindowSpec("segmented", segments=2))
-    assert list(netout._edge_texts(w)) == [{"A": ["-0.0", "0.0"], "B": ["0.0", "-0.0"]}] * 2
+    w = _result(["A", "B"], [("a", "b"), ("c", "d")], np.zeros((2, 2, 2)), edges=np.array([[[-0.0, 0.0], [0.0, -0.0]]] * 2))
+    assert list(netout._edge_texts(w)) == [[["-0.0", "0.0"], ["0.0", "-0.0"]]] * 2

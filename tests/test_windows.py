@@ -82,15 +82,16 @@ def test_single_segment_equals_full_sample_bitwise():
     for measure in ("correlation", "mutual_information", "transfer_entropy", "km_drift"):
         full = compute_matrix(panel, measure, bins=4)
         windowed = evolve(panel, WindowSpec(mode="segmented", segments=1), measure, bins=4)
-        assert len(windowed.entries) == 1
-        assert np.array_equal(windowed.entries[0][4].values, full.values)
-        params = windowed.entries[0][4].params
-        assert params == full.params
+        assert windowed.values.shape == (1, 2, 2)
+        assert np.array_equal(bits(windowed.values[0]), bits(full.values))
+        assert (windowed.asset_ids, windowed.directed, windowed.units) == (full.asset_ids, full.directed, full.units)
+        assert windowed.bounds.tolist() == [[0, panel.n_samples]]
         if "bin_edges" in full.params:
-            assert (params["bins"], params["strategy"]) == (4, "quantile")
-            assert list(params["bin_edges"]) == list(full.params["bin_edges"]) == list(panel.asset_ids)
-            edges = [list(p["bin_edges"].values()) for p in (params, full.params)]
-            assert np.array_equal(bits(edges[0]), bits(edges[1]))
+            assert (windowed.params["bins"], windowed.params["strategy"]) == (full.params["bins"], full.params["strategy"])
+            assert list(full.params["bin_edges"]) == list(panel.asset_ids)
+            assert np.array_equal(bits(windowed.edges[0]), bits(list(full.params["bin_edges"].values())))
+        else:
+            assert windowed.edges is None
 
 
 def test_window_labels_use_dates_when_present(csv_dir):
@@ -101,8 +102,7 @@ def test_window_labels_use_dates_when_present(csv_dir):
     dates = tuple(dt.date.fromordinal(base + i) for i in range(10))
     returns = ReturnsMatrix(asset_ids=("a", "b"), values=values, kind="log", dates=dates)
     result = evolve(returns, WindowSpec(mode="segmented", segments=2), "correlation")
-    assert result.entries[0][0] == "2020-01-01"
-    assert result.entries[1][1] == "2020-01-10"
+    assert result.labels == (("2020-01-01", "2020-01-05"), ("2020-01-06", "2020-01-10"))
 
 
 def test_estimator_error_carries_window_index():
@@ -112,10 +112,47 @@ def test_estimator_error_carries_window_index():
         evolve(returns_of(values), WindowSpec(mode="segmented", segments=2), "correlation")
 
 
+def _windowed(measure="mutual_information", values=None, bounds=((0, 5), (5, 10)), labels=(("a", "b"), ("c", "d")),
+              edges=np.zeros((2, 2, 3)), directed=False):
+    values = np.array([[[1.0, 0.5], [0.5, 1.0]]] * 2) if values is None else values
+    return windows.WindowedResult(
+        measure=measure, asset_ids=("A", "B"), values=values, bounds=np.array(bounds), labels=labels,
+        directed=directed, units="bits", spec=WindowSpec(mode="segmented", segments=2), edges=edges,
+    )
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"values": np.array([[[1.0, 0.5], [0.25, 1.0]]] * 2)}, "undirected matrix is not symmetric"),
+    ({"values": np.array([[[1.0, -0.5], [-0.5, 1.0]]] * 2)}, "mutual information off-diagonals must be >= 0"),
+    ({"values": np.zeros((0, 2, 2)), "bounds": np.zeros((0, 2)), "labels": (), "edges": None},
+     "windowed result cannot be empty"),
+    ({"values": np.ones((2, 2))}, "values must be 2x2x2, got (2, 2)"),
+    ({"bounds": ((0, 5),)}, "bounds must be 2x2, got (1, 2)"),
+    ({"bounds": (0, 5)}, "bounds must be 2x2, got (2,)"),
+    ({"labels": (("a", "b"),)}, "labels must hold 2 windows, got 1"),
+    ({"edges": np.zeros((3, 2, 3))}, "edges must be 2x2x(bins + 1), got (3, 2, 3)"),
+    ({"edges": np.zeros((2, 3))}, "edges must be 2x2x(bins + 1), got (2, 3)"),
+    ({"measure": "entropy"}, "unknown measure 'entropy'"),
+])
+def test_windowed_result_refuses_what_no_window_matrix_could_hold(change, message):
+    _windowed()  # the unchanged result is valid
+    with pytest.raises(ValueError) as err:
+        _windowed(**change)
+    assert str(err.value) == message
+
+
+def test_windowed_result_checks_each_window_as_its_matrix():
+    # a directed TE stack may be asymmetric and hold NaN; the second window alone is refused for MI
+    values = np.array([[[np.nan, 0.5], [0.25, 1.0]], [[1.0, 0.5], [0.25, 1.0]]])
+    assert _windowed("transfer_entropy", values, directed=True).values.shape == (2, 2, 2)
+    with pytest.raises(ValueError, match="not symmetric"):
+        _windowed(values=values[1:], bounds=((0, 5),), labels=(("a", "b"),), edges=None)
+
+
 def _mean_offdiag_te_per_window(panel, k=10, bins=2):
     result = evolve(panel, WindowSpec(mode="segmented", segments=k), "transfer_entropy", bins=bins)
     mask = ~np.eye(panel.n_assets, dtype=bool)
-    return np.array([e[4].values[mask].mean() for e in result.entries])
+    return np.array([values[mask].mean() for values in result.values])
 
 
 def test_constant_coupling_windowed_te_has_no_trend():
@@ -150,7 +187,7 @@ def test_evolve_propagates_fixed_params_into_metadata():
     assert result.measure == "transfer_entropy"
     assert result.params["bins"] == 3
     assert result.params["bins_refit_per_window"] is True
-    assert len(result.entries) == 4
+    assert len(result.values) == len(result.bounds) == len(result.labels) == len(result.edges) == 4
 
 
 # ---------------------------------------------------------------- window-batched estimation
@@ -182,7 +219,7 @@ def oracle_window(values, ids, measure, bins, strategy, dt):
             out[i, i] = entropy(joint_histogram([seqs[i]], lags=[0]))
             for j in range(i + 1, n):
                 out[i, j] = out[j, i] = mutual_information(seqs[i], seqs[j])
-    return out, {asset: seq.edges.tolist() for asset, seq in zip(ids, seqs)}
+    return out, np.array([seq.edges for seq in seqs])
 
 
 def oracle_evolve(returns, spec, measure, bins, strategy, dt):
@@ -243,14 +280,11 @@ def test_evolve_equals_per_window_oracles_bit_for_bit(returns, data, bins, dt, s
             assert str(err.value) == str(expected)
             return
         result = evolve(returns, spec, measure, bins=bins, strategy=strategy, dt=dt)
-    assert len(result.entries) == len(expected)
-    for entry, (values, edges) in zip(result.entries, expected):
-        matrix = entry[4]
-        assert np.array_equal(bits(matrix.values), bits(values))
-        assert list(matrix.params["bin_edges"]) == list(edges)
-        for asset, row in edges.items():
-            assert np.array_equal(bits(matrix.params["bin_edges"][asset]), bits(row))
-        assert matrix.params["bins"] == bins and matrix.params["strategy"] == strategy
+    assert len(result.values) == len(result.edges) == len(expected)
+    for w, (values, edges) in enumerate(expected):
+        assert np.array_equal(bits(result.values[w]), bits(values))
+        assert np.array_equal(bits(result.edges[w]), bits(edges))
+    assert result.params["bins"] == bins and result.params["strategy"] == strategy
     assert max(codes) <= infoflow._MAX_CODES
 
 
@@ -269,9 +303,9 @@ def test_long_windows_are_counted_in_capped_calls():
     with mock.patch.object(infoflow, "joint_counts", recording), mock.patch.object(kernels, "_cpus", lambda: 1):
         for measure in ("mutual_information", "transfer_entropy"):
             result = evolve(returns, spec, measure, bins=8)
-            for (start, end), entry in zip(make_windows(returns.n_samples, spec), result.entries):
+            for (start, end), values in zip(make_windows(returns.n_samples, spec), result.values):
                 expected = compute_matrix(returns.window(start, end), measure, bins=8)
-                assert np.array_equal(bits(entry[4].values), bits(expected.values))
+                assert np.array_equal(bits(values), bits(expected.values))
     assert max(codes) == infoflow._MAX_CODES
 
 
@@ -318,14 +352,13 @@ def test_fanned_out_evolve_equals_in_process(measure):
     returns = _fan_out_panel()
     fanned, alone = (_evolve_on(cpus, returns, measure) for cpus in (2, 1))
     assert multiprocessing.active_children() == []
-    assert len(fanned.entries) == len(alone.entries) == 12
-    for got, expected in zip(fanned.entries, alone.entries):
-        assert got[:4] == expected[:4]
-        assert np.array_equal(bits(got[4].values), bits(expected[4].values))
-        assert not got[4].values.flags.writeable
-        edges = [list(m.params.pop("bin_edges").values()) for m in (got[4], expected[4])]
-        assert np.array_equal(bits(edges[0]), bits(edges[1]))
-        assert got[4].params == expected[4].params
+    assert len(fanned.values) == len(alone.values) == 12
+    assert fanned.labels == alone.labels
+    for name in ("values", "bounds", "edges"):
+        got, expected = getattr(fanned, name), getattr(alone, name)
+        assert got.dtype == expected.dtype and np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert not got.flags.writeable and not expected.flags.writeable
+    assert fanned.params == alone.params
 
 
 def _no_memory(codes, size):
