@@ -327,7 +327,7 @@ def fetch(cfg: RunConfig, endpoint, assets, start, end, cache_dir):
 
     def compute():
         try:
-            d0, d1 = dt.date.fromisoformat(start), dt.date.fromisoformat(end)
+            d0, d1 = ingest.iso_dates([start, end])
         except ValueError as e:
             raise DataValidationError(f"date: {e}") from None
         schema = {"date": cfg.date_column, "price": cfg.price_column}

@@ -64,6 +64,27 @@ def _date(ordinal) -> dt.date:
 _LAST_ORDINAL = dt.date.max.toordinal()
 
 
+def _iso_form(texts: list[str]) -> bool:
+    """Whether every text is ten ASCII characters with ``-`` at 4 and 7,
+    checked by a few scans of the texts joined, not by a call per text."""
+    joined = "".join(texts)
+    return (set(map(len, texts)) <= {10} and joined.isascii()
+            and joined[4::10].count("-") == joined[7::10].count("-") == len(texts))
+
+
+def iso_dates(texts: list[str]) -> list[dt.date]:
+    """The date of each text, which must be ten ASCII characters
+    ``YYYY-MM-DD``: the one form ``date.fromisoformat`` reads on every
+    supported Python (3.11 and later also read ``20200101`` and
+    ``2020-W01-1``, which 3.10 refuses). Any other text raises ValueError
+    naming the first such one; an impossible date, ``date.fromisoformat``'s
+    ValueError."""
+    if not _iso_form(texts):
+        bad = next(text for text in texts if not _iso_form([text]))
+        raise ValueError(f"{bad!r} is not a YYYY-MM-DD date")
+    return list(map(dt.date.fromisoformat, texts))
+
+
 @dataclass(frozen=True, eq=False)
 class PriceSeries:
     """Dated price observations for one asset, sorted by calendar day.
@@ -153,7 +174,7 @@ def _raise_first_fault(origin: str, n_header: int, numbers, rows, date_idx: int,
         if len(fields) <= max(date_idx, price_idx):
             raise MalformedRow(lineno, f"{origin}: expected {n_header} fields, got {len(fields)}")
         try:
-            dt.date.fromisoformat(fields[date_idx].strip())
+            iso_dates([fields[date_idx].strip()])
         except ValueError:
             raise MalformedRow(lineno, f"{origin}: bad date {fields[date_idx]!r}") from None
         try:
@@ -206,7 +227,7 @@ def _parse_csv(text: str, schema: dict, origin: str) -> tuple[list[int], np.ndar
 
     try:
         days = np.fromiter(
-            map(dt.date.toordinal, map(dt.date.fromisoformat, [r[date_idx].strip() for r in rows])),
+            map(dt.date.toordinal, iso_dates([r[date_idx].strip() for r in rows])),
             np.int64, len(rows),
         )
         prices = np.fromiter(map(float, [r[price_idx] for r in rows]), np.float64, len(rows))
@@ -324,7 +345,7 @@ def _parse_json_payload(text: str, asset_id: str) -> tuple[range, np.ndarray, np
             raise PayloadParseError(f"{asset_id}: null close at index {i}")
         if isinstance(ts, str):
             try:
-                days[i] = dt.date.fromisoformat(ts).toordinal()
+                days[i] = iso_dates([ts])[0].toordinal()
             except ValueError:
                 raise PayloadParseError(f"{asset_id}: bad date {ts!r} at index {i}") from None
         elif isinstance(ts, (int, float)) and not isinstance(ts, bool):

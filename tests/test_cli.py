@@ -524,10 +524,15 @@ def test_config_unknown_field_exit_2(runner, tmp_path):
      "error: config {tmp}/none.json: [Errno 2] No such file or directory: '{tmp}/none.json'\n"),
     (["fetch", "--endpoint", "http://127.0.0.1:1/{asset}", "--assets", "GLD",
       "--start", "2020-13-01", "--end", "2020-12-31"], "error: date: month must be in 1..12\n"),
+    (["fetch", "--endpoint", "http://127.0.0.1:1/{asset}", "--assets", "GLD",
+      "--start", "20200101", "--end", "2020-12-31"], "error: date: '20200101' is not a YYYY-MM-DD date\n"),
+    (["fetch", "--endpoint", "http://127.0.0.1:1/{asset}", "--assets", "GLD",
+      "--start", "2020-01-01", "--end", "2020-W53-5"], "error: date: '2020-W53-5' is not a YYYY-MM-DD date\n"),
     (["--config", "{tmp}/list.json", "analyze"], "error: config {tmp}/list.json: expected a JSON object, got list\n"),
     (["--config", "{tmp}/null.json", "analyze"], "error: config {tmp}/null.json: expected a JSON object, got NoneType\n"),
     (["--config", "{tmp}/text.json", "analyze"], "error: config {tmp}/text.json: expected a JSON object, got str\n"),
-], ids=["config-not-json", "config-missing", "fetch-bad-date", "config-list", "config-null", "config-string"])
+], ids=["config-not-json", "config-missing", "fetch-bad-date", "fetch-basic-date", "fetch-week-date",
+        "config-list", "config-null", "config-string"])
 def test_unreadable_config_or_bad_date_exit_2_before_out(runner, tmp_path, args, message):
     (tmp_path / "run.json").write_text("{not json")
     (tmp_path / "list.json").write_text("[1, 2]")

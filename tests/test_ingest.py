@@ -383,12 +383,16 @@ def test_fetch_remote_network_error():
      "ODD: timestamps (1) and closes (2) differ in length"),
     (json.dumps({"timestamps": [], "closes": []}).encode(), "ODD: empty payload"),
     (json.dumps({"timestamps": ["2020-02-30"], "closes": [1]}).encode(), "ODD: bad date '2020-02-30' at index 0"),
+    (json.dumps({"timestamps": ["2020-01-01", "20200102"], "closes": [1, 2]}).encode(),
+     "ODD: bad date '20200102' at index 1"),
+    (json.dumps({"timestamps": ["2020-W01-3", "2020-01-02"], "closes": [1, 2]}).encode(),
+     "ODD: bad date '2020-W01-3' at index 0"),
     (json.dumps({"timestamps": ["2020-01-01", "2020-01-02"], "closes": [1, -2]}).encode(),
      "ODD: non-positive close -2.0 at index 1"),
 ], ids=["csv-duplicate-date", "csv-zero-price", "json-one-row", "json-duplicate-date",
         "json-not-lists", "json-timestamp-out-of-range", "json-bool-timestamp", "json-bool-close",
         "json-invalid", "json-no-closes", "json-lengths-differ", "json-empty", "json-bad-date",
-        "json-negative-close"])
+        "json-basic-date", "json-week-date", "json-negative-close"])
 def test_fetch_cli_payload_fault_exit_3_names_asset(http_server, tmp_path, body, message):
     _Handler.responses["/q/ODD/2020-01-01/2020-01-31"] = (200, body)
     out = tmp_path / "out"
@@ -496,6 +500,22 @@ def test_load_csv_skips_a_byte_order_mark(tmp_path):
     assert str(err.value) == f"line 3: {bad}: not UTF-8: byte 0xff (invalid start byte)"
 
 
+@pytest.mark.parametrize("date", ["20200102", "2020-W01-4", "2020-01-0\u0662", "2020/01/02"],
+                         ids=["basic", "week", "arabic-indic-digit", "slashes"])
+def test_load_csv_refuses_every_date_form_but_yyyy_mm_dd(tmp_path, date):
+    # Python 3.11 and later read the basic and week forms with
+    # date.fromisoformat, and 3.10 refuses them: one form loads on every Python
+    path = tmp_path / "A.csv"
+    path.write_text(f"Date,Adj Close\n2020-01-01,100\n# note\n{date},101\n2020-01-03,102\n", encoding="utf-8")
+    with pytest.raises(MalformedRow) as err:
+        load_csv(path)
+    assert str(err.value) == f"line 4: {path}: bad date {date!r}"
+    result = CliRunner().invoke(main, ["--out", str(tmp_path / "out"), "stats", str(path)])
+    assert result.exit_code == 2, result.output
+    assert result.output.endswith(f"error: {err.value}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_csv_field_over_csv_limit_names_path_and_line(tmp_path):
     # csv.reader refuses a field longer than csv.field_size_limit() (131072)
     path = tmp_path / "big.csv"
@@ -551,6 +571,8 @@ def _oracle_parse_rows(text, schema, origin):
         if len(fields) <= max(date_idx, price_idx):
             raise MalformedRow(lineno, f"{origin}: expected {len(header)} fields, got {len(fields)}")
         try:
+            if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", fields[date_idx].strip()):
+                raise ValueError
             day = dt.date.fromisoformat(fields[date_idx].strip())
         except ValueError:
             raise MalformedRow(lineno, f"{origin}: bad date {fields[date_idx]!r}") from None
@@ -596,7 +618,8 @@ def _outcome(load):
 
 _FAULTS = {
     "short": lambda row, draw, rows: row[:1],
-    "date": lambda row, draw, rows: [draw(st.sampled_from(["2020-13-01", "x", "", "20-01-01"]))] + row[1:],
+    "date": lambda row, draw, rows: [draw(st.sampled_from(
+        ["2020-13-01", "x", "", "20-01-01", "20200105", "2020-W01-4", "2020-01-0\u0665"]))] + row[1:],
     "price": lambda row, draw, rows: row[:-1] + [draw(st.sampled_from(["abc", "", "1.2.3"]))],
     "sign": lambda row, draw, rows: row[:-1] + [draw(st.sampled_from(["0", "-1.5", "-0.0", "nan", "inf"]))],
     "duplicate": lambda row, draw, rows: [draw(st.sampled_from(rows))[0]] + row[1:],
