@@ -7,18 +7,15 @@ Window boundaries depend only on the sample count and the spec, never on the
 data. Quantile bin edges are re-fitted inside each window because the series
 cannot be assumed stationary; the choice is recorded in the result metadata.
 
-``evolve`` is the windowed driver and returns a ``WindowedResult``: every
-window's values as one (W, N, N) array, beside the windows' bounds, labels
-and, for MI and TE, bin edges. Correlation and km_drift bin nothing, so it
-calls ``compute_matrix`` once per window and stacks the values. For MI and
+``evolve`` is the windowed driver. Correlation and km_drift bin nothing, so
+it calls ``compute_matrix`` once per window and stacks the values. For MI and
 TE it stacks each block of windows window-major and hands it to
 ``measures.binned_matrices``, the path that ``compute_matrix`` takes on the
 full sample as one window. The blocks are independent, so each is one
 ``kernels.fan_out`` task, run on every CPU the process may run on, which
-returns its windows' values and edges as plain arrays; they are
-concatenated in block order. Each window's values are therefore
-bit-identical to ``compute_matrix`` on that window, however many workers
-there are.
+returns its windows' values and bin edges as plain arrays, concatenated in
+block order. Each window's values are therefore bit-identical to
+``compute_matrix`` on that window, however many workers there are.
 """
 
 from __future__ import annotations
@@ -35,8 +32,9 @@ from .stats import ReturnsMatrix
 
 # Symbols binned at once by evolve: 256 KiB of int64, six windows at the
 # pipeline benchmark's evolve-sliding shape (N=20, 456 windows of 250). When
-# its whole run peaked near 56 MB (42.9 MB in late 2026), blocks of 2**17
-# symbols raised that peak by 1 MB and of 2**18 by 5 MB, at the same speed.
+# its whole run peaked near 56 MB (42.9 MB in late 2026, 42.2 MB once windowed
+# results were held as arrays), blocks of 2**17 symbols raised that peak by
+# 1 MB and of 2**18 by 5 MB, at the same speed.
 _BLOCK_SYMBOLS = 2**15
 
 
@@ -80,16 +78,12 @@ class WindowSpec:
 
 @dataclass(frozen=True, eq=False)
 class WindowedResult:
-    """One measure's matrix of each window, stacked in window order.
-
-    ``values`` is (W, N, N) float64, each window's matrix as the measure's
-    ``InteractionMatrix`` would hold it; ``bounds`` is (W, 2) int64, each
-    window's [start, end) sample indices; ``labels`` holds each window's
-    (first, last) date, or sample index where the panel has no dates.
-    ``edges`` is the (W, N, bins + 1) bin edges fitted in each window for MI
-    and TE, and None for a measure that bins nothing. The arrays are stored
-    as read-only views and checked as each window's matrix would be.
-    """
+    """One measure's matrix of each window, stacked in window order: ``values``
+    (W, N, N); ``bounds`` (W, 2) int64, each window's [start, end) samples;
+    ``labels``, each window's (first, last) date, or sample index without
+    dates; ``edges``, the (W, N, bins + 1) bin edges of MI and TE, None for a
+    measure that bins nothing. The arrays are stored as read-only views and
+    checked as each window's ``InteractionMatrix`` would be."""
 
     measure: str
     asset_ids: tuple[str, ...]
