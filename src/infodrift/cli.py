@@ -25,7 +25,7 @@ import click
 import numpy as np
 
 from . import ingest, netout, synth
-from .discretize import STRATEGIES, SymbolSequence
+from .discretize import STRATEGIES
 from .errors import DataValidationError, EstimatorError, InfodriftError, TooFewSamples
 from .infoflow import te_floor_matrix
 from .measures import ENTROPY_MEASURES, canonical_measure, evaluate
@@ -94,6 +94,8 @@ class RunConfig:
         threshold = doc.get("threshold", 0.0)
         if not (math.isfinite(threshold) and threshold >= 0):
             raise DataValidationError(f"threshold: expected a finite number >= 0, got {threshold!r}")
+        if doc.get("out_dir") == "":
+            raise DataValidationError("out_dir: expected a directory path, got ''")
         if doc.get("surrogates", 0) < 0:
             raise DataValidationError("surrogates must be >= 0")
         return cls(**doc)
@@ -217,10 +219,8 @@ def analyze(cfg: RunConfig, inputs, measures):
                 if name == "km_drift":
                     results.append(("km_drift_estimate", basis, cfg.formats))
                 if name == "transfer_entropy" and cfg.surrogates > 0:
-                    floor = te_floor_matrix(
-                        [SymbolSequence(s, cfg.bins, e) for s, e in zip(*basis)],
-                        dt=cfg.dt, shuffles=cfg.surrogates, seed=cfg.seed, asset_ids=returns.asset_ids,
-                    )
+                    floor = te_floor_matrix(basis[0], cfg.bins, dt=cfg.dt, shuffles=cfg.surrogates,
+                                            seed=cfg.seed, asset_ids=returns.asset_ids)
                     results.append(("transfer_entropy_floor", floor, netout.TABLE_FORMATS))
             except (EstimatorError, TooFewSamples) as e:
                 raise type(e)(f"{name}: {e}") from e

@@ -14,14 +14,14 @@ asset j into asset i; diagonals store the target's self conditional entropy
 H(i_{t+dt} | i_t), which is flagged in the matrix metadata.
 
 The matrix builders are batched through one counting core. The symbols of
-every asset, and in ``te_matrices`` and ``mi_matrices`` of every window, are
-stacked into one array, and each row of a count is one (target, source)
-pair picked from it by index arrays. So rows of different targets and
-windows share one ``joint_counts`` call, and a count's codes are built one
-axis at a time by gathering those rows, with no per-row Python slice; the
-(future, past) part of a TE code is built once for each target of the count
-and gathered for its sources. The diagonals (self conditional entropy, own
-entropy) are rows of the same core.
+every asset are one (assets, samples) stack, which ``te_matrices`` and
+``mi_matrices`` build from every window and ``te_floor_matrix`` is given;
+each row of a count is one (target, source) pair picked from it by index
+arrays. So rows of different targets and windows share one ``joint_counts``
+call, and a count's codes are built one axis at a time by gathering those
+rows, with no per-row Python slice; the (future, past) part of a TE code is
+built once for each target of the count and gathered for its sources. The
+diagonals (self conditional entropy, own entropy) are rows of the same core.
 
 TE, MI and the floor are one conditional-MI sum, I(future; source | past):
 TE(j -> i) takes i_{t+dt} as the future and i_t as the past, and MI(x; y)
@@ -37,17 +37,18 @@ form c * c_p and c_ps * c_fp as int64 products, which convert to the
 floats the per-pair functions form, the same ``p * log2(num / den)`` terms
 in row-major cell order and the same contiguous pairwise sum and clamp per
 row as the per-pair functions.
-``te_matrix`` and ``mi_matrix`` are the one-window case of ``te_matrices``
-and ``mi_matrices``, which return (windows, n, n) values that
-``as_te_matrix`` and ``as_mi_matrix`` make into matrices;
+``te_matrices`` and ``mi_matrices`` are one pair driver given the target's
+lags, (dt, 0) or (0,), and the pairs, ordered or the upper triangle that MI
+mirrors; ``te_matrix`` and ``mi_matrix`` are their one-window case, and
 ``te_floor_matrix`` counts the shuffled sources of each pair. Their values
 are therefore bit-identical to ``transfer_entropy``,
 ``self_conditional_entropy``, ``mutual_information``, ``entropy`` and
 ``surrogate_floor``, which stay the public per-pair API and the reference
 oracles the tests compare against. The builders check the pairs into the
 first target through the oracles' own input rules, so they raise what a
-per-pair loop met first. Sequences with fewer bins are padded to the
-largest bin count, which keeps the nonzero cells and their row-major order.
+per-pair loop met first; the floor refuses a symbol outside [0, bins), as a
+SymbolSequence does. Sequences with fewer bins are padded to the largest
+bin count, which keeps the nonzero cells and their row-major order.
 
 ``te_floor_matrix`` counts one target row per ``kernels.fan_out`` task, on
 every CPU the process may run on. Each pair keeps its own seeded stream,
@@ -324,6 +325,38 @@ def _cmi_sums(counts, c_fp, c_p, eff: int, bins: int, tables) -> list[float]:
     return [_clamp(s) for s in _row_sums(terms, idx, k, cells)]
 
 
+def _pair_matrices(windows, bins: int, lags, pairs, check, diagonal) -> np.ndarray:
+    """(windows, n, n) values: I(future; source | past) of each pair (i, j)
+    of the (n, n) mask ``pairs``, target i counted at ``lags``, and each
+    target's ``diagonal(own counts, eff)``; 0.0 elsewhere. The per-pair input
+    rule ``check(target, other)`` runs where a per-pair loop meets it first,
+    into the first window's first target.
+    """
+    first = windows[0]
+    n = len(first)
+    values = np.zeros((len(windows), n, n))
+    if n:
+        eff = aligned_length([len(first[0])] * len(lags), lags)
+        for other in first[1:]:
+            check(first[0], other)
+        sym = np.asarray(windows, dtype=np.int64).reshape(len(windows) * n, -1)
+        # every pair of the mask, window by window, row-major
+        i, j = np.nonzero(pairs)
+        first_rows = np.arange(0, len(sym), n)[:, np.newaxis]
+        ti, si = (first_rows + i).ravel(), (first_rows + j).ravel()
+        # the tables first: bins too many to count fail before any count is held
+        cells = bins ** (len(lags) + 1)
+        tables = _cmi_cells(min(_per_count(eff, cells), len(ti)), bins, cells)
+        own, c_p = _target_counts(sym, lags, bins)
+        values[:, np.arange(n), np.arange(n)] = np.reshape(diagonal(own, eff), (-1, n))
+        found = []
+        for r, counts in _chunks([(sym, ti, lags), (sym, si, (0,))], eff, bins):
+            rows = ti[r : r + len(counts)]
+            found += _cmi_sums(counts, own[rows], c_p[rows], eff, bins, tables)
+        values[:, pairs] = np.reshape(found, (len(windows), -1))
+    return values
+
+
 def te_matrices(windows, bins: int, dt: int = 1) -> np.ndarray:
     """te_matrix values of each window as one (windows, n, n) array, the
     rows of every window counted together.
@@ -334,30 +367,11 @@ def te_matrices(windows, bins: int, dt: int = 1) -> np.ndarray:
     bit-identical to te_matrix of its sequences, which is the one-window
     case; ``as_te_matrix`` makes them its matrix.
     """
-    first = windows[0]
-    n = len(first)
-    values = np.zeros((len(windows), n, n))
-    if n:
-        # the per-pair loop's first checks: the first target's diagonal, then its sources
-        eff = aligned_length([len(first[0])] * 2, [0, dt])
-        for source in first[1:]:
-            _check_te(source, first[0], dt)
-        sym = np.asarray(windows, dtype=np.int64).reshape(len(windows) * n, -1)
-        # every ordered pair, window by window, target by target, sources in order
-        off = ~np.eye(n, dtype=bool)
-        i, j = np.nonzero(off)
-        first_rows = np.arange(0, len(sym), n)[:, np.newaxis]
-        ti, si = (first_rows + i).ravel(), (first_rows + j).ravel()
-        # the tables first: bins too many to count fail before any count is held
-        tables = _cmi_cells(min(_per_count(eff, bins**3), len(ti)), bins, bins**3)
-        pair, c_p = _target_counts(sym, (dt, 0), bins)
-        values[:, np.arange(n), np.arange(n)] = np.reshape(_cond_entropies(pair, eff, bins), (-1, n))
-        te = []
-        for r, counts in _chunks([(sym, ti, (dt, 0)), (sym, si, (0,))], eff, bins):
-            rows = ti[r : r + len(counts)]
-            te += _cmi_sums(counts, pair[rows], c_p[rows], eff, bins, tables)
-        values[:, off] = np.reshape(te, (len(windows), -1))
-    return values
+    return _pair_matrices(
+        windows, bins, (dt, 0), ~np.eye(len(windows[0]), dtype=bool),
+        lambda target, source: _check_te(source, target, dt),
+        lambda own, eff: _cond_entropies(own, eff, bins),
+    )
 
 
 def as_te_matrix(values, dt: int = 1, asset_ids=None) -> InteractionMatrix:
@@ -386,29 +400,9 @@ def mi_matrices(windows, bins: int) -> np.ndarray:
     mi_matrix of its sequences, which is the one-window case;
     ``as_mi_matrix`` makes them its matrix.
     """
-    first = windows[0]
-    n = len(first)
-    values = np.zeros((len(windows), n, n))
-    if n:
-        length = aligned_length([len(first[0])], [0])
-        for y in first[1:]:
-            _check_mi(first[0], y)
-        sym = np.asarray(windows, dtype=np.int64).reshape(len(windows) * n, length)
-        own, c_p = _target_counts(sym, (0,), bins)
-        values[:, np.arange(n), np.arange(n)] = np.reshape(_entropies(own, length), (-1, n))
-        # every pair i < j, window by window, row-major
-        upper = np.triu(np.ones((n, n), dtype=bool), 1)
-        i, j = np.nonzero(upper)
-        first_rows = np.arange(0, len(sym), n)[:, np.newaxis]
-        ti, si = (first_rows + i).ravel(), (first_rows + j).ravel()
-        tables = _cmi_cells(min(_per_count(length, bins**2), len(ti)), bins, bins**2)
-        pairs = []
-        for r, counts in _chunks([(sym, ti, (0,)), (sym, si, (0,))], length, bins):
-            rows = ti[r : r + len(counts)]
-            pairs += _cmi_sums(counts, own[rows], c_p[rows], length, bins, tables)
-        pairs = np.reshape(pairs, (len(windows), -1))
-        values[:, upper] = pairs
-        values.transpose(0, 2, 1)[:, upper] = pairs
+    upper = np.triu(np.ones((len(windows[0]),) * 2, dtype=bool), 1)
+    values = _pair_matrices(windows, bins, (0,), upper, _check_mi, _entropies)
+    values.transpose(0, 2, 1)[:, upper] = values[:, upper]
     return values
 
 
@@ -473,7 +467,8 @@ def surrogate_floor(
 
 
 def te_floor_matrix(
-    seqs: list[SymbolSequence],
+    symbols,
+    bins: int,
     dt: int = 1,
     shuffles: int = 20,
     seed: int = 0,
@@ -481,18 +476,22 @@ def te_floor_matrix(
 ) -> InteractionMatrix:
     """Surrogate-shuffle floor for every ordered pair, same layout as te_matrix.
 
-    Each pair gets an independent deterministic substream keyed by (i, j), so
-    the result does not depend on evaluation order. Each target row is one
+    ``symbols`` is the (n, T) stack of int symbols in [0, bins), counted
+    where it lies: values[i, j] is surrogate_floor of row j into row i. Each
+    pair gets an independent deterministic substream keyed by (i, j), so the
+    result does not depend on evaluation order. Each target row is one
     ``fan_out`` task, counted from the tables and target counts built before.
     """
-    n = len(seqs)
-    bins = max((s.bins for s in seqs), default=1)
+    sym = np.asarray(symbols, dtype=np.int64)
+    if sym.ndim != 2:
+        raise ValueError(f"symbols must be (assets, samples), got shape {sym.shape}")
+    if sym.size and (sym.min() < 0 or sym.max() >= bins):
+        raise ValueError("symbols out of range")
+    n = len(sym)
     values = np.zeros((n, n))
     if n > 1:
         _check_shuffles(shuffles)
-        for source in seqs[1:]:
-            _check_te(source, seqs[0], dt)
-        sym = np.stack([s.symbols for s in seqs])
+        _check_te(sym[1], sym[0], dt)
         eff = sym.shape[1] - dt
         per = min(_per_count(eff, bins**3), shuffles)
         tables = _cmi_cells(per, bins, bins**3)

@@ -14,7 +14,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from infodrift import cli, infoflow, kmdrift, measures, netout, synth
+from infodrift import (
+    align, bin_series, cli, compute_returns, infoflow, kmdrift, load_csv, measures, netout,
+    surrogate_floor, synth,
+)
 from infodrift.cli import main
 from infodrift.matrices import InteractionMatrix
 from infodrift.measures import canonical_measure
@@ -160,15 +163,22 @@ def test_analyze_km_solves_drift_once(runner, tmp_path, monkeypatch):
 
 
 def test_analyze_surrogates_bin_each_column_once(runner, tmp_path, monkeypatch):
-    # the TE surrogate floor shuffles the binned columns that TE was estimated from
-    rows = []
+    # the TE surrogate floor shuffles the binned columns that TE was estimated
+    # from, and is given their (N, T) symbols as binned, not a copy
+    rows, binned, floored = [], [], []
     bin_windows = measures.bin_windows
 
     def counted(values, *args, **kwargs):
         rows.extend(values)
-        return bin_windows(values, *args, **kwargs)
+        binned.append(bin_windows(values, *args, **kwargs))
+        return binned[-1]
+
+    def floor(symbols, *args, **kwargs):
+        floored.append(symbols)
+        return infoflow.te_floor_matrix(symbols, *args, **kwargs)
 
     monkeypatch.setattr(measures, "bin_windows", counted)
+    monkeypatch.setattr(cli, "te_floor_matrix", floor)
     paths = write_panel(tmp_path, n_rows=120, ids=("AAA", "BBB", "CCC"))
     out = tmp_path / "out"
     result = runner.invoke(
@@ -177,7 +187,30 @@ def test_analyze_surrogates_bin_each_column_once(runner, tmp_path, monkeypatch):
     )
     assert result.exit_code == 0, result.output
     assert len(rows) == 3
+    assert len(floored) == 1 and floored[0] is binned[0][0]
     assert (out / "transfer_entropy_floor.json").exists()
+
+
+def test_analyze_floor_equals_the_per_pair_oracle(runner, tmp_path):
+    # floor[i][j] is surrogate_floor of binned column j into binned column i,
+    # on the substream that --seed and (i, j) key
+    paths = write_panel(tmp_path, n_rows=120, ids=("AAA", "BBB", "CCC"))
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, ["--out", str(out), "--seed", "5", "--surrogates", "3", "--format", "json",
+               "analyze", "--measures", "te", *paths],
+    )
+    assert result.exit_code == 0, result.output
+    floor = load_matrix_json(out / "transfer_entropy_floor.json").values
+    returns = compute_returns(align([load_csv(p) for p in paths]))
+    seqs = [bin_series(column, 8) for column in returns.values.T]
+    expected = np.zeros((3, 3))
+    for i in range(3):
+        for j in range(3):
+            if i != j:
+                ss = np.random.SeedSequence(5, spawn_key=(i, j))
+                expected[i, j] = surrogate_floor(seqs[j], seqs[i], shuffles=3, seed=ss)
+    assert np.array_equal(floor.view(np.int64), expected.view(np.int64)), (floor, expected)
 
 
 def test_analyze_entropy_measures_bin_each_column_once(runner, tmp_path, monkeypatch):
@@ -531,10 +564,16 @@ def test_config_unknown_field_exit_2(runner, tmp_path):
     (["--config", "{tmp}/list.json", "analyze"], "error: config {tmp}/list.json: expected a JSON object, got list\n"),
     (["--config", "{tmp}/null.json", "analyze"], "error: config {tmp}/null.json: expected a JSON object, got NoneType\n"),
     (["--config", "{tmp}/text.json", "analyze"], "error: config {tmp}/text.json: expected a JSON object, got str\n"),
+    # an empty output path is refused before the input, which does not exist, is read
+    (["--out", "", "analyze", "--measures", "corr", "{tmp}/none.csv"],
+     "error: out_dir: expected a directory path, got ''\n"),
+    (["--config", "{tmp}/no-out.json", "analyze", "--measures", "corr", "{tmp}/none.csv"],
+     "error: out_dir: expected a directory path, got ''\n"),
 ], ids=["config-not-json", "config-missing", "fetch-bad-date", "fetch-basic-date", "fetch-week-date",
-        "config-list", "config-null", "config-string"])
+        "config-list", "config-null", "config-string", "out-flag-empty", "out-dir-empty"])
 def test_unreadable_config_or_bad_date_exit_2_before_out(runner, tmp_path, args, message):
     (tmp_path / "run.json").write_text("{not json")
+    (tmp_path / "no-out.json").write_text('{"out_dir": ""}')
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "null.json").write_text("null")
     (tmp_path / "text.json").write_text('"text"')

@@ -258,6 +258,11 @@ def pairwise_floor(seqs, dt, shuffles, seed):
     return values
 
 
+def stacked(seqs):
+    """te_floor_matrix's (symbols, bins) of the sequences."""
+    return np.stack([s.symbols for s in seqs]), max(s.bins for s in seqs)
+
+
 def assert_bits_equal(a, b):
     assert np.array_equal(a.view(np.int64), b.view(np.int64)), (a, b)
 
@@ -277,7 +282,7 @@ def test_batched_matrices_equal_per_pair_oracles_bit_for_bit(data):
     assert_bits_equal(te_matrix(seqs, dt=dt).values, pairwise_te(seqs, dt))
     assert_bits_equal(mi_matrix(seqs).values, pairwise_mi(seqs))
     shuffles = data.draw(st.integers(1, 4), label="shuffles")
-    floor = te_floor_matrix(seqs, dt=dt, shuffles=shuffles, seed=7).values
+    floor = te_floor_matrix(*stacked(seqs), dt=dt, shuffles=shuffles, seed=7).values
     assert_bits_equal(floor, pairwise_floor(seqs, dt, shuffles, seed=7))
 
 
@@ -320,6 +325,13 @@ def _seqs(*lengths):
     return [seq_of(rng.integers(0, 3, size=t), 3) for t in lengths]
 
 
+def _refused(message):
+    """An oracle for a floor input that no per-pair call can be given."""
+    def oracle():
+        raise ValueError(message)
+    return oracle
+
+
 @pytest.mark.parametrize("build, oracle, error", [
     (lambda: te_matrix(_seqs(10, 10), dt=0),
      lambda: transfer_entropy(*_seqs(10, 10), dt=0), ValueError),
@@ -329,18 +341,24 @@ def _seqs(*lengths):
      lambda: transfer_entropy(*_seqs(4, 4), dt=3), TooFewSamples),
     (lambda: te_matrix(_seqs(4, 4), dt=4),
      lambda: self_conditional_entropy(_seqs(4)[0], dt=4), EmptyOverlap),
-    (lambda: te_floor_matrix(_seqs(10, 10), dt=0),
+    (lambda: te_floor_matrix(*stacked(_seqs(10, 10)), dt=0),
      lambda: surrogate_floor(*_seqs(10, 10), dt=0), ValueError),
-    (lambda: te_floor_matrix(_seqs(10, 11)),
-     lambda: transfer_entropy(*_seqs(11, 10)), LengthMismatch),
-    (lambda: te_floor_matrix(_seqs(10, 10), shuffles=0),
+    (lambda: te_floor_matrix(*stacked(_seqs(10, 10)), shuffles=0),
      lambda: surrogate_floor(*_seqs(10, 10), shuffles=0), ValueError),
+    (lambda: te_floor_matrix(_seqs(10)[0].symbols, 3),
+     _refused("symbols must be (assets, samples), got shape (10,)"), ValueError),
+    (lambda: te_floor_matrix(np.zeros((2, 2, 10), dtype=np.int64), 3),
+     _refused("symbols must be (assets, samples), got shape (2, 2, 10)"), ValueError),
+    (lambda: te_floor_matrix(np.array([[0, 1, 2, 0], [1, 3, 0, 2]]), 3),
+     lambda: seq_of([1, 3, 0, 2], 3), ValueError),
+    (lambda: te_floor_matrix(np.array([[0, 1, 2, 0], [1, -1, 0, 2]]), 3),
+     lambda: seq_of([1, -1, 0, 2], 3), ValueError),
     (lambda: mi_matrix(_seqs(10, 10, 9)),
      lambda: mutual_information(*_seqs(10, 9)), LengthMismatch),
     (lambda: mi_matrix(_seqs(1, 1)),
      lambda: mutual_information(*_seqs(1, 1)), LengthMismatch),
-], ids=["te-dt0", "te-lengths", "te-short", "te-no-overlap", "floor-dt0", "floor-lengths",
-        "floor-no-shuffles", "mi-lengths", "mi-short"])
+], ids=["te-dt0", "te-lengths", "te-short", "te-no-overlap", "floor-dt0", "floor-no-shuffles",
+        "floor-1d", "floor-3d", "floor-above-bins", "floor-below-0", "mi-lengths", "mi-short"])
 def test_matrix_input_errors_are_the_per_pair_errors(build, oracle, error):
     with pytest.raises(error) as expected:
         oracle()
@@ -353,7 +371,21 @@ def test_single_sequence_matrices_have_no_pairs():
     s = _seqs(50)
     assert te_matrix(s, dt=2).values[0, 0] == self_conditional_entropy(s[0], dt=2)
     assert mi_matrix(s).values[0, 0] == entropy(joint_histogram(s, lags=[0]))
-    assert te_floor_matrix(s, shuffles=0).values.tolist() == [[0.0]]
+    assert te_floor_matrix(*stacked(s), shuffles=0).values.tolist() == [[0.0]]
+
+
+def test_floor_counts_the_given_symbols_where_they_lie(monkeypatch):
+    seen = []
+    target_counts = infoflow._target_counts
+
+    def recording(sym, *args):
+        seen.append(sym)
+        return target_counts(sym, *args)
+
+    monkeypatch.setattr(infoflow, "_target_counts", recording)
+    symbols, bins = stacked(_seqs(10, 10, 10))
+    te_floor_matrix(symbols, bins, shuffles=1)
+    assert len(seen) == 1 and seen[0] is symbols
 
 
 @pytest.fixture
@@ -382,7 +414,7 @@ def test_batched_counts_stay_under_the_code_cap(code_counts):
     assert_bits_equal(te_matrix(seqs).values, pairwise_te(seqs, 1))
     assert_bits_equal(mi_matrix(seqs).values, pairwise_mi(seqs))
     short = [seq_of(rng.integers(0, 8, size=250), 8) for _ in range(3)]
-    te_floor_matrix(short, shuffles=100)
+    te_floor_matrix(*stacked(short), shuffles=100)
     assert code_counts and max(code_counts) <= infoflow._MAX_CODES
 
 
@@ -391,7 +423,7 @@ def test_floor_drawn_over_several_counts_equals_the_per_pair_oracle(code_counts)
     # each count's shuffles are drawn in place, one row after another
     rng = np.random.default_rng(23)
     seqs = [seq_of(rng.integers(0, 8, size=250), 8) for _ in range(3)]
-    floor = te_floor_matrix(seqs, shuffles=70, seed=5).values
+    floor = te_floor_matrix(*stacked(seqs), shuffles=70, seed=5).values
     assert_bits_equal(floor, pairwise_floor(seqs, 1, 70, seed=5))
     assert len(code_counts) > 6 and max(code_counts) <= infoflow._MAX_CODES
 
@@ -415,7 +447,7 @@ def test_fanned_out_floor_equals_in_process(monkeypatch):
     found = []
     for cpus in (2, 1):
         monkeypatch.setattr(kernels, "_cpus", lambda cpus=cpus: cpus)
-        found.append(te_floor_matrix(seqs, shuffles=7, seed=3))
+        found.append(te_floor_matrix(*stacked(seqs), shuffles=7, seed=3))
     assert multiprocessing.active_children() == []
     fanned, alone = found
     assert_bits_equal(fanned.values, alone.values)
@@ -429,6 +461,6 @@ def test_count_allocation_failure_is_an_estimator_error(monkeypatch):
         raise MemoryError(f"cannot allocate {size} counts")
 
     monkeypatch.setattr(infoflow, "joint_counts", no_memory)
-    for build in (lambda s: te_matrix(s), mi_matrix, lambda s: te_floor_matrix(s, shuffles=2)):
+    for build in (lambda s: te_matrix(s), mi_matrix, lambda s: te_floor_matrix(*stacked(s), shuffles=2)):
         with pytest.raises(EstimatorError, match=r"^bins 3: a count of [\d,]+ histogram cells does not fit in memory$"):
             build(_seqs(10, 10))
