@@ -114,9 +114,10 @@ def _load_config(path: str | None) -> RunConfig:
     return RunConfig.from_dict(doc)
 
 
+# every option but --config and -v is named after the RunConfig field it overrides
 @click.group()
 @click.option("--config", "config_path", type=click.Path(), default=None, help="JSON config file.")
-@click.option("--out", default=None, help="Output directory.")
+@click.option("--out", "out_dir", default=None, help="Output directory.")
 @click.option("--format", "formats", default=None, help="Comma list of json,csv,dot,svg.")
 @click.option("--seed", type=int, default=None, help="Seed for surrogates and simulation.")
 @click.option("--bins", type=int, default=None, help="Histogram bin count B.")
@@ -128,8 +129,7 @@ def _load_config(path: str | None) -> RunConfig:
 @click.option("--surrogates", type=int, default=None, help="Surrogate shuffles for the TE floor.")
 @click.option("-v", "--verbose", is_flag=True, default=False)
 @click.pass_context
-def main(ctx, config_path, out, formats, seed, bins, strategy, return_kind, dt,
-         windows, threshold, surrogates, verbose):
+def main(ctx, config_path, verbose, **flags):
     """Interaction-network estimation for multi-asset time series."""
     logging.basicConfig(
         stream=sys.stderr,
@@ -138,11 +138,8 @@ def main(ctx, config_path, out, formats, seed, bins, strategy, return_kind, dt,
     )
     try:
         loaded = _load_config(config_path)  # checked alone first: a flag does not hide its faults
-        if formats is not None:
-            formats = netout.parse_formats(formats)
-        flags = dict(out_dir=out, formats=formats, seed=seed, bins=bins, strategy=strategy,
-                     return_kind=return_kind, dt=dt, windows=windows, threshold=threshold,
-                     surrogates=surrogates)
+        if flags["formats"] is not None:
+            flags["formats"] = netout.parse_formats(flags["formats"])
         given = {name: value for name, value in flags.items() if value is not None}
         ctx.obj = RunConfig.from_dict({**loaded.to_dict(), **given})
     except (DataValidationError, ValueError) as e:
@@ -330,6 +327,8 @@ def fetch(cfg: RunConfig, endpoint, assets, start, end, cache_dir):
             d0, d1 = ingest.iso_dates([start, end])
         except ValueError as e:
             raise DataValidationError(f"date: {e}") from None
+        if d0 > d1:
+            raise DataValidationError(f"date: start {start} is after end {end}")
         schema = {"date": cfg.date_column, "price": cfg.price_column}
         ids = [a.strip() for a in assets.split(",")]
         for a in ids:  # every id is checked before the first request

@@ -12,6 +12,9 @@ one window (from ``evaluate``) and on each block of windows (from
 edges on each window, and counts the symbols without a copy. It returns
 plain arrays, each window's values and the edges it binned with; only
 ``evaluate`` makes the one window's matrix and records its binning there.
+When a block's count raises, ``evolve`` estimates its windows one at a time
+through ``compute_matrix`` to find the window at fault, so a batched error
+needs to name only the asset.
 """
 
 from __future__ import annotations
@@ -52,15 +55,14 @@ def binned_matrices(x, measure: str, bins: int, strategy: str, dt: int, asset_id
 
     ``basis`` is the (symbols, edges) of ``bin_windows`` that were counted;
     given that of an earlier call on the same stack, bins and strategy, it
-    bins nothing. A constant row raises DegenerateSeries naming its asset
-    and keeping its ``row``.
+    bins nothing. A constant row raises DegenerateSeries naming its asset.
     """
     n = len(asset_ids)
     if basis is None:
         try:
             basis = bin_windows(x, bins, strategy)
         except DegenerateSeries as e:  # bin_windows names the row, which is window-major
-            raise DegenerateSeries(f"{asset_ids[e.row % n]}: {e}", row=e.row) from e
+            raise DegenerateSeries(f"{asset_ids[e.row % n]}: {e}") from e
     symbols = basis[0]
     windows = symbols.reshape(-1, n, symbols.shape[1])
     if measure == "mutual_information":

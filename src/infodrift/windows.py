@@ -7,15 +7,18 @@ Window boundaries depend only on the sample count and the spec, never on the
 data. Quantile bin edges are re-fitted inside each window because the series
 cannot be assumed stationary; the choice is recorded in the result metadata.
 
-``evolve`` is the windowed driver. Correlation and km_drift bin nothing, so
-it calls ``compute_matrix`` once per window and stacks the values. For MI and
-TE it stacks each block of windows window-major and hands it to
-``measures.binned_matrices``, the path that ``compute_matrix`` takes on the
-full sample as one window. The blocks are independent, so each is one
-``kernels.fan_out`` task, run on every CPU the process may run on, which
-returns its windows' values and bin edges as plain arrays, concatenated in
-block order. Each window's values are therefore bit-identical to
-``compute_matrix`` on that window, however many workers there are.
+``evolve`` is the windowed driver. It splits the windows into blocks, each
+one ``kernels.fan_out`` task, run on every CPU the process may run on, which
+returns its windows' values and MI and TE bin edges as plain arrays,
+concatenated in block order. The reference is the per-window loop, which
+estimates each window of a block in order with ``compute_matrix`` and
+re-raises the first error naming the window. Correlation and km_drift bin
+nothing and always take it. For MI and TE a task first stacks its windows
+window-major and hands them to ``measures.binned_matrices``, the path that
+``compute_matrix`` takes on the full sample as one window; only if that
+raises does the task run the loop. Each window's values are therefore
+bit-identical to ``compute_matrix`` on that window, however many workers
+there are.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSeries, EstimatorError, TooFewSamples, WindowTooLarge
+from .errors import EstimatorError, TooFewSamples, WindowTooLarge
 from .kernels import fan_out
 from .matrices import check_values, freeze
 from .measures import ENTROPY_MEASURES, binned_matrices, canonical_measure, compute_matrix
@@ -153,12 +156,6 @@ def _blocks(windows, n_assets: int):
         yield block
 
 
-def _in_window(e: Exception, measure: str, window) -> Exception:
-    """e, of its own type, naming the measure and the (idx, start, end) window."""
-    idx, start, end = window
-    return type(e)(f"{measure}: window {idx} [{start}:{end}): {e}")
-
-
 def evolve(
     returns: ReturnsMatrix,
     spec: WindowSpec,
@@ -174,50 +171,47 @@ def evolve(
     ``values[w]`` equals the values of ``compute_matrix`` on
     ``returns.window(start, end)`` bit for bit, and for MI and TE ``edges[w]``
     its ``bin_edges``, asset by asset. An estimator failure or
-    too-short window is the first error the per-window loop met, re-raised
-    naming the measure and the window (and, for a constant column, the asset).
+    too-short window is the first error the per-window loop meets, re-raised
+    naming the measure and the window (and, for a constant column, the asset):
+    a block whose batched MI or TE count raises is estimated again by that
+    loop, which either raises or, if every window succeeds alone, gives the
+    block's values and edges.
     """
     measure = canonical_measure(measure)
     windows = make_windows(returns.n_samples, spec)
     n = returns.n_assets
+    blocks = list(_blocks(windows, n))
 
-    if measure not in ENTROPY_MEASURES:
+    def estimate(b):
+        """(values, edges) of block b's windows, or the first error of its per-window loop, naming the window."""
+        block = blocks[b]
+        if measure in ENTROPY_MEASURES:
+            _, start, end = block[0]
+            x = np.stack([returns.values[s:e].T for _, s, e in block]).reshape(len(block) * n, end - start)
+            try:
+                values, (_, edges) = binned_matrices(x, measure, bins, strategy, dt, returns.asset_ids)
+                return values, edges.reshape(len(block), n, bins + 1)
+            except (EstimatorError, TooFewSamples):
+                pass  # the per-window loop below meets the first error
         matrices = []
-        for idx, (start, end) in enumerate(windows):
+        for idx, start, end in block:
             try:
                 matrices.append(compute_matrix(
                     returns.window(start, end), measure, bins=bins, strategy=strategy, dt=dt,
                     step_duration=step_duration, ridge=ridge,
                 ))
             except (EstimatorError, TooFewSamples) as e:
-                raise _in_window(e, measure, (idx, start, end)) from e
-        values, edges = np.stack([m.values for m in matrices]), None
-        directed, units = matrices[0].directed, matrices[0].units
-    else:
-        blocks = list(_blocks(windows, n))
+                raise type(e)(f"{measure}: window {idx} [{start}:{end}): {e}") from e
+        values = np.stack([m.values for m in matrices])
+        if measure not in ENTROPY_MEASURES:
+            return values, None
+        return values, np.array([list(m.params["bin_edges"].values()) for m in matrices])
 
-        def estimate(b):
-            """(values, edges) of block b's windows, its first error named as the per-window loop met it."""
-            block = blocks[b]
-            _, start, end = window = block[0]
-            x = np.stack([returns.values[s:e].T for _, s, e in block]).reshape(len(block) * n, end - start)
-            try:
-                try:
-                    values, (_, edges) = binned_matrices(x, measure, bins, strategy, dt, returns.asset_ids)
-                    return values, edges.reshape(len(block), n, bins + 1)
-                except DegenerateSeries as e:  # binned_matrices named its asset and kept its row
-                    w = e.row // n
-                    if w:  # the per-window loop estimated the block's first window before binning this one
-                        binned_matrices(x[:n], measure, bins, strategy, dt, returns.asset_ids)
-                    window = block[w]
-                    raise
-            except (EstimatorError, TooFewSamples) as e:
-                raise _in_window(e, measure, window) from e
-
-        found = fan_out(estimate, len(blocks))
-        values = np.concatenate([v for v, _ in found])
-        edges = np.concatenate([e for _, e in found])
-        directed, units = measure == "transfer_entropy", "bits"
+    found = fan_out(estimate, len(blocks))
+    values = np.concatenate([v for v, _ in found])
+    edges = np.concatenate([e for _, e in found]) if measure in ENTROPY_MEASURES else None
+    directed = measure in ("transfer_entropy", "km_drift")
+    units = {"correlation": "dimensionless", "km_drift": "per-step"}.get(measure, "bits")
     return WindowedResult(
         measure=measure,
         asset_ids=returns.asset_ids,

@@ -561,6 +561,9 @@ def test_config_unknown_field_exit_2(runner, tmp_path):
       "--start", "20200101", "--end", "2020-12-31"], "error: date: '20200101' is not a YYYY-MM-DD date\n"),
     (["fetch", "--endpoint", "http://127.0.0.1:1/{asset}", "--assets", "GLD",
       "--start", "2020-01-01", "--end", "2020-W53-5"], "error: date: '2020-W53-5' is not a YYYY-MM-DD date\n"),
+    # refused before any request: the closed port would exit 3 with a refused connection
+    (["fetch", "--endpoint", "http://127.0.0.1:1/{asset}", "--assets", "GLD",
+      "--start", "2020-02-01", "--end", "2020-01-01"], "error: date: start 2020-02-01 is after end 2020-01-01\n"),
     (["--config", "{tmp}/list.json", "analyze"], "error: config {tmp}/list.json: expected a JSON object, got list\n"),
     (["--config", "{tmp}/null.json", "analyze"], "error: config {tmp}/null.json: expected a JSON object, got NoneType\n"),
     (["--config", "{tmp}/text.json", "analyze"], "error: config {tmp}/text.json: expected a JSON object, got str\n"),
@@ -570,7 +573,7 @@ def test_config_unknown_field_exit_2(runner, tmp_path):
     (["--config", "{tmp}/no-out.json", "analyze", "--measures", "corr", "{tmp}/none.csv"],
      "error: out_dir: expected a directory path, got ''\n"),
 ], ids=["config-not-json", "config-missing", "fetch-bad-date", "fetch-basic-date", "fetch-week-date",
-        "config-list", "config-null", "config-string", "out-flag-empty", "out-dir-empty"])
+        "fetch-reversed-dates", "config-list", "config-null", "config-string", "out-flag-empty", "out-dir-empty"])
 def test_unreadable_config_or_bad_date_exit_2_before_out(runner, tmp_path, args, message):
     (tmp_path / "run.json").write_text("{not json")
     (tmp_path / "no-out.json").write_text('{"out_dir": ""}')

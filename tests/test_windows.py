@@ -329,10 +329,10 @@ def test_window_error_is_the_first_the_per_window_loop_met(flat_window, error, m
 
 
 # ---------------------------------------------------------------- fan-out
-# evolve counts each block of MI/TE windows as one kernels.fan_out task: two
-# CPUs fork two workers, one CPU counts every block in-process, and both
-# give the same bits and the same first error. 12 windows of 40 samples on
-# 3 assets, two windows to a block of 240 symbols, so six tasks.
+# evolve estimates each block of windows as one kernels.fan_out task: two
+# CPUs fork two workers, one CPU runs every block in-process, and both give
+# the same bits and the same first error. 12 windows of 40 samples on 3
+# assets, two windows to a block of 240 symbols, so six tasks.
 
 def _fan_out_panel(flat=False):
     values = np.round(np.random.default_rng(21).normal(size=(480, 3)) * 0.01, 3)
@@ -347,18 +347,46 @@ def _evolve_on(cpus, returns, measure, **kwargs):
         return evolve(returns, spec, measure, bins=4, **kwargs)
 
 
-@pytest.mark.parametrize("measure", ["mutual_information", "transfer_entropy"])
+def _assert_same_result(got, expected):
+    assert len(got.values) == len(expected.values) == 12
+    assert got.labels == expected.labels
+    assert (got.directed, got.units) == (expected.directed, expected.units)
+    for name in ("values", "bounds", "edges"):
+        a, b = getattr(got, name), getattr(expected, name)
+        if b is None:  # a measure that bins nothing
+            assert a is None
+            continue
+        assert a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert not a.flags.writeable and not b.flags.writeable
+    assert got.params == expected.params
+
+
+@pytest.mark.parametrize("measure", ["mutual_information", "transfer_entropy", "correlation", "km_drift"])
 def test_fanned_out_evolve_equals_in_process(measure):
     returns = _fan_out_panel()
     fanned, alone = (_evolve_on(cpus, returns, measure) for cpus in (2, 1))
     assert multiprocessing.active_children() == []
-    assert len(fanned.values) == len(alone.values) == 12
-    assert fanned.labels == alone.labels
-    for name in ("values", "bounds", "edges"):
-        got, expected = getattr(fanned, name), getattr(alone, name)
-        assert got.dtype == expected.dtype and np.array_equal(got.view(np.int64), expected.view(np.int64))
-        assert not got.flags.writeable and not expected.flags.writeable
-    assert fanned.params == alone.params
+    assert (fanned.edges is None) == (alone.edges is None) == (measure not in ("mutual_information", "transfer_entropy"))
+    _assert_same_result(fanned, alone)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("measure", ["mutual_information", "transfer_entropy"])
+def test_evolve_of_a_block_whose_count_fails_is_its_per_window_loop(monkeypatch, measure, cpus):
+    # a batched count that raises for every stack of more than one window
+    # leaves each block to the per-window loop, which gives the same bits
+    returns = _fan_out_panel()
+    expected = _evolve_on(1, returns, measure)
+    real = windows.binned_matrices
+
+    def one_window_only(x, *args):
+        if len(x) > returns.n_assets:
+            raise EstimatorError("a stack of more than one window")
+        return real(x, *args)
+
+    monkeypatch.setattr(windows, "binned_matrices", one_window_only)
+    _assert_same_result(_evolve_on(cpus, returns, measure), expected)
+    assert multiprocessing.active_children() == []
 
 
 def _no_memory(codes, size):
@@ -368,20 +396,26 @@ def _no_memory(codes, size):
 @pytest.mark.parametrize("case, error, message", [
     ("flat-later-block", DegenerateSeries, "transfer_entropy: window 9 [360:400): A1: all values equal"),
     ("lag", TooFewSamples, "transfer_entropy: window 0 [0:40): need at least dt + 2 = 41 samples, got 40"),
-    ("no-memory", EstimatorError, "transfer_entropy: window 0 [0:40): bins 4: a count of 96 histogram cells"),
+    # the rest of the message is that of compute_matrix on window 0 alone
+    ("no-memory", EstimatorError, "transfer_entropy: window 0 [0:40): "),
+    ("flat-corr", DegenerateSeries, "correlation: window 9 [360:400): A1: zero variance"),
+    ("flat-km", EstimatorError, "km_drift: window 9 [360:400): condition inf above 1e+12; "),
 ])
 def test_fanned_out_evolve_errors_equal_in_process(monkeypatch, case, error, message):
     # the first error of the in-process loop, raised in a worker and again,
     # from the rerun of its task, in the calling process
-    returns, dt = _fan_out_panel(flat=case == "flat-later-block"), 1
+    returns, dt, measure = _fan_out_panel(flat=case.startswith("flat")), 1, message.split(":")[0]
     if case == "lag":
         dt = 39
     elif case == "no-memory":  # in every worker too
         monkeypatch.setattr(infoflow, "joint_counts", _no_memory)
+        with pytest.raises(error) as err:
+            compute_matrix(returns.window(0, 40), measure, bins=4)
+        message += str(err.value)
     found = []
     for cpus in (2, 1):
         with pytest.raises(error) as err:
-            _evolve_on(cpus, returns, "transfer_entropy", dt=dt)
+            _evolve_on(cpus, returns, measure, dt=dt)
         found.append(err.value)
     assert multiprocessing.active_children() == []
     fanned, alone = found
