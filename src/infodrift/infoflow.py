@@ -51,9 +51,9 @@ SymbolSequence does. Sequences with fewer bins are padded to the largest
 bin count, which keeps the nonzero cells and their row-major order.
 
 ``te_floor_matrix`` counts one target row per ``kernels.fan_out`` task, on
-every CPU the process may run on. Each pair keeps its own seeded stream,
-its shuffle order and its order of summation, so the values do not depend
-on the number of workers.
+every CPU the process may run on, into values shared with the workers. Each
+pair keeps its own seeded stream, its shuffle order and its order of
+summation, so the values do not depend on the number of workers.
 
 Each count holds at most ``_MAX_CODES`` codes (a longer row is counted in
 time chunks whose integer counts are added), and the estimates are formed
@@ -77,7 +77,7 @@ import numpy as np
 
 from .discretize import JointHistogram, SymbolSequence, aligned_length, joint_histogram
 from .errors import EstimatorError, LengthMismatch, TooFewSamples
-from .kernels import fan_out, joint_counts
+from .kernels import fan_out, joint_counts, shared
 from .matrices import ORIENTATION, InteractionMatrix
 
 _NEG_TOL = -1e-9
@@ -488,7 +488,7 @@ def te_floor_matrix(
     if sym.size and (sym.min() < 0 or sym.max() >= bins):
         raise ValueError("symbols out of range")
     n = len(sym)
-    values = np.zeros((n, n))
+    values = shared((n, n))
     if n > 1:
         _check_shuffles(shuffles)
         _check_te(sym[1], sym[0], dt)
@@ -498,8 +498,7 @@ def te_floor_matrix(
         pair, c_p = _target_counts(sym, (dt, 0), bins)
 
         def floor_row(i):
-            """Row i: the floor of every source into target i."""
-            row = np.zeros(n)
+            """Write row i: the floor of every source into target i."""
             for j in range(n):
                 if i != j:
                     # surrogate_floor's stream and order: shuffling a row in place draws
@@ -516,10 +515,9 @@ def te_floor_matrix(
                         counts = _count(parts, eff, bins)
                         for te in _cmi_sums(counts, pair[rows], c_p[rows], eff, bins, tables):
                             acc += te
-                    row[j] = acc / shuffles
-            return row
+                    values[i, j] = acc / shuffles
 
-        values = np.stack(fan_out(floor_row, n))
+        fan_out(floor_row, n)
     return InteractionMatrix(
         asset_ids=_ids(asset_ids, n),
         values=values,

@@ -34,29 +34,26 @@ compile pays for itself after 200 to 450 steps.
 
 ``joint_counts`` delegates to ``np.bincount``, which is integer-exact.
 
-``fan_out(task, count)`` returns ``[task(0), ..., task(count - 1)]``. Its
-callers are ``infoflow.te_floor_matrix`` (a task per target row),
-``windows.evolve`` (per block of windows) and ``netout.emit_all`` (per
-result, which the task writes to its staged files). It runs
-the tasks on forked worker processes, one per CPU this process may run on
+``fan_out(task, count)`` runs ``task(0), ..., task(count - 1)`` for
+``infoflow.te_floor_matrix`` (a task per target row), ``windows.evolve``
+(per block of windows) and ``netout.emit_all`` (per result, written to its
+staged files). A task writes its results to files or to ``shared`` arrays,
+zeroed on an anonymous shared ``mmap`` that forked workers and their caller
+see. It forks one worker per CPU this process may run on
 (``os.sched_getaffinity``, so ``taskset`` limits them; ``os.cpu_count``
-where that call is missing), never more than ``count``. With one CPU, or
-where the ``fork`` start method is not offered, it runs them in-process,
-which is the only serial path. Workers are forked, so a task may be a
-closure over arrays built before the call; only ``k`` and the task's
-result cross between processes. A task returns plain arrays, numbers or
-lists: ``evolve``'s tasks return each block's (values, edges) arrays, which
-it concatenates into a ``WindowedResult`` that stores them read-only, since
-an unpickled array comes back writeable. A task that fails in a worker is run again in the calling process, so the caller sees
-the serial path's exception, with its type, message and ``__cause__``, and
-no exception has to be pickled. Every worker has exited when ``fan_out``
-returns or raises. Spans and counters that a tracer records inside a worker
-stay in that worker. Python 3.12 and later warn when forking a process
-that runs threads, such as an OpenBLAS thread pool. On CPython 3.12.1 and
-3.13.0, forking beside a running thread under an ``error`` filter clears
-that DeprecationWarning and returns normally (``catch_warnings(record=True)``
-records nothing), under ``always`` the warning is recorded, and a
-fork-context ``ProcessPoolExecutor`` under the default filters shows nothing.
+where that call is missing), never more than ``count``; with fewer than two,
+or with no ``os.fork``, the tasks run in-process, the only serial path. The
+caller writes the task indices into one pipe as 4-byte records, in atomic
+writes of at most 4,096 bytes; each worker reads one at a time until the
+pipe is drained and closed, so a dead worker holds up no other. A worker
+flags each task it completes, stops once its caller is gone, and leaves
+through ``os._exit``. The caller reaps every worker and runs in-process, in
+index order, each task left unflagged, so it raises the serial path's first
+error with its type, message and ``__cause__``. Spans and counters that a
+tracer records inside a worker stay there. Python 3.12 and later warn when
+forking beside a running thread, such as OpenBLAS's; on CPython 3.12.1 and
+3.13.0, ``os.fork`` under an ``error`` filter clears that DeprecationWarning
+and returns normally, and under ``always`` the warning is recorded.
 """
 
 import functools
@@ -141,44 +138,50 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-_task = None  # the task of a fan_out, set in each of its workers only
+def shared(shape, dtype=np.float64) -> np.ndarray:
+    """A zeroed array on an anonymous shared mmap: what a forked worker writes, its caller reads."""
+    import mmap  # here, not at module import: a run with nothing to fan out never pays it
+
+    size = int(np.prod(shape))
+    return np.frombuffer(mmap.mmap(-1, max(size * np.dtype(dtype).itemsize, 1)), dtype, size).reshape(shape)
 
 
-def _adopt(task) -> None:
-    global _task
-    _task = task
+def _serve(task, records: int, done, caller: int) -> None:
+    """Run task(k), then flag done[k], for each 4-byte k read from fd ``records``, while ``caller`` is the parent."""
+    while (record := os.read(records, 4)) and os.getppid() == caller:
+        k = int.from_bytes(record, "little")
+        task(k)
+        done[k] = True
 
 
-def _run(k):
-    """(True, task(k)) in a worker, or (False, None) for the caller to run it again."""
-    try:
-        return True, _task(k)
-    except Exception:  # the caller raises it from its own run, unpickled
-        return False, None
-
-
-def fan_out(task, count: int) -> list:
-    """[task(0), ..., task(count - 1)], computed on forked workers, one per CPU."""
-    workers = min(_cpus(), count)
+def fan_out(task, count: int) -> None:
+    """Run task(0), ..., task(count - 1) on forked workers, one per CPU, then
+    in-process, in index order, each task that no worker completed."""
+    workers = min(_cpus(), count) if hasattr(os, "fork") else 1
+    done = shared(count, bool) if workers > 1 else np.zeros(count, bool)
     if workers > 1:
-        # imported here: about 20 ms that a run with nothing to fan out never pays
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
-
-            context = multiprocessing.get_context("fork")
-            pool = ProcessPoolExecutor(workers, context, initializer=_adopt, initargs=(task,))
+        caller = os.getpid()
+        read, write = os.pipe()
+        pids = []
+        try:
             try:
-                futures = [pool.submit(_run, k) for k in range(count)]
-                found = []
-                for future in futures:
-                    try:
-                        found.append(future.result())
-                    except BrokenProcessPool:  # a worker died; its tasks are run here
-                        found.append((False, None))
+                for _ in range(workers):
+                    if not (pid := os.fork()):
+                        try:
+                            os.close(write)
+                            _serve(task, read, done, caller)
+                        finally:
+                            os._exit(0)
+                    pids.append(pid)
             finally:
-                pool.shutdown(cancel_futures=True)
-            return [result if ok else task(k) for k, (ok, result) in enumerate(found)]
-    return [task(k) for k in range(count)]
+                os.close(read)
+            for a in range(0, count, 1024):  # 4,096 bytes a write: at most PIPE_BUF, so atomic
+                os.write(write, np.arange(a, min(a + 1024, count), dtype="<u4").tobytes())
+        except BrokenPipeError:
+            pass  # every worker is gone
+        finally:
+            os.close(write)
+            for pid in pids:
+                os.waitpid(pid, 0)
+    for k in np.flatnonzero(~done).tolist():
+        task(k)

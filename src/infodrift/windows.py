@@ -9,16 +9,15 @@ cannot be assumed stationary; the choice is recorded in the result metadata.
 
 ``evolve`` is the windowed driver. It splits the windows into blocks, each
 one ``kernels.fan_out`` task, run on every CPU the process may run on, which
-returns its windows' values and MI and TE bin edges as plain arrays,
-concatenated in block order. The reference is the per-window loop, which
-estimates each window of a block in order with ``compute_matrix`` and
-re-raises the first error naming the window. Correlation and km_drift bin
-nothing and always take it. For MI and TE a task first stacks its windows
-window-major and hands them to ``measures.binned_matrices``, the path that
-``compute_matrix`` takes on the full sample as one window; only if that
-raises does the task run the loop. Each window's values are therefore
-bit-identical to ``compute_matrix`` on that window, however many workers
-there are.
+writes its windows' values and MI and TE bin edges into result arrays shared
+with the workers. The reference is the per-window loop, which estimates each
+window of a block in order with ``compute_matrix`` and re-raises the first
+error naming the window. Correlation and km_drift bin nothing and always
+take it. For MI and TE a task first stacks its windows window-major and
+hands them to ``measures.binned_matrices``, the path that ``compute_matrix``
+takes on the full sample as one window; only if that raises does the task
+run the loop. Each window's values are therefore bit-identical to
+``compute_matrix`` on that window, however many workers there are.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimatorError, TooFewSamples, WindowTooLarge
-from .kernels import fan_out
+from .kernels import fan_out, shared
 from .matrices import check_values, freeze
 from .measures import ENTROPY_MEASURES, binned_matrices, canonical_measure, compute_matrix
 from .stats import ReturnsMatrix
@@ -174,7 +173,7 @@ def evolve(
     too-short window is the first error the per-window loop meets, re-raised
     naming the measure and the window (and, for a constant column, the asset):
     a block whose batched MI or TE count raises is estimated again by that
-    loop, which either raises or, if every window succeeds alone, gives the
+    loop, which either raises or, if every window succeeds alone, writes the
     block's values and edges.
     """
     measure = canonical_measure(measure)
@@ -182,34 +181,34 @@ def evolve(
     n = returns.n_assets
     blocks = list(_blocks(windows, n))
 
+    values = shared((len(windows), n, n))
+    edges = shared((len(windows), n, bins + 1)) if measure in ENTROPY_MEASURES else None
+
     def estimate(b):
-        """(values, edges) of block b's windows, or the first error of its per-window loop, naming the window."""
+        """Write block b's values and edges, or raise the first error of its per-window loop, naming the window."""
         block = blocks[b]
-        if measure in ENTROPY_MEASURES:
-            _, start, end = block[0]
+        if edges is not None:
+            (first, start, end), last = block[0], block[-1][0] + 1
             x = np.stack([returns.values[s:e].T for _, s, e in block]).reshape(len(block) * n, end - start)
             try:
-                values, (_, edges) = binned_matrices(x, measure, bins, strategy, dt, returns.asset_ids)
-                return values, edges.reshape(len(block), n, bins + 1)
+                values[first:last], (_, found) = binned_matrices(x, measure, bins, strategy, dt, returns.asset_ids)
+                edges[first:last] = found.reshape(len(block), n, bins + 1)
+                return
             except (EstimatorError, TooFewSamples):
                 pass  # the per-window loop below meets the first error
-        matrices = []
         for idx, start, end in block:
             try:
-                matrices.append(compute_matrix(
+                m = compute_matrix(
                     returns.window(start, end), measure, bins=bins, strategy=strategy, dt=dt,
                     step_duration=step_duration, ridge=ridge,
-                ))
+                )
             except (EstimatorError, TooFewSamples) as e:
                 raise type(e)(f"{measure}: window {idx} [{start}:{end}): {e}") from e
-        values = np.stack([m.values for m in matrices])
-        if measure not in ENTROPY_MEASURES:
-            return values, None
-        return values, np.array([list(m.params["bin_edges"].values()) for m in matrices])
+            values[idx] = m.values
+            if edges is not None:
+                edges[idx] = list(m.params["bin_edges"].values())
 
-    found = fan_out(estimate, len(blocks))
-    values = np.concatenate([v for v, _ in found])
-    edges = np.concatenate([e for _, e in found]) if measure in ENTROPY_MEASURES else None
+    fan_out(estimate, len(blocks))
     directed = measure in ("transfer_entropy", "km_drift")
     units = {"correlation": "dimensionless", "km_drift": "per-step"}.get(measure, "bits")
     return WindowedResult(

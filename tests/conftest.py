@@ -17,6 +17,26 @@ def child_pythonpath() -> str:
     return os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
+def assert_no_child_process():
+    """No process forked by this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def fork_calls(monkeypatch):
+    """The list of the pids that called os.fork, in call order, from here on."""
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
 def make_series(asset_id, start, prices):
     base = dt.date.fromisoformat(start).toordinal()
     return PriceSeries(asset_id=asset_id, days=np.arange(base, base + len(prices)),

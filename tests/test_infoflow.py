@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 from collections import Counter
 
 import numpy as np
@@ -23,6 +22,8 @@ from infodrift.discretize import JointHistogram, SymbolSequence
 from infodrift.errors import EmptyOverlap, EstimatorError, LengthMismatch, TooFewSamples
 from infodrift.infoflow import self_conditional_entropy
 from infodrift.synth import binary_entropy, gen_coupled_binary
+
+from conftest import assert_no_child_process
 
 
 def seq_of(symbols, bins):
@@ -448,7 +449,7 @@ def test_fanned_out_floor_equals_in_process(monkeypatch):
     for cpus in (2, 1):
         monkeypatch.setattr(kernels, "_cpus", lambda cpus=cpus: cpus)
         found.append(te_floor_matrix(*stacked(seqs), shuffles=7, seed=3))
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
     fanned, alone = found
     assert_bits_equal(fanned.values, alone.values)
     assert_bits_equal(fanned.values, pairwise_floor(seqs, 1, 7, seed=3))

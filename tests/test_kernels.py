@@ -1,7 +1,6 @@
 import importlib
 import importlib.util
 import math
-import multiprocessing
 import os
 import re
 from pathlib import Path
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 from infodrift import cli, discretize, infoflow, kernels, measures, stats, synth
 from infodrift.errors import MalformedRow
 
-from conftest import scalar_recurrence
+from conftest import assert_no_child_process, scalar_recurrence
 
 SPANS = Path(__file__).resolve().parents[1] / "pipebench" / "spans.py"
 
@@ -177,23 +176,56 @@ def test_benchmark_trace_targets_exist():
 def test_fan_out_keeps_order_and_runs_on_forked_workers(monkeypatch):
     monkeypatch.setattr(kernels, "_cpus", lambda: 2)
     scale = np.arange(3)  # a closure over an array: the task is never pickled
-    found = kernels.fan_out(lambda k: (scale * k, os.getpid()), 9)
-    assert [list(v) for v, _ in found] == [[0, k, 2 * k] for k in range(9)]
-    assert os.getpid() not in {pid for _, pid in found}
-    assert multiprocessing.active_children() == []
+    found = kernels.shared((9, 4), np.int64)
+
+    def task(k):
+        found[k] = [*(scale * k), os.getpid()]
+
+    assert kernels.fan_out(task, 9) is None
+    assert found[:, :3].tolist() == [[0, k, 2 * k] for k in range(9)]
+    assert os.getpid() not in set(found[:, 3].tolist())
+    assert_no_child_process()
 
 
-def test_fan_out_runs_in_process_with_one_cpu_or_without_fork(monkeypatch):
+def test_shared_is_zeroed_and_shaped():
+    for shape, dtype in [((2, 3), np.float64), (5, bool), ((0, 4), np.float64)]:
+        a = kernels.shared(shape, dtype)
+        assert a.shape == np.empty(shape).shape and a.dtype == dtype
+        assert not a.any() and a.flags.writeable
+
+
+def test_fan_out_runs_in_process_with_one_cpu_or_without_fork(monkeypatch, fork_calls):
+    pids = []
+
     def pid(k):
-        return os.getpid()
+        pids.append((k, os.getpid()))
 
     monkeypatch.setattr(kernels, "_cpus", lambda: 1)
-    assert kernels.fan_out(pid, 3) == [os.getpid()] * 3
+    kernels.fan_out(pid, 3)
     monkeypatch.setattr(kernels, "_cpus", lambda: 2)
-    assert kernels.fan_out(pid, 1) == [os.getpid()]
-    assert kernels.fan_out(pid, 0) == []
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    assert kernels.fan_out(pid, 3) == [os.getpid()] * 3
+    kernels.fan_out(pid, 1)
+    kernels.fan_out(pid, 0)
+    monkeypatch.delattr(os, "fork")
+    kernels.fan_out(pid, 3)
+    assert fork_calls == []
+    assert pids == [(k, os.getpid()) for k in (0, 1, 2, 0, 0, 1, 2)]
+
+
+def test_fan_out_runs_more_tasks_than_the_pipe_holds_once_each(monkeypatch):
+    # 20,000 records are 80,000 bytes, more than a 64 KiB pipe buffer, so the
+    # caller's writes wait for the reads of four workers, racing for records
+    monkeypatch.setattr(kernels, "_cpus", lambda: 4)
+    runs = kernels.shared(20_000, np.int64)
+    pids = kernels.shared(20_000, np.int64)
+
+    def task(k):
+        runs[k] += 1
+        pids[k] = os.getpid()
+
+    kernels.fan_out(task, 20_000)
+    assert (runs == 1).all()
+    assert os.getpid() not in set(pids.tolist())
+    assert_no_child_process()
 
 
 def test_fan_out_raises_the_first_error_of_the_serial_path(monkeypatch):
@@ -208,32 +240,60 @@ def test_fan_out_raises_the_first_error_of_the_serial_path(monkeypatch):
             raise MalformedRow(7, "bad price") from KeyError(k)
         if k == 4:
             raise ValueError("not the first error")
-        return k
 
     with pytest.raises(MalformedRow) as err:
         kernels.fan_out(task, 6)
     assert str(err.value) == "line 7: bad price" and err.value.line == 7
     assert type(err.value.__cause__) is KeyError
     assert ran == [2]  # the calling process runs only the task that failed first
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
 
 
 @pytest.mark.parametrize("failure", ["raises", "dies"])
 def test_fan_out_reruns_a_task_that_failed_only_in_a_worker(monkeypatch, failure):
-    # a task that raises, or a worker that dies (and breaks the pool), in a
-    # worker only: the calling process runs the tasks left without a result
+    # a task that raises, or a worker that dies, in a worker only: the
+    # calling process runs the task left without its done flag, and only it
     monkeypatch.setattr(kernels, "_cpus", lambda: 2)
     caller = os.getpid()
+    found = kernels.shared(7, np.int64)
+    ran = []
 
     def task(k):
         if os.getpid() != caller and k == 3:
             if failure == "dies":
                 os._exit(1)
             raise MemoryError("worker out of memory")
-        return k * k
+        if os.getpid() == caller:
+            ran.append(k)
+        found[k] = k * k
 
-    assert kernels.fan_out(task, 7) == [k * k for k in range(7)]
-    assert multiprocessing.active_children() == []
+    kernels.fan_out(task, 7)
+    assert found.tolist() == [k * k for k in range(7)]
+    assert ran == [3]
+    assert_no_child_process()
+
+
+def test_worker_whose_caller_is_gone_runs_no_task():
+    # the worker loop given a caller pid that is not its parent's, as in a
+    # worker whose caller was killed: it reads a record but runs nothing
+    ran, done = kernels.shared(4, bool), kernels.shared(4, bool)
+    read, write = os.pipe()
+    os.write(write, np.arange(4, dtype="<u4").tobytes())
+    os.close(write)
+
+    def task(k):
+        ran[k] = True
+
+    pid = os.fork()
+    if pid == 0:
+        try:
+            kernels._serve(task, read, done, os.getpid())
+        finally:
+            os._exit(0)
+    os.close(read)
+    assert os.waitpid(pid, 0)[1] == 0
+    assert not ran.any() and not done.any()
+    assert_no_child_process()
 
 
 def test_cpus_follow_the_affinity_mask():

@@ -1,7 +1,5 @@
-import concurrent.futures
 import io
 import json
-import multiprocessing
 import os
 import xml.dom.minidom
 from pathlib import Path
@@ -27,6 +25,8 @@ from infodrift.netout import (
 )
 from infodrift.stats import ReturnsMatrix
 from infodrift.windows import WindowedResult, WindowSpec
+
+from conftest import assert_no_child_process
 
 DATA = Path(__file__).parent / "data"
 
@@ -397,7 +397,7 @@ def test_emit_all_keeps_plan_order_on_every_cpu(tmp_path, monkeypatch):
             "drift.json",
         ]
         found[cpus] = _contents(out)
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
     assert found[2] == found[1]
     # each file is the bytes that emit writes on its own
     for (stem, obj, _), fmt in [(results[0], "json"), (results[0], "csv"), (results[2], "json")]:
@@ -406,16 +406,8 @@ def test_emit_all_keeps_plan_order_on_every_cpu(tmp_path, monkeypatch):
         assert alone.read_bytes() == found[2][f"{stem}.{fmt}"]
 
 
-def test_emit_all_fans_out_only_two_or_more_results(tmp_path, monkeypatch):
-    pools = []
-
-    class Recorded(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(args[0])
-            super().__init__(*args, **kwargs)
-
+def test_emit_all_fans_out_only_two_or_more_results(tmp_path, monkeypatch, fork_calls):
     monkeypatch.setattr(kernels, "_cpus", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
     te, corr, _, drift = fanned_results()
     # config.json alone, one result, and one result next to one with no file
     # in the formats asked: nothing to fork
@@ -423,9 +415,10 @@ def test_emit_all_fans_out_only_two_or_more_results(tmp_path, monkeypatch):
         (tmp_path / str(k)).mkdir()
         emit_all(tmp_path / str(k), results, config={"seed": 7})
     emit(corr2x2(), "json", tmp_path / "m.json")
-    assert pools == []
+    assert fork_calls == []
     emit_all(tmp_path, [te, corr], config={"seed": 7})
-    assert pools == [2]
+    assert fork_calls == [os.getpid()] * 2  # one fan-out of two workers
+    assert_no_child_process()
 
 
 def test_writer_failing_in_a_worker_removes_the_whole_run(tmp_path, monkeypatch):
@@ -455,7 +448,7 @@ def test_writer_failing_in_a_worker_removes_the_whole_run(tmp_path, monkeypatch)
     assert (out / "unrelated.txt").read_text() == "kept"
     assert (out / "first.json").read_text() == "replaced"
     assert str(caller) in os.listdir(seen) and len(os.listdir(seen)) == 2
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
 
 
 def test_failed_run_leaves_files_it_did_not_write(tmp_path, monkeypatch):
@@ -509,7 +502,7 @@ def test_worker_that_dies_has_its_result_written_in_process(tmp_path, monkeypatc
     got.mkdir()
     emit_all(got, results, config={"seed": 7})
     assert _contents(got) == _contents(want)
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
 
 
 # ---------------------------------------------------------------- staged commit

@@ -1,4 +1,7 @@
-import multiprocessing
+import os
+import subprocess
+import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,6 +15,8 @@ from infodrift.errors import DegenerateSeries, EstimatorError, TooFewSamples, Wi
 from infodrift.infoflow import entropy, mutual_information, self_conditional_entropy, transfer_entropy
 from infodrift.stats import ReturnsMatrix
 from infodrift.windows import WindowSpec
+
+from conftest import assert_no_child_process, child_pythonpath
 
 
 def returns_of(values, ids=None):
@@ -365,7 +370,7 @@ def _assert_same_result(got, expected):
 def test_fanned_out_evolve_equals_in_process(measure):
     returns = _fan_out_panel()
     fanned, alone = (_evolve_on(cpus, returns, measure) for cpus in (2, 1))
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
     assert (fanned.edges is None) == (alone.edges is None) == (measure not in ("mutual_information", "transfer_entropy"))
     _assert_same_result(fanned, alone)
 
@@ -386,7 +391,7 @@ def test_evolve_of_a_block_whose_count_fails_is_its_per_window_loop(monkeypatch,
 
     monkeypatch.setattr(windows, "binned_matrices", one_window_only)
     _assert_same_result(_evolve_on(cpus, returns, measure), expected)
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
 
 
 def _no_memory(codes, size):
@@ -417,8 +422,47 @@ def test_fanned_out_evolve_errors_equal_in_process(monkeypatch, case, error, mes
         with pytest.raises(error) as err:
             _evolve_on(cpus, returns, measure, dt=dt)
         found.append(err.value)
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
     fanned, alone = found
     assert str(fanned).startswith(message)
     assert type(fanned) is type(alone) and str(fanned) == str(alone)
     assert type(fanned.__cause__) is type(alone.__cause__)
+
+
+@pytest.mark.parametrize("measure, spec, count", [
+    ("km_drift", "sliding:50:2", 1476),  # 4.50 MiB of values
+    ("transfer_entropy", "sliding:250:25", 111),  # 0.49 MiB of values and edges
+])
+def test_fanned_out_evolve_holds_no_copy_of_its_results_in_the_caller(monkeypatch, measure, spec, count):
+    # the workers write the result arrays where the caller reads them, so the
+    # caller's traced peak stays under their bytes (11.2 and 1.0 MiB when each
+    # block's arrays came back pickled and were concatenated). Correlation is
+    # left out: the symmetry check allocates about twice its values.
+    # N=20, each asset driven by its own past and its neighbour's
+    returns = gen_var1(0.3 * np.eye(20) + 0.2 * np.roll(np.eye(20), 1, axis=1), sigma=1.0, steps=3000, seed=24)
+    monkeypatch.setattr(kernels, "_cpus", lambda: 2)
+    tracemalloc.start()
+    try:
+        result = evolve(returns, WindowSpec.parse(spec), measure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_no_child_process()
+    assert len(result.values) == count
+    assert peak < result.values.nbytes + (0 if result.edges is None else result.edges.nbytes)
+
+
+def test_fanned_out_evolve_imports_no_multiprocessing():
+    script = (
+        "import sys\n"
+        "from infodrift import evolve, gen_var1, kernels\n"
+        "from infodrift.windows import WindowSpec\n"
+        "kernels._cpus = lambda: 2\n"
+        "returns = gen_var1([[0.5, 0.0], [0.1, 0.4]], sigma=1.0, steps=600, seed=3)\n"
+        "assert len(evolve(returns, WindowSpec.parse('sliding:100:5'), 'te').values) == 101\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=child_pythonpath())
+    found = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert found.returncode == 0, found.stderr
+    assert found.stdout == "False\n"
