@@ -59,8 +59,7 @@ Each count holds at most ``_MAX_CODES`` codes (a longer row is counted in
 time chunks whose integer counts are added), and the estimates are formed
 one such chunk at a time. The cap exists for memory: the pipeline
 benchmark's surrogate-floor workload peaked at about 45 MB when this was
-measured (35.5 MB in late 2026, with a bound of +10 %), and counting all
-100 shuffles of a pair at once cost 8 MB there.
+measured, and counting all 100 shuffles of a pair at once cost 8 MB there.
 For the same reason a target's part is built per count, not stored: at
 10^6 samples a stored copy of every target's codes next to the stacked
 symbols raised the simulate-long peak by 15 MB. The lookup tables hold two

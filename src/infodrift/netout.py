@@ -39,7 +39,7 @@ import os
 import re
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -275,14 +275,13 @@ def _edge_texts(w: WindowedResult):
     """Yield each window's bin edges as one list of JSON texts per asset.
     Overlapping windows share most quantile edges, so each distinct float64
     bit pattern is formatted once (by bits, not by value: -0.0 and 0.0 are
-    two texts, and NaN equals no float)."""
+    two texts, and NaN equals no float). The distinct texts sit in one object
+    array, which is indexed one window at a time."""
     distinct, where = np.unique(w.edges.view(np.int64), return_inverse=True)
     distinct = distinct.view(np.float64)
-    texts = _json_texts(list(map(repr, distinct.tolist())), distinct)
-    found = map(texts.__getitem__, where.ravel().tolist())
-    _, n, per = w.edges.shape
-    for _ in range(len(w.edges)):
-        yield [list(itertools.islice(found, per)) for _ in range(n)]
+    texts = np.array(_json_texts(list(map(repr, distinct.tolist())), distinct), dtype=object)
+    for window in where.reshape(w.edges.shape):
+        yield texts[window].tolist()
 
 
 def _windowed(w: WindowedResult, config: dict | None, json_fh=None, csv_fh=None) -> None:

@@ -34,8 +34,7 @@ from .stats import ReturnsMatrix
 
 # Symbols binned at once by evolve: 256 KiB of int64, six windows at the
 # pipeline benchmark's evolve-sliding shape (N=20, 456 windows of 250). When
-# its whole run peaked near 56 MB (42.9 MB in late 2026, 42.2 MB once windowed
-# results were held as arrays), blocks of 2**17 symbols raised that peak by
+# its whole run peaked near 56 MB, blocks of 2**17 symbols raised that peak by
 # 1 MB and of 2**18 by 5 MB, at the same speed.
 _BLOCK_SYMBOLS = 2**15
 

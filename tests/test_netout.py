@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import tracemalloc
 import xml.dom.minidom
 from pathlib import Path
 from unittest import mock
@@ -753,3 +754,24 @@ def test_streamed_edges_keep_signed_zeros_apart():
     # one text per float64 bit pattern: 0.0 and -0.0 are equal as floats
     w = _result(["A", "B"], [("a", "b"), ("c", "d")], np.zeros((2, 2, 2)), edges=np.array([[[-0.0, 0.0], [0.0, -0.0]]] * 2))
     assert list(netout._edge_texts(w)) == [[["-0.0", "0.0"], ["0.0", "-0.0"]]] * 2
+
+
+def test_streamed_edges_hold_no_per_entry_object_of_the_whole_result():
+    # 2,000 windows of 10 assets' 9 edges, from 3,000 distinct floats: an
+    # inverse index this large is made of distinct ints, not CPython's cached ones
+    rng = np.random.default_rng(0)
+    edges = rng.choice(rng.standard_normal(3000), size=(2000, 10, 9))
+    w = _result([f"A{i}" for i in range(10)], [("a", "b")] * 2000, np.zeros((2000, 10, 10)), edges=edges)
+    held = []
+
+    class Sink:
+        def write(self, text):
+            held.append(tracemalloc.get_traced_memory()[0])
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        netout._windowed(w, None, json_fh=Sink())
+    finally:
+        tracemalloc.stop()
+    assert max(held) - base <= 2 * w.edges.nbytes
