@@ -53,16 +53,24 @@ bin count, which keeps the nonzero cells and their row-major order.
 ``te_floor_matrix`` counts one target row per ``kernels.fan_out`` task, on
 every CPU the process may run on, into values shared with the workers. Each
 pair keeps its own seeded stream, its shuffle order and its order of
-summation, so the values do not depend on the number of workers.
+summation, so the values do not depend on the number of workers. What every
+source of a target shares is built once per task, for each row of a count:
+the target's (future, past) code, shifted past the source axis and offset
+to the row's cells, and its marginals; so is one buffer each for a count's
+shuffles and codes. A count copies the source into its rows, shuffles them
+in place, adds the target's code into the codes buffer in one pass, and
+counts. At 2,600 samples and 8 bins the shuffles take about two thirds of
+the floor's time.
 
 Each count holds at most ``_MAX_CODES`` codes (a longer row is counted in
 time chunks whose integer counts are added), and the estimates are formed
 one such chunk at a time. The cap exists for memory: the pipeline
 benchmark's surrogate-floor workload peaked at about 45 MB when this was
 measured, and counting all 100 shuffles of a pair at once cost 8 MB there.
-For the same reason a target's part is built per count, not stored: at
-10^6 samples a stored copy of every target's codes next to the stacked
-symbols raised the simulate-long peak by 15 MB. The lookup tables hold two
+For the same reason the matrix builders build a target's part per count,
+not stored: at 10^6 samples a stored copy of every target's codes next to
+the stacked symbols raised the simulate-long peak by 15 MB. A floor task
+holds the code of its one target. The lookup tables hold two
 entries per cell of one count. A count or table too large to allocate at
 all (``--bins 2000`` asks 8e9 TE cells per row) raises EstimatorError
 naming the bins and the cells.
@@ -213,10 +221,9 @@ def _count(parts, eff: int, bins: int) -> np.ndarray:
     first part's ``rows`` is a nondecreasing index array of k rows, and its
     code is built once for each row from ``rows[0]`` to ``rows[-1]`` and then
     gathered: a target's (future, past) code is built once however many
-    sources it is counted with. A later part's rows may also be a slice. Row
-    r is offset by ``r * cells`` so that one joint_counts call counts every
-    row; a row longer than _MAX_CODES is counted in time chunks whose counts
-    are added.
+    sources it is counted with. Row r is offset by ``r * cells`` so that one
+    joint_counts call counts every row; a row longer than _MAX_CODES is
+    counted in time chunks whose counts are added.
     """
     (first, rows, lags), *rest = parts
     k = len(rows)
@@ -480,6 +487,9 @@ def te_floor_matrix(
     pair gets an independent deterministic substream keyed by (i, j), so the
     result does not depend on evaluation order. Each target row is one
     ``fan_out`` task, counted from the tables and target counts built before.
+    The task builds the target's code, marginals and buffers once; each count
+    then draws its shuffles in place in one (rows, T) buffer, one shuffle
+    per row, and adds the target's code to them into one codes buffer.
     """
     sym = np.asarray(symbols, dtype=np.int64)
     if sym.ndim != 2:
@@ -492,12 +502,21 @@ def te_floor_matrix(
         _check_shuffles(shuffles)
         _check_te(sym[1], sym[0], dt)
         eff = sym.shape[1] - dt
-        per = min(_per_count(eff, bins**3), shuffles)
-        tables = _cmi_cells(per, bins, bins**3)
+        cells = bins**3
+        per = min(_per_count(eff, cells), shuffles)
+        span = min(eff, _MAX_CODES)
+        tables = _cmi_cells(per, bins, cells)
         pair, c_p = _target_counts(sym, (dt, 0), bins)
+        offsets = np.arange(0, per * cells, cells, dtype=np.int64)[:, np.newaxis]
 
         def floor_row(i):
             """Write row i: the floor of every source into target i."""
+            # for each row of a count: target i's (future, past) code, shifted
+            # past the source axis and offset to the row's cells, and its marginals
+            target = (sym[i, dt : dt + eff] * bins + sym[i, :eff]) * bins + offsets
+            c_fp, c_past = np.tile(pair[i], (per, 1)), np.tile(c_p[i], (per, 1))
+            src = np.empty((per, sym.shape[1]), dtype=np.int64)
+            buf = np.empty(per * span, dtype=np.int64)
             for j in range(n):
                 if i != j:
                     # surrogate_floor's stream and order: shuffling a row in place draws
@@ -507,12 +526,17 @@ def te_floor_matrix(
                     acc = 0.0
                     for r in range(0, shuffles, per):
                         k = min(per, shuffles - r)
-                        src = np.tile(sym[j], (k, 1))
-                        rng.permuted(src, axis=1, out=src)
-                        rows = np.full(k, i)
-                        parts = [(sym, rows, (dt, 0)), (src, slice(None), (0,))]
-                        counts = _count(parts, eff, bins)
-                        for te in _cmi_sums(counts, pair[rows], c_p[rows], eff, bins, tables):
+                        shuffled = src[:k]
+                        shuffled[:] = sym[j]
+                        rng.permuted(shuffled, axis=1, out=shuffled)
+                        with _fits(bins, k * cells):
+                            for t in range(0, eff, span):
+                                w = min(span, eff - t)
+                                codes = buf[: k * w].reshape(k, w)
+                                np.add(shuffled[:, t : t + w], target[:k, t : t + w], out=codes)
+                                found = joint_counts(codes.ravel(), k * cells)
+                                counts = found if t == 0 else counts + found
+                        for te in _cmi_sums(counts.reshape(k, cells), c_fp[:k], c_past[:k], eff, bins, tables):
                             acc += te
                     values[i, j] = acc / shuffles
 

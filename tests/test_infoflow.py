@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -416,17 +417,43 @@ def test_batched_counts_stay_under_the_code_cap(code_counts):
     assert_bits_equal(mi_matrix(seqs).values, pairwise_mi(seqs))
     short = [seq_of(rng.integers(0, 8, size=250), 8) for _ in range(3)]
     te_floor_matrix(*stacked(short), shuffles=100)
+    # a 40,000-sample floor row has one shuffle per count, counted in time chunks
+    long = [seq_of(rng.integers(0, 8, size=40_000), 8) for _ in range(3)]
+    assert_bits_equal(te_floor_matrix(*stacked(long), shuffles=3).values, pairwise_floor(long, 1, 3, seed=0))
     assert code_counts and max(code_counts) <= infoflow._MAX_CODES
 
 
-def test_floor_drawn_over_several_counts_equals_the_per_pair_oracle(code_counts):
+@pytest.mark.parametrize("dt", [1, 3])
+def test_floor_drawn_over_several_counts_equals_the_per_pair_oracle(code_counts, dt):
     # 32 shuffles of a 250-sample row fill one count at B=8, so 70 take three;
-    # each count's shuffles are drawn in place, one row after another
+    # each count's shuffles are drawn in place, one row after another. The
+    # 5-bin sequence is counted at the stack's 8 bins.
     rng = np.random.default_rng(23)
     seqs = [seq_of(rng.integers(0, 8, size=250), 8) for _ in range(3)]
-    floor = te_floor_matrix(*stacked(seqs), shuffles=70, seed=5).values
-    assert_bits_equal(floor, pairwise_floor(seqs, 1, 70, seed=5))
+    seqs.append(seq_of(rng.integers(0, 5, size=250), 5))
+    floor = te_floor_matrix(*stacked(seqs), dt=dt, shuffles=70, seed=5).values
+    assert_bits_equal(floor, pairwise_floor(seqs, dt, 70, seed=5))
     assert len(code_counts) > 6 and max(code_counts) <= infoflow._MAX_CODES
+
+
+def test_floor_memory_of_a_target_row(monkeypatch):
+    # a count holds 6 shuffles of a 2,600-sample row at B=8, and a task keeps
+    # three buffers of one count's size: its shuffles, its codes and the
+    # target's code for each row. Drawing all 100 shuffles of a pair at once
+    # holds at least 2 MiB, and fails.
+    monkeypatch.setattr(kernels, "_cpus", lambda: 1)
+    rng = np.random.default_rng(25)
+    symbols = rng.integers(0, 8, size=(3, 2600))
+    te_floor_matrix(symbols[:, :100], 8, shuffles=2)
+    per = infoflow._per_count(2599, 8**3)
+    tracemalloc.start()
+    try:
+        te_floor_matrix(symbols, 8, shuffles=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert per == 6
+    assert peak <= 6 * per * 2600 * 8, peak  # 732 KiB
 
 
 def test_window_te_matrix_shares_counts_across_targets(code_counts):
