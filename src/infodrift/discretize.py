@@ -5,7 +5,9 @@ occupies the single bin that holds the midpoint of its rank range. For
 atom-free data this reduces to an even split at the empirical quantiles, and
 it degrades gracefully on heavily tied data (a fat atom lands where its mass
 sits instead of emptying bins), which pure edge assignment cannot do. The
-empirical quantile edges are still carried on the sequence for reporting.
+empirical quantile edges are still carried on the sequence for reporting,
+and its ``bins`` is one fewer than its edges. A ``JointHistogram`` stores
+only its counts; ``dims`` and ``total`` are their shape and sum.
 Equal-width binning is edge-based and right-closed: interior-edge ties go to
 the lower bin, the maximum goes to the top bin. Both rules are deterministic
 across platforms.
@@ -49,23 +51,24 @@ _BLOCK_VALUES = 2**15
 
 @dataclass(frozen=True, eq=False)
 class SymbolSequence:
-    """Integer symbols in [0, bins) plus the bin edges that produced them."""
+    """Integer symbols in [0, bins) plus the bins + 1 edges that produced them."""
 
     symbols: np.ndarray
-    bins: int
     edges: np.ndarray
 
     def __post_init__(self):
         symbols = freeze(self, "symbols", np.int64)
         edges = freeze(self, "edges")
-        if self.bins < 1:
-            raise ValueError("bins must be >= 1")
-        if len(edges) != self.bins + 1:
-            raise ValueError("edges must have bins + 1 entries")
+        if edges.ndim != 1 or len(edges) < 2:
+            raise ValueError("edges must be 1-D with at least 2 entries")
         if np.any(np.diff(edges) < 0):
             raise ValueError("edges must be non-decreasing")
         if symbols.size and (symbols.min() < 0 or symbols.max() >= self.bins):
             raise ValueError("symbols out of range")
+
+    @property
+    def bins(self) -> int:
+        return len(self.edges) - 1
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -73,20 +76,21 @@ class SymbolSequence:
 
 @dataclass(frozen=True, eq=False)
 class JointHistogram:
-    """Dense joint occurrence counts over one or more symbol axes."""
+    """Dense joint occurrence counts over symbol axes; ``dims`` is their shape, ``total`` their sum."""
 
-    dims: tuple[int, ...]
     counts: np.ndarray
-    total: int
 
     def __post_init__(self):
-        counts = freeze(self, "counts", np.int64)
-        if counts.shape != self.dims:
-            raise ValueError(f"counts shape {counts.shape} != dims {self.dims}")
-        if self.total <= 0:
+        if freeze(self, "counts", np.int64).sum() <= 0:
             raise ValueError("total must be positive")
-        if counts.sum() != self.total:
-            raise ValueError("counts do not sum to total")
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return self.counts.shape
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
 
     def probabilities(self) -> np.ndarray:
         return self.counts / float(self.total)
@@ -96,12 +100,7 @@ class JointHistogram:
         keep = tuple(keep_axes)
         drop = tuple(a for a in range(len(self.dims)) if a not in keep)
         counts = self.counts.sum(axis=drop) if drop else self.counts
-        counts = np.transpose(counts, axes=[sorted(keep).index(a) for a in keep])
-        return JointHistogram(
-            dims=tuple(self.dims[a] for a in keep),
-            counts=counts,
-            total=self.total,
-        )
+        return JointHistogram(np.transpose(counts, axes=[sorted(keep).index(a) for a in keep]))
 
 
 def _check_bins(bins: int, strategy: str) -> None:
@@ -212,7 +211,7 @@ def bin_series(column, bins: int, strategy: str = "quantile") -> SymbolSequence:
     if values.ndim != 1:
         raise ValueError("column must be one-dimensional")
     symbols, edges = bin_windows(values[np.newaxis], bins, strategy)
-    return SymbolSequence(symbols=symbols[0], bins=bins, edges=edges[0])
+    return SymbolSequence(symbols=symbols[0], edges=edges[0])
 
 
 def aligned_length(lengths, lags) -> int:
@@ -253,4 +252,4 @@ def joint_histogram(seqs: list[SymbolSequence], lags: list[int]) -> JointHistogr
         codes *= seq.bins
         codes += seq.symbols[offset : offset + eff]
     counts = joint_counts(codes, int(np.prod(dims)))
-    return JointHistogram(dims=dims, counts=counts.reshape(dims), total=eff)
+    return JointHistogram(counts.reshape(dims))

@@ -386,8 +386,6 @@ def as_te_matrix(values, dt: int = 1, asset_ids=None) -> InteractionMatrix:
         asset_ids=_ids(asset_ids, len(values)),
         values=values,
         measure="transfer_entropy",
-        directed=True,
-        units="bits",
         params={
             "orientation": ORIENTATION,
             "dt": dt,
@@ -418,8 +416,6 @@ def as_mi_matrix(values, asset_ids=None) -> InteractionMatrix:
         asset_ids=_ids(asset_ids, len(values)),
         values=values,
         measure="mutual_information",
-        directed=False,
-        units="bits",
         params={"diagonal": "self entropy H(x)"},
     )
 
@@ -465,9 +461,7 @@ def surrogate_floor(
     acc = 0.0
     for _ in range(shuffles):
         perm = rng.permutation(len(source))
-        shuffled = SymbolSequence(
-            symbols=source.symbols[perm], bins=source.bins, edges=source.edges
-        )
+        shuffled = SymbolSequence(symbols=source.symbols[perm], edges=source.edges)
         acc += transfer_entropy(shuffled, target, dt=dt)
     return acc / shuffles
 
@@ -545,8 +539,6 @@ def te_floor_matrix(
         asset_ids=_ids(asset_ids, n),
         values=values,
         measure="transfer_entropy",
-        directed=True,
-        units="bits",
         params={
             "orientation": ORIENTATION,
             "dt": dt,

@@ -2,11 +2,12 @@
 
 The model is dx/dt = A x. With y_i(t) = x_i(t + lag) - x_i(t), the linear
 ansatz gives <y_i x_j> = sum_k psi_{i,k} <x_k x_j> with psi = duration * A,
-so each row of psi solves the second-moment linear system and A follows by
-dividing out the lag duration. Moments are raw (uncentered); ``drift_estimate``,
-the one entry point that builds and solves the system from a panel, centers
-the columns first because series with a nonzero mean would otherwise bias
-the intercept-free fit, and the centering is recorded in the output metadata.
+so each row of psi solves the second-moment linear system and A, which
+``DriftEstimate`` computes rather than stores, divides out the lag duration.
+Moments are raw (uncentered); ``drift_estimate``, the one entry point that
+builds and solves the system from a panel, centers the columns first because
+series with a nonzero mean would otherwise bias the intercept-free fit, and
+the centering is recorded in the output metadata.
 """
 
 from __future__ import annotations
@@ -24,18 +25,22 @@ COND_LIMIT = 1e12
 
 @dataclass(frozen=True, eq=False)
 class DriftEstimate:
-    """psi (dimensionless), A = psi / duration, and the solve diagnostics."""
+    """psi (dimensionless), the lag duration dt, and the solve diagnostics;
+    the drift matrix A = psi / dt is computed on each read, not stored."""
 
     psi: np.ndarray
-    A: np.ndarray
     dt: float
     moment_matrix: np.ndarray
     cond: float
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("psi", "A", "moment_matrix"):
+        for name in ("psi", "moment_matrix"):
             freeze(self, name)
+
+    @property
+    def A(self) -> np.ndarray:
+        return self.psi / self.dt
 
     def to_dict(self) -> dict:
         return {
@@ -103,7 +108,6 @@ def solve_drift(cross: np.ndarray, second: np.ndarray, dt: float = 1.0, ridge: f
     psi = np.linalg.solve(system, cross.T).T
     return DriftEstimate(
         psi=psi,
-        A=psi / dt,
         dt=dt,
         moment_matrix=second,
         cond=cond,
@@ -144,8 +148,6 @@ def drift_matrix(est: DriftEstimate, asset_ids) -> InteractionMatrix:
         asset_ids=asset_ids,
         values=est.A,
         measure="km_drift",
-        directed=True,
-        units="per-step",
         params={
             "orientation": ORIENTATION,
             "lag_steps": p["lag_steps"],

@@ -1,4 +1,6 @@
-"""The N-by-N interaction matrix shared by every estimator.
+"""The N-by-N interaction matrix shared by every estimator, and ``MEASURES``,
+the one table of each measure's short name, direction and units, from which
+``InteractionMatrix`` and ``WindowedResult`` read ``directed`` and ``units``.
 
 Orientation convention for directed measures: ``values[i][j]`` is the effect
 of (or flow from) asset ``j`` on asset ``i``. The convention is recorded in
@@ -15,8 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-MEASURES = ("correlation", "mutual_information", "transfer_entropy", "km_drift")
-UNITS = ("bits", "dimensionless", "per-step")
+MEASURES = {
+    "correlation": ("corr", False, "dimensionless"),
+    "mutual_information": ("mi", False, "bits"),
+    "transfer_entropy": ("te", True, "bits"),
+    "km_drift": ("km", True, "per-step"),
+}
 
 ORIENTATION = "values[i][j] = flow from asset j into asset i"
 
@@ -30,35 +36,43 @@ def freeze(obj, name: str, dtype=np.float64) -> np.ndarray:
     return view
 
 
-def check_values(values: np.ndarray, shape: tuple, measure: str, directed: bool, units: str) -> None:
+def check_values(values: np.ndarray, shape: tuple, measure: str) -> None:
     """Refuse ``values`` unless it has ``shape``, whose last two axes are n by
-    n, and holds matrices of a known measure and units: symmetric when
-    undirected, and MI off-diagonals at least 0. A stack of matrices along
-    the first axes is checked as each of them would be on its own."""
+    n, and holds matrices of a known measure: symmetric when undirected, and
+    MI off-diagonals at least 0. A stack of matrices along the first axes is
+    checked as each of them would be on its own."""
     if values.shape != shape:
         raise ValueError(f"values must be {'x'.join(map(str, shape))}, got {values.shape}")
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
-    if units not in UNITS:
-        raise ValueError(f"unknown units {units!r}")
-    if not directed and not np.allclose(values, values.swapaxes(-1, -2), atol=1e-12, rtol=0.0):
+    if not MEASURES[measure][1] and not np.allclose(values, values.swapaxes(-1, -2), atol=1e-12, rtol=0.0):
         raise ValueError("undirected matrix is not symmetric")
     if measure == "mutual_information" and np.any(values[..., ~np.eye(shape[-1], dtype=bool)] < 0):
         raise ValueError("mutual information off-diagonals must be >= 0")
 
 
+class Measured:
+    """``directed`` and ``units`` of a result, read from its ``measure``'s entry in MEASURES."""
+
+    @property
+    def directed(self) -> bool:
+        return MEASURES[self.measure][1]
+
+    @property
+    def units(self) -> str:
+        return MEASURES[self.measure][2]
+
+
 @dataclass(frozen=True, eq=False)
-class InteractionMatrix:
+class InteractionMatrix(Measured):
     asset_ids: tuple[str, ...]
     values: np.ndarray
     measure: str
-    directed: bool
-    units: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n = len(self.asset_ids)
-        check_values(freeze(self, "values"), (n, n), self.measure, self.directed, self.units)
+        check_values(freeze(self, "values"), (n, n), self.measure)
 
     @property
     def n(self) -> int:

@@ -23,19 +23,10 @@ from .discretize import bin_windows
 from .errors import DegenerateSeries
 from .infoflow import as_mi_matrix, as_te_matrix, mi_matrices, te_matrices
 from .kmdrift import drift_estimate, drift_matrix
-from .matrices import InteractionMatrix
+from .matrices import MEASURES, InteractionMatrix
 from .stats import ReturnsMatrix, correlation_matrix
 
-ALIASES = {
-    "corr": "correlation",
-    "correlation": "correlation",
-    "mi": "mutual_information",
-    "mutual_information": "mutual_information",
-    "te": "transfer_entropy",
-    "transfer_entropy": "transfer_entropy",
-    "km": "km_drift",
-    "km_drift": "km_drift",
-}
+ALIASES = {alias: name for name, (short, _, _) in MEASURES.items() for alias in (short, name)}
 
 # the measures estimated from binned columns
 ENTROPY_MEASURES = ("mutual_information", "transfer_entropy")
@@ -45,7 +36,7 @@ def canonical_measure(name: str) -> str:
     try:
         return ALIASES[name.strip().lower()]
     except KeyError:
-        raise ValueError(f"unknown measure {name!r}; choose from {sorted(set(ALIASES.values()))}") from None
+        raise ValueError(f"unknown measure {name!r}; choose from {sorted(MEASURES)}") from None
 
 
 def binned_matrices(x, measure: str, bins: int, strategy: str, dt: int, asset_ids, basis=None):

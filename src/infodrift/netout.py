@@ -47,7 +47,7 @@ from .errors import DataValidationError, UnsupportedFormatForShape
 from .ingest import DEFAULT_SCHEMA, PriceSeries, check_stem, write_csv
 from .kernels import fan_out
 from .kmdrift import DriftEstimate
-from .matrices import InteractionMatrix
+from .matrices import MEASURES, InteractionMatrix
 from .stats import StatsSummary
 from .windows import WindowedResult
 
@@ -202,27 +202,36 @@ def _stats_to_dict(s: StatsSummary, config: dict | None) -> dict:
     return _document("stats_summary", {"params": s.params, "rows": rows}, config, stamped=False)
 
 
+def _loaded_matrix(path, doc: dict) -> InteractionMatrix:
+    """The InteractionMatrix of a matrix file read as ``doc``; a ValueError
+    naming ``path`` if it lacks a member, names an unknown measure, or states
+    a ``directed`` or ``units`` other than its measure's."""
+    missing = [key for key in ("asset_ids", "values", "measure") if key not in doc]
+    if missing:
+        raise ValueError(f"{path}: no {missing[0]!r} member")
+    measure = doc["measure"]
+    if measure not in MEASURES:
+        raise ValueError(f"{path}: unknown measure {measure!r}")
+    for key, own in zip(("directed", "units"), MEASURES[measure][1:]):
+        if doc.get(key, own) != own:
+            raise ValueError(f"{path}: {key} {doc[key]!r} contradicts {measure}, whose {key} is {own!r}")
+    return InteractionMatrix(tuple(doc["asset_ids"]), np.asarray(doc["values"], float), measure, doc.get("params", {}))
+
+
 def load_matrix_json(path) -> InteractionMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("kind") != "interaction_matrix":
         raise ValueError(f"{path}: not an interaction_matrix document")
-    return InteractionMatrix(
-        asset_ids=tuple(doc["asset_ids"]),
-        values=np.array(doc["values"], dtype=np.float64),
-        measure=doc["measure"],
-        directed=doc["directed"],
-        units=doc["units"],
-        params=doc.get("params", {}),
-    )
+    return _loaded_matrix(path, doc)
 
 
 # ---------------------------------------------------------------- CSV
 
-def _csv(fh, tag: str, config: dict | None, **meta):
+def _csv(fh, tag: str, config: dict | None, meta: dict | None = None):
     """Write the ``#`` header of every CSV file and return a writer for its rows."""
     fh.write(f"# infodrift-{tag} v1\n")
-    for key, value in meta.items():
+    for key, value in (meta or {}).items():
         fh.write(f"# {key}: {value}\n")
     if config is not None:
         fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
@@ -230,14 +239,16 @@ def _csv(fh, tag: str, config: dict | None, **meta):
 
 
 def _matrix_csv(m: InteractionMatrix, fh, config: dict | None, threshold: float) -> None:
-    writer = _csv(fh, "matrix", config, measure=m.measure, directed=str(m.directed).lower(), units=m.units)
+    writer = _csv(fh, "matrix", config, {"measure": m.measure, "directed": str(m.directed).lower(), "units": m.units})
     writer.writerow(["asset", *m.asset_ids])
     for i, asset in enumerate(m.asset_ids):
         writer.writerow([asset, *(repr(float(v)) for v in m.values[i])])
 
 
 def load_matrix_csv(path) -> InteractionMatrix:
-    meta = {"measure": "correlation", "directed": "false", "units": "dimensionless"}
+    """The matrix of a ``_matrix_csv`` file; without a ``# measure:`` line it is
+    correlation, without ``# directed:`` or ``# units:`` its measure's."""
+    meta = {"measure": "correlation"}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         # the leading "#" lines are the header; a row's quoted id may start
         # with "#" or hold a line break, which only csv.reader reads back
@@ -250,15 +261,10 @@ def load_matrix_csv(path) -> InteractionMatrix:
         rows = [row for row in csv.reader(itertools.chain([line], fh)) if row]
     if not rows:
         raise ValueError(f"{path}: empty matrix csv")
-    ids = tuple(rows[0][1:])
-    values = np.array([[float(v) for v in row[1:]] for row in rows[1:]], dtype=np.float64)
-    return InteractionMatrix(
-        asset_ids=ids,
-        values=values,
-        measure=meta["measure"],
-        directed=meta["directed"] == "true",
-        units=meta["units"],
-    )
+    if "directed" in meta:
+        meta["directed"] = {"true": True, "false": False}.get(meta["directed"], meta["directed"])
+    values = [[float(v) for v in row[1:]] for row in rows[1:]]
+    return _loaded_matrix(path, {**meta, "asset_ids": rows[0][1:], "values": values, "params": {}})
 
 
 _EOL = csv.excel.lineterminator
@@ -302,7 +308,7 @@ def _windowed(w: WindowedResult, config: dict | None, json_fh=None, csv_fh=None)
         pairs = list(_pairs(n, directed=True, keep_self=True))
         order = [i * n + j for _, _, i, j in pairs]
         prefixes = [_csv_row(ids[a], ids[b]) + "," for a, b, _, _ in pairs]
-        writer = _csv(csv_fh, "windowed", config, measure=w.measure)
+        writer = _csv(csv_fh, "windowed", config, {"measure": w.measure})
         writer.writerow(["window_start", "window_end", "from_asset", "to_asset", "value"])
     if json_fh is not None:
         doc = _document("windowed_result", {

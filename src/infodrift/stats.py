@@ -134,7 +134,5 @@ def correlation_matrix(returns: ReturnsMatrix) -> InteractionMatrix:
         asset_ids=returns.asset_ids,
         values=c,
         measure="correlation",
-        directed=False,
-        units="dimensionless",
         params={"kind": returns.kind},
     )

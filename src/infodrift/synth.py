@@ -66,7 +66,7 @@ def gen_coupled_binary(eps: float, steps: int, seed: int = 0) -> tuple[SymbolSeq
     y[0] = 1 if rng.random() < 0.5 else 0
     flips = (rng.random(steps - 1) < eps).astype(np.int64)
     y[1:] = x[:-1] ^ flips
-    make = lambda s: SymbolSequence(symbols=s, bins=2, edges=BINARY_EDGES)
+    make = lambda s: SymbolSequence(symbols=s, edges=BINARY_EDGES)
     return make(x), make(y)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import EstimatorError, TooFewSamples, WindowTooLarge
 from .kernels import fan_out, shared
-from .matrices import check_values, freeze
+from .matrices import Measured, check_values, freeze
 from .measures import ENTROPY_MEASURES, binned_matrices, canonical_measure, compute_matrix
 from .stats import ReturnsMatrix
 
@@ -78,21 +78,20 @@ class WindowSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class WindowedResult:
+class WindowedResult(Measured):
     """One measure's matrix of each window, stacked in window order: ``values``
     (W, N, N); ``bounds`` (W, 2) int64, each window's [start, end) samples;
     ``labels``, each window's (first, last) date, or sample index without
     dates; ``edges``, the (W, N, bins + 1) bin edges of MI and TE, None for a
     measure that bins nothing. The arrays are stored as read-only views and
-    checked as each window's ``InteractionMatrix`` would be."""
+    checked as each window's ``InteractionMatrix`` would be; ``directed`` and
+    ``units`` are the measure's, from ``matrices.MEASURES``."""
 
     measure: str
     asset_ids: tuple[str, ...]
     values: np.ndarray
     bounds: np.ndarray
     labels: tuple  # ((start_label, end_label), ...)
-    directed: bool
-    units: str
     spec: WindowSpec
     params: dict = field(default_factory=dict)
     edges: np.ndarray | None = None
@@ -103,7 +102,7 @@ class WindowedResult:
         if not count:
             raise ValueError("windowed result cannot be empty")
         n = len(self.asset_ids)
-        check_values(values, (count, n, n), self.measure, self.directed, self.units)
+        check_values(values, (count, n, n), self.measure)
         bounds = freeze(self, "bounds", np.int64)
         if bounds.shape != (count, 2):
             raise ValueError(f"bounds must be {count}x2, got {bounds.shape}")
@@ -208,16 +207,12 @@ def evolve(
                 edges[idx] = list(m.params["bin_edges"].values())
 
     fan_out(estimate, len(blocks))
-    directed = measure in ("transfer_entropy", "km_drift")
-    units = {"correlation": "dimensionless", "km_drift": "per-step"}.get(measure, "bits")
     return WindowedResult(
         measure=measure,
         asset_ids=returns.asset_ids,
         values=values,
         bounds=np.array(windows, dtype=np.int64),
         labels=tuple(_labels(returns, start, end) for start, end in windows),
-        directed=directed,
-        units=units,
         spec=spec,
         params={
             "bins": bins,

@@ -310,7 +310,7 @@ def test_criterion_9_invariant_suite(tmp_path):
     values = rng.normal(size=(3, 3))
     m = InteractionMatrix(
         asset_ids=("p", "q", "r"), values=values,
-        measure="km_drift", directed=True, units="per-step",
+        measure="km_drift",
     )
     emit(m, "json", tmp_path / "m.json")
     emit(m, "csv", tmp_path / "m.csv")

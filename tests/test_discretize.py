@@ -214,7 +214,7 @@ def test_equal_width_edges_of_a_subnormal_span_equal_scalar_linspace():
 
 def seq_of(symbols, bins=2):
     edges = np.arange(bins + 1, dtype=float) - 0.5
-    return SymbolSequence(symbols=np.asarray(symbols, dtype=np.int64), bins=bins, edges=edges)
+    return SymbolSequence(symbols=np.asarray(symbols, dtype=np.int64), edges=edges)
 
 
 def test_joint_single_sequence_counts():

@@ -38,8 +38,6 @@ def _corr(a, b, c):
         asset_ids=("A", "B", "C"),
         values=np.array([[1.0, a, b], [a, 1.0, c], [b, c, 1.0]]),
         measure="correlation",
-        directed=False,
-        units="dimensionless",
         params={"kind": "log"},
     )
 
@@ -49,8 +47,6 @@ def _te():
         asset_ids=("A", "B", "C"),
         values=np.array([[1.5, 0.0625, 0.25], [0.125, 1.25, 0.03125], [0.5, 0.046875, 2.0]]),
         measure="transfer_entropy",
-        directed=True,
-        units="bits",
         params={"orientation": ORIENTATION, "bins": 8},
     )
 
@@ -63,8 +59,6 @@ def write_windowed(out: Path) -> list[str]:
                          _corr(0.875, -0.5, -0.0625).values]),
         bounds=np.array([[0, 10], [10, 20], [20, 30]]),
         labels=(("2020-01-01", "2020-01-10"), ("2020-01-11", "2020-01-20"), ("2020-01-21", "2020-01-30")),
-        directed=False,
-        units="dimensionless",
         spec=WindowSpec(mode="segmented", segments=3),
         params={"bins": 8, "strategy": "quantile", "dt": 1},
     )
@@ -98,8 +92,6 @@ def write_windowed_te(out: Path) -> list[str]:
         ]),
         bounds=np.array([[0, 10], [5, 15]]),
         labels=(("2020-01-01", "2020-01-10"), ("2020-01-06", "2020-01-15")),
-        directed=True,
-        units="bits",
         spec=WindowSpec(mode="sliding", length=10, stride=5),
         params={"bins": 2, "strategy": "quantile", "dt": 1, "step_duration": 1.0,
                 "bins_refit_per_window": True},
@@ -124,8 +116,6 @@ def write_windowed_km(out: Path) -> list[str]:
         ]),
         bounds=np.array([[0, 5], [5, 10], [10, 15]]),
         labels=(("2020-01-01", "2020-01-05"), ("2020-01-06", "2020-01-10"), ("2020-01-11", "2020-01-15")),
-        directed=True,
-        units="per-step",
         spec=WindowSpec(mode="segmented", segments=3),
         params={"bins": 8, "strategy": "quantile", "dt": 1, "step_duration": 1.0,
                 "bins_refit_per_window": True},
@@ -158,7 +148,6 @@ def write_dot(out: Path) -> list[str]:
 def write_drift(out: Path) -> list[str]:
     est = DriftEstimate(
         psi=np.array([[-0.5, 0.25], [0.125, -0.375]]),
-        A=np.array([[-0.5, 0.25], [0.125, -0.375]]),
         dt=1.0,
         moment_matrix=np.array([[2.0, 0.5], [0.5, 1.0]]),
         cond=2.5,

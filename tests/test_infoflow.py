@@ -29,12 +29,11 @@ from conftest import assert_no_child_process
 
 def seq_of(symbols, bins):
     edges = np.arange(bins + 1, dtype=float) - 0.5
-    return SymbolSequence(symbols=np.asarray(symbols, dtype=np.int64), bins=bins, edges=edges)
+    return SymbolSequence(symbols=np.asarray(symbols, dtype=np.int64), edges=edges)
 
 
 def hist_of(counts):
-    counts = np.asarray(counts, dtype=np.int64)
-    return JointHistogram(dims=counts.shape, counts=counts, total=int(counts.sum()))
+    return JointHistogram(np.asarray(counts, dtype=np.int64))
 
 
 # ---------------------------------------------------------------- oracles

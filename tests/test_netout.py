@@ -37,8 +37,6 @@ def corr2x2(v=0.5):
         asset_ids=("A", "B"),
         values=np.array([[1.0, v], [v, 1.0]]),
         measure="correlation",
-        directed=False,
-        units="dimensionless",
     )
 
 
@@ -47,8 +45,6 @@ def te_matrix_fixture():
         asset_ids=("A", "B", "C"),
         values=np.array([[1.5, 0.02, 0.11], [0.064, 1.2, 0.009], [0.2, 0.031, 2.0]]),
         measure="transfer_entropy",
-        directed=True,
-        units="bits",
         params={"bins": 8},
     )
 
@@ -89,8 +85,6 @@ def test_negative_weights_pass_absolute_threshold():
         asset_ids=("A", "B"),
         values=np.array([[1.0, -0.45], [-0.45, 1.0]]),
         measure="correlation",
-        directed=False,
-        units="dimensionless",
     )
     g = matrix_to_graph(m, threshold=0.4)
     assert g.edges[0][2] == -0.45
@@ -106,6 +100,43 @@ def test_json_round_trip_exact(tmp_path):
     assert (again.measure, again.directed, again.units) == (m.measure, m.directed, m.units)
 
 
+_LOADERS = {"json": load_matrix_json, "csv": load_matrix_csv}
+_DIRECTED = "directed False contradicts transfer_entropy, whose directed is True"
+_UNITS = "units 'per-step' contradicts transfer_entropy, whose units is 'bits'"
+
+
+@pytest.mark.parametrize("fmt, old, new, message", [
+    ("json", '"directed": true', '"directed": false', _DIRECTED),
+    ("json", '"units": "bits"', '"units": "per-step"', _UNITS),
+    ("json", '"measure": "transfer_entropy"', '"measure": "entropy"', "unknown measure 'entropy'"),
+    ("json", '"measure": "transfer_entropy",', "", "no 'measure' member"),
+    ("json", '"asset_ids"', '"ids"', "no 'asset_ids' member"),
+    ("json", '"values"', '"matrix"', "no 'values' member"),
+    ("csv", "# directed: true", "# directed: false", _DIRECTED),
+    ("csv", "# units: bits", "# units: per-step", _UNITS),
+    ("csv", "# measure: transfer_entropy", "# measure: entropy", "unknown measure 'entropy'"),
+], ids=["json-directed", "json-units", "json-unknown", "json-no-measure", "json-no-ids", "json-no-values",
+        "csv-directed", "csv-units", "csv-unknown"])
+def test_matrix_loaders_refuse_a_file_that_contradicts_its_measure_or_lacks_a_member(tmp_path, fmt, old, new, message):
+    path = tmp_path / f"m.{fmt}"
+    emit(te_matrix_fixture(), fmt, path)
+    text = path.read_bytes()
+    assert text.count(old.encode()) == 1
+    path.write_bytes(text.replace(old.encode(), new.encode()))
+    with pytest.raises(ValueError) as err:
+        _LOADERS[fmt](path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_matrix_csv_without_directed_or_units_lines_takes_its_measures(tmp_path):
+    path = tmp_path / "m.csv"
+    emit(te_matrix_fixture(), "csv", path)
+    path.write_bytes(path.read_bytes().replace(b"# directed: true\n", b"").replace(b"# units: bits\n", b""))
+    m = load_matrix_csv(path)
+    assert (m.measure, m.directed, m.units) == ("transfer_entropy", True, "bits")
+    assert np.array_equal(m.values, te_matrix_fixture().values)
+
+
 def test_csv_round_trip_exact(tmp_path):
     rng = np.random.default_rng(0)
     values = rng.normal(size=(4, 4))
@@ -113,7 +144,7 @@ def test_csv_round_trip_exact(tmp_path):
     np.fill_diagonal(values, 1.0)
     m = InteractionMatrix(
         asset_ids=("w", "x", "y", "z"), values=values,
-        measure="correlation", directed=False, units="dimensionless",
+        measure="correlation",
     )
     path = tmp_path / "m.csv"
     emit(m, "csv", path)
@@ -123,30 +154,27 @@ def test_csv_round_trip_exact(tmp_path):
     assert again.measure == "correlation"
 
 
-@pytest.mark.parametrize("directed, measure, units", [
-    (True, "transfer_entropy", "bits"),
-    (False, "correlation", "dimensionless"),
-], ids=["directed", "undirected"])
+@pytest.mark.parametrize("measure", ["transfer_entropy", "correlation"], ids=["directed", "undirected"])
 @pytest.mark.parametrize("ids", [
     ("A\nB", "C"), ("A\rB", "C"), ("A\r\nB", "C"), ("#A", "B"), ("A,1", 'B"q'),
 ], ids=["lf", "cr", "crlf", "hash", "comma-quote"])
-def test_csv_round_trip_of_quoted_asset_ids(tmp_path, ids, directed, measure, units):
+def test_csv_round_trip_of_quoted_asset_ids(tmp_path, ids, measure):
     # csv.writer quotes an id holding a line break, a comma or a quote, and
     # an id starting with "#" begins a row: the reader takes all of them back
     values = np.array([[0.25, -0.0], [1e-300, 0.1 + 0.2]])
-    m = InteractionMatrix(asset_ids=ids, values=values, measure=measure, directed=directed, units=units)
+    m = InteractionMatrix(asset_ids=ids, values=values, measure=measure)
     path = tmp_path / "m.csv"
     emit(m, "csv", path, config={"note": "a, b\nc"})
     again = load_matrix_csv(path)
     assert again.asset_ids == ids
     assert np.array_equal(again.values.view(np.int64), values.view(np.int64))
-    assert (again.measure, again.directed, again.units) == (measure, directed, units)
+    assert (again.measure, again.directed, again.units) == (measure, m.directed, m.units)
 
 
 def test_csv_single_asset(tmp_path):
     m = InteractionMatrix(
         asset_ids=("solo",), values=np.array([[2.25]]),
-        measure="transfer_entropy", directed=True, units="bits",
+        measure="transfer_entropy",
     )
     path = tmp_path / "one.csv"
     emit(m, "csv", path)
@@ -173,7 +201,7 @@ def test_dot_directed_format():
 def test_dot_escapes_quotes_in_asset_ids():
     m = InteractionMatrix(
         asset_ids=("A,1", 'B"q'), values=np.array([[1.0, 0.5], [0.5, 1.0]]),
-        measure="correlation", directed=False, units="dimensionless",
+        measure="correlation",
     )
     lines = graph_to_dot(matrix_to_graph(m, threshold=0.4)).splitlines()
     assert lines[1:4] == ['  "A,1";', '  "B\\"q";', '  "A,1" -- "B\\"q" [label="0.50"];']
@@ -183,7 +211,7 @@ def test_dot_refuses_an_asset_id_ending_in_a_backslash():
     # Graphviz would read the id's last backslash and the closing quote as an escaped quote
     m = InteractionMatrix(
         asset_ids=("A\\", "B"), values=np.array([[1.0, 0.5], [0.5, 1.0]]),
-        measure="correlation", directed=False, units="dimensionless",
+        measure="correlation",
     )
     with pytest.raises(UnsupportedFormatForShape, match=r"^A\\: a DOT ID cannot end in a backslash$"):
         graph_to_dot(matrix_to_graph(m, threshold=0.4))
@@ -194,7 +222,7 @@ def test_svg_refuses_a_code_point_outside_xml_chars(tmp_path, char):
     # no entity or character reference can write these in XML 1.0
     m = InteractionMatrix(
         asset_ids=(f"A{char}B", "C"), values=np.array([[1.0, 0.5], [0.5, 1.0]]),
-        measure="correlation", directed=False, units="dimensionless",
+        measure="correlation",
     )
     path = tmp_path / "m.svg"
     with pytest.raises(UnsupportedFormatForShape) as err:
@@ -205,8 +233,7 @@ def test_svg_refuses_a_code_point_outside_xml_chars(tmp_path, char):
 
 def test_svg_writes_tab_lf_and_cr_in_an_asset_id(tmp_path):
     ids = ("A\tB", "C\nD", "E\rF")
-    m = InteractionMatrix(asset_ids=ids, values=np.eye(3), measure="correlation", directed=False,
-                          units="dimensionless")
+    m = InteractionMatrix(asset_ids=ids, values=np.eye(3), measure="correlation")
     emit(m, "svg_heatmap", tmp_path / "m.svg")
     texts = xml.dom.minidom.parse(str(tmp_path / "m.svg")).getElementsByTagName("text")
     assert {"A\tB", "C\nD", "E\nF"} <= {t.firstChild.data for t in texts}  # XML reads a CR as LF
@@ -639,7 +666,7 @@ def test_colors_equal_the_scalar_color(values, vmin, vmax, diverging):
 def _reference_windowed_csv(w, fh, config=None):
     """The windowed CSV as one csv.writer row per pair and window."""
     ids = w.asset_ids
-    writer = netout._csv(fh, "windowed", config, measure=w.measure)
+    writer = netout._csv(fh, "windowed", config, {"measure": w.measure})
     writer.writerow(["window_start", "window_end", "from_asset", "to_asset", "value"])
     for (lo, hi), values in zip(w.labels, w.values):
         for a in range(len(ids)):
@@ -650,12 +677,12 @@ def _reference_windowed_csv(w, fh, config=None):
 CSV_TEXT = st.text(st.sampled_from([",", '"', "\n", "\r", " ", "%", "a", "\u00e9"]), max_size=4)
 
 
-def _result(ids, labels, values, measure="transfer_entropy", units="bits", edges=None, params=None):
+def _result(ids, labels, values, measure="transfer_entropy", edges=None, params=None):
     """A directed result of one window per (start, end) label, the k-th of [k, k + 1)."""
     return WindowedResult(
         measure=measure, asset_ids=tuple(ids), values=values,
         bounds=np.array([(k, k + 1) for k in range(len(labels))]).reshape(-1, 2), labels=tuple(labels),
-        directed=True, units=units, spec=WindowSpec(mode="sliding", length=2, stride=1),
+        spec=WindowSpec(mode="sliding", length=2, stride=1),
         params={"bins": 2, "dt": 1} if params is None else params, edges=edges,
     )
 
@@ -711,7 +738,7 @@ def windowed_results(draw):
     n, k = len(ids), len(labels)
     values = np.array(draw(st.lists(FLOATS, min_size=k * n * n, max_size=k * n * n))).reshape(k, n, n)
     if not draw(st.booleans()):
-        return _result(ids, labels, values, "km_drift", "per-step")
+        return _result(ids, labels, values, "km_drift")
     per = draw(st.integers(1, 4))
     edges = np.array(draw(st.lists(EDGES, min_size=k * n * per, max_size=k * n * per))).reshape(k, n, per)
     return _result(ids, labels, values, edges=edges)

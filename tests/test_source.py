@@ -24,3 +24,17 @@ def test_every_module_uses_each_name_it_imports():
         for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert unused == []
+
+
+def test_only_the_measures_table_holds_a_measures_units():
+    # matrices.MEASURES is the one home of each measure's direction and units:
+    # no other module spells a units text that only a measure has, and no call passes units=
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        texts = () if path.name == "matrices.py" else ("dimensionless", "per-step")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and node.value in texts:
+                found.append(f"{path.stem}: {node.value!r}")
+            if isinstance(node, ast.Call) and any(k.arg == "units" for k in node.keywords):
+                found.append(f"{path.stem}: units=")
+    assert found == []

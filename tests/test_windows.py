@@ -118,11 +118,11 @@ def test_estimator_error_carries_window_index():
 
 
 def _windowed(measure="mutual_information", values=None, bounds=((0, 5), (5, 10)), labels=(("a", "b"), ("c", "d")),
-              edges=np.zeros((2, 2, 3)), directed=False):
+              edges=np.zeros((2, 2, 3))):
     values = np.array([[[1.0, 0.5], [0.5, 1.0]]] * 2) if values is None else values
     return windows.WindowedResult(
         measure=measure, asset_ids=("A", "B"), values=values, bounds=np.array(bounds), labels=labels,
-        directed=directed, units="bits", spec=WindowSpec(mode="segmented", segments=2), edges=edges,
+        spec=WindowSpec(mode="segmented", segments=2), edges=edges,
     )
 
 
@@ -149,7 +149,7 @@ def test_windowed_result_refuses_what_no_window_matrix_could_hold(change, messag
 def test_windowed_result_checks_each_window_as_its_matrix():
     # a directed TE stack may be asymmetric and hold NaN; the second window alone is refused for MI
     values = np.array([[[np.nan, 0.5], [0.25, 1.0]], [[1.0, 0.5], [0.25, 1.0]]])
-    assert _windowed("transfer_entropy", values, directed=True).values.shape == (2, 2, 2)
+    assert _windowed("transfer_entropy", values).values.shape == (2, 2, 2)
     with pytest.raises(ValueError, match="not symmetric"):
         _windowed(values=values[1:], bounds=((0, 5),), labels=(("a", "b"),), edges=None)
 
