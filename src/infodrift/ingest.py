@@ -7,12 +7,12 @@ days common to every series; no interpolation or fill is ever applied.
 
 A CSV is read as columns: its lines are split once, and the date column,
 the price column and the price checks each take one pass over the whole
-file. A series holds its dates as one int64 array of proleptic Gregorian
-ordinals, taken as the date column is parsed; it is sorted and checked for
-repeats as that array, and ``align`` intersects those arrays. Errors are
-located only on failure: when a pass fails, one helper walks the rows in file
-order to name the first faulty line, with the exception, line and message a
-row-by-row reader would give.
+file. Series, panels and returns hold dates as int64 arrays of proleptic
+Gregorian ordinals under one rule, ``freeze_days``. A series takes its
+array as the date column is parsed and sorts it, and ``align`` intersects
+those arrays. Errors are located only on failure: when a pass fails, one
+helper walks the rows in file order to name the first faulty line, with
+the exception, line and message a row-by-row reader would give.
 """
 
 from __future__ import annotations
@@ -47,21 +47,39 @@ from .matrices import freeze
 DEFAULT_SCHEMA = {"date": "Date", "price": "Adj Close"}
 
 
-def _check_prices(asset_ids, date_of, prices: np.ndarray) -> None:
+def _check_prices(asset_ids, days: np.ndarray, prices: np.ndarray) -> None:
     """Raise NonPositivePrice naming the asset and date of the first (T, N)
-    price that is not finite and positive; ``date_of(t)`` is row t's date."""
+    price that is not finite and positive; ``days[t]`` is row t's ordinal."""
     bad = np.argwhere(~(np.isfinite(prices) & (prices > 0)))
     if len(bad):
         t, k = bad[0]
-        raise NonPositivePrice(-1, float(prices[t, k]), where=f"{asset_ids[k]} on {date_of(t)}")
+        raise NonPositivePrice(-1, float(prices[t, k]), where=f"{asset_ids[k]} on {_date(days[t])}")
 
 
 def _date(ordinal) -> dt.date:
-    """The date of a proleptic Gregorian ordinal, for a message."""
+    """The date of a proleptic Gregorian ordinal, for a message or a label."""
     return dt.date.fromordinal(int(ordinal))
 
 
 _LAST_ORDINAL = dt.date.max.toordinal()
+
+
+def freeze_days(obj, rows: str, name: str) -> None:
+    """Set field ``days`` of the frozen dataclass ``obj`` to a read-only int64
+    view of its 1-D integer ordinals (``date.toordinal()``), one per row of
+    field ``rows``, each in 1..3652059 and strictly increasing; ``name``
+    begins the message of a day out of order."""
+    days = np.asarray(obj.days)
+    if days.ndim != 1 or days.dtype.kind not in "iu":
+        raise ValueError(f"days must be a 1-D integer array of ordinals, got {days.dtype} of shape {days.shape}")
+    days = freeze(obj, "days", np.int64)
+    if len(days) != len(getattr(obj, rows)):
+        raise ValueError(f"days and {rows} differ in length")
+    if ((days < 1) | (days > _LAST_ORDINAL)).any():  # uint64 past 2**63 wraps below 1
+        raise ValueError(f"days must be ordinals from 1 to {_LAST_ORDINAL}, got {days.min()} to {days.max()}")
+    bad = np.flatnonzero(days[1:] <= days[:-1])
+    if len(bad):
+        raise DuplicateDate(f"{name}: dates not strictly increasing at {_date(days[bad[0] + 1])}")
 
 
 def _iso_form(texts: list[str]) -> bool:
@@ -87,37 +105,19 @@ def iso_dates(texts: list[str]) -> list[dt.date]:
 
 @dataclass(frozen=True, eq=False)
 class PriceSeries:
-    """Dated price observations for one asset, sorted by calendar day.
-
-    ``days`` holds the dates as a read-only 1-D int64 array of proleptic
-    Gregorian ordinals (``date.toordinal()``); ``dates`` builds them as
-    ``datetime.date`` objects on each read.
-    """
+    """Dated price observations for one asset, sorted by calendar day, which
+    ``days`` holds as ordinals under the rule of ``freeze_days``."""
 
     asset_id: str
     days: np.ndarray
     prices: np.ndarray
 
     def __post_init__(self):
-        days = np.asarray(self.days)
-        if days.ndim != 1 or days.dtype.kind not in "iu":
-            raise ValueError(f"days must be a 1-D integer array of ordinals, got {days.dtype} of shape {days.shape}")
-        days = freeze(self, "days", np.int64)
-        if len(days) != len(self.prices):
-            raise ValueError("days and prices differ in length")
-        if len(days) < 2:
-            raise TooFewSamples(f"{self.asset_id}: need at least 2 observations, got {len(days)}")
-        if days.min() < 1 or days.max() > _LAST_ORDINAL:  # uint64 past 2**63 wraps below 1
-            raise ValueError(f"days must be ordinals from 1 to {_LAST_ORDINAL}, got {days.min()} to {days.max()}")
-        bad = np.flatnonzero(days[1:] <= days[:-1])
-        if len(bad):
-            raise DuplicateDate(f"{self.asset_id}: dates not strictly increasing at {_date(days[bad[0] + 1])}")
+        freeze_days(self, "prices", self.asset_id)
+        if len(self.days) < 2:
+            raise TooFewSamples(f"{self.asset_id}: need at least 2 observations, got {len(self.days)}")
         prices = freeze(self, "prices")
-        _check_prices((self.asset_id,), lambda t: _date(days[t]), prices[:, np.newaxis])
-
-    @property
-    def dates(self) -> tuple[dt.date, ...]:
-        return tuple(map(dt.date.fromordinal, self.days.tolist()))
+        _check_prices((self.asset_id,), self.days, prices[:, np.newaxis])
 
     def __len__(self) -> int:
         return len(self.days)
@@ -125,10 +125,10 @@ class PriceSeries:
 
 @dataclass(frozen=True, eq=False)
 class AlignedPanel:
-    """Prices of N assets on the T trading days they all share."""
+    """Prices of N assets on the T trading days they all share, as ``days``."""
 
     asset_ids: tuple[str, ...]
-    dates: tuple[dt.date, ...]
+    days: np.ndarray
     prices: np.ndarray  # (T, N)
 
     def __post_init__(self):
@@ -136,9 +136,10 @@ class AlignedPanel:
         t, n = prices.shape
         if n != len(self.asset_ids):
             raise ValueError("column count does not match asset_ids")
-        if t != len(self.dates) or t < 3:
+        freeze_days(self, "prices", "panel")
+        if t < 3:
             raise InsufficientOverlap(f"panel needs at least 3 common dates, got {t}")
-        _check_prices(self.asset_ids, self.dates.__getitem__, prices)
+        _check_prices(self.asset_ids, self.days, prices)
 
     @property
     def n_assets(self) -> int:
@@ -146,7 +147,7 @@ class AlignedPanel:
 
     @property
     def n_dates(self) -> int:
-        return len(self.dates)
+        return len(self.days)
 
 
 def _lines(text: str) -> list[str]:
@@ -312,11 +313,10 @@ def align(series_list: list[PriceSeries]) -> AlignedPanel:
         raise InsufficientOverlap(
             f"only {len(common)} dates common to all {len(series_list)} series"
         )
-    dates = tuple(map(dt.date.fromordinal, common.tolist()))
     # (N, T) transposed, not a C-ordered (T, N) copy: reductions over the panel
     # follow its memory order, and the output bytes depend on it
     prices = np.stack([s.prices[np.searchsorted(s.days, common)] for s in series_list]).T
-    return AlignedPanel(asset_ids=tuple(ids), dates=dates, prices=prices)
+    return AlignedPanel(asset_ids=tuple(ids), days=common, prices=prices)
 
 
 def _parse_json_payload(text: str, asset_id: str) -> tuple[range, np.ndarray, np.ndarray]:

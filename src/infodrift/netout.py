@@ -203,9 +203,9 @@ def _stats_to_dict(s: StatsSummary, config: dict | None) -> dict:
 
 
 def _loaded_matrix(path, doc: dict) -> InteractionMatrix:
-    """The InteractionMatrix of a matrix file read as ``doc``; a ValueError
-    naming ``path`` if it lacks a member, names an unknown measure, or states
-    a ``directed`` or ``units`` other than its measure's."""
+    """The InteractionMatrix of a matrix file read as ``doc``. A file that
+    makes none (a member missing or of the wrong type, an unknown measure, a
+    ``directed`` or ``units`` not its measure's) raises ValueError naming ``path``."""
     missing = [key for key in ("asset_ids", "values", "measure") if key not in doc]
     if missing:
         raise ValueError(f"{path}: no {missing[0]!r} member")
@@ -215,13 +215,18 @@ def _loaded_matrix(path, doc: dict) -> InteractionMatrix:
     for key, own in zip(("directed", "units"), MEASURES[measure][1:]):
         if doc.get(key, own) != own:
             raise ValueError(f"{path}: {key} {doc[key]!r} contradicts {measure}, whose {key} is {own!r}")
-    return InteractionMatrix(tuple(doc["asset_ids"]), np.asarray(doc["values"], float), measure, doc.get("params", {}))
+    try:
+        if not isinstance(doc["asset_ids"], list) or not all(isinstance(i, str) for i in doc["asset_ids"]):
+            raise TypeError(f"asset_ids must be a list of str, got {doc['asset_ids']!r}")
+        return InteractionMatrix(tuple(doc["asset_ids"]), np.asarray(doc["values"], float), measure, doc.get("params", {}))
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def load_matrix_json(path) -> InteractionMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("kind") != "interaction_matrix":
+    if not isinstance(doc, dict) or doc.get("kind") != "interaction_matrix":
         raise ValueError(f"{path}: not an interaction_matrix document")
     return _loaded_matrix(path, doc)
 
@@ -263,8 +268,7 @@ def load_matrix_csv(path) -> InteractionMatrix:
         raise ValueError(f"{path}: empty matrix csv")
     if "directed" in meta:
         meta["directed"] = {"true": True, "false": False}.get(meta["directed"], meta["directed"])
-    values = [[float(v) for v in row[1:]] for row in rows[1:]]
-    return _loaded_matrix(path, {**meta, "asset_ids": rows[0][1:], "values": values, "params": {}})
+    return _loaded_matrix(path, {**meta, "asset_ids": rows[0][1:], "values": [r[1:] for r in rows[1:]], "params": {}})
 
 
 _EOL = csv.excel.lineterminator

@@ -7,13 +7,12 @@ and the convention is flagged in the summary metadata.
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateSeries, TooFewSamples
-from .ingest import AlignedPanel
+from .ingest import AlignedPanel, freeze_days
 from .matrices import InteractionMatrix, freeze
 
 RETURN_KINDS = ("log", "simple")
@@ -21,15 +20,16 @@ RETURN_KINDS = ("log", "simple")
 
 @dataclass(frozen=True, eq=False)
 class ReturnsMatrix:
-    """(T-1) x N matrix of returns; row t is the return realized on dates[t].
+    """(T-1) x N matrix of returns; row t is the return realized on days[t].
 
-    ``dates`` is None for synthetic panels that have no calendar.
+    ``days`` holds ordinals as ``PriceSeries.days`` does, one per row, checked
+    by the same rule; it is None for synthetic panels that have no calendar.
     """
 
     asset_ids: tuple[str, ...]
     values: np.ndarray
     kind: str
-    dates: tuple[dt.date, ...] | None = None
+    days: np.ndarray | None = None
 
     def __post_init__(self):
         values = freeze(self, "values")
@@ -37,8 +37,8 @@ class ReturnsMatrix:
             raise ValueError("values must be (T-1) x N")
         if self.kind not in RETURN_KINDS:
             raise ValueError(f"kind must be one of {RETURN_KINDS}")
-        if self.dates is not None and len(self.dates) != values.shape[0]:
-            raise ValueError("dates length must match row count")
+        if self.days is not None:
+            freeze_days(self, "values", "returns")
         if not np.all(np.isfinite(values)):
             raise ValueError("returns must be finite")
 
@@ -56,7 +56,7 @@ class ReturnsMatrix:
             asset_ids=self.asset_ids,
             values=self.values[start:end],
             kind=self.kind,
-            dates=self.dates[start:end] if self.dates is not None else None,
+            days=self.days[start:end] if self.days is not None else None,
         )
 
 
@@ -85,7 +85,7 @@ def compute_returns(panel: AlignedPanel, kind: str = "log") -> ReturnsMatrix:
         asset_ids=panel.asset_ids,
         values=values,
         kind=kind,
-        dates=panel.dates[1:],
+        days=panel.days[1:],
     )
 
 

@@ -123,7 +123,7 @@ def gen_var1(a_step, sigma: float, steps: int, seed: int = 0, asset_ids=None, x0
         noise = sigma * standard_normals(rng, (b - a) * n).reshape(b - a, n)
         path[a : b + 1] = linear_recurrence(a_step, noise, path[a])
     ids = tuple(asset_ids) if asset_ids is not None else tuple(f"S{i + 1}" for i in range(n))
-    return ReturnsMatrix(asset_ids=ids, values=path[1:], kind="log", dates=None)
+    return ReturnsMatrix(asset_ids=ids, values=path[1:], kind="log")
 
 
 def gen_ou(a_true, sigma: float, dt_sim: float, steps: int, seed: int = 0, asset_ids=None, x0=None) -> ReturnsMatrix:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimatorError, TooFewSamples, WindowTooLarge
+from .ingest import _date
 from .kernels import fan_out, shared
 from .matrices import Measured, check_values, freeze
 from .measures import ENTROPY_MEASURES, binned_matrices, canonical_measure, compute_matrix
@@ -133,8 +134,8 @@ def make_windows(t: int, spec: WindowSpec) -> list[tuple[int, int]]:
 
 
 def _labels(returns: ReturnsMatrix, start: int, end: int) -> tuple[str, str]:
-    if returns.dates is not None:
-        return returns.dates[start].isoformat(), returns.dates[end - 1].isoformat()
+    if returns.days is not None:
+        return _date(returns.days[start]).isoformat(), _date(returns.days[end - 1]).isoformat()
     return str(start), str(end - 1)
 
 

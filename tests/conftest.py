@@ -48,8 +48,12 @@ def make_panel(prices, start="2020-01-01", asset_ids=None):
     n = prices.shape[1]
     ids = tuple(asset_ids) if asset_ids else tuple(f"A{i}" for i in range(n))
     base = dt.date.fromisoformat(start).toordinal()
-    dates = tuple(dt.date.fromordinal(base + i) for i in range(prices.shape[0]))
-    return AlignedPanel(asset_ids=ids, dates=dates, prices=prices)
+    return AlignedPanel(asset_ids=ids, days=np.arange(base, base + prices.shape[0]), prices=prices)
+
+
+def iso_days(days):
+    """Each ordinal of the array ``days`` as its YYYY-MM-DD text."""
+    return [dt.date.fromordinal(day).isoformat() for day in days.tolist()]
 
 
 def scalar_recurrence(coeffs, noise, x0):

@@ -19,7 +19,7 @@ from infodrift import align, fetch_remote, load_csv, write_csv
 from infodrift.cli import main
 from infodrift.ingest import AlignedPanel, PriceSeries
 from infodrift.kmdrift import drift_estimate
-from infodrift.stats import compute_returns, correlation_matrix
+from infodrift.stats import ReturnsMatrix, compute_returns, correlation_matrix
 from infodrift.errors import (
     DataValidationError,
     DuplicateAssetId,
@@ -33,7 +33,7 @@ from infodrift.errors import (
     PayloadParseError,
 )
 
-from conftest import make_panel, make_series
+from conftest import iso_days, make_panel, make_series
 
 SIMPLE = {"date": "date", "price": "close"}
 
@@ -75,7 +75,7 @@ def test_aligned_panel_rejects_bad_price_and_names_asset(bad):
 def test_load_csv_out_of_order_resorted(csv_dir):
     path = csv_dir("a.csv", "date,close\n2020-01-03,102\n2020-01-01,100\n2020-01-02,101\n")
     series = load_csv(path, schema=SIMPLE)
-    assert [d.isoformat() for d in series.dates] == ["2020-01-01", "2020-01-02", "2020-01-03"]
+    assert iso_days(series.days) == ["2020-01-01", "2020-01-02", "2020-01-03"]
     assert list(series.prices) == [100.0, 101.0, 102.0]
 
 
@@ -112,7 +112,7 @@ def test_write_load_round_trip(tmp_path):
     path = tmp_path / "x.csv"
     write_csv(series, path)
     again = load_csv(path)
-    assert again.dates == series.dates
+    assert np.array_equal(again.days, series.days)
     assert np.array_equal(again.prices, series.prices)
 
 
@@ -137,8 +137,8 @@ def test_align_three_series_intersection_and_column_order():
     c = make_series("c", "2020-01-03", [7, 8, 9, 11])
     panel = align([c, a, b])
     assert panel.asset_ids == ("c", "a", "b")
-    assert len(panel.dates) == 4
-    assert panel.dates[0].isoformat() == "2020-01-03"
+    assert len(panel.days) == 4
+    assert iso_days(panel.days)[0] == "2020-01-03"
     # column values follow each series on the common dates
     assert list(panel.prices[:, 0]) == [7.0, 8.0, 9.0, 11.0]
     assert list(panel.prices[:, 1]) == [3.0, 4.0, 5.0, 6.0]
@@ -168,16 +168,16 @@ def series_family(draw):
 @settings(max_examples=40, deadline=None)
 def test_align_dates_are_set_intersection(family):
     series = [PriceSeries(asset_id=i, days=d, prices=p) for i, d, p in family]
-    expected = set(series[0].dates)
+    expected = set(series[0].days.tolist())
     for s in series[1:]:
-        expected &= set(s.dates)
+        expected &= set(s.days.tolist())
     if len(expected) < 3:
         with pytest.raises(InsufficientOverlap):
             align(series)
         return
     panel = align(series)
-    assert set(panel.dates) == expected
-    assert list(panel.dates) == sorted(expected)
+    assert set(panel.days.tolist()) == expected
+    assert panel.days.tolist() == sorted(expected)
 
 
 @given(st.permutations(range(5)))
@@ -231,7 +231,7 @@ def test_fetch_remote_csv_matches_load_csv(http_server, csv_dir):
         schema=SIMPLE,
     )
     local = load_csv(csv_dir("ref.csv", CSV_BODY.decode()), schema=SIMPLE, asset_id="AAA")
-    assert series.dates == local.dates
+    assert np.array_equal(series.days, local.days)
     assert np.array_equal(series.prices, local.prices)
 
 
@@ -289,7 +289,7 @@ def test_fetch_remote_epoch_timestamps(http_server):
         "E",
         (dt.date(2020, 1, 1), dt.date(2020, 1, 31)),
     )
-    assert series.dates[0].isoformat() == "2020-01-01"
+    assert iso_days(series.days)[0] == "2020-01-01"
 
 
 def test_fetch_remote_cache_round_trip(http_server, tmp_path):
@@ -413,27 +413,52 @@ def test_price_series_names_first_date_out_of_order():
     assert str(err.value) == "a: dates not strictly increasing at 2020-01-03"
 
 
-@pytest.mark.parametrize("days, message", [
+BAD_DAYS = [
     (np.array([737425.0, 737426.0, 737427.0]), "days must be a 1-D integer array of ordinals, got float64 of shape (3,)"),
     (np.array([[737425, 737426, 737427]]), "days must be a 1-D integer array of ordinals, got int64 of shape (1, 3)"),
     (tuple(dt.date(2020, 1, d) for d in (1, 2, 3)), "days must be a 1-D integer array of ordinals, got object of shape (3,)"),
     (np.array([0, 1, 2]), "days must be ordinals from 1 to 3652059, got 0 to 2"),
     (np.array([1, 2, 2**63], dtype=np.uint64), "days must be ordinals from 1 to 3652059, got -9223372036854775808 to 2"),
-], ids=["float", "2-D", "date-objects", "before-year-1", "past-int64"])
+]
+BAD_DAYS_IDS = ["float", "2-D", "date-objects", "before-year-1", "past-int64"]
+
+
+@pytest.mark.parametrize("days, message", BAD_DAYS, ids=BAD_DAYS_IDS)
 def test_price_series_refuses_days_that_are_not_1d_integer_ordinals(days, message):
     with pytest.raises(ValueError) as err:
         PriceSeries(asset_id="a", days=days, prices=np.ones(3))
     assert str(err.value) == message
 
 
+# each value type that holds days, built on three rows: (builder, the name
+# that begins its out-of-order message, the field its days must match)
+DAY_HOLDERS = {
+    "AlignedPanel": (lambda days: AlignedPanel(("a", "b"), days, np.ones((3, 2))), "panel", "prices"),
+    "ReturnsMatrix": (lambda days: ReturnsMatrix(("a", "b"), np.zeros((3, 2)), "log", days), "returns", "values"),
+}
+
+
+@pytest.mark.parametrize("holder", DAY_HOLDERS)
+@pytest.mark.parametrize("days, message", BAD_DAYS + [
+    (np.array([737425, 737426, 737427, 737428]), "days and {rows} differ in length"),
+    (np.array([737427, 737426, 737425]), "{name}: dates not strictly increasing at 2020-01-02"),
+    (np.array([737425, 737426, 737426]), "{name}: dates not strictly increasing at 2020-01-02"),
+], ids=BAD_DAYS_IDS + ["a-day-too-many", "reversed", "repeated"])
+def test_panel_and_returns_refuse_the_days_a_price_series_refuses(holder, days, message):
+    build, name, rows = DAY_HOLDERS[holder]
+    with pytest.raises(DuplicateDate if "increasing" in message else ValueError) as err:
+        build(days)
+    assert str(err.value) == message.format(name=name, rows=rows)
+
+
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
-def test_price_series_holds_read_only_int64_days_and_builds_dates_on_read(dtype):
+def test_price_series_holds_read_only_int64_days(dtype):
     days, prices = np.array([737425, 737427], dtype=dtype), np.array([1.0, 2.0])
     series = PriceSeries(asset_id="a", days=days, prices=prices)
     assert series.days.dtype == np.int64 and series.days.ndim == 1
     assert not series.days.flags.writeable and not series.prices.flags.writeable
     assert days.flags.writeable and prices.flags.writeable  # the caller's arrays are left as they were
-    assert series.dates == (dt.date(2020, 1, 1), dt.date(2020, 1, 3))
+    assert iso_days(series.days) == ["2020-01-01", "2020-01-03"]
     assert len(series) == 2
 
 
@@ -492,7 +517,7 @@ def test_load_csv_skips_a_byte_order_mark(tmp_path):
     plain.write_bytes(text)
     marked.write_bytes(codecs.BOM_UTF8 + text)
     a, b = load_csv(plain, asset_id="X"), load_csv(marked, asset_id="X")
-    assert a.dates == b.dates and np.array_equal(a.prices, b.prices)
+    assert np.array_equal(a.days, b.days) and np.array_equal(a.prices, b.prices)
     # the line and byte of a fault past the mark are those of the file
     bad.write_bytes(codecs.BOM_UTF8 + text.replace(b"101", b"1\xff1"))
     with pytest.raises(MalformedRow) as err:
@@ -613,7 +638,7 @@ def _outcome(load):
         series = load()
     except Exception as e:
         return type(e), getattr(e, "line", None), str(e)
-    return series.dates, series.prices.tobytes()
+    return series.days.tolist(), series.prices.tobytes()
 
 
 _FAULTS = {
@@ -686,12 +711,12 @@ def test_align_keeps_transposed_layout_and_its_bits():
         series.append(PriceSeries(f"s{k}", base + days, prices))
     panel = align(series)
 
-    common = sorted(set.intersection(*(set(s.dates) for s in series)))
-    reference = np.array([[dict(zip(s.dates, s.prices))[d] for d in common] for s in series]).T
-    assert panel.dates == tuple(common)
+    common = sorted(set.intersection(*(set(s.days.tolist()) for s in series)))
+    reference = np.array([[dict(zip(s.days.tolist(), s.prices))[d] for d in common] for s in series]).T
+    assert panel.days.tolist() == common
     assert np.array_equal(panel.prices, reference)
     assert panel.prices.strides == reference.strides
-    ref_panel = AlignedPanel(panel.asset_ids, tuple(common), reference)
+    ref_panel = AlignedPanel(panel.asset_ids, np.array(common), reference)
     for measure in (lambda p: correlation_matrix(compute_returns(p)).values,
                     lambda p: drift_estimate(compute_returns(p)).A):
         assert measure(panel).tobytes() == measure(ref_panel).tobytes()

@@ -1,5 +1,3 @@
-import datetime as dt
-
 import numpy as np
 import pytest
 
@@ -26,9 +24,13 @@ CASES = {
     "PriceSeries.prices": ("prices", np.float64, np.ones(3),
                            lambda a: PriceSeries("A", days=np.array(DAYS), prices=a)),
     "AlignedPanel.prices": ("prices", np.float64, np.ones((3, 2)),
-                            lambda a: AlignedPanel(("A", "B"), tuple(map(dt.date.fromordinal, DAYS)), a)),
+                            lambda a: AlignedPanel(("A", "B"), np.array(DAYS), a)),
+    "AlignedPanel.days": ("days", np.int64, np.array(DAYS),
+                          lambda a: AlignedPanel(("A", "B"), a, np.ones((3, 2)))),
     "ReturnsMatrix.values": ("values", np.float64, np.zeros((4, 2)),
                              lambda a: ReturnsMatrix(("A", "B"), a, "log")),
+    "ReturnsMatrix.days": ("days", np.int64, np.array(DAYS),
+                           lambda a: ReturnsMatrix(("A", "B"), np.zeros((3, 2)), "log", a)),
     "SymbolSequence.symbols": ("symbols", np.int64, np.array([0, 1, 1, 0]),
                                lambda a: SymbolSequence(a, np.array([0.0, 0.5, 1.0]))),
     "SymbolSequence.edges": ("edges", np.float64, np.array([0.0, 0.5, 1.0]),

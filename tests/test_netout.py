@@ -128,6 +128,34 @@ def test_matrix_loaders_refuse_a_file_that_contradicts_its_measure_or_lacks_a_me
     assert str(err.value) == f"{path}: {message}"
 
 
+def _matrix_json(asset_ids, values, measure="correlation"):
+    return json.dumps({"kind": "interaction_matrix", "measure": measure, "asset_ids": asset_ids, "values": values})
+
+
+_CSV_HEAD = "# infodrift-matrix v1\n# measure: correlation\nasset,A,B\nA,1.0,0.5\n"
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("m.json", "[1, 2]", "not an interaction_matrix document"),
+    ("m.json", _matrix_json(["A", "B"], [[0.0, 0.1], [0.2, 0.0]], "mutual_information"),
+     "undirected matrix is not symmetric"),
+    ("m.json", _matrix_json(["A", "B"], [[1.0, 0.5], [0.5]]), "setting an array element with a sequence"),
+    ("m.json", _matrix_json(["A", "B"], [[1.0, {}], [{}, 1.0]]), "float() argument must be"),
+    ("m.json", _matrix_json(["A"], [[1.0, 0.0], [0.0, 1.0]]), "values must be 1x1, got (2, 2)"),
+    ("m.json", _matrix_json("AB", [[1.0, 0.0], [0.0, 1.0]]), "asset_ids must be a list of str, got 'AB'"),
+    ("m.json", _matrix_json([1, 2], [[1.0, 0.0], [0.0, 1.0]]), "asset_ids must be a list of str, got [1, 2]"),
+    ("m.csv", _CSV_HEAD + "B\n", "setting an array element with a sequence"),
+    ("m.csv", _CSV_HEAD + "B,0.5,x\n", "could not convert string to float: 'x'"),
+], ids=["json-list", "json-asymmetric-mi", "json-ragged", "json-object-cell", "json-one-id-2x2", "json-ids-str",
+        "json-ids-int", "csv-short-row", "csv-bad-cell"])
+def test_matrix_loaders_name_the_file_of_any_malformed_matrix(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        _LOADERS[name[2:]](path)
+    assert str(err.value).startswith(f"{path}: {message}"), err.value
+
+
 def test_matrix_csv_without_directed_or_units_lines_takes_its_measures(tmp_path):
     path = tmp_path / "m.csv"
     emit(te_matrix_fixture(), "csv", path)

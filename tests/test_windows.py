@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infodrift import compute_matrix, evolve, gen_coupled_binary, gen_var1, infoflow, kernels, make_windows, windows
+from infodrift import (align, compute_matrix, compute_returns, evolve, gen_coupled_binary, gen_var1, infoflow, kernels,
+                       load_csv, make_windows, windows)
 from infodrift.discretize import bin_series, joint_histogram
 from infodrift.errors import DegenerateSeries, EstimatorError, TooFewSamples, WindowTooLarge
 from infodrift.infoflow import entropy, mutual_information, self_conditional_entropy, transfer_entropy
@@ -100,12 +101,14 @@ def test_single_segment_equals_full_sample_bitwise():
 
 
 def test_window_labels_use_dates_when_present(csv_dir):
-    import datetime as dt
-
-    values = np.random.default_rng(0).normal(size=(10, 2))
-    base = dt.date(2020, 1, 1).toordinal()
-    dates = tuple(dt.date.fromordinal(base + i) for i in range(10))
-    returns = ReturnsMatrix(asset_ids=("a", "b"), values=values, kind="log", dates=dates)
+    # a's first day is not b's, so align drops it; the first return is
+    # realized on the second common day
+    prices = np.exp(np.random.default_rng(0).normal(size=(12, 2)).cumsum(axis=0))
+    days = [f"2019-12-{d}" for d in (30, 31)] + [f"2020-01-{d:02d}" for d in range(1, 11)]
+    paths = [csv_dir(f"{asset}.csv", "Date,Adj Close\n" + "".join(
+        f"{day},{price!r}\n" for day, price in zip(days[k:], prices[k:, k].tolist())))
+        for k, asset in enumerate("ab")]
+    returns = compute_returns(align([load_csv(path) for path in paths]))
     result = evolve(returns, WindowSpec(mode="segmented", segments=2), "correlation")
     assert result.labels == (("2020-01-01", "2020-01-05"), ("2020-01-06", "2020-01-10"))
 
