@@ -6,8 +6,9 @@ atom-free data this reduces to an even split at the empirical quantiles, and
 it degrades gracefully on heavily tied data (a fat atom lands where its mass
 sits instead of emptying bins), which pure edge assignment cannot do. The
 empirical quantile edges are still carried on the sequence for reporting,
-and its ``bins`` is one fewer than its edges. A ``JointHistogram`` stores
-only its counts; ``dims`` and ``total`` are their shape and sum.
+its ``bins`` is one fewer than its edges, and its symbols are in [0, bins)
+by ``check_symbols``, as every batched estimator's are. A ``JointHistogram``
+stores only its counts; ``dims`` and ``total`` are their shape and sum.
 Equal-width binning is edge-based and right-closed: interior-edge ties go to
 the lower bin, the maximum goes to the top bin. Both rules are deterministic
 across platforms.
@@ -49,6 +50,12 @@ STRATEGIES = ("quantile", "equal_width")
 _BLOCK_VALUES = 2**15
 
 
+def check_symbols(symbols: np.ndarray, bins: int) -> None:
+    """Refuse an int array holding a symbol outside [0, bins)."""
+    if symbols.size and (symbols.min() < 0 or symbols.max() >= bins):
+        raise ValueError("symbols out of range")
+
+
 @dataclass(frozen=True, eq=False)
 class SymbolSequence:
     """Integer symbols in [0, bins) plus the bins + 1 edges that produced them."""
@@ -63,8 +70,7 @@ class SymbolSequence:
             raise ValueError("edges must be 1-D with at least 2 entries")
         if np.any(np.diff(edges) < 0):
             raise ValueError("edges must be non-decreasing")
-        if symbols.size and (symbols.min() < 0 or symbols.max() >= self.bins):
-            raise ValueError("symbols out of range")
+        check_symbols(symbols, self.bins)
 
     @property
     def bins(self) -> int:

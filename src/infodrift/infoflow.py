@@ -46,8 +46,8 @@ are therefore bit-identical to ``transfer_entropy``,
 ``surrogate_floor``, which stay the public per-pair API and the reference
 oracles the tests compare against. The builders check the pairs into the
 first target through the oracles' own input rules, so they raise what a
-per-pair loop met first; the floor refuses a symbol outside [0, bins), as a
-SymbolSequence does. Sequences with fewer bins are padded to the largest
+per-pair loop met first, and then refuse a symbol outside [0, bins) by a
+SymbolSequence's rule. Sequences with fewer bins are padded to the largest
 bin count, which keeps the nonzero cells and their row-major order.
 
 ``te_floor_matrix`` counts one target row per ``kernels.fan_out`` task, on
@@ -82,7 +82,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .discretize import JointHistogram, SymbolSequence, aligned_length, joint_histogram
+from .discretize import JointHistogram, SymbolSequence, aligned_length, check_symbols, joint_histogram
 from .errors import EstimatorError, LengthMismatch, TooFewSamples
 from .kernels import fan_out, joint_counts, shared
 from .matrices import ORIENTATION, InteractionMatrix
@@ -336,7 +336,7 @@ def _pair_matrices(windows, bins: int, lags, pairs, check, diagonal) -> np.ndarr
     of the (n, n) mask ``pairs``, target i counted at ``lags``, and each
     target's ``diagonal(own counts, eff)``; 0.0 elsewhere. The per-pair input
     rule ``check(target, other)`` runs where a per-pair loop meets it first,
-    into the first window's first target.
+    into the first window's first target, and then ``check_symbols``.
     """
     first = windows[0]
     n = len(first)
@@ -346,6 +346,7 @@ def _pair_matrices(windows, bins: int, lags, pairs, check, diagonal) -> np.ndarr
         for other in first[1:]:
             check(first[0], other)
         sym = np.asarray(windows, dtype=np.int64).reshape(len(windows) * n, -1)
+        check_symbols(sym, bins)
         # every pair of the mask, window by window, row-major
         i, j = np.nonzero(pairs)
         first_rows = np.arange(0, len(sym), n)[:, np.newaxis]
@@ -488,8 +489,7 @@ def te_floor_matrix(
     sym = np.asarray(symbols, dtype=np.int64)
     if sym.ndim != 2:
         raise ValueError(f"symbols must be (assets, samples), got shape {sym.shape}")
-    if sym.size and (sym.min() < 0 or sym.max() >= bins):
-        raise ValueError("symbols out of range")
+    check_symbols(sym, bins)
     n = len(sym)
     values = shared((n, n))
     if n > 1:

@@ -1,6 +1,6 @@
 """The N-by-N interaction matrix shared by every estimator, and ``MEASURES``,
-the one table of each measure's short name, direction and units, from which
-``InteractionMatrix`` and ``WindowedResult`` read ``directed`` and ``units``.
+the one table of each measure's short name, direction and units: matrices,
+windowed results and graphs read ``directed`` and ``units`` from it.
 
 Orientation convention for directed measures: ``values[i][j]`` is the effect
 of (or flow from) asset ``j`` on asset ``i``. The convention is recorded in
@@ -36,6 +36,13 @@ def freeze(obj, name: str, dtype=np.float64) -> np.ndarray:
     return view
 
 
+def measure_facts(measure) -> tuple[str, bool, str]:
+    """``MEASURES[measure]``; anything else, a non-str included, raises ValueError."""
+    if not isinstance(measure, str) or measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}")
+    return MEASURES[measure]
+
+
 def check_values(values: np.ndarray, shape: tuple, measure: str) -> None:
     """Refuse ``values`` unless it has ``shape``, whose last two axes are n by
     n, and holds matrices of a known measure: symmetric when undirected, and
@@ -43,9 +50,7 @@ def check_values(values: np.ndarray, shape: tuple, measure: str) -> None:
     checked as each of them would be on its own."""
     if values.shape != shape:
         raise ValueError(f"values must be {'x'.join(map(str, shape))}, got {values.shape}")
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}")
-    if not MEASURES[measure][1] and not np.allclose(values, values.swapaxes(-1, -2), atol=1e-12, rtol=0.0):
+    if not measure_facts(measure)[1] and not np.allclose(values, values.swapaxes(-1, -2), atol=1e-12, rtol=0.0):
         raise ValueError("undirected matrix is not symmetric")
     if measure == "mutual_information" and np.any(values[..., ~np.eye(shape[-1], dtype=bool)] < 0):
         raise ValueError("mutual information off-diagonals must be >= 0")

@@ -47,7 +47,7 @@ from .errors import DataValidationError, UnsupportedFormatForShape
 from .ingest import DEFAULT_SCHEMA, PriceSeries, check_stem, write_csv
 from .kernels import fan_out
 from .kmdrift import DriftEstimate
-from .matrices import MEASURES, InteractionMatrix
+from .matrices import InteractionMatrix, Measured, measure_facts
 from .stats import StatsSummary
 from .windows import WindowedResult
 
@@ -61,14 +61,16 @@ _SIGNED_MEASURES = ("correlation", "km_drift")
 
 
 @dataclass(frozen=True, eq=False)
-class InteractionGraph:
+class InteractionGraph(Measured):
     nodes: tuple[str, ...]
     edges: tuple  # ((from, to, weight), ...)
-    directed: bool
     threshold: float
-    measure: str = ""
+    measure: str
 
     def __post_init__(self):
+        measure_facts(self.measure)
+        if not (math.isfinite(self.threshold) and self.threshold >= 0):
+            raise ValueError(f"threshold: expected a finite number >= 0, got {self.threshold!r}")
         names = set(self.nodes)
         for src, dst, weight in self.edges:
             if src not in names or dst not in names:
@@ -102,18 +104,13 @@ def matrix_to_graph(m: InteractionMatrix, threshold: float = 0.0, keep_self: boo
     values[i][j]); undirected matrices yield each unordered pair once.
     Self-loops are dropped unless ``keep_self``.
     """
-    if not (math.isfinite(threshold) and threshold >= 0):
-        raise ValueError(f"threshold: expected a finite number >= 0, got {threshold!r}")
     ids, values = m.asset_ids, m.values
     edges = []
     for a, b, i, j in _pairs(m.n, m.directed, keep_self):
         w = float(values[i, j])
         if abs(w) >= threshold:
             edges.append((ids[a], ids[b], w))
-    return InteractionGraph(
-        nodes=ids, edges=tuple(edges), directed=m.directed,
-        threshold=threshold, measure=m.measure,
-    )
+    return InteractionGraph(nodes=ids, edges=tuple(edges), threshold=threshold, measure=m.measure)
 
 
 def _timestamp() -> str:
@@ -204,21 +201,23 @@ def _stats_to_dict(s: StatsSummary, config: dict | None) -> dict:
 
 def _loaded_matrix(path, doc: dict) -> InteractionMatrix:
     """The InteractionMatrix of a matrix file read as ``doc``. A file that
-    makes none (a member missing or of the wrong type, an unknown measure, a
-    ``directed`` or ``units`` not its measure's) raises ValueError naming ``path``."""
+    makes none (a member missing or of the wrong type, a measure not in MEASURES,
+    a ``directed`` or ``units`` not its measure's, a null value) raises ValueError naming ``path``."""
     missing = [key for key in ("asset_ids", "values", "measure") if key not in doc]
     if missing:
         raise ValueError(f"{path}: no {missing[0]!r} member")
-    measure = doc["measure"]
-    if measure not in MEASURES:
-        raise ValueError(f"{path}: unknown measure {measure!r}")
-    for key, own in zip(("directed", "units"), MEASURES[measure][1:]):
-        if doc.get(key, own) != own:
-            raise ValueError(f"{path}: {key} {doc[key]!r} contradicts {measure}, whose {key} is {own!r}")
+    measure, params = doc["measure"], doc.get("params", {})
     try:
+        for key, own in zip(("directed", "units"), measure_facts(measure)[1:]):
+            if doc.get(key, own) != own:
+                raise ValueError(f"{key} {doc[key]!r} contradicts {measure}, whose {key} is {own!r}")
         if not isinstance(doc["asset_ids"], list) or not all(isinstance(i, str) for i in doc["asset_ids"]):
             raise TypeError(f"asset_ids must be a list of str, got {doc['asset_ids']!r}")
-        return InteractionMatrix(tuple(doc["asset_ids"]), np.asarray(doc["values"], float), measure, doc.get("params", {}))
+        if not isinstance(params, dict):
+            raise TypeError(f"params must be an object, got {params!r}")
+        if None in np.asarray(doc["values"], object):  # a JSON null, which no writer writes
+            raise ValueError("values must be numbers, got null")
+        return InteractionMatrix(tuple(doc["asset_ids"]), np.asarray(doc["values"], float), measure, params)
     except (TypeError, ValueError) as e:
         raise ValueError(f"{path}: {e}") from None
 

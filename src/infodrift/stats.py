@@ -32,11 +32,11 @@ class ReturnsMatrix:
     days: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.kind not in RETURN_KINDS:
+            raise ValueError(f"kind must be one of {RETURN_KINDS}")
         values = freeze(self, "values")
         if values.ndim != 2 or values.shape[1] != len(self.asset_ids):
             raise ValueError("values must be (T-1) x N")
-        if self.kind not in RETURN_KINDS:
-            raise ValueError(f"kind must be one of {RETURN_KINDS}")
         if self.days is not None:
             freeze_days(self, "values", "returns")
         if not np.all(np.isfinite(values)):
@@ -76,8 +76,6 @@ class StatsSummary:
 
 def compute_returns(panel: AlignedPanel, kind: str = "log") -> ReturnsMatrix:
     """log: r_t = ln(p_{t+1}/p_t); simple: r_t = p_{t+1}/p_t - 1."""
-    if kind not in RETURN_KINDS:
-        raise ValueError(f"kind must be one of {RETURN_KINDS}")
     p = panel.prices
     ratio = p[1:] / p[:-1]
     values = np.log(ratio) if kind == "log" else ratio - 1.0

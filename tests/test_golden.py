@@ -128,7 +128,6 @@ def write_graphs(out: Path) -> list[str]:
     undirected = InteractionGraph(
         nodes=("A", "B", "C"),
         edges=(("A", "B", 0.5), ("B", "C", -0.75)),
-        directed=False,
         threshold=0.25,
         measure="correlation",
     )

@@ -354,12 +354,17 @@ def _refused(message):
      lambda: seq_of([1, 3, 0, 2], 3), ValueError),
     (lambda: te_floor_matrix(np.array([[0, 1, 2, 0], [1, -1, 0, 2]]), 3),
      lambda: seq_of([1, -1, 0, 2], 3), ValueError),
+    (lambda: infoflow.te_matrices([np.array([[0, 1, 2, 0], [1, 3, 0, 2], [2, 0, 1, 1]])], 3),
+     lambda: seq_of([1, 3, 0, 2], 3), ValueError),
+    (lambda: infoflow.mi_matrices([np.array([[0, 1, 2, 0], [1, -1, 0, 2], [2, 0, 1, 1]])], 3),
+     lambda: seq_of([1, -1, 0, 2], 3), ValueError),
     (lambda: mi_matrix(_seqs(10, 10, 9)),
      lambda: mutual_information(*_seqs(10, 9)), LengthMismatch),
     (lambda: mi_matrix(_seqs(1, 1)),
      lambda: mutual_information(*_seqs(1, 1)), LengthMismatch),
 ], ids=["te-dt0", "te-lengths", "te-short", "te-no-overlap", "floor-dt0", "floor-no-shuffles",
-        "floor-1d", "floor-3d", "floor-above-bins", "floor-below-0", "mi-lengths", "mi-short"])
+        "floor-1d", "floor-3d", "floor-above-bins", "floor-below-0", "te-above-bins", "mi-below-0",
+        "mi-lengths", "mi-short"])
 def test_matrix_input_errors_are_the_per_pair_errors(build, oracle, error):
     with pytest.raises(error) as expected:
         oracle()

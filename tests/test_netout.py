@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 from infodrift import evolve, gen_var1, kernels, matrix_to_graph
 from infodrift.errors import DataValidationError, UnsupportedFormatForShape
 from infodrift.kmdrift import drift_estimate
-from infodrift.matrices import InteractionMatrix
+from infodrift.matrices import MEASURES, InteractionMatrix
 from infodrift import netout
 from infodrift.netout import (
     FORMATS,
+    InteractionGraph,
     emit,
     emit_all,
     graph_to_dot,
@@ -78,6 +79,21 @@ def test_keep_self_adds_diagonal():
 def test_threshold_not_a_finite_number_at_least_zero_is_refused(threshold):
     with pytest.raises(ValueError, match="threshold: expected a finite number >= 0"):
         matrix_to_graph(corr2x2(0.5), threshold=threshold)
+    with pytest.raises(ValueError, match="threshold: expected a finite number >= 0"):
+        InteractionGraph(nodes=("A", "B"), edges=(), threshold=threshold, measure="correlation")
+
+
+@pytest.mark.parametrize("measure", sorted(MEASURES))
+def test_a_graph_takes_its_direction_from_its_measure(measure):
+    values = np.array([[1.0, 0.5], [0.5, 1.0]])
+    g = matrix_to_graph(InteractionMatrix(("A", "B"), values, measure), threshold=0.1)
+    assert g.directed is MEASURES[measure][1]
+    assert graph_to_dot(g).startswith("digraph G {\n" if MEASURES[measure][1] else "graph G {\n")
+    for unknown in ("", measure[:2] + "?", None, [measure]):
+        with pytest.raises(ValueError, match="unknown measure"):
+            InteractionGraph(("A", "B"), g.edges, 0.1, unknown)
+    with pytest.raises(TypeError, match="directed"):
+        InteractionGraph(("A", "B"), g.edges, 0.1, measure, directed=not MEASURES[measure][1])
 
 
 def test_negative_weights_pass_absolute_threshold():
@@ -144,10 +160,15 @@ _CSV_HEAD = "# infodrift-matrix v1\n# measure: correlation\nasset,A,B\nA,1.0,0.5
     ("m.json", _matrix_json(["A"], [[1.0, 0.0], [0.0, 1.0]]), "values must be 1x1, got (2, 2)"),
     ("m.json", _matrix_json("AB", [[1.0, 0.0], [0.0, 1.0]]), "asset_ids must be a list of str, got 'AB'"),
     ("m.json", _matrix_json([1, 2], [[1.0, 0.0], [0.0, 1.0]]), "asset_ids must be a list of str, got [1, 2]"),
+    ("m.json", _matrix_json(["A", "B"], [[0.0, None], [0.1, 0.0]], "transfer_entropy"),
+     "values must be numbers, got null"),
+    ("m.json", _matrix_json(["A", "B"], [[1.0, 0.0], [0.0, 1.0]])[:-1] + ', "params": 5}',
+     "params must be an object, got 5"),
+    ("m.json", _matrix_json(["A", "B"], [[1.0, 0.0], [0.0, 1.0]], ["te"]), "unknown measure ['te']"),
     ("m.csv", _CSV_HEAD + "B\n", "setting an array element with a sequence"),
     ("m.csv", _CSV_HEAD + "B,0.5,x\n", "could not convert string to float: 'x'"),
 ], ids=["json-list", "json-asymmetric-mi", "json-ragged", "json-object-cell", "json-one-id-2x2", "json-ids-str",
-        "json-ids-int", "csv-short-row", "csv-bad-cell"])
+        "json-ids-int", "json-null-cell", "json-params-int", "json-measure-list", "csv-short-row", "csv-bad-cell"])
 def test_matrix_loaders_name_the_file_of_any_malformed_matrix(tmp_path, name, text, message):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")

@@ -35,6 +35,12 @@ def test_log_and_simple_returns_analytic():
     assert simple_r.values[:, 0] == pytest.approx([0.1, 0.1], abs=1e-12)
 
 
+def test_unknown_return_kind_is_refused():
+    with pytest.raises(ValueError) as err:
+        compute_returns(make_panel([[1.0], [2.0], [3.0]]), "bogus")
+    assert str(err.value) == "kind must be one of ('log', 'simple')"
+
+
 def test_return_dates_are_second_of_each_pair():
     panel = make_panel([[1.0], [2.0], [3.0]], start="2020-01-01")
     r = compute_returns(panel)
