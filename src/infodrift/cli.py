@@ -155,8 +155,7 @@ def _load_panel(cfg: RunConfig):
     if not cfg.inputs:
         raise DataValidationError("inputs: no input series")
     schema = {"date": cfg.date_column, "price": cfg.price_column}
-    series = [ingest.load_csv(path, schema=schema) for path in cfg.inputs]
-    panel = ingest.align(series)
+    panel = ingest.align(ingest.load_csvs(cfg.inputs, schema))
     return compute_returns(panel, kind=cfg.return_kind)
 
 

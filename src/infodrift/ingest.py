@@ -5,14 +5,20 @@ or a remote endpoint returning either the same CSV schema or a JSON payload
 ``{"timestamps": [...], "closes": [...]}``. Alignment keeps only the calendar
 days common to every series; no interpolation or fill is ever applied.
 
-A CSV is read as columns: its lines are split once, and the date column,
-the price column and the price checks each take one pass over the whole
-file. Series, panels and returns hold dates as int64 arrays of proleptic
-Gregorian ordinals under one rule, ``freeze_days``. A series takes its
-array as the date column is parsed and sorts it, and ``align`` intersects
-those arrays. Errors are located only on failure: when a pass fails, one
-helper walks the rows in file order to name the first faulty line, with
-the exception, line and message a row-by-row reader would give.
+A CSV is read as columns: the date column, the price column and the price
+checks each take one pass over the whole file. A file with no quote whose
+kept lines all hold the header's number of commas is split once, its lines
+joined, and each column is taken by stride; any other is split line by
+line. ``load_csvs`` reads a run's files, then parses one file per
+``kernels.fan_out`` task on every CPU into shared arrays; its series and
+its error, that of the first faulty file in argument order, are those of
+``load_csv`` called on each file in turn. Series, panels and returns hold
+dates as int64 arrays of proleptic Gregorian ordinals under one rule,
+``freeze_days``. A series takes its array as the date column is parsed and
+sorts it, and ``align`` intersects those arrays. Errors are located only on
+failure: when a pass fails, one helper walks the rows in file order to name
+the first faulty line, with the exception, line and message a row-by-row
+reader would give.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import codecs
 import csv
 import datetime as dt
 import io
+import itertools
 import json
 import math
 import os
@@ -42,6 +49,7 @@ from .errors import (
     PayloadParseError,
     TooFewSamples,
 )
+from .kernels import fan_out, shared
 from .matrices import freeze
 
 DEFAULT_SCHEMA = {"date": "Date", "price": "Adj Close"}
@@ -170,7 +178,8 @@ def _decode(data: bytes, origin: str) -> str:
 def _raise_first_fault(origin: str, n_header: int, numbers, rows, date_idx: int, price_idx: int):
     """Raise the error of the first faulty row in file order. A row is checked
     for its field count, then its date, then its price, then the price's sign.
-    Called only once the column pass of ``_parse_csv`` has failed."""
+    Called only once the column pass of ``_parse_csv`` has failed; ``rows``
+    may be an iterator that splits each line as it is reached."""
     for lineno, fields in zip(numbers, rows):
         if len(fields) <= max(date_idx, price_idx):
             raise MalformedRow(lineno, f"{origin}: expected {n_header} fields, got {len(fields)}")
@@ -202,17 +211,33 @@ def _parse_csv(text: str, schema: dict, origin: str) -> tuple[list[int], np.ndar
 
     Blank and ``#`` lines are skipped; the first other line is the header.
     Each column is parsed in one pass, and the rows are looked at one by one
-    only to name the first faulty one.
+    only to name the first faulty one. A text with no quote whose kept lines
+    all hold the header's number of commas is split once, all lines joined,
+    and each column is taken from that list by stride; any other text is
+    split line by line.
     """
     lines = _lines(text)
     numbers = [n for n, s in enumerate(map(str.lstrip, lines), start=1) if s and s[0] != "#"]
     if not numbers:
         raise EmptyFile(f"{origin}: no rows")
-    # Each line is read on its own, so an unterminated quote ends with its
-    # line; only a line that holds a quote goes through csv.reader.
     kept = [lines[n - 1] for n in numbers]
-    rows = [_quoted_fields(line, n, origin) if '"' in line else line.split(",") for n, line in zip(numbers, kept)]
-    header = [h.strip() for h in rows[0]]
+    width = kept[0].count(",") + 1
+    if '"' not in text and set(map(str.count, kept, itertools.repeat(","))) == {width - 1}:
+        fields = ",".join(kept).split(",")
+        header = fields[:width]
+        rows = map(str.split, kept[1:], itertools.repeat(","))  # split only to name a faulty row
+
+        def column(k):
+            return fields[width + k :: width]
+    else:
+        # Each line is read on its own, so an unterminated quote ends with its
+        # line; only a line that holds a quote goes through csv.reader.
+        header, *rows = [_quoted_fields(line, n, origin) if '"' in line else line.split(",")
+                         for n, line in zip(numbers, kept)]
+
+        def column(k):
+            return [r[k] for r in rows]
+    header = [h.strip() for h in header]
     try:
         date_idx = header.index(schema["date"])
         price_idx = header.index(schema["price"])
@@ -222,16 +247,16 @@ def _parse_csv(text: str, schema: dict, origin: str) -> tuple[list[int], np.ndar
             f"{origin}: header {header!r} lacks column "
             f"{schema['date']!r} or {schema['price']!r}",
         ) from None
-    numbers, rows = numbers[1:], rows[1:]
-    if not rows:
+    numbers = numbers[1:]
+    if not numbers:
         raise EmptyFile(f"{origin}: header only, no data rows")
 
     try:
         days = np.fromiter(
-            map(dt.date.toordinal, iso_dates([r[date_idx].strip() for r in rows])),
-            np.int64, len(rows),
+            map(dt.date.toordinal, iso_dates(list(map(str.strip, column(date_idx))))),
+            np.int64, len(numbers),
         )
-        prices = np.fromiter(map(float, [r[price_idx] for r in rows]), np.float64, len(rows))
+        prices = np.fromiter(map(float, column(price_idx)), np.float64, len(numbers))
     except (IndexError, ValueError):  # a short row, a bad date or a bad price
         prices = None
     if prices is None or not (np.isfinite(prices) & (prices > 0)).all():
@@ -257,6 +282,17 @@ def _build_series(
     return PriceSeries(asset_id=asset_id, days=days, prices=prices)
 
 
+def _stem(path: str) -> str:
+    """The asset id of a CSV file: its name without the extension."""
+    return os.path.splitext(os.path.basename(path))[0]
+
+
+def _csv_series(data: bytes, path: str, schema: dict, asset_id: str | None = None) -> PriceSeries:
+    """The series of a CSV file's bytes, named ``asset_id`` or the file's stem."""
+    parsed = _parse_csv(_decode(data, path), schema, origin=path)
+    return _build_series(_stem(path) if asset_id is None else asset_id, *parsed)
+
+
 def load_csv(path, schema: dict | None = None, asset_id: str | None = None) -> PriceSeries:
     """Load one asset's price series from a CSV file.
 
@@ -265,13 +301,49 @@ def load_csv(path, schema: dict | None = None, asset_id: str | None = None) -> P
     the result is sorted ascending by date. Lines starting with ``#`` are
     treated as comments.
     """
-    schema = schema or DEFAULT_SCHEMA
     path = os.fspath(path)
-    if asset_id is None:
-        asset_id = os.path.splitext(os.path.basename(path))[0]
     with open(path, "rb") as fh:
-        text = _decode(fh.read(), path)
-    return _build_series(asset_id, *_parse_csv(text, schema, origin=path))
+        return _csv_series(fh.read(), path, schema or DEFAULT_SCHEMA, asset_id)
+
+
+def load_csvs(paths, schema: dict | None = None) -> list[PriceSeries]:
+    """``[load_csv(p, schema) for p in paths]``, parsed on every CPU.
+
+    The files are read here, then each is decoded and parsed by one
+    ``kernels.fan_out`` task, which writes its sorted days and prices into
+    the file's slot of two shared arrays, a row per line of the file. A file
+    that cannot be read, or is faulty, raises from its own task, so the error
+    raised is that of the first such file in argument order, as the list
+    form raises it.
+    """
+    schema = schema or DEFAULT_SCHEMA
+    paths = [os.fspath(p) for p in paths]
+    contents = []
+    for path in paths:
+        try:
+            with open(path, "rb") as fh:
+                contents.append(fh.read())
+        except OSError as e:
+            contents.append(e)
+    # _lines splits at \r\n, \r and \n: a file has at most this many lines
+    starts = [0, *itertools.accumulate(
+        data.count(b"\n") + data.count(b"\r") + 1 if isinstance(data, bytes) else 0 for data in contents
+    )]
+    days, prices, lengths = shared(starts[-1], np.int64), shared(starts[-1]), shared(len(paths), np.int64)
+
+    def load(k):
+        if isinstance(contents[k], OSError):
+            raise contents[k]
+        series = _csv_series(contents[k], paths[k], schema)
+        a, lengths[k] = starts[k], len(series)
+        days[a : a + len(series)] = series.days
+        prices[a : a + len(series)] = series.prices
+
+    fan_out(load, len(paths))
+    return [
+        PriceSeries(_stem(path), days[a : a + n], prices[a : a + n])
+        for path, a, n in zip(paths, starts, lengths.tolist())
+    ]
 
 
 def write_csv(series: PriceSeries, path, schema: dict | None = None, header_comment: str | None = None) -> None:

@@ -35,6 +35,7 @@ compile pays for itself after 200 to 450 steps.
 ``joint_counts`` delegates to ``np.bincount``, which is integer-exact.
 
 ``fan_out(task, count)`` runs ``task(0), ..., task(count - 1)`` for
+``ingest.load_csvs`` (a task per input file),
 ``infoflow.te_floor_matrix`` (a task per target row), ``windows.evolve``
 (per block of windows) and ``netout.emit_all`` (per result, written to its
 staged files). A task writes its results to files or to ``shared`` arrays,

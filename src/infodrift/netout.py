@@ -285,11 +285,16 @@ def _edge_texts(w: WindowedResult):
     Overlapping windows share most quantile edges, so each distinct float64
     bit pattern is formatted once (by bits, not by value: -0.0 and 0.0 are
     two texts, and NaN equals no float). The distinct texts sit in one object
-    array, which is indexed one window at a time."""
-    distinct, where = np.unique(w.edges.view(np.int64), return_inverse=True)
+    array, which is indexed one window at a time. The distinct patterns are
+    those of one sorted copy of the bits, let go before each edge's index
+    among them is searched: about one copy of the edges is held at a time."""
+    bits = w.edges.view(np.int64)
+    distinct = np.sort(bits, axis=None)
+    distinct = np.concatenate((distinct[:1], distinct[1:][distinct[1:] != distinct[:-1]]))
+    where = np.searchsorted(distinct, bits)
     distinct = distinct.view(np.float64)
     texts = np.array(_json_texts(list(map(repr, distinct.tolist())), distinct), dtype=object)
-    for window in where.reshape(w.edges.shape):
+    for window in where:
         yield texts[window].tolist()
 
 

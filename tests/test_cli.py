@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from infodrift import (
-    align, bin_series, cli, compute_returns, infoflow, kmdrift, load_csv, measures, netout,
+    align, bin_series, cli, compute_returns, infoflow, kernels, kmdrift, load_csv, measures, netout,
     surrogate_floor, synth,
 )
 from infodrift.cli import main
@@ -23,7 +23,7 @@ from infodrift.matrices import InteractionMatrix
 from infodrift.measures import canonical_measure
 from infodrift.netout import load_matrix_json
 
-from conftest import child_pythonpath
+from conftest import assert_no_child_process, child_pythonpath
 
 
 @pytest.fixture
@@ -509,6 +509,30 @@ def test_missing_input_exit_2_names_path(runner, tmp_path):
     result = runner.invoke(main, ["--out", str(tmp_path / "o"), "stats", str(missing)])
     assert result.exit_code == 2, result.output
     assert str(missing) in result.output
+
+
+@pytest.mark.parametrize("malformed, missing", [(1, 3), (3, 1)], ids=["malformed-first", "missing-first"])
+def test_analyze_reports_the_first_faulty_input_in_argument_order(runner, tmp_path, monkeypatch, malformed, missing):
+    # the files are parsed on forked workers, in any order; the error is
+    # still that of the first faulty file in argument order
+    paths = write_panel(tmp_path, ids=("A", "B", "C", "D", "E"))
+    with open(paths[malformed], "a") as fh:
+        fh.write("2020-03-01,1.0,\n2020-31-01,1.0\n")
+    os.remove(paths[missing])
+    errors = []
+    for path in paths:
+        try:
+            load_csv(path)
+        except Exception as e:
+            errors.append(str(e))
+    assert errors[0 if malformed < missing else 1] == f"line 63: {paths[malformed]}: bad date '2020-31-01'"
+    monkeypatch.setattr(kernels, "_cpus", lambda: 2)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["--out", str(out), "analyze", "--measures", "corr,te", *paths])
+    assert result.exit_code == 2, result.output
+    assert result.output.endswith(f"error: {errors[0]}\n")
+    assert not out.exists()
+    assert_no_child_process()
 
 
 def test_out_is_a_file_exit_2_names_path(runner, tmp_path):

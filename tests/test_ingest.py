@@ -15,9 +15,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infodrift import align, fetch_remote, load_csv, write_csv
+from infodrift import align, fetch_remote, kernels, load_csv, write_csv
 from infodrift.cli import main
-from infodrift.ingest import AlignedPanel, PriceSeries
+from infodrift.ingest import AlignedPanel, PriceSeries, _parse_csv, load_csvs
 from infodrift.kmdrift import drift_estimate
 from infodrift.stats import ReturnsMatrix, compute_returns, correlation_matrix
 from infodrift.errors import (
@@ -33,7 +33,7 @@ from infodrift.errors import (
     PayloadParseError,
 )
 
-from conftest import iso_days, make_panel, make_series
+from conftest import assert_no_child_process, iso_days, make_panel, make_series
 
 SIMPLE = {"date": "date", "price": "close"}
 
@@ -720,3 +720,77 @@ def test_align_keeps_transposed_layout_and_its_bits():
     for measure in (lambda p: correlation_matrix(compute_returns(p)).values,
                     lambda p: drift_estimate(compute_returns(p)).A):
         assert measure(panel).tobytes() == measure(ref_panel).tobytes()
+
+
+# one file per path of the parse: split once, or line by line for a quote or
+# a line with another comma count; each holds 2020-01-01..03 in some order
+_LOAD_CSVS_FILES = {
+    "clean": b"Date,Adj Close\n2020-01-02,2.5\n2020-01-01,1\n2020-01-03,3\n",
+    "quoted": b'Date,Adj Close\n2020-01-01,"1.5"\n"2020-01-02",2\n2020-01-03,3\n',
+    "extra-column": b"Date,Adj Close\n2020-01-01,1,x\n2020-01-02,2\n2020-01-03,3\n",
+    "comments": b"# source: test\n\nDate,Adj Close\n  # a, b\n2020-01-01,1\n\n2020-01-03,3\n2020-01-02,2\n",
+    "crlf-bom": codecs.BOM_UTF8 + b"Date,Adj Close\r\n2020-01-01,1\r\n2020-01-02,2\r\n2020-01-03,3\r\n",
+    "no-final-newline": b"Date,Adj Close\n2020-01-01,1\n2020-01-02,2\n2020-01-03,3.25",
+    "cr": b"Date,Adj Close\r2020-01-01,1\r2020-01-02,2\r2020-01-03,3\r",
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 6])  # 6: six workers for seven files, more than most machines have CPUs
+def test_load_csvs_equals_load_csv_bit_for_bit(tmp_path, monkeypatch, cpus):
+    paths = []
+    for name, data in _LOAD_CSVS_FILES.items():
+        paths.append(tmp_path / f"{name}.csv")
+        paths[-1].write_bytes(data)
+    monkeypatch.setattr(kernels, "_cpus", lambda: cpus)
+    got = load_csvs(paths)
+    want = [load_csv(p) for p in paths]
+    assert [(s.asset_id, s.days.dtype, s.days.tobytes(), s.prices.dtype, s.prices.tobytes()) for s in got] == [
+        (s.asset_id, s.days.dtype, s.days.tobytes(), s.prices.dtype, s.prices.tobytes()) for s in want]
+    assert load_csvs([]) == []
+    assert_no_child_process()
+
+
+def _parse_outcome(text):
+    try:
+        numbers, days, prices = _parse_csv(text, {"date": "Date", "price": "Adj Close"}, "f.csv")
+    except Exception as e:
+        return type(e), getattr(e, "line", None), str(e)
+    return numbers, days.dtype, days.tobytes(), prices.dtype, prices.tobytes()
+
+
+@st.composite
+def plain_csv_texts(draw):
+    """A CSV with no quote, either column first, spaces around fields, indented
+    comments and CR, CRLF or LF endings, and at most one ragged row, bad date
+    or bad price."""
+    columns = draw(st.permutations(["Date", "Adj Close", "Open"][: draw(st.sampled_from([2, 3]))]))
+    rows = []
+    for offset in draw(st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True)):
+        day = dt.date.fromordinal(dt.date(2020, 1, 1).toordinal() + offset).isoformat()
+        fields = {"Date": day, "Adj Close": repr(draw(st.floats(0.01, 1e6))), "Open": "1"}
+        rows.append([draw(st.sampled_from(["{}", " {}", "{} "])).format(fields[c]) for c in columns])
+    fault = draw(st.sampled_from([None, None, "ragged", "date", "price"]))
+    if fault is not None:
+        k = draw(st.integers(0, len(rows) - 1))
+        if fault == "ragged":
+            rows[k] = rows[k][:-1] if draw(st.booleans()) else rows[k] + ["x"]
+        else:
+            rows[k][columns.index("Date" if fault == "date" else "Adj Close")] = draw(st.sampled_from(
+                ["2020-02-30", "x", ""] if fault == "date" else ["abc", "", "-1", "nan"]))
+    lines = [draw(st.sampled_from([",".join(columns), " , ".join(columns)]))] + [",".join(r) for r in rows]
+    comments = st.sampled_from(["", "  ", "# note", "  # a, b", "\t# c"])
+    text_lines = []
+    for line in lines:
+        text_lines += draw(st.lists(comments, max_size=2)) + [line]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline, newline.join(text_lines) + draw(st.sampled_from(["", newline]))
+
+
+@given(plain_csv_texts())
+@settings(max_examples=300, deadline=None)
+def test_parse_split_once_agrees_with_the_line_by_line_split(case):
+    # a last comment line with a quote sends the text down the line-by-line
+    # split without moving any data line
+    newline, text = case
+    quoted = text + ("" if text.endswith(newline) else newline) + '# "'
+    assert _parse_outcome(text) == _parse_outcome(quoted)

@@ -851,3 +851,21 @@ def test_streamed_edges_hold_no_per_entry_object_of_the_whole_result():
     finally:
         tracemalloc.stop()
     assert max(held) - base <= 2 * w.edges.nbytes
+
+
+def test_edge_texts_dedupe_holds_at_most_one_and_a_half_copies_of_the_edges():
+    # an evolve-sliding-shaped stack: 456 windows of 20 assets' 9 edges; its
+    # 500 distinct floats keep the texts small beside the edges, so the peak
+    # is that of finding the distinct bit patterns and each edge's index
+    rng = np.random.default_rng(0)
+    edges = rng.choice(rng.standard_normal(500), size=(456, 20, 9))
+    w = _result([f"A{i}" for i in range(20)], [("a", "b")] * 456, np.zeros((456, 20, 20)), edges=edges)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        first = next(netout._edge_texts(w))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert first == [[repr(v) for v in row] for row in edges[0].tolist()]
+    assert peak <= 1.5 * edges.nbytes, f"{peak / edges.nbytes:.2f}x the edges' bytes"
