@@ -17,7 +17,6 @@ import dataclasses
 import datetime as dt
 import json
 import logging
-import math
 import sys
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ from . import ingest, netout, synth
 from .discretize import STRATEGIES
 from .errors import DataValidationError, EstimatorError, InfodriftError, TooFewSamples
 from .infoflow import te_floor_matrix
-from .measures import ENTROPY_MEASURES, canonical_measure, evaluate
+from .measures import canonical_measure, evaluate
 from .stats import RETURN_KINDS, compute_returns, describe
 from .windows import WindowSpec, evolve
 
@@ -51,8 +50,13 @@ class RunConfig:
     seed: int = 0
     formats: list[str] = dataclasses.field(default_factory=lambda: list(netout.FORMATS))
     surrogates: int = 0
-    date_column: str = "Date"
-    price_column: str = "Adj Close"
+    date_column: str = ingest.DEFAULT_SCHEMA["date"]
+    price_column: str = ingest.DEFAULT_SCHEMA["price"]
+
+    @property
+    def schema(self) -> dict:
+        """The input CSV columns, keyed as ``ingest.DEFAULT_SCHEMA``."""
+        return {"date": self.date_column, "price": self.price_column}
 
     def to_dict(self) -> dict:
         doc = {"config_version": CONFIG_VERSION}
@@ -91,9 +95,7 @@ class RunConfig:
         for name, least in (("bins", 2), ("dt", 1), ("seed", 0)):
             if doc.get(name, least) < least:
                 raise DataValidationError(f"{name}: expected an integer >= {least}, got {doc[name]!r}")
-        threshold = doc.get("threshold", 0.0)
-        if not (math.isfinite(threshold) and threshold >= 0):
-            raise DataValidationError(f"threshold: expected a finite number >= 0, got {threshold!r}")
+        netout.check_threshold(doc.get("threshold", 0.0))  # main exits 2 on its ValueError
         if doc.get("out_dir") == "":
             raise DataValidationError("out_dir: expected a directory path, got ''")
         if doc.get("surrogates", 0) < 0:
@@ -154,8 +156,7 @@ def _fail(code: int, message: str):
 def _load_panel(cfg: RunConfig):
     if not cfg.inputs:
         raise DataValidationError("inputs: no input series")
-    schema = {"date": cfg.date_column, "price": cfg.price_column}
-    panel = ingest.align(ingest.load_csvs(cfg.inputs, schema))
+    panel = ingest.align(ingest.load_csvs(cfg.inputs, cfg.schema))
     return compute_returns(panel, kind=cfg.return_kind)
 
 
@@ -207,10 +208,9 @@ def analyze(cfg: RunConfig, inputs, measures):
         names = _measure_names(cfg)
         returns = _load_panel(cfg)
         results = []
-        binned = None  # the first entropy measure's (symbols, edges), counted by the later ones
-        for k, name in enumerate(names):
+        for name in names:
             try:
-                matrix, basis = evaluate(returns, name, cfg.bins, cfg.strategy, cfg.dt, basis=binned)
+                matrix, basis = evaluate(returns, name, cfg.bins, cfg.strategy, cfg.dt)
                 results.append((name, matrix, cfg.formats))
                 if name == "km_drift":
                     results.append(("km_drift_estimate", basis, cfg.formats))
@@ -220,9 +220,7 @@ def analyze(cfg: RunConfig, inputs, measures):
                     results.append(("transfer_entropy_floor", floor, netout.TABLE_FORMATS))
             except (EstimatorError, TooFewSamples) as e:
                 raise type(e)(f"{name}: {e}") from e
-            if name in ENTROPY_MEASURES:  # held only while a later measure will count them
-                binned = basis if any(later in ENTROPY_MEASURES for later in names[k + 1 :]) else None
-            basis = None
+            basis = None  # a measure's binned columns do not outlive it
             log.info("measure %s done", name)
         return results
 
@@ -328,13 +326,12 @@ def fetch(cfg: RunConfig, endpoint, assets, start, end, cache_dir):
             raise DataValidationError(f"date: {e}") from None
         if d0 > d1:
             raise DataValidationError(f"date: start {start} is after end {end}")
-        schema = {"date": cfg.date_column, "price": cfg.price_column}
         ids = [a.strip() for a in assets.split(",")]
         for a in ids:  # every id is checked before the first request
             ingest.check_stem(a)
         results = []
         for a in ids:
-            series = ingest.fetch_remote(endpoint, a, (d0, d1), schema=schema, cache_dir=cache_dir)
+            series = ingest.fetch_remote(endpoint, a, (d0, d1), schema=cfg.schema, cache_dir=cache_dir)
             log.info("fetched %s (%d observations)", series.asset_id, len(series))
             results.append((series.asset_id, series, ("csv",)))
         return results

@@ -1,6 +1,6 @@
 """The N-by-N interaction matrix shared by every estimator, and ``MEASURES``,
-the one table of each measure's short name, direction and units: matrices,
-windowed results and graphs read ``directed`` and ``units`` from it.
+the one table of each measure's ``MeasureFacts``: results read ``directed``
+and ``units`` from it, heatmaps ``signed`` and ``evolve`` ``binned``.
 
 Orientation convention for directed measures: ``values[i][j]`` is the effect
 of (or flow from) asset ``j`` on asset ``i``. The convention is recorded in
@@ -13,15 +13,20 @@ it shows through the object.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
+# A measure's CLI alias, direction and units; ``signed``: values may be negative;
+# ``binned``: estimated from binned columns, so its results carry bin edges.
+MeasureFacts = namedtuple("MeasureFacts", "short directed units signed binned")
+
 MEASURES = {
-    "correlation": ("corr", False, "dimensionless"),
-    "mutual_information": ("mi", False, "bits"),
-    "transfer_entropy": ("te", True, "bits"),
-    "km_drift": ("km", True, "per-step"),
+    "correlation": MeasureFacts("corr", False, "dimensionless", signed=True, binned=False),
+    "mutual_information": MeasureFacts("mi", False, "bits", signed=False, binned=True),
+    "transfer_entropy": MeasureFacts("te", True, "bits", signed=False, binned=True),
+    "km_drift": MeasureFacts("km", True, "per-step", signed=True, binned=False),
 }
 
 ORIENTATION = "values[i][j] = flow from asset j into asset i"
@@ -36,7 +41,7 @@ def freeze(obj, name: str, dtype=np.float64) -> np.ndarray:
     return view
 
 
-def measure_facts(measure) -> tuple[str, bool, str]:
+def measure_facts(measure) -> MeasureFacts:
     """``MEASURES[measure]``; anything else, a non-str included, raises ValueError."""
     if not isinstance(measure, str) or measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
@@ -50,7 +55,7 @@ def check_values(values: np.ndarray, shape: tuple, measure: str) -> None:
     checked as each of them would be on its own."""
     if values.shape != shape:
         raise ValueError(f"values must be {'x'.join(map(str, shape))}, got {values.shape}")
-    if not measure_facts(measure)[1] and not np.allclose(values, values.swapaxes(-1, -2), atol=1e-12, rtol=0.0):
+    if not measure_facts(measure).directed and not np.allclose(values, values.swapaxes(-1, -2), atol=1e-12, rtol=0.0):
         raise ValueError("undirected matrix is not symmetric")
     if measure == "mutual_information" and np.any(values[..., ~np.eye(shape[-1], dtype=bool)] < 0):
         raise ValueError("mutual information off-diagonals must be >= 0")
@@ -61,11 +66,11 @@ class Measured:
 
     @property
     def directed(self) -> bool:
-        return MEASURES[self.measure][1]
+        return MEASURES[self.measure].directed
 
     @property
     def units(self) -> str:
-        return MEASURES[self.measure][2]
+        return MEASURES[self.measure].units
 
 
 @dataclass(frozen=True, eq=False)

@@ -47,7 +47,7 @@ from .errors import DataValidationError, UnsupportedFormatForShape
 from .ingest import DEFAULT_SCHEMA, PriceSeries, check_stem, write_csv
 from .kernels import fan_out
 from .kmdrift import DriftEstimate
-from .matrices import InteractionMatrix, Measured, measure_facts
+from .matrices import MEASURES, InteractionMatrix, Measured, measure_facts
 from .stats import StatsSummary
 from .windows import WindowedResult
 
@@ -57,7 +57,12 @@ FORMATS = tuple(_EXTENSIONS)
 # Tables that sit next to a run's networks (the TE surrogate floor, per-asset
 # statistics) are written in these formats whatever formats the run asks for.
 TABLE_FORMATS = ("json", "csv")
-_SIGNED_MEASURES = ("correlation", "km_drift")
+
+
+def check_threshold(threshold: float) -> None:
+    """Refuse a graph threshold that is not a finite number >= 0."""
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold: expected a finite number >= 0, got {threshold!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,8 +74,7 @@ class InteractionGraph(Measured):
 
     def __post_init__(self):
         measure_facts(self.measure)
-        if not (math.isfinite(self.threshold) and self.threshold >= 0):
-            raise ValueError(f"threshold: expected a finite number >= 0, got {self.threshold!r}")
+        check_threshold(self.threshold)
         names = set(self.nodes)
         for src, dst, weight in self.edges:
             if src not in names or dst not in names:
@@ -208,7 +212,8 @@ def _loaded_matrix(path, doc: dict) -> InteractionMatrix:
         raise ValueError(f"{path}: no {missing[0]!r} member")
     measure, params = doc["measure"], doc.get("params", {})
     try:
-        for key, own in zip(("directed", "units"), measure_facts(measure)[1:]):
+        facts = measure_facts(measure)
+        for key, own in (("directed", facts.directed), ("units", facts.units)):
             if doc.get(key, own) != own:
                 raise ValueError(f"{key} {doc[key]!r} contradicts {measure}, whose {key} is {own!r}")
         if not isinstance(doc["asset_ids"], list) or not all(isinstance(i, str) for i in doc["asset_ids"]):
@@ -429,9 +434,9 @@ def _scale(measure: str, values: np.ndarray) -> tuple[float, float, bool]:
     """(vmin, vmax, diverging): centred on zero for a signed measure, else from min(lowest, 0).
     No values (a single asset's pairs) give a zero-span scale."""
     if not values.size:
-        return 0.0, 0.0, measure in _SIGNED_MEASURES
+        return 0.0, 0.0, MEASURES[measure].signed
     vmin, vmax = float(values.min()), float(values.max())
-    if measure in _SIGNED_MEASURES:
+    if MEASURES[measure].signed:
         limit = max(abs(vmin), abs(vmax))
         return -limit, limit, True
     return min(vmin, 0.0), vmax, False

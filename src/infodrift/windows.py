@@ -9,14 +9,14 @@ cannot be assumed stationary; the choice is recorded in the result metadata.
 
 ``evolve`` is the windowed driver. It splits the windows into blocks, each
 one ``kernels.fan_out`` task, run on every CPU the process may run on, which
-writes its windows' values and MI and TE bin edges into result arrays shared
-with the workers. The reference is the per-window loop, which estimates each
-window of a block in order with ``compute_matrix`` and re-raises the first
-error naming the window. Correlation and km_drift bin nothing and always
-take it. For MI and TE a task first stacks its windows window-major and
-hands them to ``measures.binned_matrices``, the path that ``compute_matrix``
-takes on the full sample as one window; only if that raises does the task
-run the loop. Each window's values are therefore bit-identical to
+writes its windows' values and bin edges into result arrays shared with the
+workers. The reference is the per-window loop, which estimates each window
+of a block in order with ``compute_matrix`` and re-raises the first error
+naming the window; a measure not ``binned`` in ``matrices.MEASURES`` always
+takes it. A binned measure's task first hands its windows, stacked
+window-major, to ``measures.binned_matrices``, the path that
+``compute_matrix`` takes on the full sample as one window, and runs the loop
+only if that raises. Each window's values are therefore bit-identical to
 ``compute_matrix`` on that window, however many workers there are.
 """
 
@@ -29,8 +29,8 @@ import numpy as np
 from .errors import EstimatorError, TooFewSamples, WindowTooLarge
 from .ingest import _date
 from .kernels import fan_out, shared
-from .matrices import Measured, check_values, freeze
-from .measures import ENTROPY_MEASURES, binned_matrices, canonical_measure, compute_matrix
+from .matrices import MEASURES, Measured, check_values, freeze
+from .measures import binned_matrices, canonical_measure, compute_matrix
 from .stats import ReturnsMatrix
 
 # Symbols binned at once by evolve: 256 KiB of int64, six windows at the
@@ -181,7 +181,7 @@ def evolve(
     blocks = list(_blocks(windows, n))
 
     values = shared((len(windows), n, n))
-    edges = shared((len(windows), n, bins + 1)) if measure in ENTROPY_MEASURES else None
+    edges = shared((len(windows), n, bins + 1)) if MEASURES[measure].binned else None
 
     def estimate(b):
         """Write block b's values and edges, or raise the first error of its per-window loop, naming the window."""

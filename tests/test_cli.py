@@ -213,16 +213,9 @@ def test_analyze_floor_equals_the_per_pair_oracle(runner, tmp_path):
     assert np.array_equal(floor.view(np.int64), expected.view(np.int64)), (floor, expected)
 
 
-def test_analyze_entropy_measures_bin_each_column_once(runner, tmp_path, monkeypatch):
-    # TE counts the columns that MI binned; the values are those of separate runs
-    rows = []
-    bin_windows = measures.bin_windows
-
-    def counted(values, *args, **kwargs):
-        rows.extend(values)
-        return bin_windows(values, *args, **kwargs)
-
-    monkeypatch.setattr(measures, "bin_windows", counted)
+def test_analyze_binned_measures_equal_separate_runs(runner, tmp_path):
+    # each of MI and TE bins its own sample: in one run with other measures
+    # its values and params are those of a run of it alone
     paths = write_panel(tmp_path, n_rows=120, ids=("AAA", "BBB", "CCC"))
     docs = {}
     for measures_arg in ("mi,km,te", "mi", "te"):
@@ -230,16 +223,15 @@ def test_analyze_entropy_measures_bin_each_column_once(runner, tmp_path, monkeyp
         result = runner.invoke(main, ["--out", str(out), "--format", "json", "analyze", "--measures", measures_arg, *paths])
         assert result.exit_code == 0, result.output
         docs[measures_arg] = {f.name: json.loads(f.read_text()) for f in out.glob("*_*.json")}
-    assert len(rows) == 3 + 3 + 3
     for name in ("mutual_information.json", "transfer_entropy.json"):
         single = docs["mi" if name.startswith("mutual") else "te"][name]
         assert docs["mi,km,te"][name]["values"] == single["values"]
         assert docs["mi,km,te"][name]["params"] == single["params"]
 
 
-def test_analyze_frees_the_binned_columns_that_no_later_measure_counts(runner, tmp_path, monkeypatch):
-    # the drift solve of "mi,te,km" runs after TE freed the binned columns;
-    # that of "mi,km,te" runs while they wait for TE
+def test_analyze_frees_each_measures_binned_columns(runner, tmp_path, monkeypatch):
+    # the binned columns of MI and TE are freed before the next measure runs,
+    # so none is alive at the drift solve of "mi,te,km" or of "mi,km,te"
     refs, alive = [], []
     bin_windows, drift_estimate = measures.bin_windows, measures.drift_estimate
 
@@ -260,7 +252,7 @@ def test_analyze_frees_the_binned_columns_that_no_later_measure_counts(runner, t
         result = runner.invoke(main, ["--out", str(tmp_path / measures_arg), "--format", "json",
                                       "analyze", "--measures", measures_arg, *paths])
         assert result.exit_code == 0, result.output
-    assert alive == [[False], [True]]
+    assert alive == [[False, False], [False]]
 
 
 @pytest.mark.parametrize("command, driver, position", [

@@ -2,10 +2,10 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from infodrift.matrices import MEASURES
 from infodrift.measures import compute_matrix
 from infodrift.stats import ReturnsMatrix
 
-MEASURES = ("correlation", "mutual_information", "transfer_entropy", "km_drift")
 # correlation and the drift solve go through BLAS/LAPACK reductions whose
 # blocking depends on the column order; 1e-12 is the repository's tolerance
 # for reordered float64 arithmetic (fast paths against the per-pair oracles)

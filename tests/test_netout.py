@@ -87,13 +87,25 @@ def test_threshold_not_a_finite_number_at_least_zero_is_refused(threshold):
 def test_a_graph_takes_its_direction_from_its_measure(measure):
     values = np.array([[1.0, 0.5], [0.5, 1.0]])
     g = matrix_to_graph(InteractionMatrix(("A", "B"), values, measure), threshold=0.1)
-    assert g.directed is MEASURES[measure][1]
-    assert graph_to_dot(g).startswith("digraph G {\n" if MEASURES[measure][1] else "graph G {\n")
+    assert g.directed is MEASURES[measure].directed
+    assert graph_to_dot(g).startswith("digraph G {\n" if MEASURES[measure].directed else "graph G {\n")
     for unknown in ("", measure[:2] + "?", None, [measure]):
         with pytest.raises(ValueError, match="unknown measure"):
             InteractionGraph(("A", "B"), g.edges, 0.1, unknown)
     with pytest.raises(TypeError, match="directed"):
-        InteractionGraph(("A", "B"), g.edges, 0.1, measure, directed=not MEASURES[measure][1])
+        InteractionGraph(("A", "B"), g.edges, 0.1, measure, directed=not MEASURES[measure].directed)
+
+
+@pytest.mark.parametrize("measure", sorted(MEASURES))
+def test_heatmaps_diverge_and_windows_carry_edges_by_the_measure_facts(measure):
+    # a heatmap centres on zero exactly when its measure is signed, and a
+    # windowed result holds bin edges exactly when its measure is binned
+    facts = MEASURES[measure]
+    assert netout._scale(measure, np.array([0.1, 0.5])) == ((-0.5, 0.5, True) if facts.signed else (0.0, 0.5, False))
+    assert netout._scale(measure, np.array([]))[2] is facts.signed
+    returns = ReturnsMatrix(("A", "B"), np.random.default_rng(0).normal(size=(60, 2)), "log")
+    w = evolve(returns, WindowSpec("segmented", segments=2), measure, bins=3)
+    assert (w.edges is not None) is facts.binned
 
 
 def test_negative_weights_pass_absolute_threshold():
