@@ -50,14 +50,17 @@ per-pair loop met first, and then refuse a symbol outside [0, bins) by a
 SymbolSequence's rule. Sequences with fewer bins are padded to the largest
 bin count, which keeps the nonzero cells and their row-major order.
 
-``te_floor_matrix`` counts one target row per ``kernels.fan_out`` task, on
-every CPU the process may run on, into values shared with the workers. Each
-pair keeps its own seeded stream, its shuffle order and its order of
-summation, so the values do not depend on the number of workers. What every
-source of a target shares is built once per task, for each row of a count:
-the target's (future, past) code, shifted past the source axis and offset
-to the row's cells, and its marginals; so is one buffer each for a count's
-shuffles and codes. A count copies the source into its rows, shuffles them
+The pair driver counts each count of pairs, and ``te_floor_matrix`` each
+target row, as one ``kernels.fan_out`` task, on every CPU the process may
+run on, into values shared with the workers. The lookup tables, the target
+counts and the diagonal are built in-process first, so a count too large
+fails before any worker is forked. Each row is counted and summed as it is
+in-process, and each floor pair keeps its own seeded stream, its shuffle
+order and its order of summation, so the values do not depend on the
+number of workers. A floor task builds what every source of its target
+shares once, for each row of a count: the target's (future, past) code,
+shifted past the source axis and offset to the row's cells, and its
+marginals; so is one buffer each for a count's shuffles and codes. A count copies the source into its rows, shuffles them
 in place, adds the target's code into the codes buffer in one pass, and
 counts. At 2,600 samples and 8 bins the shuffles take about two thirds of
 the floor's time.
@@ -253,21 +256,15 @@ def _count(parts, eff: int, bins: int) -> np.ndarray:
     return counts.reshape(k, cells)
 
 
-def _chunks(parts, eff: int, bins: int):
-    """Yield (r, counts): _count of the parts' rows r to r + len(counts),
-    _per_count rows at a time."""
-    per = _per_count(eff, _cells(parts, bins))
-    for r in range(0, len(parts[0][1]), per):
-        yield r, _count([(symbols, rows[r : r + per], lags) for symbols, rows, lags in parts], eff, bins)
-
-
 def _count_rows(parts, eff: int, bins: int) -> np.ndarray:
-    """Every row's counts of the parts, as one (rows, bins**axes) array."""
-    cells = _cells(parts, bins)
-    with _fits(bins, len(parts[0][1]) * cells):
-        counts = np.empty((len(parts[0][1]), cells), dtype=np.int64)
-    for r, found in _chunks(parts, eff, bins):
-        counts[r : r + len(found)] = found
+    """Every row's counts of the parts, as one (rows, bins**axes) array,
+    counted _per_count rows at a time."""
+    rows, cells = len(parts[0][1]), _cells(parts, bins)
+    per = _per_count(eff, cells)
+    with _fits(bins, rows * cells):
+        counts = np.empty((rows, cells), dtype=np.int64)
+    for r in range(0, rows, per):
+        counts[r : r + per] = _count([(symbols, idx[r : r + per], lags) for symbols, idx, lags in parts], eff, bins)
     return counts
 
 
@@ -336,11 +333,13 @@ def _pair_matrices(windows, bins: int, lags, pairs, check, diagonal) -> np.ndarr
     of the (n, n) mask ``pairs``, target i counted at ``lags``, and each
     target's ``diagonal(own counts, eff)``; 0.0 elsewhere. The per-pair input
     rule ``check(target, other)`` runs where a per-pair loop meets it first,
-    into the first window's first target, and then ``check_symbols``.
+    into the first window's first target, and then ``check_symbols``. Each
+    count of _per_count pairs is one ``fan_out`` task, which writes its
+    pairs' cells of the ``shared`` values.
     """
     first = windows[0]
     n = len(first)
-    values = np.zeros((len(windows), n, n))
+    values = shared((len(windows), n, n))
     if n:
         eff = aligned_length([len(first[0])] * len(lags), lags)
         for other in first[1:]:
@@ -351,16 +350,24 @@ def _pair_matrices(windows, bins: int, lags, pairs, check, diagonal) -> np.ndarr
         i, j = np.nonzero(pairs)
         first_rows = np.arange(0, len(sym), n)[:, np.newaxis]
         ti, si = (first_rows + i).ravel(), (first_rows + j).ravel()
-        # the tables first: bins too many to count fail before any count is held
+        # the tables, target counts and diagonal first, in-process: bins too
+        # many to count fail before any count is held or any worker forked
         cells = bins ** (len(lags) + 1)
-        tables = _cmi_cells(min(_per_count(eff, cells), len(ti)), bins, cells)
+        per = _per_count(eff, cells)
+        tables = _cmi_cells(min(per, len(ti)), bins, cells)
         own, c_p = _target_counts(sym, lags, bins)
         values[:, np.arange(n), np.arange(n)] = np.reshape(diagonal(own, eff), (-1, n))
-        found = []
-        for r, counts in _chunks([(sym, ti, lags), (sym, si, (0,))], eff, bins):
-            rows = ti[r : r + len(counts)]
-            found += _cmi_sums(counts, own[rows], c_p[rows], eff, bins, tables)
-        values[:, pairs] = np.reshape(found, (len(windows), -1))
+        # each pair's flat cell of the values, window by window
+        at = (np.arange(0, values.size, n * n)[:, np.newaxis] + np.flatnonzero(pairs)).ravel()
+
+        def count(k):
+            """Write the values of the pairs of count k: rows k * per to (k + 1) * per."""
+            rows = slice(k * per, (k + 1) * per)
+            targets = ti[rows]
+            counts = _count([(sym, targets, lags), (sym, si[rows], (0,))], eff, bins)
+            values.reshape(-1)[at[rows]] = _cmi_sums(counts, own[targets], c_p[targets], eff, bins, tables)
+
+        fan_out(count, -(-len(ti) // per))
     return values
 
 

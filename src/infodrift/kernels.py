@@ -35,18 +35,20 @@ compile pays for itself after 200 to 450 steps.
 ``joint_counts`` delegates to ``np.bincount``, which is integer-exact.
 
 ``fan_out(task, count)`` runs ``task(0), ..., task(count - 1)`` for
-``ingest.load_csvs`` (a task per input file),
-``infoflow.te_floor_matrix`` (a task per target row), ``windows.evolve``
-(per block of windows) and ``netout.emit_all`` (per result, written to its
-staged files). A task writes its results to files or to ``shared`` arrays,
-zeroed on an anonymous shared ``mmap`` that forked workers and their caller
-see. It forks one worker per CPU this process may run on
-(``os.sched_getaffinity``, so ``taskset`` limits them; ``os.cpu_count``
-where that call is missing), never more than ``count``; with fewer than two,
-or with no ``os.fork``, the tasks run in-process, the only serial path. The
-caller writes the task indices into one pipe as 4-byte records, in atomic
-writes of at most 4,096 bytes; each worker reads one at a time until the
-pipe is drained and closed, so a dead worker holds up no other. A worker
+``ingest.load_csvs`` (a task per input file), ``infoflow.te_matrices`` and
+``infoflow.mi_matrices`` (per count of pairs), ``infoflow.te_floor_matrix``
+(a task per target row), ``windows.evolve`` (per block of windows) and
+``netout.emit_all`` (per result, written to its staged files). A task
+writes its results to files or to ``shared`` arrays, zeroed on an anonymous
+shared ``mmap`` that forked workers and their caller see. It forks one
+worker per CPU this process may run on (``os.sched_getaffinity``, so
+``taskset`` limits them; ``os.cpu_count`` where that call is missing), never
+more than ``count``; with fewer than two, with no ``os.fork``, or when
+called inside a worker's task (an ``evolve`` block counting its pairs), the
+tasks run in-process, the only serial path. The caller writes the task
+indices into one pipe as 4-byte records, in atomic writes of at most 4,096
+bytes; each worker reads one at a time until the pipe is drained and
+closed, so a dead worker holds up no other. A worker
 flags each task it completes, stops once its caller is gone, and leaves
 through ``os._exit``. The caller reaps every worker and runs in-process, in
 index order, each task left unflagged, so it raises the serial path's first
@@ -147,8 +149,14 @@ def shared(shape, dtype=np.float64) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, max(size * np.dtype(dtype).itemsize, 1)), dtype, size).reshape(shape)
 
 
+# set in a forked worker, where fan_out runs its tasks in-process
+_in_worker = False
+
+
 def _serve(task, records: int, done, caller: int) -> None:
     """Run task(k), then flag done[k], for each 4-byte k read from fd ``records``, while ``caller`` is the parent."""
+    global _in_worker
+    _in_worker = True
     while (record := os.read(records, 4)) and os.getppid() == caller:
         k = int.from_bytes(record, "little")
         task(k)
@@ -158,7 +166,7 @@ def _serve(task, records: int, done, caller: int) -> None:
 def fan_out(task, count: int) -> None:
     """Run task(0), ..., task(count - 1) on forked workers, one per CPU, then
     in-process, in index order, each task that no worker completed."""
-    workers = min(_cpus(), count) if hasattr(os, "fork") else 1
+    workers = min(_cpus(), count) if hasattr(os, "fork") and not _in_worker else 1
     done = shared(count, bool) if workers > 1 else np.zeros(count, bool)
     if workers > 1:
         caller = os.getpid()

@@ -17,7 +17,9 @@ takes it. A binned measure's task first hands its windows, stacked
 window-major, to ``measures.binned_matrices``, the path that
 ``compute_matrix`` takes on the full sample as one window, and runs the loop
 only if that raises. Each window's values are therefore bit-identical to
-``compute_matrix`` on that window, however many workers there are.
+``compute_matrix`` on that window, however many workers there are. A
+block's ``binned_matrices`` counts its pairs in the block's own worker: a
+``fan_out`` inside a task forks no more.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 from collections import Counter
 
@@ -487,12 +488,50 @@ def test_fanned_out_floor_equals_in_process(monkeypatch):
     assert not fanned.values.flags.writeable
 
 
-def test_count_allocation_failure_is_an_estimator_error(monkeypatch):
-    # a count too large to allocate names the bins and the cells it needed
+def test_fanned_out_pair_counts_equal_in_process(monkeypatch, fork_calls):
+    # 5 assets of 3,000 samples at B=8 put 5 pairs in a count, so the 20 TE
+    # pairs take four fan_out tasks and the 10 MI pairs two: two CPUs fork two
+    # workers for each, one CPU counts every pair in-process, and the bits are the same
+    rng = np.random.default_rng(26)
+    seqs = [seq_of(rng.integers(0, 8, size=3000), 8) for _ in range(5)]
+    found = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(kernels, "_cpus", lambda cpus=cpus: cpus)
+        found.append((te_matrix(seqs).values, mi_matrix(seqs).values))
+    assert_no_child_process()
+    assert fork_calls == [os.getpid()] * 4
+    assert infoflow._per_count(2999, 8**3) == infoflow._per_count(3000, 8**2) == 5
+    (te_fanned, mi_fanned), (te_alone, mi_alone) = found
+    assert_bits_equal(te_fanned, te_alone)
+    assert_bits_equal(te_fanned, pairwise_te(seqs, 1))
+    assert_bits_equal(mi_fanned, mi_alone)
+    assert_bits_equal(mi_fanned, pairwise_mi(seqs))
+
+
+def test_count_allocation_failure_is_an_estimator_error(monkeypatch, fork_calls):
+    # a count too large to allocate names the bins and the cells it needed,
+    # also where it fails in a forked worker: 4 assets of 6,000 samples at
+    # B=3 put 2 pairs in a count, so at two CPUs the TE pairs take six
+    # fan_out tasks of 2 * 27 cells, the MI pairs three of 2 * 9 and the floor
+    # one per target, counting 2 shuffles. There counts fail only once a
+    # worker is forked, so the target counts before it are made, and the
+    # caller's rerun of a failed task raises the error
+    real = infoflow.joint_counts
+    cpus = 1
+
     def no_memory(codes, size):
+        if cpus == 2 and not fork_calls:
+            return real(codes, size)
         raise MemoryError(f"cannot allocate {size} counts")
 
     monkeypatch.setattr(infoflow, "joint_counts", no_memory)
-    for build in (lambda s: te_matrix(s), mi_matrix, lambda s: te_floor_matrix(*stacked(s), shuffles=2)):
-        with pytest.raises(EstimatorError, match=r"^bins 3: a count of [\d,]+ histogram cells does not fit in memory$"):
-            build(_seqs(10, 10))
+    monkeypatch.setattr(kernels, "_cpus", lambda: cpus)
+    builds = [(lambda s: te_matrix(s), "54"), (mi_matrix, "18"), (lambda s: te_floor_matrix(*stacked(s), shuffles=2), "54")]
+    for build, cells in builds:
+        for cpus, seqs in [(1, _seqs(10, 10)), (2, _seqs(*[6000] * 4))]:
+            fork_calls.clear()
+            with pytest.raises(EstimatorError, match=r"^bins 3: a count of [\d,]+ histogram cells does not fit in memory$") as err:
+                build(seqs)
+            assert len(fork_calls) == (2 if cpus == 2 else 0)
+        assert str(err.value) == f"bins 3: a count of {cells} histogram cells does not fit in memory"
+    assert_no_child_process()

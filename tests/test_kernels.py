@@ -211,6 +211,27 @@ def test_fan_out_runs_in_process_with_one_cpu_or_without_fork(monkeypatch, fork_
     assert pids == [(k, os.getpid()) for k in (0, 1, 2, 0, 0, 1, 2)]
 
 
+def test_fan_out_inside_a_task_runs_in_its_worker(monkeypatch, fork_calls):
+    # an outer task that fans out again, as an evolve block counting its TE
+    # pairs does, runs the inner tasks in its own worker and forks no more
+    monkeypatch.setattr(kernels, "_cpus", lambda: 2)
+    pids = kernels.shared((2, 4), np.int64)
+
+    def outer(k):
+        pids[k, 0] = os.getpid()
+
+        def inner(m):
+            pids[k, m + 1] = os.getpid()
+
+        kernels.fan_out(inner, 3)
+
+    kernels.fan_out(outer, 2)
+    assert (pids == pids[:, :1]).all(), pids
+    assert os.getpid() not in set(pids[:, 0].tolist())
+    assert fork_calls == [os.getpid()] * 2
+    assert_no_child_process()
+
+
 def test_fan_out_runs_more_tasks_than_the_pipe_holds_once_each(monkeypatch):
     # 20,000 records are 80,000 bytes, more than a 64 KiB pipe buffer, so the
     # caller's writes wait for the reads of four workers, racing for records
