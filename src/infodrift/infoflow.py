@@ -56,14 +56,14 @@ run on, into values shared with the workers. The lookup tables, the target
 counts and the diagonal are built in-process first, so a count too large
 fails before any worker is forked. Each row is counted and summed as it is
 in-process, and each floor pair keeps its own seeded stream, its shuffle
-order and its order of summation, so the values do not depend on the
-number of workers. A floor task builds what every source of its target
-shares once, for each row of a count: the target's (future, past) code,
-shifted past the source axis and offset to the row's cells, and its
-marginals; so is one buffer each for a count's shuffles and codes. A count copies the source into its rows, shuffles them
-in place, adds the target's code into the codes buffer in one pass, and
-counts. At 2,600 samples and 8 bins the shuffles take about two thirds of
-the floor's time.
+order and its order of summation, so the values do not depend on the number
+of workers. A floor task builds what every source of its target shares once,
+for each row of a count: the target's (future, past) code, shifted past the
+source axis and offset to the row's cells, and its marginals; so is one
+buffer each for a count's shuffles and codes. A count copies the source into
+its rows, shuffles them in place, adds the target's code into the codes
+buffer in one pass, and counts. At 2,600 samples and 8 bins the shuffles
+take about two thirds of the floor's time.
 
 Each count holds at most ``_MAX_CODES`` codes (a longer row is counted in
 time chunks whose integer counts are added), and the estimates are formed

@@ -38,25 +38,28 @@ compile pays for itself after 200 to 450 steps.
 ``ingest.load_csvs`` (a task per input file), ``infoflow.te_matrices`` and
 ``infoflow.mi_matrices`` (per count of pairs), ``infoflow.te_floor_matrix``
 (a task per target row), ``windows.evolve`` (per block of windows) and
-``netout.emit_all`` (per result, written to its staged files). A task
-writes its results to files or to ``shared`` arrays, zeroed on an anonymous
-shared ``mmap`` that forked workers and their caller see. It forks one
-worker per CPU this process may run on (``os.sched_getaffinity``, so
-``taskset`` limits them; ``os.cpu_count`` where that call is missing), never
-more than ``count``; with fewer than two, with no ``os.fork``, or when
-called inside a worker's task (an ``evolve`` block counting its pairs), the
-tasks run in-process, the only serial path. The caller writes the task
-indices into one pipe as 4-byte records, in atomic writes of at most 4,096
-bytes; each worker reads one at a time until the pipe is drained and
-closed, so a dead worker holds up no other. A worker
-flags each task it completes, stops once its caller is gone, and leaves
-through ``os._exit``. The caller reaps every worker and runs in-process, in
-index order, each task left unflagged, so it raises the serial path's first
-error with its type, message and ``__cause__``. Spans and counters that a
-tracer records inside a worker stay there. Python 3.12 and later warn when
-forking beside a running thread, such as OpenBLAS's; on CPython 3.12.1 and
-3.13.0, ``os.fork`` under an ``error`` filter clears that DeprecationWarning
-and returns normally, and under ``always`` the warning is recorded.
+``netout.emit_all`` (per result, written to its staged files). A task writes
+its results to files or to ``shared`` arrays, zeroed on an anonymous shared
+``mmap`` that forked workers and their caller see. It forks one worker per
+CPU this process may run on (``os.sched_getaffinity``, so ``taskset`` limits
+them; ``os.cpu_count`` where that call is missing), never more than
+``count``; with fewer than two, with no ``os.fork``, or when called inside a
+worker's task (an ``evolve`` block counting its pairs), the tasks run
+in-process, the only serial path. Worker k stays on the k-th CPU of that
+set: left to the scheduler, two workers forked on a 2-CPU host were seen
+sharing one CPU, each at half speed. The caller writes the task indices into
+one pipe as 4-byte records, in atomic writes of at most 4,096 bytes, the
+first before it forks, so the first worker starts at once; each worker reads
+one at a time until the pipe is drained and closed, so a dead worker holds
+up no other. A worker flags each task it completes, stops once its caller is
+gone, and leaves through ``os._exit``. The caller reaps every worker and
+runs in-process, in index order, each task left unflagged, so it raises the
+serial path's first error with its type, message and ``__cause__``. Spans
+and counters that a tracer records inside a worker stay there. Python 3.12
+and later warn when forking beside a running thread, such as OpenBLAS's; on
+CPython 3.12.1 and 3.13.0, ``os.fork`` under an ``error`` filter clears that
+DeprecationWarning and returns normally, and under ``always`` the warning is
+recorded.
 """
 
 import functools
@@ -153,6 +156,16 @@ def shared(shape, dtype=np.float64) -> np.ndarray:
 _in_worker = False
 
 
+def _pin(worker: int) -> None:
+    """Keep this process on the worker-th CPU of its set, cycling; left as it
+    is where the platform has no affinity calls or refuses the CPU."""
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpus[worker % len(cpus)]})
+    except (AttributeError, OSError):
+        pass
+
+
 def _serve(task, records: int, done, caller: int) -> None:
     """Run task(k), then flag done[k], for each 4-byte k read from fd ``records``, while ``caller`` is the parent."""
     global _in_worker
@@ -171,21 +184,26 @@ def fan_out(task, count: int) -> None:
     if workers > 1:
         caller = os.getpid()
         read, write = os.pipe()
+        records = np.arange(count, dtype="<u4").tobytes()
         pids = []
         try:
+            # 4,096 bytes a write: at most PIPE_BUF, so atomic, and the first
+            # fits in the empty pipe before any worker reads
+            os.write(write, records[:4096])
             try:
-                for _ in range(workers):
+                for worker in range(workers):
                     if not (pid := os.fork()):
                         try:
                             os.close(write)
+                            _pin(worker)
                             _serve(task, read, done, caller)
                         finally:
                             os._exit(0)
                     pids.append(pid)
             finally:
                 os.close(read)
-            for a in range(0, count, 1024):  # 4,096 bytes a write: at most PIPE_BUF, so atomic
-                os.write(write, np.arange(a, min(a + 1024, count), dtype="<u4").tobytes())
+            for a in range(4096, len(records), 4096):
+                os.write(write, records[a : a + 4096])
         except BrokenPipeError:
             pass  # every worker is gone
         finally:

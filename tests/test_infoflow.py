@@ -491,13 +491,27 @@ def test_fanned_out_floor_equals_in_process(monkeypatch):
 def test_fanned_out_pair_counts_equal_in_process(monkeypatch, fork_calls):
     # 5 assets of 3,000 samples at B=8 put 5 pairs in a count, so the 20 TE
     # pairs take four fan_out tasks and the 10 MI pairs two: two CPUs fork two
-    # workers for each, one CPU counts every pair in-process, and the bits are the same
+    # workers for each, one CPU counts every pair in-process, and the bits are
+    # the same. At two CPUs the caller counts only the targets, once for TE
+    # and once for MI: a worker's calls do not reach its caller's recorder
     rng = np.random.default_rng(26)
     seqs = [seq_of(rng.integers(0, 8, size=3000), 8) for _ in range(5)]
+    real = infoflow.joint_counts
+    calls = []
+
+    def recording(codes, size):
+        calls.append(len(codes))
+        return real(codes, size)
+
+    monkeypatch.setattr(infoflow, "joint_counts", recording)
     found = []
     for cpus in (2, 1):
         monkeypatch.setattr(kernels, "_cpus", lambda cpus=cpus: cpus)
         found.append((te_matrix(seqs).values, mi_matrix(seqs).values))
+        if cpus == 2:
+            assert calls == [5 * 2999, 5 * 3000]
+    # then one CPU counts TE's targets and its 4 pair counts, MI's and its 2
+    assert len(calls) == 2 + (1 + 4) + (1 + 2)
     assert_no_child_process()
     assert fork_calls == [os.getpid()] * 4
     assert infoflow._per_count(2999, 8**3) == infoflow._per_count(3000, 8**2) == 5

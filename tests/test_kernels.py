@@ -3,6 +3,7 @@ import importlib.util
 import math
 import os
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -319,3 +320,26 @@ def test_worker_whose_caller_is_gone_runs_no_task():
 
 def test_cpus_follow_the_affinity_mask():
     assert kernels._cpus() == len(os.sched_getaffinity(0))
+
+
+def test_fan_out_keeps_each_worker_on_its_own_cpu(monkeypatch):
+    # each task holds its worker until the other task has started, so the two
+    # workers take one task each; worker k runs on the k-th CPU of the
+    # caller's set (the same one twice on a 1-CPU machine), and the caller's
+    # own set is left as it was
+    cpus = sorted(os.sched_getaffinity(0))
+    monkeypatch.setattr(kernels, "_cpus", lambda: 2)
+    seen = kernels.shared((2, 3), np.int64)
+
+    def task(k):
+        seen[k] = os.getpid(), len(os.sched_getaffinity(0)), min(os.sched_getaffinity(0))
+        deadline = time.monotonic() + 10
+        while not seen[1 - k, 0] and time.monotonic() < deadline:
+            time.sleep(0.001)
+
+    kernels.fan_out(task, 2)
+    assert_no_child_process()
+    assert seen[0, 0] != seen[1, 0] and os.getpid() not in seen[:, 0]
+    assert seen[:, 1].tolist() == [1, 1]
+    assert sorted(seen[:, 2].tolist()) == sorted([cpus[0], cpus[1 % len(cpus)]])
+    assert sorted(os.sched_getaffinity(0)) == cpus
